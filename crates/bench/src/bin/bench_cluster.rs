@@ -1,15 +1,14 @@
-//! Macro-benchmark of the shard-parallel cluster engine.
+//! Macro-benchmark of the node-parallel cluster engine.
 //!
-//! Simulates a rack of independent platform nodes three ways — the
-//! serial oracle, the sharded driver pinned to one thread, and the
-//! sharded driver fanned out across worker threads — and byte-compares
-//! the three [`ClusterReport`] digests. The digests must match exactly
-//! (the shard-parallel engine's core guarantee); any divergence exits
-//! non-zero regardless of flags.
+//! Simulates a rack of independent platform nodes two ways — the
+//! serial oracle and the parallel driver fanned out across worker
+//! threads — and byte-compares the two [`ClusterReport`] digests. The
+//! digests must match exactly (the cluster engine's core guarantee);
+//! any divergence exits non-zero regardless of flags.
 //!
 //! ```text
 //! cargo run --release -p faasmem-bench --bin bench_cluster -- \
-//!     --profile --check-speedup --out perf
+//!     --threads 4 --profile --check-speedup --out perf
 //! cargo run --release -p faasmem-bench --bin bench_compare -- \
 //!     BENCH_cluster.json perf/BENCH_cluster.json --tolerance 0.25
 //! ```
@@ -33,13 +32,12 @@ use faasmem_telemetry::profiler;
 use faasmem_workload::LoadClass;
 
 /// Minimum threaded-vs-serial wall-clock ratio `--check-speedup`
-/// enforces. The nodes share nothing, so a 4-shard run on a 4+ core
+/// enforces. The nodes share nothing, so a 4-thread run on a 4+ core
 /// runner clears 2× with headroom.
 const REQUIRED_SPEEDUP: f64 = 2.0;
 
 struct Options {
     nodes: u32,
-    shards: u32,
     threads: usize,
     out_dir: PathBuf,
     profile: bool,
@@ -48,7 +46,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_cluster [--nodes N] [--shards S] [--threads T] \
+        "usage: bench_cluster [--nodes N] [--threads T] \
          [--profile] [--check-speedup] [--out DIR]"
     );
     std::process::exit(2);
@@ -60,7 +58,6 @@ fn parse_args() -> Options {
         .unwrap_or(1);
     let mut opts = Options {
         nodes: 8,
-        shards: 4,
         threads: default_threads,
         out_dir: PathBuf::from("."),
         profile: false,
@@ -72,7 +69,6 @@ fn parse_args() -> Options {
             "--profile" => opts.profile = true,
             "--check-speedup" => opts.check_speedup = true,
             "--nodes" => opts.nodes = parse_count(args.next()),
-            "--shards" => opts.shards = parse_count(args.next()),
             "--threads" => opts.threads = parse_count(args.next()) as usize,
             "--out" => {
                 let Some(dir) = args.next() else { usage() };
@@ -92,7 +88,7 @@ fn parse_count(arg: Option<String>) -> u32 {
     }
 }
 
-/// The fixed cluster workload: every run, serial or sharded, simulates
+/// The fixed cluster workload: every run, serial or parallel, simulates
 /// exactly this recipe under the FaaSMem policy.
 fn cluster(nodes: u32) -> ClusterSim {
     ClusterSim::new(
@@ -177,60 +173,41 @@ fn main() {
 
     let sim = cluster(opts.nodes);
     let (serial, serial_secs) = timed("cluster_serial", || sim.run_serial());
-    let (shard1, shard1_secs) = timed("cluster_shard1", || sim.run_sharded(opts.shards, 1));
-    let (sharded, sharded_secs) = timed("cluster_sharded", || {
-        sim.run_sharded(opts.shards, opts.threads)
-    });
+    let (parallel, parallel_secs) = timed("cluster_parallel", || sim.run_parallel(opts.threads));
 
     let rows = vec![
         vec![
             "serial".to_string(),
-            "-".to_string(),
             "1".to_string(),
             format!("{serial_secs:.3}"),
             summarize(&serial),
         ],
         vec![
-            "sharded".to_string(),
-            opts.shards.to_string(),
-            "1".to_string(),
-            format!("{shard1_secs:.3}"),
-            summarize(&shard1),
-        ],
-        vec![
-            "sharded".to_string(),
-            opts.shards.to_string(),
+            "parallel".to_string(),
             opts.threads.to_string(),
-            format!("{sharded_secs:.3}"),
-            summarize(&sharded),
+            format!("{parallel_secs:.3}"),
+            summarize(&parallel),
         ],
     ];
     print!(
         "{}",
-        render_table(&["driver", "shards", "threads", "wall s", "outcome"], &rows)
+        render_table(&["driver", "threads", "wall s", "outcome"], &rows)
     );
 
     // Byte-identity is the engine's contract: enforce it on every run,
     // not only under --check-speedup.
-    let oracle = serial.digest();
-    let mut diverged = false;
-    for (label, run) in [
-        ("shards=S threads=1", &shard1),
-        ("shards=S threads=T", &sharded),
-    ] {
-        if run.digest() != oracle {
-            eprintln!("bench_cluster: {label} digest diverged from the serial oracle");
-            diverged = true;
-        }
-    }
-    if diverged {
+    if parallel.digest() != serial.digest() {
+        eprintln!(
+            "bench_cluster: threads={} digest diverged from the serial oracle",
+            opts.threads
+        );
         std::process::exit(1);
     }
 
-    let speedup = serial_secs / sharded_secs.max(f64::EPSILON);
+    let speedup = serial_secs / parallel_secs.max(f64::EPSILON);
     println!(
-        "\nthreaded speedup over serial at {} shards / {} threads: {speedup:.2}x",
-        opts.shards, opts.threads
+        "\nthreaded speedup over serial at {} threads: {speedup:.2}x",
+        opts.threads
     );
 
     profiler::set_enabled(false);

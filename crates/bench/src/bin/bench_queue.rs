@@ -6,7 +6,7 @@
 //!
 //! - **clustered** — bursts of same-instant events on a fixed cadence,
 //!   pushed as groups: the FaaSMem shape (Tick cadence, bursty traces
-//!   seeded via `push_at_many`, window-aligned cross-shard flushes).
+//!   seeded via `push_at_many`).
 //! - **uniform** — independent uniform timestamps, the classic
 //!   calendar-queue sort benchmark.
 //! - **bimodal** — half near-term, half far-future, stressing the

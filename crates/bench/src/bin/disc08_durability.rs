@@ -11,8 +11,8 @@
 //! what it buys (failover recalls and cold rebuilds avoided).
 //!
 //! The fault plan is a pure function of its seed, so the whole grid is
-//! byte-identical across `--jobs` and `--shards` values. The merged
-//! result is exported to `results/disc08_durability.json`.
+//! byte-identical across `--jobs` values. The merged result is exported
+//! to `results/disc08_durability.json`.
 
 use faasmem_bench::harness::{
     self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, TraceSpec,

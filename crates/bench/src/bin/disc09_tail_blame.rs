@@ -19,8 +19,8 @@
 //! replica loses its tenants' state outright.
 //!
 //! Blame is pure observation — enabling it changes no event, no RNG
-//! draw, no latency — so the grid is byte-identical across `--jobs` and
-//! `--shards` like every other experiment (CI compares all three).
+//! draw, no latency — so the grid is byte-identical across `--jobs`
+//! like every other experiment (CI compares serial against parallel).
 //!
 //! `--quick` is deliberately ignored: the full grid takes about a
 //! second, and a truncated run's slowest 1% is just the first cold

@@ -21,7 +21,7 @@
 //!
 //! Anatomy is pure observation — enabling it changes no event, no RNG
 //! draw, no latency — so the grid is byte-identical across `--jobs`
-//! and `--shards` like every other experiment (CI compares all three).
+//! like every other experiment (CI compares serial against parallel).
 //!
 //! `--quick` is deliberately ignored: the full grid takes about a
 //! second, and a truncated run never reaches keep-alive expiry, which

@@ -11,8 +11,8 @@
 //! ```
 //!
 //! The output is a pure function of the result document, which is
-//! itself byte-identical across `--jobs` and `--shards`, so serial and
-//! parallel harness runs query identically.
+//! itself byte-identical across `--jobs`, so serial and parallel
+//! harness runs query identically.
 //!
 //! Exit codes: 0 success, 1 malformed document / unknown component /
 //! nothing matched, 2 usage / IO errors.

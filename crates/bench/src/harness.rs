@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use faasmem_baselines::{DamonPolicy, NoOffloadPolicy, TmoPolicy};
 use faasmem_core::{FaasMemPolicy, FaasMemStats, StatsHandle};
-use faasmem_faas::{MemoryPolicy, PlatformConfig, PlatformSim, RunReport, RunSummary, ShardSpec};
+use faasmem_faas::{MemoryPolicy, PlatformConfig, PlatformSim, RunReport, RunSummary};
 use faasmem_metrics::agg;
 use faasmem_sim::{SimDuration, SimTime};
 use faasmem_telemetry::{
@@ -465,10 +465,6 @@ pub struct HarnessOptions {
     /// Profile the harness itself and export a `BENCH_*.json` perf
     /// baseline next to the results.
     pub profile: bool,
-    /// When set, run every cell through the shard-parallel platform
-    /// driver with this many shards. `None` keeps the serial driver.
-    /// Output is byte-identical either way (CI compares them).
-    pub shards: Option<u32>,
 }
 
 impl Default for HarnessOptions {
@@ -484,7 +480,6 @@ impl Default for HarnessOptions {
             series_interval: SimDuration::from_secs(1),
             series_select: SeriesMask::ALL,
             profile: false,
-            shards: None,
         }
     }
 }
@@ -495,10 +490,9 @@ impl HarnessOptions {
     /// `--trace-filter LAYERS` / `--trace-filter=LAYERS` (comma list of
     /// `harness,container,memory,pool`), `--series PATH` /
     /// `--series=PATH`, `--series-interval SECS`, `--series-select
-    /// GROUPS` (comma list of `faas,mem,pool,registry`), `--profile`
-    /// and `--shards N` / `--shards=N` (shard-parallel platform driver;
-    /// 0 or omitted = serial) from the process arguments. Unknown
-    /// arguments are ignored so binaries can add their own flags.
+    /// GROUPS` (comma list of `faas,mem,pool,registry`) and `--profile`
+    /// from the process arguments. Unknown arguments are ignored so
+    /// binaries can add their own flags.
     pub fn from_env() -> Self {
         Self::parse(std::env::args().skip(1))
     }
@@ -561,14 +555,6 @@ impl HarnessOptions {
                 Self::apply_series_select(&mut opts, list);
             } else if arg == "--profile" {
                 opts.profile = true;
-            } else if arg == "--shards" {
-                if let Some(n) = args.next().and_then(|v| v.as_ref().parse().ok()) {
-                    opts.shards = (n > 0).then_some(n);
-                }
-            } else if let Some(n) = arg.strip_prefix("--shards=") {
-                if let Ok(n) = n.parse() {
-                    opts.shards = (n > 0).then_some(n);
-                }
             }
         }
         opts.jobs = opts.jobs.max(1);
@@ -679,9 +665,6 @@ pub struct GridRun {
     pub name: String,
     /// Worker threads used.
     pub jobs: usize,
-    /// Shard count when the shard-parallel platform driver ran the
-    /// cells; `None` under the serial driver.
-    pub shards: Option<u32>,
     /// Whether `--quick` truncated the traces.
     pub quick: bool,
     /// Cell results in grid order (traces → benches → configs → policies).
@@ -752,12 +735,6 @@ impl GridRun {
         doc.push("schema_version", JsonValue::Num(SCHEMA_VERSION as f64));
         doc.push("grid", JsonValue::Str(self.name.clone()));
         doc.push("jobs", JsonValue::Num(self.jobs as f64));
-        // Like jobs, shards must never influence the result document —
-        // it is recorded here, in the timing side channel only.
-        match self.shards {
-            Some(n) => doc.push("shards", JsonValue::Num(f64::from(n))),
-            None => doc.push("shards", JsonValue::Null),
-        };
         doc.push("wall_total_secs", JsonValue::Num(self.wall_total_secs));
         doc.push("cell_wall_sum_secs", JsonValue::Num(agg::total(&walls)));
         if let Some((min, max)) = agg::min_max(&walls) {
@@ -1257,8 +1234,7 @@ fn summary_json(s: &RunSummary) -> JsonValue {
 
 /// The latency-anatomy block: per-component distributions plus tail
 /// attribution. All durations are integer microseconds straight from the
-/// simulator, so the block is exact and byte-stable across `--jobs` and
-/// `--shards`.
+/// simulator, so the block is exact and byte-stable across `--jobs`.
 fn blame_json(b: &faasmem_faas::BlameReport) -> JsonValue {
     let mut doc = JsonValue::obj();
     doc.push("invocations", JsonValue::Num(b.invocations as f64));
@@ -1301,8 +1277,7 @@ fn blame_json(b: &faasmem_faas::BlameReport) -> JsonValue {
 /// The memory-anatomy block: byte-second occupancy per component plus
 /// the page-lifecycle flow ledger. Internals are exact u128 byte-µs;
 /// the one f64 division at this boundary is a pure function of the
-/// integers, so the block stays byte-stable across `--jobs` and
-/// `--shards`.
+/// integers, so the block stays byte-stable across `--jobs`.
 fn anatomy_json(a: &faasmem_faas::MemoryAnatomyReport) -> JsonValue {
     use faasmem_faas::{byte_us_to_byte_secs, WasteComponent};
     let w = &a.waste;
@@ -1536,7 +1511,6 @@ pub fn run_grid(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
     let quick = opts.quick;
     let trace_mask = opts.trace.as_ref().map(|_| opts.trace_filter);
     let sample_spec = opts.sample_spec();
-    let shards = opts.shards;
 
     let mut results: Vec<Option<CellResult>> = Vec::with_capacity(n);
     results.resize_with(n, || None);
@@ -1557,7 +1531,7 @@ pub fn run_grid(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
                     let cell_started = Instant::now();
                     let outcome = {
                         profile_scope!("cell");
-                        run_cell(cell, quick, trace_mask, sample_spec, shards)
+                        run_cell(cell, quick, trace_mask, sample_spec)
                     };
                     mine.push((
                         i,
@@ -1587,7 +1561,6 @@ pub fn run_grid(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
     GridRun {
         name: grid.name.clone(),
         jobs,
-        shards: opts.shards,
         quick: opts.quick,
         cells: results
             .into_iter()
@@ -1697,7 +1670,6 @@ fn run_cell(
     quick: bool,
     trace_mask: Option<LayerMask>,
     sample_spec: Option<SampleSpec>,
-    shards: Option<u32>,
 ) -> Result<CellOutcome, String> {
     catch_unwind(AssertUnwindSafe(|| {
         let trace = cell.trace.build(cell.bench, quick);
@@ -1758,12 +1730,7 @@ fn run_cell(
         };
         let mut report = {
             profile_scope!("simulate");
-            match shards {
-                // The sharded driver is byte-identical to the serial
-                // one for any shard count; CI compares both paths.
-                Some(s) => sim.run_sharded(&trace, &ShardSpec::new(s)),
-                None => sim.run(&trace),
-            }
+            sim.run(&trace)
         };
         tracer.set_now(report.finished_at);
         tracer.emit(

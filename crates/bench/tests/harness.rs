@@ -321,7 +321,7 @@ fn clean_cells_export_no_skip_or_fault_fields() {
 }
 
 #[test]
-fn anatomy_grid_is_deterministic_across_thread_and_shard_counts() {
+fn anatomy_grid_is_deterministic_across_thread_counts() {
     let grid = ExperimentGrid::new("anatomy_grid")
         .traces([
             TraceSpec::synth("high", 4242, LoadClass::High),
@@ -352,17 +352,6 @@ fn anatomy_grid_is_deterministic_across_thread_and_shard_counts() {
     for jobs in [2, 5] {
         let parallel = run_grid(&grid, &quick_opts(jobs)).to_json().to_pretty();
         assert_eq!(parallel, serial, "anatomy document diverged at jobs={jobs}");
-    }
-    for shards in [2, 4] {
-        let opts = HarnessOptions {
-            shards: Some(shards),
-            ..quick_opts(1)
-        };
-        let sharded = run_grid(&grid, &opts).to_json().to_pretty();
-        assert_eq!(
-            sharded, serial,
-            "anatomy document diverged at shards={shards}"
-        );
     }
 }
 

@@ -1,26 +1,25 @@
 //! Cluster-scale simulation: many independent platform nodes, executed
-//! in parallel across shards of nodes.
+//! in parallel on worker threads.
 //!
-//! The intra-node sharded driver ([`PlatformSim::run_sharded`]) keeps a
-//! single node's event administration partitioned but must execute
-//! handlers in the merged global order (one RNG, one link pair). Real
-//! wall-clock speedup comes from this tier: a rack runs `N` nodes whose
-//! simulations share nothing, so node shards advance on OS threads with
-//! no synchronisation beyond work claiming. Every node's outcome is a
-//! pure function of its node id and the cluster seed, which makes the
-//! result **byte-identical for any shard count and any thread count** —
-//! the property `bench_cluster` and the differential tests enforce.
+//! A single node's simulation is serial: its handlers share one RNG
+//! stream, one link pair and one tracer sequence, so they must run in
+//! `(time, seq)` order. Wall-clock speedup comes from this tier: a rack
+//! runs `N` nodes whose simulations share nothing, so whole nodes
+//! advance on OS threads with no synchronisation beyond work claiming.
+//! Every node's outcome is a pure function of its node id and the
+//! cluster seed, which makes the result **byte-identical for any thread
+//! count** — the property `bench_cluster` and the differential tests
+//! enforce.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use faasmem_pool::PoolStats;
-use faasmem_sim::{ShardMap, SimDuration, SimTime};
+use faasmem_sim::{SimDuration, SimTime};
 use faasmem_workload::{BenchmarkSpec, FunctionId, InvocationTrace, LoadClass, TraceSynthesizer};
 
 use crate::platform::PlatformSim;
 use crate::policy::MemoryPolicy;
-use crate::shard::ShardSpec;
 
 /// The workload a cluster run simulates: `nodes` platform nodes, each
 /// serving `functions_per_node` functions drawn round-robin from the
@@ -83,8 +82,8 @@ pub struct NodeReport {
 /// Per-node outcomes in node order, plus cluster-wide aggregation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
-    /// One entry per node, ordered by node id regardless of which shard
-    /// or thread simulated it.
+    /// One entry per node, ordered by node id regardless of which
+    /// thread simulated it.
     pub nodes: Vec<NodeReport>,
 }
 
@@ -102,7 +101,7 @@ impl ClusterReport {
     /// A canonical textual rendering of every per-node outcome, with
     /// floats fixed to six decimals. Two runs are considered identical
     /// exactly when their digests are byte-equal — this is the string
-    /// `bench_cluster` compares across shard/thread configurations.
+    /// `bench_cluster` compares across thread counts.
     pub fn digest(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(self.nodes.len() * 160);
@@ -164,7 +163,7 @@ impl ClusterSim {
     /// Builds and runs node `node` from scratch. Deterministic in
     /// `(cluster seed, node)` alone, which is what makes the parallel
     /// schedule irrelevant to the output.
-    fn run_node(&self, node: u32, shards: Option<u32>) -> NodeReport {
+    fn run_node(&self, node: u32) -> NodeReport {
         let spec = &self.spec;
         let catalog = BenchmarkSpec::catalog();
         let mut builder = PlatformSim::builder();
@@ -192,10 +191,7 @@ impl ClusterSim {
                     .wrapping_add(u64::from(node).wrapping_mul(0xA5A5_A5A5)),
             )
             .build();
-        let mut report = match shards {
-            None => sim.run(&trace),
-            Some(s) => sim.run_sharded(&trace, &ShardSpec::new(s)),
-        };
+        let mut report = sim.run(&trace);
         NodeReport {
             node,
             requests_completed: report.requests_completed,
@@ -210,46 +206,33 @@ impl ClusterSim {
         }
     }
 
-    /// The serial oracle: every node simulated on the calling thread
-    /// through the serial platform driver.
+    /// The serial oracle: every node simulated on the calling thread.
     pub fn run_serial(&self) -> ClusterReport {
-        let nodes = (0..self.spec.nodes)
-            .map(|n| self.run_node(n, None))
-            .collect();
+        let nodes = (0..self.spec.nodes).map(|n| self.run_node(n)).collect();
         ClusterReport { nodes }
     }
 
-    /// The parallel driver: nodes are partitioned into `shards` shards
-    /// (round-robin by node id), worker threads claim whole shards from
-    /// an atomic counter, and each node runs through the shard-parallel
-    /// platform driver. Results are merged in node order, so the report
-    /// is byte-identical to [`ClusterSim::run_serial`] for any shard
-    /// and thread count.
+    /// The parallel driver: `threads` workers claim node ids from an
+    /// atomic counter and simulate each node whole. Results are merged
+    /// in node order, so the report is byte-identical to
+    /// [`ClusterSim::run_serial`] for any thread count.
     ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero; `threads` is clamped to
-    /// `[1, shards]`.
-    pub fn run_sharded(&self, shards: u32, threads: usize) -> ClusterReport {
-        let map = ShardMap::new(shards);
-        let parts = map.partition((0..self.spec.nodes).map(u64::from));
-        let workers = threads.clamp(1, shards as usize);
-        let next_shard = AtomicU32::new(0);
-        let slots: Mutex<Vec<Option<NodeReport>>> =
-            Mutex::new(vec![None; self.spec.nodes as usize]);
+    /// `threads` is clamped to `[1, nodes]`.
+    pub fn run_parallel(&self, threads: usize) -> ClusterReport {
+        let nodes = self.spec.nodes;
+        let workers = threads.clamp(1, nodes as usize);
+        let next_node = AtomicU32::new(0);
+        let slots: Mutex<Vec<Option<NodeReport>>> = Mutex::new(vec![None; nodes as usize]);
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let shard = next_shard.fetch_add(1, Ordering::Relaxed);
-                    if shard >= shards {
+                    let node = next_node.fetch_add(1, Ordering::Relaxed);
+                    if node >= nodes {
                         break;
                     }
-                    for &node in &parts[shard as usize] {
-                        let report = self.run_node(node as u32, Some(shards));
-                        slots.lock().expect("no panics hold this lock")[node as usize] =
-                            Some(report);
-                    }
+                    let report = self.run_node(node);
+                    slots.lock().expect("no panics hold this lock")[node as usize] = Some(report);
                 });
             }
         });
@@ -295,18 +278,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cluster_is_byte_identical_for_any_schedule() {
+    fn parallel_cluster_is_byte_identical_for_any_schedule() {
         let cluster = small_cluster();
         let oracle = cluster.run_serial();
         assert!(oracle.total_requests() > 0, "workload must be non-trivial");
         let oracle_digest = oracle.digest();
-        for (shards, threads) in [(1u32, 1usize), (2, 2), (4, 2), (3, 7), (5, 3)] {
-            let run = cluster.run_sharded(shards, threads);
-            assert_eq!(
-                run.digest(),
-                oracle_digest,
-                "shards={shards} threads={threads} diverged"
-            );
+        for threads in [1usize, 2, 3, 7] {
+            let run = cluster.run_parallel(threads);
+            assert_eq!(run.digest(), oracle_digest, "threads={threads} diverged");
             assert_eq!(run, oracle);
         }
     }
@@ -341,7 +320,7 @@ mod tests {
                 Box::new(NullPolicy)
             },
         );
-        let report = cluster.run_sharded(2, 2);
+        let report = cluster.run_parallel(2);
         assert_eq!(report.nodes.len(), 3);
         let mut ids = seen.lock().unwrap().clone();
         ids.sort_unstable();

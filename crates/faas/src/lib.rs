@@ -55,7 +55,6 @@ pub mod platform;
 pub mod policy;
 pub mod rack;
 pub mod report;
-pub mod shard;
 
 pub use cluster::{ClusterReport, ClusterSim, ClusterSpec, NodeReport};
 pub use container::{Container, ContainerId, ContainerStage};
@@ -68,7 +67,6 @@ pub use report::{
     ContainerRecord, DurabilityReport, FaultReport, FunctionSummary, FunctionWaste,
     MemoryAnatomyReport, RequestRecord, RunReport, RunSummary,
 };
-pub use shard::{ShardSpec, CONTROL_SHARD};
 
 // Re-export so downstream crates can name functions without depending on
 // the workload crate directly.

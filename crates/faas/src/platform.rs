@@ -344,7 +344,7 @@ impl PlatformBuilder {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Event {
+enum Event {
     /// Index into the trace's invocation list.
     Invoke(u32),
     RuntimeLoaded(ContainerId),
@@ -360,42 +360,10 @@ pub(crate) enum Event {
     PoolNodeLoss(u32),
 }
 
-/// Scheduling surface the event handlers push through: implemented by
-/// the serial [`EventQueue`] and by the sharded driver's routing sink
-/// (see `crate::shard`), so handler bodies are shared verbatim between
-/// both execution modes — the byte-identity contract reduces to the two
-/// sinks agreeing on `(sim_time, seq)` order.
-pub(crate) trait EventSink {
-    /// Schedules one event.
-    fn push(&mut self, at: SimTime, event: Event);
-    /// Schedules a same-instant group in iterator order (the stable
-    /// FIFO contract of [`EventQueue::push_at_many`]).
-    fn push_group(&mut self, at: SimTime, events: &mut dyn Iterator<Item = Event>);
-    /// Pre-sizes internal storage for `additional` upcoming pushes.
-    fn reserve(&mut self, additional: usize);
-    /// `true` while any event is still scheduled.
-    fn has_pending(&self) -> bool;
-}
-
-impl EventSink for EventQueue<Event> {
-    fn push(&mut self, at: SimTime, event: Event) {
-        EventQueue::push(self, at, event);
-    }
-    fn push_group(&mut self, at: SimTime, events: &mut dyn Iterator<Item = Event>) {
-        self.push_at_many(at, events);
-    }
-    fn reserve(&mut self, additional: usize) {
-        EventQueue::reserve(self, additional);
-    }
-    fn has_pending(&self) -> bool {
-        !self.is_empty()
-    }
-}
-
 /// Everything [`PlatformSim::prepare`] derives from the trace before
-/// seeding: the driver loops (serial and sharded) thread it through
+/// seeding: [`PlatformSim::run`] threads it through
 /// [`PlatformSim::seed`] and [`PlatformSim::process_event`].
-pub(crate) struct RunSetup {
+struct RunSetup {
     invocations: Vec<Invocation>,
     tick: Option<SimDuration>,
     trace_duration: SimTime,
@@ -515,15 +483,14 @@ pub struct PlatformSim {
     faults: Option<FaultRuntime>,
     /// Per-invocation blame accumulator; `Some` only when
     /// [`PlatformConfig::blame`] is set. Records in `handle_finish`
-    /// order, which both drivers replay identically, so the resulting
-    /// report is shard-invariant by the same argument as every other
-    /// aggregate.
+    /// order, so the resulting report is as deterministic as every
+    /// other aggregate.
     blame: Option<BlameAccumulator>,
     /// Byte-second occupancy integrator; `Some` only when
     /// [`PlatformConfig::memory_anatomy`] is set. Charges at the top of
     /// `process_event` — before any state mutates — so each interval is
     /// integrated against the frozen pre-event state, in the global
-    /// `(time, seq)` order both drivers replay identically.
+    /// `(time, seq)` event order.
     anatomy: Option<AnatomyRuntime>,
     /// Placement/durability ledger over the pool nodes; `None` for the
     /// degenerate single-node, no-redundancy configuration (the entire
@@ -580,7 +547,7 @@ impl PlatformSim {
     ///
     /// Panics if the simulator already ran, or if the trace invokes an
     /// unregistered function.
-    pub(crate) fn prepare(&mut self, trace: &InvocationTrace) -> RunSetup {
+    fn prepare(&mut self, trace: &InvocationTrace) -> RunSetup {
         assert!(
             !self.ran,
             "PlatformSim::run consumes the simulator; build a fresh one"
@@ -603,9 +570,9 @@ impl PlatformSim {
     }
 
     /// Seeds the initial event population — invocations, the first policy
-    /// tick, and the fault timeline — in the exact push order both
-    /// drivers must share (seq/stamp assignment follows push order).
-    pub(crate) fn seed(&mut self, setup: &RunSetup, queue: &mut dyn EventSink) {
+    /// tick, and the fault timeline. Same-instant events fire in push
+    /// order, so this order is part of the output contract.
+    fn seed(&mut self, setup: &RunSetup, queue: &mut EventQueue<Event>) {
         let invocations = &setup.invocations;
         // Bursty traces schedule many invocations at the same instant;
         // batching each same-time run keeps seq assignment identical to
@@ -617,7 +584,7 @@ impl PlatformSim {
                 .iter()
                 .position(|inv| inv.at != at)
                 .map_or(invocations.len(), |n| i + n);
-            queue.push_group(at, &mut (i..run_end).map(|j| Event::Invoke(j as u32)));
+            queue.push_at_many(at, (i..run_end).map(|j| Event::Invoke(j as u32)));
             i = run_end;
         }
         if let Some(dt) = setup.tick {
@@ -689,9 +656,8 @@ impl PlatformSim {
         }
     }
 
-    /// A fresh, empty [`RunReport`] with the time-series zero anchors
-    /// both drivers start from.
-    pub(crate) fn new_report(&self, setup: &RunSetup) -> RunReport {
+    /// A fresh, empty [`RunReport`] with the time-series zero anchors.
+    fn new_report(&self, setup: &RunSetup) -> RunReport {
         let mut report = RunReport {
             policy: self.policy.name(),
             requests_completed: 0,
@@ -720,14 +686,13 @@ impl PlatformSim {
     }
 
     /// Handles one popped event: breaker bookkeeping, dispatch, and the
-    /// post-event memory/telemetry sampling. Shared verbatim by the
-    /// serial and sharded drivers.
-    pub(crate) fn process_event(
+    /// post-event memory/telemetry sampling.
+    fn process_event(
         &mut self,
         now: SimTime,
         event: Event,
         setup: &RunSetup,
-        queue: &mut dyn EventSink,
+        queue: &mut EventQueue<Event>,
         report: &mut RunReport,
     ) {
         {
@@ -790,7 +755,7 @@ impl PlatformSim {
                     // Hand the (drained) buffer back for the next tick.
                     self.tick_scratch = ids;
                     if let Some(dt) = setup.tick {
-                        if !self.containers.is_empty() || queue.has_pending() {
+                        if !self.containers.is_empty() || !queue.is_empty() {
                             queue.push(now + dt, Event::Tick);
                         }
                     }
@@ -806,7 +771,7 @@ impl PlatformSim {
 
     /// Drains leftover containers and fills the report's run-end fields.
     /// `now` is the final clock time after the event loop emptied.
-    pub(crate) fn finish(&mut self, now: SimTime, report: &mut RunReport) {
+    fn finish(&mut self, now: SimTime, report: &mut RunReport) {
         // Close the final occupancy interval before draining state.
         self.anatomy_advance(now);
         // Retire any containers still alive (should not happen after the
@@ -870,40 +835,6 @@ impl PlatformSim {
                 .collect();
         }
         self.fill_registry(report);
-    }
-
-    /// The conservative window lookahead for the sharded driver: half
-    /// the shortest registered spec latency, floored at the pool's
-    /// minimum transfer latency (and one microsecond). Any positive
-    /// value is *correct* — the window contracts around cross-shard
-    /// edges shorter than promised — so this only tunes how much work a
-    /// window batches.
-    pub(crate) fn cross_shard_lookahead(&self) -> SimDuration {
-        let spec_min = self
-            .specs
-            .iter()
-            .map(|s| s.launch_time.min(s.exec_time))
-            .min()
-            .unwrap_or(SimDuration::from_micros(1));
-        spec_min
-            .mul_f64(0.5)
-            .max(self.config.pool.min_transfer_latency())
-            .max(SimDuration::from_micros(1))
-    }
-
-    /// Mutable access to the remote pool for the sharded driver (shard
-    /// accounting is enabled only after seeding, which may rebuild the
-    /// pool around a fault plan's link schedule).
-    pub(crate) fn pool_mut(&mut self) -> &mut RemotePool {
-        &mut self.pool
-    }
-
-    /// Per-shard pool traffic recorded by the last
-    /// [`PlatformSim::run_sharded`] call — empty after a serial
-    /// [`PlatformSim::run`]. Diagnostic only: these counters never enter
-    /// the report, so shard count cannot leak into any output artefact.
-    pub fn pool_shard_traffic(&self) -> &[faasmem_pool::ShardTraffic] {
-        self.pool.shard_traffic()
     }
 
     /// Integrates resident memory over the interval since the last event
@@ -1402,7 +1333,7 @@ impl PlatformSim {
         now: SimTime,
         req: u32,
         function: FunctionId,
-        queue: &mut dyn EventSink,
+        queue: &mut EventQueue<Event>,
         report: &mut RunReport,
     ) {
         self.tracer.emit(
@@ -1486,7 +1417,12 @@ impl PlatformSim {
         }
     }
 
-    fn handle_runtime_loaded(&mut self, now: SimTime, id: ContainerId, queue: &mut dyn EventSink) {
+    fn handle_runtime_loaded(
+        &mut self,
+        now: SimTime,
+        id: ContainerId,
+        queue: &mut EventQueue<Event>,
+    ) {
         self.tracer.emit(Some(id.0), None, EventKind::RuntimeLoaded);
         let init_time = {
             let container = self.containers.get_mut(&id).expect("launching container");
@@ -1509,7 +1445,7 @@ impl PlatformSim {
         queue.push(now + init_time.mul_f64(jitter), Event::InitDone(id));
     }
 
-    fn handle_init_done(&mut self, now: SimTime, id: ContainerId, queue: &mut dyn EventSink) {
+    fn handle_init_done(&mut self, now: SimTime, id: ContainerId, queue: &mut EventQueue<Event>) {
         self.tracer.emit(Some(id.0), None, EventKind::InitDone);
         {
             let container = self
@@ -1547,7 +1483,7 @@ impl PlatformSim {
         req: u32,
         arrived: SimTime,
         cold: bool,
-        queue: &mut dyn EventSink,
+        queue: &mut EventQueue<Event>,
     ) {
         self.tracer.emit(
             Some(id.0),
@@ -1773,7 +1709,7 @@ impl PlatformSim {
         &mut self,
         now: SimTime,
         id: ContainerId,
-        queue: &mut dyn EventSink,
+        queue: &mut EventQueue<Event>,
         report: &mut RunReport,
     ) {
         let flight = self.in_flight.remove(&id).expect("in-flight request");
@@ -1836,7 +1772,7 @@ impl PlatformSim {
         &mut self,
         now: SimTime,
         id: ContainerId,
-        queue: &mut dyn EventSink,
+        queue: &mut EventQueue<Event>,
         report: &mut RunReport,
     ) {
         let Some(container) = self.containers.get(&id) else {

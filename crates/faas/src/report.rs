@@ -106,9 +106,8 @@ pub struct RunReport {
     /// Named counters and gauges snapshotted at run end — the
     /// introspection surface the harness serializes per cell.
     pub registry: MetricsRegistry,
-    /// Events popped and processed by the drive loop. Identical across
-    /// the serial and sharded drivers (both replay the same `(time,
-    /// seq)` order), so it doubles as a cheap drive-equivalence check.
+    /// Events popped and processed by the drive loop; a pure function
+    /// of the inputs, so it doubles as a cheap drive-equivalence check.
     /// Surfaced through the wall-clock `.timing.json` side channel —
     /// never serialized into the deterministic result JSON.
     pub events_processed: u64,

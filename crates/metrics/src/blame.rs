@@ -23,8 +23,7 @@
 //!
 //! Everything here is integer arithmetic over samples recorded in the
 //! simulator's deterministic `(sim_time, seq)` event order, so reports
-//! are byte-identical across `--jobs` and `--shards` like every other
-//! subsystem.
+//! are byte-identical across `--jobs` like every other subsystem.
 
 use crate::latency::{LatencyRecorder, LatencySummary};
 use faasmem_sim::SimDuration;

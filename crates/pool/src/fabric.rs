@@ -19,7 +19,7 @@
 //! * Placement is a pure function of `(owner id, node-alive set)`:
 //!   fragments land on distinct alive nodes walked cyclically from
 //!   `owner % nodes` (anti-affinity), so plans are seed-stable and
-//!   byte-identical across `--jobs`/`--shards`.
+//!   byte-identical across `--jobs`.
 //! * After a node death the background [`RepairQueue`] re-replicates
 //!   each under-replicated segment at a configurable bandwidth budget
 //!   (repair traffic flows between pool nodes, not over the host link),
@@ -233,7 +233,7 @@ struct RepairItem {
 /// [`RepairItem`]s. Completion times are assigned at enqueue (the queue
 /// drains strictly in order at `repair_bytes_per_sec`), so the timeline
 /// is a pure function of the loss events — deterministic across
-/// `--jobs` and `--shards`.
+/// `--jobs`.
 #[derive(Debug, Clone, Default)]
 struct RepairQueue {
     items: VecDeque<RepairItem>,

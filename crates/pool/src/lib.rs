@@ -42,5 +42,5 @@ pub use degraded::DegradedLink;
 pub use fabric::{FabricConfig, FabricOccupancy, NodeDownOutcome, PoolFabric, RedundancyPolicy};
 pub use governor::BandwidthGovernor;
 pub use link::RdmaLink;
-pub use pool::{PoolConfig, PoolError, PoolStats, RemotePool, ShardTraffic};
+pub use pool::{PoolConfig, PoolError, PoolStats, RemotePool};
 pub use retry::{CircuitBreaker, RecallOutcome, RemoteFaultPolicy};

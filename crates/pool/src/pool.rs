@@ -88,19 +88,6 @@ impl PoolConfig {
         self.out_bytes_per_sec.unwrap_or(self.link_bytes_per_sec)
     }
 
-    /// The smallest latency any transfer over this pool's links can
-    /// exhibit: the lesser of the two base latencies, floored at one
-    /// microsecond. The shard-parallel platform driver uses it as a
-    /// conservative-window lookahead floor — no cross-shard pool edge
-    /// can complete faster than this.
-    pub fn min_transfer_latency(&self) -> SimDuration {
-        SimDuration::from_micros(
-            self.page_out_base_micros
-                .min(self.page_in_base_micros)
-                .max(1),
-        )
-    }
-
     /// Checks the configuration, returning one message per problem
     /// (empty = valid). [`RemotePool::new`] panics on a zero link rate;
     /// drivers call this first so a bad config fails with a message
@@ -181,21 +168,6 @@ pub struct PoolStats {
     pub in_ops: u64,
 }
 
-/// Per-shard transfer totals recorded when shard accounting is enabled
-/// (see [`RemotePool::enable_shard_accounting`]). Summed over all
-/// shards these equal the pool-wide [`PoolStats`] traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardTraffic {
-    /// Bytes paged out on behalf of this shard.
-    pub bytes_out: u64,
-    /// Bytes faulted back in on behalf of this shard.
-    pub bytes_in: u64,
-    /// Page-out batches issued by this shard.
-    pub out_ops: u64,
-    /// Page-in batches issued by this shard.
-    pub in_ops: u64,
-}
-
 /// The remote memory pool: a capacity-limited node behind an RDMA link.
 ///
 /// # Examples
@@ -226,12 +198,6 @@ pub struct RemotePool {
     offloads_suspended: bool,
     offloads_refused: u64,
     tracer: Tracer,
-    /// Per-shard traffic ledger; empty (zero-cost) unless the sharded
-    /// driver enabled accounting.
-    shard_traffic: Vec<ShardTraffic>,
-    /// The shard whose event handler is currently driving transfers —
-    /// the link-ownership token the sharded driver rotates per event.
-    active_shard: Option<u32>,
 }
 
 impl RemotePool {
@@ -268,45 +234,7 @@ impl RemotePool {
             offloads_suspended: false,
             offloads_refused: 0,
             tracer: Tracer::disabled(),
-            shard_traffic: Vec::new(),
-            active_shard: None,
         }
-    }
-
-    /// Enables per-shard transfer accounting with `shards` ledgers.
-    /// Purely diagnostic: the ledgers never feed [`RemotePool::stats`],
-    /// so enabling accounting cannot change any reported number. The
-    /// sharded driver calls this after seeding (a fault plan rebuilds
-    /// the pool during seeding, which would wipe earlier ledgers).
-    pub fn enable_shard_accounting(&mut self, shards: u32) {
-        self.shard_traffic = vec![ShardTraffic::default(); shards as usize];
-        self.active_shard = None;
-    }
-
-    /// Declares the shard on whose behalf subsequent transfers run.
-    /// No-op bookkeeping unless accounting is enabled.
-    pub fn set_active_shard(&mut self, shard: u32) {
-        self.active_shard = Some(shard);
-    }
-
-    /// The per-shard traffic ledgers; empty unless
-    /// [`RemotePool::enable_shard_accounting`] was called.
-    pub fn shard_traffic(&self) -> &[ShardTraffic] {
-        &self.shard_traffic
-    }
-
-    /// Charges the active shard's ledger for one transfer. With
-    /// accounting enabled every transfer must have a declared owner.
-    fn charge_shard(&mut self, charge: impl FnOnce(&mut ShardTraffic)) {
-        if self.shard_traffic.is_empty() {
-            return;
-        }
-        debug_assert!(
-            self.active_shard.is_some(),
-            "shard accounting enabled but no active shard declared"
-        );
-        let shard = self.active_shard.unwrap_or(0) as usize % self.shard_traffic.len();
-        charge(&mut self.shard_traffic[shard]);
     }
 
     /// The pool's configuration.
@@ -350,10 +278,6 @@ impl RemotePool {
         self.used_bytes += bytes;
         self.bytes_out += bytes;
         self.out_ops += 1;
-        self.charge_shard(|t| {
-            t.bytes_out += bytes;
-            t.out_ops += 1;
-        });
         // Queueing delay must be read before the transfer advances the
         // link; computed only when the pool layer is actually traced.
         let traced = self.tracer.wants(TraceLayer::Pool);
@@ -404,10 +328,6 @@ impl RemotePool {
         self.used_bytes -= bytes;
         self.bytes_in += bytes;
         self.in_ops += 1;
-        self.charge_shard(|t| {
-            t.bytes_in += bytes;
-            t.in_ops += 1;
-        });
         let traced = self.tracer.wants(TraceLayer::Pool);
         let queued_us = if traced {
             self.in_link.busy_until().saturating_since(now).as_micros()
@@ -997,72 +917,6 @@ mod tests {
             events[4].kind,
             EventKind::RecallGaveUp { retries: 3, .. }
         ));
-    }
-
-    #[test]
-    fn shard_ledgers_partition_the_pool_totals() {
-        let mut p = pool();
-        p.enable_shard_accounting(3);
-        p.set_active_shard(0);
-        p.page_out(SimTime::ZERO, 10, 4096).unwrap();
-        p.set_active_shard(2);
-        p.page_out(SimTime::ZERO, 6, 4096).unwrap();
-        p.page_in(SimTime::from_secs(1), 4, 4096).unwrap();
-        p.set_active_shard(1);
-        p.page_in(SimTime::from_secs(2), 2, 4096).unwrap();
-        // Discards release capacity without traffic: no ledger charge.
-        p.discard(1, 4096).unwrap();
-
-        let ledgers = p.shard_traffic();
-        assert_eq!(ledgers.len(), 3);
-        assert_eq!(ledgers[0].bytes_out, 10 * 4096);
-        assert_eq!(ledgers[2].bytes_out, 6 * 4096);
-        assert_eq!(ledgers[2].bytes_in, 4 * 4096);
-        assert_eq!(ledgers[1].bytes_in, 2 * 4096);
-        let stats = p.stats();
-        assert_eq!(
-            ledgers.iter().map(|t| t.bytes_out).sum::<u64>(),
-            stats.bytes_out
-        );
-        assert_eq!(
-            ledgers.iter().map(|t| t.bytes_in).sum::<u64>(),
-            stats.bytes_in
-        );
-        assert_eq!(
-            ledgers.iter().map(|t| t.out_ops).sum::<u64>(),
-            stats.out_ops
-        );
-        assert_eq!(ledgers.iter().map(|t| t.in_ops).sum::<u64>(), stats.in_ops);
-    }
-
-    #[test]
-    fn shard_accounting_never_touches_reported_stats() {
-        let mut plain = pool();
-        plain.page_out(SimTime::ZERO, 10, 4096).unwrap();
-        plain.page_in(SimTime::from_secs(1), 4, 4096).unwrap();
-
-        let mut sharded = pool();
-        sharded.enable_shard_accounting(4);
-        sharded.set_active_shard(3);
-        sharded.page_out(SimTime::ZERO, 10, 4096).unwrap();
-        sharded.page_in(SimTime::from_secs(1), 4, 4096).unwrap();
-
-        assert_eq!(plain.stats(), sharded.stats());
-        assert!(plain.shard_traffic().is_empty());
-    }
-
-    #[test]
-    fn min_transfer_latency_floors_at_a_microsecond() {
-        assert_eq!(
-            PoolConfig::slow_test_pool().min_transfer_latency(),
-            SimDuration::from_micros(10)
-        );
-        let zero = PoolConfig {
-            page_out_base_micros: 0,
-            page_in_base_micros: 0,
-            ..PoolConfig::slow_test_pool()
-        };
-        assert_eq!(zero.min_transfer_latency(), SimDuration::from_micros(1));
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod faults;
 pub mod queue;
 pub mod reference;
 pub mod rng;
-pub mod shard;
 pub mod time;
 
 pub use clock::Clock;
@@ -37,5 +36,4 @@ pub use faults::{
 pub use queue::{EventQueue, ScheduledEvent};
 pub use reference::ReferenceEventQueue;
 pub use rng::SimRng;
-pub use shard::{ShardMap, ShardedEventQueue};
 pub use time::{SimDuration, SimTime};

@@ -491,49 +491,8 @@ impl<E> EventQueue<E> {
         self.maybe_grow();
     }
 
-    /// Schedules `event` with an externally allocated sequence stamp in
-    /// place of the queue's own counter.
-    ///
-    /// The shard-parallel engine hands out stamps from one global
-    /// counter in event-processing order, so events split across
-    /// per-shard queues and merged back reproduce the serial `(at,
-    /// seq)` pop order exactly. The internal counter jumps past `stamp`
-    /// so later plain [`EventQueue::push`]es can never collide with a
-    /// stamped event.
-    pub fn push_stamped(&mut self, at: SimTime, stamp: u64, event: E) {
-        self.next_seq = self.next_seq.max(stamp + 1);
-        self.insert(ScheduledEvent {
-            at,
-            seq: stamp,
-            event,
-        });
-        self.maybe_grow();
-    }
-
-    /// Batch sibling of [`EventQueue::push_stamped`] — the stamped
-    /// analogue of [`EventQueue::push_at_many`]: delivers a window's
-    /// worth of pre-stamped cross-shard events straight into their
-    /// target buckets.
-    pub fn push_stamped_many<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = ScheduledEvent<E>>,
-    {
-        let iter = events.into_iter();
-        self.reserve(iter.size_hint().0);
-        for ev in iter {
-            self.push_stamped(ev.at, ev.seq, ev.event);
-        }
-    }
-
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_scheduled().map(|s| (s.at, s.event))
-    }
-
-    /// Removes and returns the earliest event together with its firing
-    /// time and sequence stamp — the form the shard merge needs to
-    /// re-deliver an event without re-stamping it.
-    pub fn pop_scheduled(&mut self) -> Option<ScheduledEvent<E>> {
         if !self.prepare_head() {
             return None;
         }
@@ -545,7 +504,7 @@ impl<E> EventQueue<E> {
         self.ring_len -= 1;
         self.pops_since_rebuild += 1;
         self.maybe_shrink();
-        Some(ev)
+        Some((ev.at, ev.event))
     }
 
     /// The firing time of the earliest pending event.
@@ -702,66 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn stamped_pushes_merge_with_plain_pushes() {
-        // A queue fed stamps out of the usual counter order must still
-        // pop in (at, seq) order, and plain pushes afterwards must slot
-        // in past the highest stamp seen.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        q.push_stamped(t, 7, 'c');
-        q.push_stamped(t, 2, 'b');
-        q.push_stamped(SimTime::ZERO, 9, 'a');
-        q.push(t, 'd'); // gets seq 10: after every stamped event
-        assert_eq!(q.pop(), Some((SimTime::ZERO, 'a')));
-        assert_eq!(q.pop(), Some((t, 'b')));
-        assert_eq!(q.pop(), Some((t, 'c')));
-        assert_eq!(q.pop(), Some((t, 'd')));
-    }
-
-    #[test]
-    fn push_stamped_many_matches_individual_stamped_pushes() {
-        let t = SimTime::from_millis(3);
-        let evs = |base: u64| {
-            (0..5u64).map(move |i| ScheduledEvent {
-                at: t,
-                seq: base + i,
-                event: i,
-            })
-        };
-        let mut batched = EventQueue::new();
-        batched.push_stamped_many(evs(10));
-        let mut plain = EventQueue::new();
-        for ev in evs(10) {
-            plain.push_stamped(ev.at, ev.seq, ev.event);
-        }
-        let drain = |q: &mut EventQueue<u64>| -> Vec<ScheduledEvent<u64>> {
-            std::iter::from_fn(|| q.pop_scheduled()).collect()
-        };
-        let (a, b) = (drain(&mut batched), drain(&mut plain));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!((x.at, x.seq, x.event), (y.at, y.seq, y.event));
-        }
-    }
-
-    #[test]
-    fn pop_scheduled_exposes_the_stamp() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(2), 'x');
-        q.push(SimTime::from_secs(1), 'y');
-        let first = q.pop_scheduled().unwrap();
-        assert_eq!(
-            (first.at, first.seq, first.event),
-            (SimTime::from_secs(1), 1, 'y')
-        );
-        let second = q.pop_scheduled().unwrap();
-        assert_eq!(
-            (second.at, second.seq, second.event),
-            (SimTime::from_secs(2), 0, 'x')
-        );
-    }
-
-    #[test]
     fn interleaved_push_pop_keeps_order() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(10), 'z');
@@ -865,17 +764,23 @@ mod tests {
         assert_eq!(n, 1000);
     }
 
+    /// Pops one event from each queue and asserts both heads agree on
+    /// time, sequence stamp and payload (the stamp is read through
+    /// `peek`, so FIFO tie-breaks are checked, not just payloads).
+    fn pop_both(q: &mut EventQueue<u32>, r: &mut ReferenceEventQueue<u32>) -> bool {
+        let a = q.peek().map(|e| (e.at, e.seq, e.event));
+        let b = r.peek().map(|e| (e.at, e.seq, e.event));
+        assert_eq!(a, b);
+        assert_eq!(q.pop(), r.pop());
+        a.is_some()
+    }
+
     /// One scripted op against both the calendar queue and the retired
     /// heap, asserting identical observable behavior.
-    fn apply_op(
-        q: &mut EventQueue<u32>,
-        r: &mut ReferenceEventQueue<u32>,
-        op: &(u8, u64, u32),
-        idx: usize,
-    ) {
+    fn apply_op(q: &mut EventQueue<u32>, r: &mut ReferenceEventQueue<u32>, op: &(u8, u64, u32)) {
         let &(kind, t, payload) = op;
         let at = SimTime::from_micros(t);
-        match kind % 6 {
+        match kind % 5 {
             0 | 1 => {
                 q.push(at, payload);
                 r.push(at, payload);
@@ -886,20 +791,7 @@ mod tests {
                 r.push_at_many(at, group);
             }
             3 => {
-                // Stamps drawn ahead of both counters, like the shard
-                // driver's global stamping. Non-monotone across ops but
-                // unique (payload < 1000, idx unique per script): real
-                // stamps come from one global counter and never repeat,
-                // and with a repeated (at, seq) key neither queue's
-                // tie-break would be defined.
-                let stamp = 10_000 + u64::from(payload) * 1_000 + idx as u64;
-                q.push_stamped(at, stamp, payload);
-                r.push_stamped(at, stamp, payload);
-            }
-            4 => {
-                let a = q.pop_scheduled().map(|e| (e.at, e.seq, e.event));
-                let b = r.pop_scheduled().map(|e| (e.at, e.seq, e.event));
-                assert_eq!(a, b);
+                pop_both(q, r);
             }
             _ => {
                 assert_eq!(q.peek_time(), r.peek_time());
@@ -912,18 +804,11 @@ mod tests {
     fn run_oracle_script(ops: &[(u8, u64, u32)]) {
         let mut q: EventQueue<u32> = EventQueue::new();
         let mut r: ReferenceEventQueue<u32> = ReferenceEventQueue::new();
-        for (idx, op) in ops.iter().enumerate() {
-            apply_op(&mut q, &mut r, op, idx);
+        for op in ops {
+            apply_op(&mut q, &mut r, op);
             assert_eq!(q.len(), r.len());
         }
-        loop {
-            let a = q.pop_scheduled().map(|e| (e.at, e.seq, e.event));
-            let b = r.pop_scheduled().map(|e| (e.at, e.seq, e.event));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        while pop_both(&mut q, &mut r) {}
     }
 
     /// The high-case-count oracle run the CI test job executes
@@ -963,7 +848,7 @@ mod tests {
 
     proptest::proptest! {
         // The tentpole equivalence oracle: for arbitrary interleavings
-        // of pushes (single, grouped, stamped), pops and peeks over
+        // of pushes (single and grouped), pops and peeks over
         // wildly mixed time scales, the calendar queue's observable
         // behavior is exactly the retired heap's.
         #[test]

@@ -103,37 +103,9 @@ impl<E> ReferenceEventQueue<E> {
         }
     }
 
-    /// Schedules `event` under an externally allocated sequence stamp
-    /// (see [`EventQueue::push_stamped`](crate::EventQueue::push_stamped)).
-    pub fn push_stamped(&mut self, at: SimTime, stamp: u64, event: E) {
-        self.next_seq = self.next_seq.max(stamp + 1);
-        self.heap.push(HeapEntry(ScheduledEvent {
-            at,
-            seq: stamp,
-            event,
-        }));
-    }
-
-    /// Batch sibling of [`ReferenceEventQueue::push_stamped`].
-    pub fn push_stamped_many<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = ScheduledEvent<E>>,
-    {
-        let iter = events.into_iter();
-        self.heap.reserve(iter.size_hint().0);
-        for ev in iter {
-            self.push_stamped(ev.at, ev.seq, ev.event);
-        }
-    }
-
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|HeapEntry(s)| (s.at, s.event))
-    }
-
-    /// Removes and returns the earliest event with its time and stamp.
-    pub fn pop_scheduled(&mut self) -> Option<ScheduledEvent<E>> {
-        self.heap.pop().map(|HeapEntry(s)| s)
     }
 
     /// The firing time of the earliest pending event.
@@ -178,19 +150,5 @@ mod tests {
         assert_eq!(q.pop(), Some((t, 'b')));
         assert_eq!(q.pop(), Some((SimTime::from_secs(2), 'z')));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn reference_stamped_pushes_merge_with_plain_pushes() {
-        let mut q = ReferenceEventQueue::new();
-        let t = SimTime::from_secs(1);
-        q.push_stamped(t, 7, 'c');
-        q.push_stamped(t, 2, 'b');
-        q.push_stamped(SimTime::ZERO, 9, 'a');
-        q.push(t, 'd'); // gets seq 10: after every stamped event
-        assert_eq!(q.pop(), Some((SimTime::ZERO, 'a')));
-        assert_eq!(q.pop(), Some((t, 'b')));
-        assert_eq!(q.pop(), Some((t, 'c')));
-        assert_eq!(q.pop(), Some((t, 'd')));
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! This is the library behind the `trace_query` bin. Everything is a
 //! pure function of the parsed [`SpanForest`], so queries over the same
-//! trace file render identically no matter which harness run (serial,
-//! `--jobs N`, `--shards N`) produced it.
+//! trace file render identically no matter which harness run (serial
+//! or `--jobs N`) produced it.
 
 use crate::event::StallCause;
 use crate::spans::{InvocationSpans, SpanForest};

@@ -1,9 +1,8 @@
 //! Zero steady-state allocation on the event hot path (ISSUE 10).
 //!
-//! The calendar queue, the sharded window machinery and the platform
-//! tick handler all reuse run-long buffers, so once a workload's
-//! geometry has settled, a pop-one/push-one churn and a window
-//! open/drain/flush cycle must perform **zero** heap allocations. A
+//! The calendar queue reuses run-long buffers, so once a workload's
+//! geometry has settled, a pop-one/push-one churn and a grouped
+//! push/drain cycle must perform **zero** heap allocations. A
 //! counting global allocator measures exactly that: warm the structure
 //! through several full cycles at the identical operation mix, switch
 //! the counter on, run the same mix again, and assert the count stayed
@@ -15,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use faasmem_sim::{EventQueue, ShardedEventQueue, SimDuration, SimTime};
+use faasmem_sim::{EventQueue, SimDuration, SimTime};
 
 struct CountingAlloc;
 
@@ -75,35 +74,6 @@ fn queue_churn(q: &mut EventQueue<u64>, ops: usize) -> u64 {
     acc
 }
 
-/// One window generation: open, drain, re-push every popped event,
-/// flush. Most events re-arm on their own shard (the timer-heavy shape
-/// of a real drain); a fixed subset hops to the next shard each time it
-/// fires, keeping the outbox and the barrier redelivery exercised.
-///
-/// The mix is chosen to be time-translation periodic: a constant delta
-/// and a stable per-shard resident population, so every buffer's
-/// high-water mark converges during warmup. A drifting delta or an
-/// all-migrating population keeps setting new high-water marks (or
-/// thrashes the ring's shrink/grow hysteresis) forever — amortized
-/// zero, but not the strict zero asserted here.
-fn window_churn(q: &mut ShardedEventQueue<u64>, windows: usize) {
-    for _ in 0..windows {
-        if q.begin_window(SimDuration::from_micros(2_000)).is_none() {
-            panic!("hold population never drains");
-        }
-        while let Some((at, ev)) = q.pop_window() {
-            let origin = q.current_shard();
-            let target = if ev % 8 == 0 {
-                (origin + 1) % 4
-            } else {
-                origin
-            };
-            q.push_from(origin, target, at + SimDuration::from_micros(700), ev);
-        }
-        q.flush_window();
-    }
-}
-
 #[test]
 fn event_hot_path_allocates_nothing_at_steady_state() {
     // -- Serial calendar queue under hold churn --------------------
@@ -137,28 +107,5 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
     assert_eq!(
         allocs, 0,
         "steady-state grouped push/drain must not allocate (got {allocs} allocations)"
-    );
-
-    // -- Sharded window machinery ----------------------------------
-    // The outbox is drained in place and handed back each barrier, and
-    // each shard's calendar geometry settles during warmup, so a
-    // steady stream of windows — including cross-shard parking and
-    // stamped redelivery — is allocation-free.
-    let mut sq: ShardedEventQueue<u64> = ShardedEventQueue::new(4);
-    for i in 0..2048u64 {
-        sq.push_from(0, (i % 4) as u32, SimTime::from_micros(i * 40), i);
-    }
-    // Warm long enough for one-shot capacity growths (rebuild scratch,
-    // bucket high-water marks, outbox) to happen before counting.
-    window_churn(&mut sq, 1_600);
-    let before = sq.cross_events();
-    let (allocs, _) = allocations_during(|| window_churn(&mut sq, 400));
-    assert!(
-        sq.cross_events() > before,
-        "the measured phase must route events through the outbox"
-    );
-    assert_eq!(
-        allocs, 0,
-        "steady-state sharded window churn must not allocate (got {allocs} allocations)"
     );
 }

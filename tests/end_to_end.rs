@@ -87,6 +87,11 @@ fn deterministic_end_to_end() {
         lat_a, lat_b,
         "identical seeds must give identical latencies"
     );
+    // The harness path too: traced, sampled grids export byte-identical
+    // results, series and trace whether run serially or on two workers.
+    for grid in [main_eval_grid(), chaos_grid()] {
+        assert_eq!(artifacts(&grid, 1), artifacts(&grid, 2));
+    }
 }
 
 #[test]
@@ -210,7 +215,7 @@ fn damon_offloads_but_hurts_warm_latency_on_sparse_traffic() {
 use faasmem::workload::Invocation;
 
 // ---------------------------------------------------------------------
-// Differential oracle: the shard-parallel driver vs the serial driver
+// Harness-level determinism on traced, sampled grids
 // ---------------------------------------------------------------------
 
 use faasmem::faas::FaultConfig;
@@ -220,67 +225,42 @@ use faasmem_bench::harness::{
 };
 use faasmem_bench::PolicyKind;
 
-/// Harness options for a differential run: quick traces, tracing and
-/// series sampling switched on so the comparison covers every exported
-/// artifact. The paths are never written — `run_grid` only collects.
-fn oracle_options(shards: Option<u32>) -> HarnessOptions {
-    HarnessOptions {
-        quick: true,
-        trace: Some(std::path::PathBuf::from("unused.jsonl")),
-        series: Some(std::path::PathBuf::from("unused.json")),
-        shards,
-        ..HarnessOptions::default()
-    }
-}
-
 /// Every deterministic artifact a grid run exports, rendered to the
 /// exact bytes the driver binaries would write to disk.
+#[derive(Debug, PartialEq)]
 struct GridArtifacts {
     main: String,
     series: String,
     trace: String,
 }
 
-fn artifacts(grid: &ExperimentGrid, shards: Option<u32>) -> GridArtifacts {
-    let opts = oracle_options(shards);
+/// Runs `grid` on `jobs` workers with quick traces, tracing and series
+/// sampling switched on, so the result covers every exported artifact.
+/// The paths are never written — `run_grid` only collects.
+fn artifacts(grid: &ExperimentGrid, jobs: usize) -> GridArtifacts {
+    let opts = HarnessOptions {
+        jobs,
+        quick: true,
+        trace: Some(std::path::PathBuf::from("unused.jsonl")),
+        series: Some(std::path::PathBuf::from("unused.json")),
+        ..HarnessOptions::default()
+    };
     let run = harness::run_grid(grid, &opts);
     assert_eq!(run.failures(), 0, "no cell may panic");
-    GridArtifacts {
+    let out = GridArtifacts {
         main: run.to_json().to_pretty(),
         series: run.series_json(opts.series_interval).to_compact(),
         trace: run.trace_jsonl(),
-    }
+    };
+    assert!(!out.trace.is_empty(), "trace events must be recorded");
+    assert!(!out.series.is_empty(), "series must be sampled");
+    out
 }
 
-/// Races the sharded driver against the serial oracle over the whole
-/// grid and demands byte-identical main JSON, series JSON and trace
-/// JSONL for every shard count.
-fn assert_shard_invariant(grid: &ExperimentGrid) {
-    let serial = artifacts(grid, None);
-    assert!(!serial.trace.is_empty(), "trace events must be recorded");
-    assert!(!serial.series.is_empty(), "series must be sampled");
-    for shards in [1u32, 2, 4, 7] {
-        let sharded = artifacts(grid, Some(shards));
-        assert_eq!(
-            serial.main, sharded.main,
-            "main JSON diverged at shards={shards}"
-        );
-        assert_eq!(
-            serial.series, sharded.series,
-            "series JSON diverged at shards={shards}"
-        );
-        assert_eq!(
-            serial.trace, sharded.trace,
-            "trace JSONL diverged at shards={shards}"
-        );
-    }
-}
-
-#[test]
-fn sharded_grid_matches_serial_on_the_main_eval_shape() {
-    // fig12's shape, miniaturized: two load classes × two benchmarks ×
-    // the Baseline/FaaSMem head-to-head, on quick traces.
-    let grid = ExperimentGrid::new("oracle_fig12")
+/// fig12's shape, miniaturized: two load classes × two benchmarks ×
+/// the Baseline/FaaSMem head-to-head, on quick traces.
+fn main_eval_grid() -> ExperimentGrid {
+    ExperimentGrid::new("oracle_fig12")
         .traces([
             TraceSpec::synth("high", 12_001, LoadClass::High).bursty(true),
             TraceSpec::synth("low", 12_002, LoadClass::Low),
@@ -289,14 +269,12 @@ fn sharded_grid_matches_serial_on_the_main_eval_shape() {
             BenchCase::single(BenchmarkSpec::by_name("web").unwrap()),
             BenchCase::single(BenchmarkSpec::by_name("bert").unwrap()),
         ])
-        .policy_kinds([PolicyKind::Baseline, PolicyKind::FaasMem]);
-    assert_shard_invariant(&grid);
+        .policy_kinds([PolicyKind::Baseline, PolicyKind::FaasMem])
 }
 
-#[test]
-fn sharded_grid_matches_serial_under_chaos() {
-    // disc07's shape, miniaturized: the healthy control plus a seeded
-    // outage schedule, Baseline vs FaaSMem on bert.
+/// disc07's shape, miniaturized: the healthy control plus a seeded
+/// outage schedule, Baseline vs FaaSMem on bert.
+fn chaos_grid() -> ExperimentGrid {
     let chaos = PlatformConfig {
         faults: Some(FaultConfig {
             spec: FaultSpec::new(0xD15C07)
@@ -306,10 +284,9 @@ fn sharded_grid_matches_serial_under_chaos() {
         }),
         ..PlatformConfig::default()
     };
-    let grid = ExperimentGrid::new("oracle_disc07")
+    ExperimentGrid::new("oracle_disc07")
         .trace(TraceSpec::synth("high-bursty", 907, LoadClass::High).bursty(true))
         .bench(BenchCase::single(BenchmarkSpec::by_name("bert").unwrap()))
         .configs([ConfigCase::default_case(), ConfigCase::new("chaos", chaos)])
-        .policy_kinds([PolicyKind::Baseline, PolicyKind::FaasMem]);
-    assert_shard_invariant(&grid);
+        .policy_kinds([PolicyKind::Baseline, PolicyKind::FaasMem])
 }

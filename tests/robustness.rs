@@ -297,64 +297,6 @@ fn fault_injection_is_deterministic_per_seed() {
 }
 
 #[test]
-fn chaos_fault_reports_are_shard_count_invariant() {
-    use faasmem::faas::{FaultConfig, PlatformConfig, ShardSpec};
-    use faasmem::sim::FaultSpec;
-
-    // The full chaos menu — outages, brownouts, node losses, container
-    // crashes — must produce the same fault history through the
-    // shard-parallel driver at any shard count: the injected timeline is
-    // control-plane state shared by every shard.
-    let spec = BenchmarkSpec::by_name("web").unwrap();
-    let trace = TraceSynthesizer::new(29)
-        .load_class(LoadClass::High)
-        .bursty(true)
-        .duration(SimTime::from_mins(20))
-        .synthesize_for(FunctionId(0));
-    let run_chaos = |shards: Option<u32>| {
-        let mut sim = PlatformSim::builder()
-            .register_function(spec.clone())
-            .config(PlatformConfig {
-                faults: Some(FaultConfig {
-                    spec: FaultSpec::new(0xC0FFEE)
-                        .outages(SimDuration::from_mins(4), SimDuration::from_secs(25))
-                        .brownouts(SimDuration::from_mins(6), SimDuration::from_secs(60), 0.25)
-                        .node_losses(SimDuration::from_mins(15), 0.5)
-                        .crashes(SimDuration::from_mins(8)),
-                    slo: Some(SimDuration::from_secs(2)),
-                    ..FaultConfig::default()
-                }),
-                ..Default::default()
-            })
-            .policy(FaasMemPolicy::new())
-            .seed(6)
-            .build();
-        let report = match shards {
-            None => sim.run(&trace),
-            Some(s) => sim.run_sharded(&trace, &ShardSpec::new(s)),
-        };
-        (
-            report.requests_completed,
-            report.cold_starts,
-            report.pool_stats,
-            report.faults,
-        )
-    };
-    let serial = run_chaos(None);
-    assert!(
-        serial.3.as_ref().is_some_and(|f| f.link_availability < 1.0),
-        "chaos must actually bite"
-    );
-    for shards in [1u32, 2, 4, 7] {
-        assert_eq!(
-            run_chaos(Some(shards)),
-            serial,
-            "shards={shards} changed the fault history"
-        );
-    }
-}
-
-#[test]
 fn mirrored_fabric_beats_no_redundancy_under_the_same_chaos() {
     use faasmem::faas::{FaultConfig, PlatformConfig};
     use faasmem::pool::{FabricConfig, RedundancyPolicy};
