@@ -2,8 +2,10 @@
 //!
 //! Times the bitmap/SoA page-table primitives the policies lean on —
 //! access-bit scans, aging walks, offload/page-in sweeps — at several
-//! table sizes, and races the 256k-page scan against the naive
-//! per-page [`ReferencePageTable`] walk the bitmap layout replaced.
+//! table sizes, plus the request-path range touch and the fused
+//! hot-pool promotion scan at 256k pages, and races the 256k-page scan
+//! against the naive per-page [`ReferencePageTable`] walk the bitmap
+//! layout replaced.
 //!
 //! ```text
 //! cargo run --release -p faasmem-bench --bin bench_mem -- \
@@ -24,6 +26,7 @@ use std::time::Instant;
 
 use faasmem_bench::json::JsonValue;
 use faasmem_bench::render_table;
+use faasmem_core::Puckets;
 use faasmem_mem::{PageId, PageRange, PageTable, ReferencePageTable, Segment, PAGE_SIZE_4K};
 use faasmem_telemetry::profiler;
 
@@ -47,6 +50,13 @@ const SIZES: [(u32, u32, u32, u32); 3] = [
 
 /// Fixed repetitions of the naive reference scan at 256k pages.
 const NAIVE_REPS: u32 = 160;
+
+/// Fixed repetitions of the whole-table range touch at 256k pages.
+const TOUCH_REPS: u32 = 3200;
+
+/// Fixed repetitions of the touch + promote + rollback cycle at 256k
+/// pages.
+const PROMOTE_REPS: u32 = 800;
 
 struct Options {
     out_dir: PathBuf,
@@ -170,6 +180,44 @@ fn bitmap_offload_page_in(pages: u32, reps: u32, phase: &'static str) -> f64 {
     window.len() as f64 * 2.0 * reps as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Range-touch throughput: every rep touches the whole table, the
+/// per-request access path of the runtime and init segments.
+fn bitmap_touch(pages: u32, reps: u32, phase: &'static str) -> f64 {
+    let (mut table, range) = build_table(pages);
+    let start = Instant::now();
+    {
+        let _guard = profiler::enter(phase);
+        for _ in 0..reps {
+            black_box(table.touch_range(range));
+        }
+    }
+    pages as f64 * reps as f64 / start.elapsed().as_secs_f64()
+}
+
+/// Fused promotion throughput over a fully barriered table (half
+/// Runtime, half Init Pucket): each rep re-touches the hot set,
+/// promotes it into the hot pool in one scan, then rolls the pool back
+/// so the next rep promotes the same pages again.
+fn bitmap_promote(pages: u32, reps: u32, phase: &'static str) -> f64 {
+    let mut table = PageTable::new(PAGE_SIZE_4K);
+    let mut puckets = Puckets::new();
+    let runtime = table.alloc(Segment::Runtime, pages / 2);
+    puckets.insert_runtime_init_barrier(&mut table);
+    let init = table.alloc(Segment::Init, pages - pages / 2);
+    puckets.insert_init_exec_barrier(&mut table);
+    let range = PageRange::new(runtime.start(), runtime.len() + init.len());
+    let start = Instant::now();
+    {
+        let _guard = profiler::enter(phase);
+        for _ in 0..reps {
+            touch_hot_set(&mut table, range);
+            black_box(puckets.promote_accessed(&mut table));
+            black_box(puckets.rollback_hot_pool(&mut table));
+        }
+    }
+    pages as f64 * reps as f64 / start.elapsed().as_secs_f64()
+}
+
 fn fmt_throughput(pages_per_sec: f64) -> String {
     format!("{:.0} Mpages/s", pages_per_sec / 1e6)
 }
@@ -251,6 +299,8 @@ fn main() {
         ]);
     }
 
+    let touch = bitmap_touch(262_144, TOUCH_REPS, "touch_256k");
+    let promote = bitmap_promote(262_144, PROMOTE_REPS, "promote_256k");
     let naive = reference_scan(262_144, NAIVE_REPS, "naive_scan_256k");
     let speedup = scan_256k / naive;
     rows.push(vec![
@@ -267,7 +317,12 @@ fn main() {
             &rows
         )
     );
-    println!("\nbitmap scan speedup over naive reference at 256k pages: {speedup:.1}x");
+    println!(
+        "\n256k pages: touch_range {}, touch+promote+rollback {}",
+        fmt_throughput(touch),
+        fmt_throughput(promote)
+    );
+    println!("bitmap scan speedup over naive reference at 256k pages: {speedup:.1}x");
 
     profiler::set_enabled(false);
     let phases = profiler::take_report();

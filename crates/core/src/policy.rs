@@ -54,11 +54,9 @@ pub struct FaasMemPolicy {
     /// cold-start-aware timing extension.
     last_seen: HashMap<faasmem_faas::FunctionId, faasmem_sim::SimTime>,
     stats: StatsHandle,
-    /// Reusable id buffer for offload candidate collection — keeps the
-    /// per-request and per-tick hot paths allocation-free.
+    /// Reusable id buffer for offload and prefetch candidate collection
+    /// — keeps the per-request and per-tick hot paths allocation-free.
     scratch_ids: Vec<PageId>,
-    /// Reusable buffer for promotion scan hits.
-    scratch_hits: Vec<(PageId, bool)>,
 }
 
 /// Builder for [`FaasMemPolicy`].
@@ -98,7 +96,6 @@ impl FaasMemPolicyBuilder {
             last_seen: HashMap::new(),
             stats: new_stats_handle(),
             scratch_ids: Vec::new(),
-            scratch_hits: Vec::new(),
         }
     }
 }
@@ -227,10 +224,11 @@ impl MemoryPolicy for FaasMemPolicy {
                 // page by page. Remote pages that were offloaded as cold
                 // (Pucket inactive lists) stay remote — only the hot set
                 // the drain took is pulled back.
-                let remote_hot: Vec<PageId> = ctx.container.table().collect_ids(|_, m| {
-                    m.state() == faasmem_mem::PageState::Remote && m.in_hot_pool()
-                });
-                ctx.prefetch_pages(&remote_hot);
+                self.scratch_ids.clear();
+                ctx.container
+                    .table()
+                    .append_hot_pool_remote(&mut self.scratch_ids);
+                ctx.prefetch_pages(&self.scratch_ids);
             }
         }
     }
@@ -246,15 +244,12 @@ impl MemoryPolicy for FaasMemPolicy {
 
         // 1. Promote revisited pages to the hot page pool. Promotions
         //    that faulted the page back from the pool are recalls (Fig 8).
-        let promote = {
-            let state = self
-                .containers
-                .get_mut(&id)
-                .expect("state exists after cold start");
-            state
-                .puckets
-                .promote_accessed_into(ctx.container.table_mut(), &mut self.scratch_hits)
-        };
+        let promote = self
+            .containers
+            .get(&id)
+            .expect("state exists after cold start")
+            .puckets
+            .promote_accessed(ctx.container.table_mut());
         if promote.runtime_recalled > 0 {
             let state = self.containers.get_mut(&id).expect("state exists");
             state.runtime_recalls += u64::from(promote.runtime_recalled);

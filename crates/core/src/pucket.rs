@@ -10,6 +10,8 @@
 
 use faasmem_mem::{Generation, PageId, PageMeta, PageTable};
 
+pub use faasmem_mem::PromoteSummary;
+
 /// Which Pucket a page belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PucketKind {
@@ -19,24 +21,6 @@ pub enum PucketKind {
     Init,
     /// Pages allocated after the Init-Execution barrier.
     Execution,
-}
-
-/// What a hot-pool promotion scan found.
-///
-/// After the Runtime Pucket has been reactively offloaded, any further
-/// `runtime_promoted` pages are *recalls* — the Fig 8 metric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PromoteSummary {
-    /// Runtime-Pucket pages promoted to the hot pool by this scan.
-    pub runtime_promoted: u32,
-    /// Init-Pucket pages promoted.
-    pub init_promoted: u32,
-    /// Promoted Runtime-Pucket pages that were *recalled from remote
-    /// memory* by this request — the Fig 8 metric. Re-promotions of
-    /// still-local pages after a rollback do not count.
-    pub runtime_recalled: u32,
-    /// Promoted Init-Pucket pages recalled from remote memory.
-    pub init_recalled: u32,
 }
 
 /// The two time barriers of one container and the page classification /
@@ -193,46 +177,17 @@ impl Puckets {
     }
 
     /// Scans Access bits and promotes revisited Runtime/Init-Pucket pages
-    /// into the hot page pool. Execution-Pucket accesses are ignored —
-    /// the paper does not monitor that segment (§4).
+    /// into the hot page pool, in one allocation-free word-wise pass
+    /// ([`PageTable::promote_accessed`]). Execution-Pucket accesses are
+    /// ignored — the paper does not monitor that segment (§4).
     pub fn promote_accessed(&self, table: &mut PageTable) -> PromoteSummary {
-        let mut scratch = Vec::new();
-        self.promote_accessed_into(table, &mut scratch)
-    }
-
-    /// Allocation-free variant of [`Puckets::promote_accessed`]: the scan
-    /// hits land in the caller-owned `scratch` buffer (clobbered).
-    pub fn promote_accessed_into(
-        &self,
-        table: &mut PageTable,
-        scratch: &mut Vec<(PageId, bool)>,
-    ) -> PromoteSummary {
-        table.scan_accessed_with_faults_into(scratch);
-        let mut summary = PromoteSummary::default();
-        for &(id, faulted) in scratch.iter() {
-            let meta = table.meta(id);
-            if meta.in_hot_pool() {
-                continue;
-            }
-            match self.classify(meta) {
-                PucketKind::Runtime => {
-                    summary.runtime_promoted += 1;
-                    if faulted {
-                        summary.runtime_recalled += 1;
-                    }
-                    table.set_in_hot_pool(id, true);
-                }
-                PucketKind::Init => {
-                    summary.init_promoted += 1;
-                    if faulted {
-                        summary.init_recalled += 1;
-                    }
-                    table.set_in_hot_pool(id, true);
-                }
-                PucketKind::Execution => {}
-            }
-        }
-        summary
+        let (_, runtime_end) = self
+            .gen_bounds(PucketKind::Runtime)
+            .expect("the Runtime Pucket always has bounds");
+        let init_end = self
+            .gen_bounds(PucketKind::Init)
+            .map_or(runtime_end, |(_, hi)| hi);
+        table.promote_accessed(runtime_end, init_end)
     }
 
     /// Rolls every hot-pool page back to its original Pucket's inactive

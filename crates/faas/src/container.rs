@@ -57,8 +57,11 @@ pub struct Container {
 
 impl Container {
     /// Creates a container in the [`ContainerStage::Launching`] stage.
-    /// No memory is allocated yet; the platform allocates the runtime and
-    /// init segments as the corresponding lifecycle phases complete.
+    /// No pages are allocated yet; the platform allocates the runtime and
+    /// init segments as the corresponding lifecycle phases complete. The
+    /// page table is reserved for exactly the spec's runtime + init +
+    /// execution pages — its final length, since every request recycles
+    /// the previous request's freed execution range.
     pub fn new(
         id: ContainerId,
         function: FunctionId,
@@ -66,11 +69,15 @@ impl Container {
         page_size: u64,
         now: SimTime,
     ) -> Self {
+        let pages: u64 = [spec.runtime_mib, spec.init_mib, spec.exec_mib]
+            .into_iter()
+            .map(|mib| mib_to_pages(mib, page_size))
+            .sum();
         Container {
             id,
             function,
             spec,
-            table: PageTable::new(page_size),
+            table: PageTable::with_capacity(page_size, pages as usize),
             stage: ContainerStage::Launching,
             created_at: now,
             last_used: now,

@@ -16,7 +16,8 @@
 //!   from every page allocated before.
 //! * Access-bit scans ([`PageTable::scan_accessed`]) — the sampling
 //!   primitive both FaaSMem's Pucket maintenance and the DAMON baseline
-//!   build on.
+//!   build on; [`PageTable::promote_accessed`] fuses the scan with
+//!   hot-pool promotion.
 //! * [`MemStats`] — cgroup-style local/remote byte accounting.
 //!
 //! Page size is configurable per table (default 4 KiB, like the paper's
@@ -47,7 +48,7 @@ pub use page::{PageId, PageMeta, PageRange, PageState, Segment};
 pub use reference::ReferencePageTable;
 pub use regions::{Region, RegionConfig, RegionMonitor};
 pub use stats::MemStats;
-pub use table::{Generation, PageTable, TouchOutcome};
+pub use table::{Generation, PageTable, PromoteSummary, TouchOutcome};
 
 /// The x86 page size the paper's kernel implementation manages.
 pub const PAGE_SIZE_4K: u64 = 4096;

@@ -166,18 +166,18 @@ const FLAG_FAULTED: u8 = 0b0100_0000;
 const SEG_SHIFT: u8 = 4;
 const SEG_MASK: u8 = 0b0011_0000;
 
-/// Compact per-page metadata: 8 bytes per page.
+/// Compact per-page metadata: the value-type view of one page.
 ///
 /// Packs residency state, the simulated Access bit, hot-page-pool
 /// membership and the segment into one byte, plus the MGLRU generation
-/// number, a 16-bit access counter used by sampling policies, and an
-/// idle-scan counter (how many consecutive aging scans found the page
-/// untouched) used by the DAMON-style baseline.
+/// number and an idle-scan counter (how many consecutive aging scans
+/// found the page untouched) used by the DAMON-style baseline. The
+/// table itself stores these column-wise (DESIGN § data layout); this
+/// struct is what [`PageTable::meta`](crate::PageTable::meta) returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageMeta {
     flags: u8,
     idle_scans: u8,
-    access_count: u16,
     generation: u32,
 }
 
@@ -187,7 +187,6 @@ impl PageMeta {
         PageMeta {
             flags: STATE_LOCAL | ((segment.index() as u8) << SEG_SHIFT),
             idle_scans: 0,
-            access_count: 0,
             generation,
         }
     }
@@ -196,7 +195,6 @@ impl PageMeta {
     /// The table keeps flags in bitmaps and the rest in dense columns;
     /// this reconstitutes the value-type view callers see via
     /// [`PageTable::meta`](crate::PageTable::meta).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         state: PageState,
         segment: Segment,
@@ -204,7 +202,6 @@ impl PageMeta {
         in_hot_pool: bool,
         recently_faulted: bool,
         idle_scans: u8,
-        access_count: u16,
         generation: u32,
     ) -> Self {
         let state_bits = match state {
@@ -225,7 +222,6 @@ impl PageMeta {
         PageMeta {
             flags,
             idle_scans,
-            access_count,
             generation,
         }
     }
@@ -290,19 +286,6 @@ impl PageMeta {
 
     pub(crate) fn set_generation(&mut self, generation: u32) {
         self.generation = generation;
-    }
-
-    /// Saturating lifetime access counter (used by sampling baselines).
-    pub fn access_count(self) -> u16 {
-        self.access_count
-    }
-
-    pub(crate) fn bump_access_count(&mut self) {
-        self.access_count = self.access_count.saturating_add(1);
-    }
-
-    pub(crate) fn reset_access_count(&mut self) {
-        self.access_count = 0;
     }
 
     /// `true` if the page was faulted back from remote memory since the
@@ -384,32 +367,19 @@ mod tests {
             m.set_accessed(true);
             m.set_in_hot_pool(true);
             m.set_generation(9);
-            m.bump_access_count();
             assert_eq!(m.state(), PageState::Remote);
             assert_eq!(m.segment(), seg); // untouched by other setters
             assert!(m.accessed());
             assert!(m.in_hot_pool());
             assert_eq!(m.generation(), 9);
-            assert_eq!(m.access_count(), 1);
 
             m.set_state(PageState::Freed);
             m.set_accessed(false);
             m.set_in_hot_pool(false);
-            m.reset_access_count();
             assert_eq!(m.state(), PageState::Freed);
             assert!(!m.accessed());
             assert!(!m.in_hot_pool());
-            assert_eq!(m.access_count(), 0);
         }
-    }
-
-    #[test]
-    fn access_count_saturates() {
-        let mut m = PageMeta::new(Segment::Init, 0);
-        for _ in 0..100_000 {
-            m.bump_access_count();
-        }
-        assert_eq!(m.access_count(), u16::MAX);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //!
 //! * **Equivalence testing.** The property test below drives a
 //!   [`PageTable`] and a reference table through the same random
-//!   alloc/free/touch/offload/scan interleavings and asserts every
-//!   observable output matches: returned ids (values *and* order),
-//!   per-page metadata, counters, histograms, and — for sampled aging —
-//!   the coin-draw sequence. This is what lets the word-wise bitmap
-//!   path claim byte-identical simulation results.
+//!   alloc/free/touch/offload/scan/promote interleavings and asserts
+//!   every observable output matches: returned ids (values *and*
+//!   order), promotion counts, per-page metadata, counters, histograms,
+//!   and — for sampled aging — the coin-draw sequence. This is what
+//!   lets the word-wise bitmap path claim byte-identical simulation
+//!   results.
 //! * **Benchmarking.** `bench_mem` measures scan throughput against
 //!   this model to report the speedup of the data-oriented layout.
 //!
@@ -20,7 +21,7 @@
 //! implementation, not a fast one.
 
 use crate::page::{PageId, PageMeta, PageRange, PageState, Segment};
-use crate::table::{Generation, TouchOutcome};
+use crate::table::{Generation, PromoteSummary, TouchOutcome};
 
 /// Naive per-page implementation of the [`crate::PageTable`] semantics.
 #[derive(Debug, Clone)]
@@ -144,12 +145,10 @@ impl ReferencePageTable {
             PageState::Freed => false,
             PageState::Local => {
                 meta.set_accessed(true);
-                meta.bump_access_count();
                 false
             }
             PageState::Remote => {
                 meta.set_accessed(true);
-                meta.bump_access_count();
                 meta.set_state(PageState::Local);
                 meta.set_recently_faulted(true);
                 let seg = meta.segment();
@@ -249,8 +248,34 @@ impl ReferencePageTable {
             .collect()
     }
 
+    /// The naive promotion scan (see
+    /// [`crate::PageTable::promote_accessed`]): scan the Access bits,
+    /// then classify each hit by the generation bounds and flag it hot
+    /// one page at a time.
+    pub fn promote_accessed(&mut self, runtime_end: u32, init_end: u32) -> PromoteSummary {
+        let mut summary = PromoteSummary::default();
+        for (id, faulted) in self.scan_accessed_with_faults() {
+            let meta = self.pages[id.index()];
+            if meta.in_hot_pool() {
+                continue;
+            }
+            let recalled = u32::from(faulted);
+            if meta.generation() < runtime_end {
+                summary.runtime_promoted += 1;
+                summary.runtime_recalled += recalled;
+            } else if meta.generation() < init_end {
+                summary.init_promoted += 1;
+                summary.init_recalled += recalled;
+            } else {
+                continue;
+            }
+            self.set_in_hot_pool(id, true);
+        }
+        summary
+    }
+
     /// Scan variant also reporting the recently-faulted flag per hit.
-    pub fn scan_accessed_with_faults(&mut self) -> Vec<(PageId, bool)> {
+    fn scan_accessed_with_faults(&mut self) -> Vec<(PageId, bool)> {
         let mut hits = Vec::new();
         for (i, meta) in self.pages.iter_mut().enumerate() {
             if meta.state() == PageState::Freed {
@@ -357,11 +382,6 @@ impl ReferencePageTable {
         self.pages[id.index()].set_generation(generation.0);
     }
 
-    /// Clears the lifetime access counter of a page.
-    pub fn reset_access_count(&mut self, id: PageId) {
-        self.pages[id.index()].reset_access_count();
-    }
-
     /// O(pages) live-page age histogram (see
     /// [`crate::PageTable::generation_age_histogram`]).
     pub fn generation_age_histogram(&self, buckets: usize) -> Vec<u64> {
@@ -395,6 +415,15 @@ impl ReferencePageTable {
     /// Local pages belonging to `segment`.
     pub fn local_pages_in(&self, segment: Segment) -> u64 {
         self.local_by_segment[segment.index()]
+    }
+
+    /// O(pages) count of live local hot-pool pages (see
+    /// [`crate::PageTable::hot_local_pages`]).
+    pub fn hot_local_pages(&self) -> u64 {
+        self.pages
+            .iter()
+            .filter(|m| m.state() == PageState::Local && m.in_hot_pool())
+            .count() as u64
     }
 
     /// Lifetime count of pages offloaded to the pool.
@@ -436,6 +465,7 @@ mod tests {
         assert_eq!(new.freed_pages(), reference.freed_pages());
         assert_eq!(new.total_offloaded(), reference.total_offloaded());
         assert_eq!(new.total_faulted(), reference.total_faulted());
+        assert_eq!(new.hot_local_pages(), reference.hot_local_pages());
         for seg in Segment::ALL {
             assert_eq!(new.local_pages_in(seg), reference.local_pages_in(seg));
         }
@@ -510,10 +540,27 @@ mod tests {
                             );
                         }
                     }
+                    5 if arg % 2 == 0 => {
+                        proptest::prop_assert_eq!(new.scan_accessed(), reference.scan_accessed());
+                    }
                     5 => {
+                        // Pucket bounds anywhere in (and one past) the
+                        // generation space, including the unbarriered
+                        // "everything is Runtime" case.
+                        let span = new.current_generation().0 + 2;
+                        let (a, b) = ((arg / 2) % span, (arg / 7) % span);
+                        let (runtime_end, init_end) = if arg % 5 == 1 {
+                            (u32::MAX, u32::MAX)
+                        } else {
+                            (a.min(b), a.max(b))
+                        };
                         proptest::prop_assert_eq!(
-                            new.scan_accessed_with_faults(),
-                            reference.scan_accessed_with_faults()
+                            new.promote_accessed(runtime_end, init_end),
+                            reference.promote_accessed(runtime_end, init_end)
+                        );
+                        proptest::prop_assert_eq!(
+                            new.hot_local_pages(),
+                            reference.hot_local_pages()
                         );
                     }
                     6 => {
@@ -592,7 +639,7 @@ mod tests {
         );
         n.free_range(e1);
         r.free_range(e1);
-        assert_eq!(n.scan_accessed_with_faults(), r.scan_accessed_with_faults());
+        assert_eq!(n.promote_accessed(1, 2), r.promote_accessed(1, 2));
         assert_eq!(n.age_and_collect_idle(1), r.age_and_collect_idle(1));
         assert_same_observables(&n, &r);
     }

@@ -14,12 +14,18 @@
 //! page attributes — the Access bit, the recently-faulted flag, freed
 //! state, remote residency, hot-pool membership — live in packed `u64`
 //! bitmaps, one bit per page; multi-bit attributes (generation, idle-scan
-//! counter, access counter, segment tag) live in dense parallel columns.
-//! Batch operations iterate word-wise: an all-zero mask word skips 64
-//! pages in one branch, and set bits are visited in ascending page-id
-//! order via `trailing_zeros`. Every scan-like operation has an `_into`
-//! variant writing into a caller-owned scratch buffer, so steady-state
-//! simulation allocates nothing per scan.
+//! counter, segment tag) live in dense parallel columns — 6 bytes of
+//! columns plus 5 bitmap bits per page. Batch operations iterate
+//! word-wise: an all-zero mask word skips 64 pages in one branch, and
+//! set bits are visited in ascending page-id order via `trailing_zeros`.
+//! Every scan-like operation either returns counts
+//! ([`PageTable::promote_accessed`], [`PageTable::clear_accessed`]) or
+//! has an `_into` variant writing into a caller-owned scratch buffer, so
+//! steady-state simulation allocates nothing per scan.
+//!
+//! A table built with [`PageTable::with_capacity`] reserves every column
+//! for its final page count up front; allocation only grows the columns
+//! (amortised) once a table outgrows that reservation.
 //!
 //! The `freed` bitmap carries a *tail guard*: bits at indices `>= len`
 //! (the slack of the last partial word) are kept set, so the live-page
@@ -54,6 +60,30 @@ impl TouchOutcome {
         self.faulted += other.faulted;
     }
 }
+
+/// What a hot-pool promotion scan ([`PageTable::promote_accessed`])
+/// found, split by the Pucket the promoted pages belong to.
+///
+/// Once the Runtime Pucket has been reactively offloaded, further
+/// `runtime_promoted` pages are *recalls* — the Fig 8 metric.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PromoteSummary {
+    /// Runtime-Pucket pages promoted to the hot pool by this scan.
+    pub runtime_promoted: u32,
+    /// Init-Pucket pages promoted.
+    pub init_promoted: u32,
+    /// Promoted Runtime-Pucket pages that were *recalled from remote
+    /// memory* since the previous scan. Re-promotions of still-local
+    /// pages after a rollback do not count.
+    pub runtime_recalled: u32,
+    /// Promoted Init-Pucket pages recalled from remote memory.
+    pub init_recalled: u32,
+}
+
+/// Generations one container lifecycle creates: the runtime generation
+/// plus one per time barrier (paper §4). [`PageTable::with_capacity`]
+/// reserves the per-generation live counts for them.
+const LIFECYCLE_GENERATIONS: usize = 3;
 
 /// `(word index, bit mask)` addressing one page in a bitmap.
 #[inline]
@@ -120,8 +150,6 @@ pub struct PageTable {
     generation: Vec<u32>,
     /// DAMON-style idle-scan counter per page.
     idle_scans: Vec<u8>,
-    /// Lifetime access counter per page (saturating).
-    access_count: Vec<u16>,
     /// Lifecycle segment tag per page (`Segment::ALL` index).
     segment: Vec<u8>,
     /// Live pages per generation, indexed by generation number — keeps
@@ -163,22 +191,37 @@ impl PageTable {
     ///
     /// Panics if `page_size` is zero.
     pub fn new(page_size: u64) -> Self {
+        Self::with_capacity(page_size, 0)
+    }
+
+    /// Creates an empty table whose per-page columns and bitmaps are
+    /// reserved for exactly `pages` pages, so allocating up to that many
+    /// pages never reallocates and leaves no growth slack. A container
+    /// passes its runtime + init + execution page count: execution
+    /// ranges are recycled, so that sum is the table's final length.
+    /// The small per-generation and free-range lists are reserved for
+    /// one lifecycle's three generations and one freed execution range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_size` is zero.
+    pub fn with_capacity(page_size: u64, pages: usize) -> Self {
         assert!(page_size > 0, "page size must be positive");
+        let words = pages.div_ceil(64);
         PageTable {
             page_size,
             len: 0,
-            accessed: Vec::new(),
-            recently_faulted: Vec::new(),
-            freed: Vec::new(),
-            remote: Vec::new(),
-            hot_pool: Vec::new(),
-            generation: Vec::new(),
-            idle_scans: Vec::new(),
-            access_count: Vec::new(),
-            segment: Vec::new(),
-            gen_live: Vec::new(),
+            accessed: Vec::with_capacity(words),
+            recently_faulted: Vec::with_capacity(words),
+            freed: Vec::with_capacity(words),
+            remote: Vec::with_capacity(words),
+            hot_pool: Vec::with_capacity(words),
+            generation: Vec::with_capacity(pages),
+            idle_scans: Vec::with_capacity(pages),
+            segment: Vec::with_capacity(pages),
+            gen_live: Vec::with_capacity(LIFECYCLE_GENERATIONS),
             current_gen: 0,
-            free_exec: Vec::new(),
+            free_exec: Vec::with_capacity(1),
             local_pages: 0,
             remote_pages: 0,
             freed_pages: 0,
@@ -313,7 +356,6 @@ impl PageTable {
         }
         self.generation.resize(new_len, self.current_gen);
         self.idle_scans.resize(new_len, 0);
-        self.access_count.resize(new_len, 0);
         self.segment.resize(new_len, segment.index() as u8);
         self.len = new_len;
         self.local_pages += u64::from(count);
@@ -337,7 +379,6 @@ impl PageTable {
         }
         self.generation[start..end].fill(self.current_gen);
         self.idle_scans[start..end].fill(0);
-        self.access_count[start..end].fill(0);
         self.segment[start..end].fill(Segment::Execution.index() as u8);
         self.freed_pages -= u64::from(range.len());
         self.local_pages += u64::from(range.len());
@@ -385,13 +426,12 @@ impl PageTable {
             self.hot_pool[w] & b != 0,
             self.recently_faulted[w] & b != 0,
             self.idle_scans[i],
-            self.access_count[i],
             self.generation[i],
         )
     }
 
-    /// Touches one page: sets its Access bit and bumps its access counter.
-    /// Returns `true` if the page was remote and got faulted back in.
+    /// Touches one page: sets its Access bit. Returns `true` if the page
+    /// was remote and got faulted back in.
     ///
     /// Freed pages are ignored (returns `false`).
     pub fn touch(&mut self, id: PageId) -> bool {
@@ -402,7 +442,6 @@ impl PageTable {
             return false;
         }
         self.accessed[w] |= b;
-        self.access_count[i] = self.access_count[i].saturating_add(1);
         if self.remote[w] & b != 0 {
             self.remote[w] &= !b;
             self.recently_faulted[w] |= b;
@@ -428,12 +467,6 @@ impl PageTable {
                 }
                 out.touched += live.count_ones();
                 self.accessed[w] |= live;
-                let mut bits = live;
-                while bits != 0 {
-                    let i = (w << 6) | bits.trailing_zeros() as usize;
-                    self.access_count[i] = self.access_count[i].saturating_add(1);
-                    bits &= bits - 1;
-                }
                 let faulted = live & self.remote[w];
                 if faulted != 0 {
                     out.faulted += faulted.count_ones();
@@ -698,20 +731,23 @@ impl PageTable {
         self.trace_scan(out.len() as u64);
     }
 
-    /// Like [`PageTable::scan_accessed`], but also reports per page
-    /// whether the access faulted it back from remote memory since the
-    /// previous scan — the signal recall accounting (Fig 8) needs.
-    pub fn scan_accessed_with_faults(&mut self) -> Vec<(PageId, bool)> {
-        let mut out = Vec::new();
-        self.scan_accessed_with_faults_into(&mut out);
-        out
-    }
-
-    /// Allocation-free variant of
-    /// [`PageTable::scan_accessed_with_faults`]: clears `out` and fills
-    /// it in ascending page order.
-    pub fn scan_accessed_with_faults_into(&mut self, out: &mut Vec<(PageId, bool)>) {
-        out.clear();
+    /// The fused hot-pool promotion scan (paper §5): an Access-bit scan
+    /// that promotes revisited Runtime- and Init-Pucket pages into the
+    /// hot page pool in the same word-wise pass.
+    ///
+    /// Pucket membership is a generation interval: pages with generation
+    /// `< runtime_end` are Runtime, `runtime_end..init_end` are Init, and
+    /// the rest (Execution) are never promoted. For every live accessed
+    /// page the Access bit is cleared; a page not yet in the hot pool and
+    /// below `init_end` gets the hot-pool flag, and counts as *recalled*
+    /// when it faulted back from remote memory since the previous scan.
+    /// The recently-faulted flag of every live page is consumed, exactly
+    /// as [`PageTable::scan_accessed`] does, and the emitted trace event
+    /// carries the same hit count.
+    pub fn promote_accessed(&mut self, runtime_end: u32, init_end: u32) -> PromoteSummary {
+        debug_assert!(runtime_end <= init_end, "Pucket bounds out of order");
+        let mut summary = PromoteSummary::default();
+        let mut hits_total = 0u64;
         for w in 0..self.words() {
             let live = !self.freed[w];
             if live == 0 {
@@ -719,18 +755,34 @@ impl PageTable {
             }
             let hits = self.accessed[w] & live;
             if hits != 0 {
-                let rf = self.recently_faulted[w];
-                let mut bits = hits;
+                hits_total += u64::from(hits.count_ones());
+                self.accessed[w] &= !hits;
+                let faulted = self.recently_faulted[w];
+                let mut promoted = 0u64;
+                let mut bits = hits & !self.hot_pool[w];
                 while bits != 0 {
                     let t = bits.trailing_zeros() as usize;
-                    out.push((PageId(((w << 6) | t) as u32), rf >> t & 1 != 0));
+                    let b = 1u64 << t;
+                    let recalled = u32::from(faulted & b != 0);
+                    let g = self.generation[(w << 6) | t];
+                    if g < runtime_end {
+                        summary.runtime_promoted += 1;
+                        summary.runtime_recalled += recalled;
+                        promoted |= b;
+                    } else if g < init_end {
+                        summary.init_promoted += 1;
+                        summary.init_recalled += recalled;
+                        promoted |= b;
+                    }
                     bits &= bits - 1;
                 }
-                self.accessed[w] &= !hits;
+                self.hot_pool[w] |= promoted;
+                self.hot_local_pages += u64::from((promoted & !self.remote[w]).count_ones());
             }
             self.recently_faulted[w] &= !live;
         }
-        self.trace_scan(out.len() as u64);
+        self.trace_scan(hits_total);
+        summary
     }
 
     /// Clears all Access bits (and recently-faulted flags) without
@@ -1005,6 +1057,19 @@ impl PageTable {
         }
     }
 
+    /// Appends the ids of remote hot-pool pages to `out` (no clear),
+    /// ascending — the set recall prefetch restores when a semi-warm
+    /// container is hit.
+    pub fn append_hot_pool_remote(&self, out: &mut Vec<PageId>) {
+        for w in 0..self.words() {
+            let mut bits = self.hot_pool[w] & self.remote[w] & !self.freed[w];
+            while bits != 0 {
+                out.push(PageId(((w << 6) | bits.trailing_zeros() as usize) as u32));
+                bits &= bits - 1;
+            }
+        }
+    }
+
     /// Clears hot-pool membership on every live *local* page (the §5.3
     /// rollback). Remote pages keep the flag so recall prefetch can still
     /// find them. Returns how many pages were rolled back.
@@ -1086,12 +1151,6 @@ impl PageTable {
             }
             self.generation[i] = new;
         }
-    }
-
-    /// Clears the lifetime access counter of a page.
-    pub fn reset_access_count(&mut self, id: PageId) {
-        self.assert_allocated(id);
-        self.access_count[id.index()] = 0;
     }
 
     /// Pages currently resident in local DRAM.

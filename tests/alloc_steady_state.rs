@@ -1,4 +1,4 @@
-//! Zero steady-state allocation on the event hot path (ISSUE 10).
+//! Zero steady-state allocation on the event and page-table hot paths.
 //!
 //! The calendar queue reuses run-long buffers, so once a workload's
 //! geometry has settled, a pop-one/push-one churn and a grouped
@@ -8,13 +8,24 @@
 //! the counter on, run the same mix again, and assert the count stayed
 //! at zero.
 //!
+//! A container's page table needs no warmup at all: it is reserved for
+//! the spec's runtime + init + execution pages when the container is
+//! created, so the whole page-table lifecycle — segment allocation,
+//! barriers, touches, the fused promotion scan, freeing and recycling
+//! the execution range, offload and page-in — allocates nothing. That
+//! also proves the spec-derived reservation is large enough.
+//!
 //! One `#[test]` drives every scenario — the counter is process-global,
 //! so concurrent test threads would attribute each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use faasmem_core::Puckets;
+use faasmem_faas::{Container, ContainerId, FunctionId};
+use faasmem_mem::{mib_to_pages, Segment, PAGE_SIZE_4K};
 use faasmem_sim::{EventQueue, SimDuration, SimTime};
+use faasmem_workload::BenchmarkSpec;
 
 struct CountingAlloc;
 
@@ -74,6 +85,38 @@ fn queue_churn(q: &mut EventQueue<u64>, ops: usize) -> u64 {
     acc
 }
 
+/// One container's page-table lifecycle in platform order: launch,
+/// Runtime-Init barrier, init, Init-Execution barrier, two requests
+/// (the second recycles the first's execution range), each followed
+/// by the fused promotion scan, then an offload/page-in round trip of
+/// the runtime segment. Returns the table length at the end.
+fn page_table_lifecycle(c: &mut Container) -> usize {
+    let mut puckets = Puckets::new();
+    c.finish_launch();
+    puckets.insert_runtime_init_barrier(c.table_mut());
+    c.finish_init();
+    puckets.insert_init_exec_barrier(c.table_mut());
+    let exec_pages = mib_to_pages(c.spec().exec_mib, c.table().page_size()) as u32;
+    for request in 0..2u64 {
+        if request > 0 {
+            c.begin_execution(SimTime::from_secs(request));
+        }
+        let hot = c.runtime_range().take(c.runtime_hot_pages());
+        let init = c.init_range();
+        c.table_mut().touch_range(hot);
+        c.table_mut().touch_range(init);
+        let exec = c.table_mut().alloc(Segment::Execution, exec_pages);
+        c.table_mut().touch_range(exec);
+        c.set_exec_range(exec);
+        puckets.promote_accessed(c.table_mut());
+        c.finish_execution(SimTime::from_secs(request), SimDuration::ZERO);
+    }
+    let runtime = c.runtime_range();
+    c.table_mut().offload_range(runtime);
+    c.table_mut().page_in_range(runtime);
+    c.table().len()
+}
+
 #[test]
 fn event_hot_path_allocates_nothing_at_steady_state() {
     // -- Serial calendar queue under hold churn --------------------
@@ -108,4 +151,26 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
         allocs, 0,
         "steady-state grouped push/drain must not allocate (got {allocs} allocations)"
     );
+
+    // -- Page-table lifecycle at spec-derived capacity --------------
+    for spec in BenchmarkSpec::catalog() {
+        let name = spec.name;
+        let expected = [spec.runtime_mib, spec.init_mib, spec.exec_mib]
+            .into_iter()
+            .map(|mib| mib_to_pages(mib, PAGE_SIZE_4K))
+            .sum::<u64>() as usize;
+        let mut c = Container::new(
+            ContainerId(0),
+            FunctionId(0),
+            spec,
+            PAGE_SIZE_4K,
+            SimTime::ZERO,
+        );
+        let (allocs, len) = allocations_during(|| page_table_lifecycle(&mut c));
+        assert_eq!(len, expected, "{name}: final table length");
+        assert_eq!(
+            allocs, 0,
+            "{name}: the page-table lifecycle must not allocate (got {allocs} allocations)"
+        );
+    }
 }
