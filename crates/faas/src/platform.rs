@@ -15,7 +15,7 @@ use faasmem_sim::faults::{FaultPlan, FaultSpec};
 use faasmem_sim::{Clock, EventQueue, SimDuration, SimRng, SimTime};
 use faasmem_telemetry::{Sampler, SeriesGroup};
 use faasmem_trace::{EventKind, StallCause, Tracer};
-use faasmem_workload::{BenchmarkSpec, FunctionId, Invocation, InvocationTrace, RequestAccess};
+use faasmem_workload::{BenchmarkSpec, FunctionId, InvocationTrace, RequestAccess};
 
 use crate::container::{Container, ContainerId, ContainerStage};
 use crate::policy::{MemoryPolicy, NullPolicy, PolicyCtx};
@@ -345,8 +345,10 @@ impl PlatformBuilder {
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// Index into the trace's invocation list.
-    Invoke(u32),
+    /// A trace arrival: its index in the trace (the request id) and the
+    /// function it invokes. Never queued — [`PlatformSim::run`] merges
+    /// arrivals in straight from the sorted trace.
+    Invoke(u32, FunctionId),
     RuntimeLoaded(ContainerId),
     InitDone(ContainerId),
     FinishExec(ContainerId),
@@ -363,10 +365,10 @@ enum Event {
 /// Everything [`PlatformSim::prepare`] derives from the trace before
 /// seeding: [`PlatformSim::run`] threads it through
 /// [`PlatformSim::seed`] and [`PlatformSim::process_event`].
-struct RunSetup {
-    invocations: Vec<Invocation>,
+struct RunSetup<'a> {
+    /// The borrowed trace; arrivals stream from it, never copied.
+    trace: &'a InvocationTrace,
     tick: Option<SimDuration>,
-    trace_duration: SimTime,
 }
 
 /// Live fault-injection state: the expanded timeline plus the reaction
@@ -522,19 +524,45 @@ impl PlatformSim {
     /// Runs the trace to completion (all containers recycled) and returns
     /// the measurements.
     ///
+    /// Arrivals are not queued: the loop merges the already-sorted trace
+    /// with the event queue, which holds only the live frontier
+    /// (lifecycle timers, the policy tick, the fault plan). An arrival
+    /// wins every tie with a queued event at the same instant, so the
+    /// global order is exactly `(time, seq)` with arrivals stamped ahead
+    /// of every other event.
+    ///
     /// # Panics
     ///
     /// Panics if called twice on the same simulator, or if the trace
     /// invokes an unregistered function.
     pub fn run(&mut self, trace: &InvocationTrace) -> RunReport {
         let setup = self.prepare(trace);
-        let mut queue: EventQueue<Event> = EventQueue::with_capacity(setup.invocations.len() * 4);
+        let mut queue: EventQueue<Event> = EventQueue::new();
         self.seed(&setup, &mut queue);
+        let mut arrivals = trace.iter().zip(0u32..).peekable();
         let mut clock = Clock::new();
         let mut report = self.new_report(&setup);
-        while let Some((at, event)) = queue.pop() {
+        loop {
+            let (at, event) = match arrivals.peek() {
+                Some(&(inv, req)) if queue.peek_time().is_none_or(|t| inv.at <= t) => {
+                    arrivals.next();
+                    (inv.at, Event::Invoke(req, inv.function))
+                }
+                _ => match queue.pop() {
+                    Some(next) => next,
+                    None => break,
+                },
+            };
             clock.advance_to(at);
-            self.process_event(clock.now(), event, &setup, &mut queue, &mut report);
+            let arrivals_pending = arrivals.peek().is_some();
+            self.process_event(
+                clock.now(),
+                event,
+                &setup,
+                arrivals_pending,
+                &mut queue,
+                &mut report,
+            );
         }
         self.finish(clock.now(), &mut report);
         report
@@ -547,15 +575,14 @@ impl PlatformSim {
     ///
     /// Panics if the simulator already ran, or if the trace invokes an
     /// unregistered function.
-    fn prepare(&mut self, trace: &InvocationTrace) -> RunSetup {
+    fn prepare<'a>(&mut self, trace: &'a InvocationTrace) -> RunSetup<'a> {
         assert!(
             !self.ran,
             "PlatformSim::run consumes the simulator; build a fresh one"
         );
         self.ran = true;
 
-        let invocations: Vec<_> = trace.iter().copied().collect();
-        for inv in &invocations {
+        for inv in trace.iter() {
             assert!(
                 (inv.function.0 as usize) < self.specs.len(),
                 "trace invokes unregistered {}",
@@ -563,30 +590,16 @@ impl PlatformSim {
             );
         }
         RunSetup {
-            invocations,
+            trace,
             tick: self.policy.tick_interval(),
-            trace_duration: trace.duration(),
         }
     }
 
-    /// Seeds the initial event population — invocations, the first policy
-    /// tick, and the fault timeline. Same-instant events fire in push
-    /// order, so this order is part of the output contract.
+    /// Seeds the queue's initial population — the first policy tick,
+    /// then the fault timeline. Same-instant events fire in push order,
+    /// so this order is part of the output contract. Arrivals are not
+    /// seeded: [`PlatformSim::run`] streams them from the trace.
     fn seed(&mut self, setup: &RunSetup, queue: &mut EventQueue<Event>) {
-        let invocations = &setup.invocations;
-        // Bursty traces schedule many invocations at the same instant;
-        // batching each same-time run keeps seq assignment identical to
-        // pushing one by one while touching the heap allocator once.
-        let mut i = 0;
-        while i < invocations.len() {
-            let at = invocations[i].at;
-            let run_end = invocations[i..]
-                .iter()
-                .position(|inv| inv.at != at)
-                .map_or(invocations.len(), |n| i + n);
-            queue.push_at_many(at, (i..run_end).map(|j| Event::Invoke(j as u32)));
-            i = run_end;
-        }
         if let Some(dt) = setup.tick {
             queue.push(SimTime::ZERO + dt, Event::Tick);
         }
@@ -595,7 +608,8 @@ impl PlatformSim {
             // Cover the trace plus the keep-alive drain so faults can
             // still hit idle containers after the last invocation.
             let horizon = setup
-                .trace_duration
+                .trace
+                .duration()
                 .saturating_add(self.config.keep_alive * 2)
                 .max(SimTime::from_micros(1));
             let plan = fc
@@ -621,8 +635,6 @@ impl PlatformSim {
                     );
                 }
             }
-            queue
-                .reserve(plan.node_losses.len() + plan.crashes.len() + plan.pool_node_losses.len());
             for (i, loss) in plan.node_losses.iter().enumerate() {
                 queue.push(loss.at, Event::NodeLoss(i as u32));
             }
@@ -663,7 +675,7 @@ impl PlatformSim {
             requests_completed: 0,
             cold_starts: 0,
             latency: faasmem_metrics::LatencyRecorder::new(),
-            requests: Vec::with_capacity(setup.invocations.len()),
+            requests: Vec::with_capacity(setup.trace.len()),
             local_mem: faasmem_metrics::TimeSeries::new(),
             remote_mem: faasmem_metrics::TimeSeries::new(),
             live_containers: faasmem_metrics::TimeSeries::new(),
@@ -685,13 +697,16 @@ impl PlatformSim {
         report
     }
 
-    /// Handles one popped event: breaker bookkeeping, dispatch, and the
-    /// post-event memory/telemetry sampling.
+    /// Handles one event — a popped one or a merged-in arrival: breaker
+    /// bookkeeping, dispatch, and the post-event memory/telemetry
+    /// sampling. `arrivals_pending` says whether trace arrivals remain
+    /// past this event (they live outside the queue).
     fn process_event(
         &mut self,
         now: SimTime,
         event: Event,
         setup: &RunSetup,
+        arrivals_pending: bool,
         queue: &mut EventQueue<Event>,
         report: &mut RunReport,
     ) {
@@ -721,9 +736,8 @@ impl PlatformSim {
                 fabric.advance(now);
             }
             match event {
-                Event::Invoke(i) => {
-                    let inv = setup.invocations[i as usize];
-                    self.handle_invoke(now, i, inv.function, queue, report);
+                Event::Invoke(req, function) => {
+                    self.handle_invoke(now, req, function, queue, report);
                 }
                 Event::RuntimeLoaded(id) => self.handle_runtime_loaded(now, id, queue),
                 Event::InitDone(id) => self.handle_init_done(now, id, queue),
@@ -755,7 +769,7 @@ impl PlatformSim {
                     // Hand the (drained) buffer back for the next tick.
                     self.tick_scratch = ids;
                     if let Some(dt) = setup.tick {
-                        if !self.containers.is_empty() || !queue.is_empty() {
+                        if !self.containers.is_empty() || arrivals_pending || !queue.is_empty() {
                             queue.push(now + dt, Event::Tick);
                         }
                     }

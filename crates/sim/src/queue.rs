@@ -9,12 +9,12 @@
 //! [`EventQueue`] is a *calendar queue* (Brown 1988), the structure
 //! parallel discrete-event engines reach for once the classic binary
 //! heap becomes the bottleneck: a ring of time buckets, each spanning a
-//! fixed width of simulated time, plus a sorted overflow tier for
-//! events past the ring horizon (policy ticks, fault plans). A push is
+//! fixed width of simulated time, plus a lazily sorted overflow tier
+//! for events past the ring horizon (policy ticks, fault plans). A push is
 //! an O(1) append onto its bucket; a pop drains the cursor bucket in
 //! `(time, seq)` order, sorting each bucket lazily at drain time — and
 //! skipping even that when events arrived already ordered, the common
-//! case for trace seeding and same-instant groups. The bucket width
+//! case for time-ordered batches and same-instant groups. The bucket width
 //! self-tunes from the observed event span, re-laid out exactly like a
 //! hash-table rehash (geometric growth, amortized O(1) per event).
 //!
@@ -64,8 +64,8 @@ const INITIAL_WIDTH_US: u64 = 1_000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BucketOrder {
     /// Appends so far are ascending by `(at, seq)` — the common case:
-    /// seeding walks the trace in time order and same-instant groups
-    /// ascend by sequence. Draining only needs a reverse.
+    /// time-ordered batches and same-instant groups ascend by sequence.
+    /// Draining only needs a reverse.
     Ascending,
     /// Appends arrived out of order; sort before draining.
     Unsorted,
@@ -166,6 +166,10 @@ pub struct EventQueue<E> {
     /// events at the tail, so a promotion pops them off the end without
     /// ever shifting the buffer.
     overflow_sorted: bool,
+    /// `true` once a promotion has sorted the tier since the last
+    /// re-layout: sorting it again would be a re-sort (see
+    /// [`EventQueue::advance_cursor`]).
+    overflow_sorted_once: bool,
     /// Smallest `(at, seq)` in `overflow`, tracked incrementally so the
     /// per-pop promotion check is one compare.
     overflow_min: Option<(SimTime, u64)>,
@@ -195,6 +199,7 @@ impl<E> EventQueue<E> {
             ring_len: 0,
             overflow: Vec::new(),
             overflow_sorted: true,
+            overflow_sorted_once: false,
             overflow_min: None,
             pops_since_rebuild: 0,
             scratch: Vec::new(),
@@ -291,6 +296,7 @@ impl<E> EventQueue<E> {
         pending.append(&mut self.overflow);
         self.ring_len = 0;
         self.overflow_sorted = true;
+        self.overflow_sorted_once = false;
         self.overflow_min = None;
         self.pops_since_rebuild = 0;
 
@@ -327,6 +333,17 @@ impl<E> EventQueue<E> {
     /// and promotes any overflow events the grown horizon caught up
     /// to, preserving the "overflow is entirely past the ring"
     /// invariant that makes the cursor bucket's minimum global.
+    ///
+    /// An unsorted overflow tier that outnumbers the ring means the
+    /// geometry no longer spans the population (a span-less
+    /// [`EventQueue::reserve`] laid it out, or far pushes piled up
+    /// since). The first sort of such a tier is cheap when it was
+    /// filled in time order (a reverse) and is never repeated if
+    /// nothing lands past the horizon afterwards, so it stays. But once
+    /// far pushes keep breaking the order, every promotion would
+    /// re-sort the whole tier for a sliver of due events; a re-layout
+    /// instead covers the whole span and empties the tier, amortized
+    /// O(1) per event.
     fn advance_cursor(&mut self) {
         debug_assert!(self.buckets[self.cursor].events.is_empty());
         self.cursor = (self.cursor + 1) % self.buckets.len();
@@ -335,7 +352,14 @@ impl<E> EventQueue<E> {
             .overflow_min
             .is_some_and(|(at, _)| u128::from(at.as_micros()) < self.horizon())
         {
-            self.promote_due_overflow();
+            if !self.overflow_sorted
+                && self.overflow_sorted_once
+                && self.overflow.len() > self.ring_len.max(MIN_BUCKETS)
+            {
+                self.rebuild(self.len());
+            } else {
+                self.promote_due_overflow();
+            }
         }
     }
 
@@ -348,6 +372,7 @@ impl<E> EventQueue<E> {
             self.overflow
                 .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
             self.overflow_sorted = true;
+            self.overflow_sorted_once = true;
         }
         let horizon = self.horizon();
         let split = self
@@ -546,6 +571,7 @@ impl<E> EventQueue<E> {
         }
         self.overflow.clear();
         self.overflow_sorted = true;
+        self.overflow_sorted_once = false;
         self.overflow_min = None;
         self.ring_len = 0;
     }
@@ -809,6 +835,75 @@ mod tests {
             assert_eq!(q.len(), r.len());
         }
         while pop_both(&mut q, &mut r) {}
+    }
+
+    /// A queue pre-sized before it saw any event has no span to tune
+    /// its width from, so an hour of seeded arrivals lands mostly past
+    /// its ring. Interleaving pops with near (200 ms) and far (10 min)
+    /// follow-up pushes — the event-loop shape — must still pop exactly
+    /// the heap's order, and the queue must re-lay out instead of
+    /// keeping the trace parked in its overflow tier.
+    #[test]
+    fn presized_seeded_hour_matches_reference() {
+        const ARRIVALS: u32 = 20_000;
+        const HOUR_MS: u64 = 3_600_000;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut times: Vec<u64> = (0..ARRIVALS).map(|_| next() % HOUR_MS * 1_000).collect();
+        times.sort_unstable();
+
+        let mut q: EventQueue<u32> = EventQueue::with_capacity(ARRIVALS as usize * 4);
+        let mut r: ReferenceEventQueue<u32> =
+            ReferenceEventQueue::with_capacity(ARRIVALS as usize * 4);
+        // Seed as the trace did: each same-instant run as one group.
+        let mut i = 0;
+        while i < times.len() {
+            let at = SimTime::from_micros(times[i]);
+            let run = times[i..].iter().take_while(|&&t| t == times[i]).count();
+            let group = (i..i + run).map(|j| j as u32);
+            q.push_at_many(at, group.clone());
+            r.push_at_many(at, group);
+            i += run;
+        }
+        assert!(
+            q.overflow_len() > q.len() / 2,
+            "the span-less layout parks most of the hour in overflow"
+        );
+
+        let mut popped = 0u32;
+        while let Some(head) = q.peek().map(|e| (e.at, e.seq, e.event)) {
+            let reference = r.peek().map(|e| (e.at, e.seq, e.event));
+            assert_eq!(Some(head), reference);
+            assert_eq!(q.pop(), r.pop());
+            popped += 1;
+            let (at, _, payload) = head;
+            // Only arrivals schedule follow-ups, so the run drains.
+            if payload < ARRIVALS {
+                let near = at + crate::time::SimDuration::from_millis(200);
+                q.push(near, ARRIVALS + payload);
+                r.push(near, ARRIVALS + payload);
+                if payload.is_multiple_of(8) {
+                    let far = at + crate::time::SimDuration::from_mins(10);
+                    q.push(far, 2 * ARRIVALS + payload);
+                    r.push(far, 2 * ARRIVALS + payload);
+                }
+            }
+            if popped == ARRIVALS / 2 {
+                assert!(
+                    q.overflow_len() < q.len() / 4,
+                    "overflow {} of {} pending: the queue never re-laid out",
+                    q.overflow_len(),
+                    q.len()
+                );
+            }
+        }
+        assert!(r.is_empty());
+        assert_eq!(popped, 2 * ARRIVALS + ARRIVALS / 8);
     }
 
     /// The high-case-count oracle run the CI test job executes
