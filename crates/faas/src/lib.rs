@@ -55,6 +55,7 @@ pub mod platform;
 pub mod policy;
 pub mod rack;
 pub mod report;
+mod residency;
 
 pub use cluster::{ClusterReport, ClusterSim, ClusterSpec, NodeReport};
 pub use container::{Container, ContainerId, ContainerStage};

@@ -23,6 +23,7 @@ use crate::report::{
     ContainerRecord, DurabilityReport, FaultReport, FunctionWaste, MemoryAnatomyReport,
     RequestRecord, RunReport,
 };
+use crate::residency::{Residency, ResidencyLedger, Tally};
 
 /// Platform-wide configuration.
 ///
@@ -319,6 +320,7 @@ impl PlatformBuilder {
             .memory_anatomy
             .then(|| AnatomyRuntime::new(self.specs.len()));
         PlatformSim {
+            ledger: ResidencyLedger::new(self.specs.len()),
             rng: SimRng::seed_from(self.config.seed),
             pool,
             fabric,
@@ -454,13 +456,16 @@ impl AnatomyRuntime {
     }
 }
 
-/// The compute-side component a container's plain (non-hot-pool) local
-/// pages occupy, by lifecycle stage.
-fn stage_waste_component(stage: ContainerStage) -> WasteComponent {
-    match stage {
-        ContainerStage::Launching | ContainerStage::Initializing => WasteComponent::InitOverhead,
-        ContainerStage::Executing => WasteComponent::ActiveExec,
-        ContainerStage::KeepAlive => WasteComponent::KeepaliveIdle,
+/// Charges a stage-indexed row of residency cells for `page_us` (page
+/// size × interval µs): each stage's plain local pages to the compute
+/// component that stage occupies, hot-pool pages to `LocalHotPool`.
+fn charge_stages(ledger: &mut WasteLedger, cells: &[Tally; 4], page_us: u128) {
+    use WasteComponent::{ActiveExec, InitOverhead, KeepaliveIdle, LocalHotPool};
+    // Launching, Initializing, Executing, KeepAlive.
+    let plain = [InitOverhead, InitOverhead, ActiveExec, KeepaliveIdle];
+    for (component, cell) in plain.into_iter().zip(cells) {
+        ledger.charge(component, u128::from(cell.local - cell.hot_local) * page_us);
+        ledger.charge(LocalHotPool, u128::from(cell.hot_local) * page_us);
     }
 }
 
@@ -474,6 +479,9 @@ pub struct PlatformSim {
     specs: Vec<BenchmarkSpec>,
     policy: Box<dyn MemoryPolicy>,
     containers: HashMap<ContainerId, Container>,
+    /// Residency of `containers`: folded in by `with_container`, and on
+    /// insert and remove.
+    ledger: ResidencyLedger,
     in_flight: HashMap<ContainerId, InFlight>,
     pool: RemotePool,
     governor: BandwidthGovernor,
@@ -755,16 +763,7 @@ impl PlatformSim {
                     ids.extend(self.containers.keys().copied());
                     ids.sort_unstable();
                     for id in ids.drain(..) {
-                        let remote_before = self.remote_pages_of(id);
-                        let container = self.containers.get_mut(&id).expect("live container");
-                        let mut ctx = PolicyCtx {
-                            now,
-                            container,
-                            pool: &mut self.pool,
-                            governor: &mut self.governor,
-                        };
-                        self.policy.on_tick(&mut ctx);
-                        self.sync_fabric(now, id, remote_before);
+                        self.policy_hook(now, id, |p, ctx| p.on_tick(ctx));
                     }
                     // Hand the (drained) buffer back for the next tick.
                     self.tick_scratch = ids;
@@ -870,34 +869,24 @@ impl PlatformSim {
         an.last = now;
         an.last_transfer_byte_us = transfer_now;
 
-        // Compute side: every container's local pages, split by lifecycle
-        // stage with hot-pool pages carved out. HashMap iteration order is
-        // fine here: u128 summation is order-independent, so the ledger is
-        // identical however the containers are visited.
+        // Compute side: the residency ledger's stage cells, hot-pool pages
+        // carved out; measured against the ledger's separately folded
+        // local total.
+        let page_us = u128::from(self.config.page_size) * elapsed;
         let mut delta = WasteLedger::new();
-        let mut measured_compute: u128 = 0;
-        let mut remote_byte_us: u128 = 0;
-        for c in self.containers.values() {
-            let table = c.table();
-            let local_bytes = u128::from(table.local_bytes());
-            let hot_bytes = u128::from(table.hot_local_pages() * self.config.page_size);
-            let plain_bytes = local_bytes.saturating_sub(hot_bytes);
-            let stage = stage_waste_component(c.stage());
-            delta.charge(stage, plain_bytes * elapsed);
-            delta.charge(WasteComponent::LocalHotPool, hot_bytes * elapsed);
-            measured_compute += local_bytes * elapsed;
-            let remote = u128::from(table.remote_bytes()) * elapsed;
-            remote_byte_us += remote;
-            let ledger = &mut an.per_function[c.function().0 as usize];
-            ledger.charge(stage, plain_bytes * elapsed);
-            ledger.charge(WasteComponent::LocalHotPool, hot_bytes * elapsed);
-            ledger.charge(WasteComponent::PoolPrimary, remote);
+        charge_stages(&mut delta, self.ledger.by_stage(), page_us);
+        let measured_compute = u128::from(self.ledger.total().local) * page_us;
+        for (cells, ledger) in self.ledger.cells().iter().zip(&mut an.per_function) {
+            charge_stages(ledger, cells, page_us);
+            let remote: u64 = cells.iter().map(|c| c.remote).sum();
+            ledger.charge(WasteComponent::PoolPrimary, u128::from(remote) * page_us);
         }
 
         // Pool side. Primary occupancy comes from the pool's own ledger,
-        // while the measured total is rebuilt from the page tables plus
-        // fabric overheads — the conservation check is exactly the
+        // while the measured total is the residency ledger's remote pages
+        // plus fabric overheads — the conservation check is exactly the
         // cross-ledger reconciliation of those two views.
+        let remote_byte_us = u128::from(self.ledger.total().remote) * page_us;
         delta.charge(
             WasteComponent::PoolPrimary,
             u128::from(self.pool.used_bytes()) * elapsed,
@@ -1104,41 +1093,10 @@ impl PlatformSim {
     ) -> Vec<(&'static str, f64)> {
         let mut row: Vec<(&'static str, f64)> = Vec::with_capacity(32);
         if sampler.wants(SeriesGroup::Faas) {
-            let mut by_stage = [0u64; 4];
-            let mut warm = 0u64;
-            let mut semi_warm = 0u64;
-            for c in self.containers.values() {
-                let stage = c.stage();
-                by_stage[stage as usize] += 1;
-                if stage == ContainerStage::KeepAlive {
-                    if c.table().remote_pages() > 0 {
-                        semi_warm += 1;
-                    } else {
-                        warm += 1;
-                    }
-                }
-            }
-            row.push((
-                "faas.launching",
-                by_stage[ContainerStage::Launching as usize] as f64,
-            ));
-            row.push((
-                "faas.initializing",
-                by_stage[ContainerStage::Initializing as usize] as f64,
-            ));
-            row.push((
-                "faas.executing",
-                by_stage[ContainerStage::Executing as usize] as f64,
-            ));
-            row.push((
-                "faas.keepalive",
-                by_stage[ContainerStage::KeepAlive as usize] as f64,
-            ));
-            row.push(("faas.warm", warm as f64));
-            row.push(("faas.semi_warm", semi_warm as f64));
-            // The keep-alive queue holds every idle container, warm
-            // and semi-warm alike.
-            row.push(("faas.keepalive_queue_depth", (warm + semi_warm) as f64));
+            let [launching, initializing, executing, keepalive] =
+                self.ledger.by_stage().map(|cell| cell.containers);
+            let semi_warm =
+                self.ledger.by_stage()[ContainerStage::KeepAlive as usize].holding_remote;
             // Invocations currently blocked on a remote recall: the
             // stall window sits at the head of the exec window, so an
             // in-flight request counts while the sample boundary falls
@@ -1148,58 +1106,51 @@ impl PlatformSim {
                 .values()
                 .filter(|f| at < f.remote_stall_until)
                 .count();
-            row.push(("faas.invocations_stalled_remote", stalled_remote as f64));
+            row.extend([
+                ("faas.launching", launching as f64),
+                ("faas.initializing", initializing as f64),
+                ("faas.executing", executing as f64),
+                ("faas.keepalive", keepalive as f64),
+                ("faas.warm", (keepalive - semi_warm) as f64),
+                ("faas.semi_warm", semi_warm as f64),
+                // The keep-alive queue holds every idle container, warm
+                // and semi-warm alike.
+                ("faas.keepalive_queue_depth", keepalive as f64),
+                ("faas.invocations_stalled_remote", stalled_remote as f64),
+            ]);
         }
         if sampler.wants(SeriesGroup::Mem) {
-            let mut local_pages = 0u64;
-            let mut remote_pages = 0u64;
-            let mut gen_hist = [0u64; 4];
-            let mut keepalive_pages = 0u64;
-            let mut active_pages = 0u64;
+            let page = self.config.page_size;
+            let Tally { local, remote, .. } = self.ledger.total();
+            let mut ages = [0u64; 4];
             for c in self.containers.values() {
-                local_pages += c.table().local_pages();
-                remote_pages += c.table().remote_pages();
-                match c.stage() {
-                    ContainerStage::KeepAlive => keepalive_pages += c.table().local_pages(),
-                    ContainerStage::Executing => active_pages += c.table().local_pages(),
-                    _ => {}
-                }
-                for (bucket, count) in c
-                    .table()
-                    .generation_age_histogram(4)
-                    .into_iter()
-                    .enumerate()
-                {
-                    gen_hist[bucket] += count;
+                let table_ages = c.table().generation_age_histogram::<4>();
+                for (sum, count) in ages.iter_mut().zip(table_ages) {
+                    *sum += count;
                 }
             }
             // Stage-split resident bytes feed the dashboard's memory
             // anatomy panel. Gated on the anatomy flag so pre-anatomy
             // series artefacts stay byte-identical by omission.
             if self.anatomy.is_some() {
-                row.push((
-                    "mem.keepalive_idle_bytes",
-                    (keepalive_pages * self.config.page_size) as f64,
-                ));
-                row.push((
-                    "mem.active_bytes",
-                    (active_pages * self.config.page_size) as f64,
-                ));
+                let bytes = |stage: ContainerStage| {
+                    (self.ledger.by_stage()[stage as usize].local * page) as f64
+                };
+                row.extend([
+                    ("mem.keepalive_idle_bytes", bytes(ContainerStage::KeepAlive)),
+                    ("mem.active_bytes", bytes(ContainerStage::Executing)),
+                ]);
             }
-            row.push(("mem.local_pages", local_pages as f64));
-            row.push(("mem.remote_pages", remote_pages as f64));
-            row.push((
-                "mem.local_bytes",
-                (local_pages * self.config.page_size) as f64,
-            ));
-            row.push((
-                "mem.remote_bytes",
-                (remote_pages * self.config.page_size) as f64,
-            ));
-            row.push(("mem.gen_age_0", gen_hist[0] as f64));
-            row.push(("mem.gen_age_1", gen_hist[1] as f64));
-            row.push(("mem.gen_age_2", gen_hist[2] as f64));
-            row.push(("mem.gen_age_3p", gen_hist[3] as f64));
+            row.extend([
+                ("mem.local_pages", local as f64),
+                ("mem.remote_pages", remote as f64),
+                ("mem.local_bytes", (local * page) as f64),
+                ("mem.remote_bytes", (remote * page) as f64),
+                ("mem.gen_age_0", ages[0] as f64),
+                ("mem.gen_age_1", ages[1] as f64),
+                ("mem.gen_age_2", ages[2] as f64),
+                ("mem.gen_age_3p", ages[3] as f64),
+            ]);
         }
         if sampler.wants(SeriesGroup::Pool) {
             row.push(("pool.out_busy_frac", self.pool.out_utilization(at)));
@@ -1273,33 +1224,23 @@ impl PlatformSim {
         row
     }
 
+    /// Appends the node footprint to the memory timelines — O(1), read
+    /// off the residency ledger. Runs after every event, so debug builds
+    /// first race the ledger against the reference rescan here.
     fn record_memory(&mut self, now: SimTime, report: &mut RunReport) {
-        let mut local: u64 = self
-            .containers
-            .values()
-            .map(|c| c.table().local_bytes())
-            .sum();
+        debug_assert_eq!(
+            self.ledger,
+            ResidencyLedger::rescan(self.specs.len(), self.containers.values()),
+            "residency ledger diverged from the container rescan"
+        );
+        let mut local_pages = self.ledger.total().local;
         if self.config.share_runtime {
             // Runtime sharing: per function, all containers but one map
             // the same physical runtime pages — deduct the duplicates.
-            let mut max_runtime: HashMap<FunctionId, u64> = HashMap::new();
-            let mut sum_runtime: HashMap<FunctionId, u64> = HashMap::new();
-            for c in self.containers.values() {
-                let rt =
-                    c.table().local_pages_in(faasmem_mem::Segment::Runtime) * self.config.page_size;
-                let max = max_runtime.entry(c.function()).or_default();
-                *max = (*max).max(rt);
-                *sum_runtime.entry(c.function()).or_default() += rt;
-            }
-            for (f, sum) in sum_runtime {
-                local -= sum - max_runtime[&f];
-            }
+            local_pages -= self.ledger.runtime_duplicates();
         }
-        let remote: u64 = self
-            .containers
-            .values()
-            .map(|c| c.table().remote_bytes())
-            .sum();
+        let local = local_pages * self.config.page_size;
+        let remote = self.ledger.total().remote * self.config.page_size;
         report.local_mem.record(now, local as f64);
         report.remote_mem.record(now, remote as f64);
         report
@@ -1309,36 +1250,51 @@ impl PlatformSim {
         self.peak_live = self.peak_live.max(self.containers.len() as u64);
     }
 
-    /// Remote page count of `id`'s table (0 when the container is gone) —
-    /// the before/after probe of [`PlatformSim::sync_fabric`].
-    fn remote_pages_of(&self, id: ContainerId) -> u64 {
-        self.containers
-            .get(&id)
-            .map_or(0, |c| c.table().remote_pages())
+    /// The residency choke point: every mutation of live container `id` —
+    /// policy hooks, lifecycle transitions, a request's touches — runs as
+    /// `f` here, on a [`PolicyCtx`] with the policy alongside. The
+    /// container's [`Residency`] is snapshot before and after `f` and the
+    /// difference folds into the node ledger.
+    fn with_container<R>(
+        &mut self,
+        now: SimTime,
+        id: ContainerId,
+        f: impl FnOnce(&mut dyn MemoryPolicy, &mut PolicyCtx<'_>) -> R,
+    ) -> R {
+        let container = self.containers.get_mut(&id).expect("live container");
+        let before = Residency::of(container);
+        let mut ctx = PolicyCtx {
+            now,
+            container,
+            pool: &mut self.pool,
+            governor: &mut self.governor,
+        };
+        let out = f(self.policy.as_mut(), &mut ctx);
+        self.ledger
+            .fold(Some(before), Some(Residency::of(ctx.container)));
+        out
     }
 
-    /// Reconciles the fabric ledger with a policy hook's table
-    /// mutations: growth in the container's remote page count is an
-    /// offload (place the segment, charge replica write overhead on the
-    /// real link), shrink is pages coming home. Keeping the ledger out
-    /// of [`PolicyCtx`] means policies stay fabric-oblivious and the
-    /// no-fabric path is byte-identical by construction.
-    fn sync_fabric(&mut self, now: SimTime, id: ContainerId, remote_before: u64) {
-        if self.fabric.is_none() {
-            return;
-        }
-        let remote_now = self.remote_pages_of(id);
-        let page = self.config.page_size;
-        let fabric = self.fabric.as_mut().expect("checked above");
-        if remote_now > remote_before {
-            fabric.on_offload(
-                now,
-                id.0,
-                (remote_now - remote_before) * page,
-                &mut self.pool,
-            );
-        } else if remote_before > remote_now {
-            fabric.on_page_in(id.0, (remote_before - remote_now) * page);
+    /// Fires a policy hook through [`PlatformSim::with_container`] and
+    /// hands its remote delta, read off the ledger, to the fabric: growth
+    /// is an offload (place the segment, charge replica writes on the
+    /// link), shrink is pages coming home. Policies stay fabric-oblivious
+    /// and the no-fabric path is byte-identical by construction.
+    fn policy_hook(
+        &mut self,
+        now: SimTime,
+        id: ContainerId,
+        hook: impl FnOnce(&mut dyn MemoryPolicy, &mut PolicyCtx<'_>),
+    ) {
+        let before = self.ledger.total().remote * self.config.page_size;
+        self.with_container(now, id, hook);
+        let after = self.ledger.total().remote * self.config.page_size;
+        if let Some(fabric) = &mut self.fabric {
+            if after > before {
+                fabric.on_offload(now, id.0, after - before, &mut self.pool);
+            } else if before > after {
+                fabric.on_page_in(id.0, before - after);
+            }
         }
     }
 
@@ -1379,22 +1335,8 @@ impl PlatformSim {
                 .entry(function)
                 .or_default()
                 .push(idle.as_secs_f64());
-            {
-                let remote_before = self.remote_pages_of(id);
-                let container = self.containers.get_mut(&id).expect("warm container");
-                let mut ctx = PolicyCtx {
-                    now,
-                    container,
-                    pool: &mut self.pool,
-                    governor: &mut self.governor,
-                };
-                self.policy.on_request_start(&mut ctx, Some(idle));
-                self.sync_fabric(now, id, remote_before);
-            }
-            self.containers
-                .get_mut(&id)
-                .expect("warm container")
-                .begin_execution(now);
+            self.policy_hook(now, id, |p, ctx| p.on_request_start(ctx, Some(idle)));
+            self.with_container(now, id, |_, ctx| ctx.container.begin_execution(now));
             self.start_execution(now, id, req, now, false, queue);
         } else {
             // Cold start.
@@ -1413,6 +1355,7 @@ impl PlatformSim {
                     function: function.0,
                 },
             );
+            self.ledger.fold(None, Some(Residency::of(&container)));
             self.containers.insert(id, container);
             self.in_flight.insert(
                 id,
@@ -1438,52 +1381,22 @@ impl PlatformSim {
         queue: &mut EventQueue<Event>,
     ) {
         self.tracer.emit(Some(id.0), None, EventKind::RuntimeLoaded);
-        let init_time = {
-            let container = self.containers.get_mut(&id).expect("launching container");
-            container.finish_launch();
-            container.spec().init_time
-        };
-        {
-            let remote_before = self.remote_pages_of(id);
-            let container = self.containers.get_mut(&id).expect("launching container");
-            let mut ctx = PolicyCtx {
-                now,
-                container,
-                pool: &mut self.pool,
-                governor: &mut self.governor,
-            };
-            self.policy.on_runtime_loaded(&mut ctx);
-            self.sync_fabric(now, id, remote_before);
-        }
+        let init_time = self.with_container(now, id, |_, ctx| {
+            ctx.container.finish_launch();
+            ctx.container.spec().init_time
+        });
+        self.policy_hook(now, id, |p, ctx| p.on_runtime_loaded(ctx));
         let jitter = self.rng.lognormal_jitter(0.03);
         queue.push(now + init_time.mul_f64(jitter), Event::InitDone(id));
     }
 
     fn handle_init_done(&mut self, now: SimTime, id: ContainerId, queue: &mut EventQueue<Event>) {
         self.tracer.emit(Some(id.0), None, EventKind::InitDone);
-        {
-            let container = self
-                .containers
-                .get_mut(&id)
-                .expect("initializing container");
-            container.finish_init();
-        }
-        {
-            let remote_before = self.remote_pages_of(id);
-            let container = self
-                .containers
-                .get_mut(&id)
-                .expect("initializing container");
-            let mut ctx = PolicyCtx {
-                now,
-                container,
-                pool: &mut self.pool,
-                governor: &mut self.governor,
-            };
-            self.policy.on_init_done(&mut ctx);
-            self.policy.on_request_start(&mut ctx, None);
-            self.sync_fabric(now, id, remote_before);
-        }
+        self.with_container(now, id, |_, ctx| ctx.container.finish_init());
+        self.policy_hook(now, id, |p, ctx| {
+            p.on_init_done(ctx);
+            p.on_request_start(ctx, None);
+        });
         let flight = *self.in_flight.get(&id).expect("pending request");
         self.start_execution(now, id, flight.req, flight.arrived, true, queue);
     }
@@ -1511,7 +1424,7 @@ impl PlatformSim {
         let mut breakdown = BlameBreakdown::new();
         breakdown.charge(BlameComponent::ColdStart, now.saturating_since(arrived));
         let page_size = self.config.page_size;
-        let container = self.containers.get_mut(&id).expect("executing container");
+        let container = self.containers.get(&id).expect("executing container");
         let spec = container.spec().clone();
         let exec_pages = mib_to_pages(spec.exec_mib, page_size) as u32;
         let plan = RequestAccess::plan_with_rare_runtime(
@@ -1526,12 +1439,16 @@ impl PlatformSim {
 
         let runtime_base = container.runtime_range().start().0;
         let init_base = container.init_range().start().0;
-        let table = container.table_mut();
-        let mut outcome = table.touch_pages(plan.runtime.iter().map(|i| PageId(runtime_base + i)));
-        outcome.merge(table.touch_pages(plan.init.iter().map(|i| PageId(init_base + i))));
-        let exec_range = table.alloc(faasmem_mem::Segment::Execution, plan.exec_pages);
-        table.touch_range(exec_range);
-        container.set_exec_range(exec_range);
+        let outcome = self.with_container(now, id, |_, ctx| {
+            let table = ctx.container.table_mut();
+            let mut outcome =
+                table.touch_pages(plan.runtime.iter().map(|i| PageId(runtime_base + i)));
+            outcome.merge(table.touch_pages(plan.init.iter().map(|i| PageId(init_base + i))));
+            let exec_range = table.alloc(faasmem_mem::Segment::Execution, plan.exec_pages);
+            table.touch_range(exec_range);
+            ctx.container.set_exec_range(exec_range);
+            outcome
+        });
 
         let stall = if outcome.faulted > 0 {
             // Per-fault CPU handling, throttled by the container's CPU
@@ -1676,7 +1593,9 @@ impl PlatformSim {
         } else {
             SimDuration::ZERO
         };
-        container.record_request_penalty(outcome.faulted, stall);
+        self.with_container(now, id, |_, ctx| {
+            ctx.container.record_request_penalty(outcome.faulted, stall);
+        });
 
         // Begin-markers for the stall children of the exec span: one
         // synthetic `exec_stall` per nonzero component, in canonical
@@ -1728,22 +1647,8 @@ impl PlatformSim {
     ) {
         let flight = self.in_flight.remove(&id).expect("in-flight request");
         let busy = now.saturating_since(flight.exec_started);
-        {
-            let container = self.containers.get_mut(&id).expect("executing container");
-            container.finish_execution(now, busy);
-        }
-        {
-            let remote_before = self.remote_pages_of(id);
-            let container = self.containers.get_mut(&id).expect("container");
-            let mut ctx = PolicyCtx {
-                now,
-                container,
-                pool: &mut self.pool,
-                governor: &mut self.governor,
-            };
-            self.policy.on_request_end(&mut ctx);
-            self.sync_fabric(now, id, remote_before);
-        }
+        self.with_container(now, id, |_, ctx| ctx.container.finish_execution(now, busy));
+        self.policy_hook(now, id, |p, ctx| p.on_request_end(ctx));
         let function = self.containers.get(&id).expect("container").function();
         let latency = now.saturating_since(flight.arrived);
         if self.tracer.is_enabled() {
@@ -1809,17 +1714,9 @@ impl PlatformSim {
     }
 
     fn recycle_container(&mut self, now: SimTime, id: ContainerId, report: &mut RunReport) {
-        {
-            let container = self.containers.get_mut(&id).expect("container to recycle");
-            let mut ctx = PolicyCtx {
-                now,
-                container,
-                pool: &mut self.pool,
-                governor: &mut self.governor,
-            };
-            self.policy.on_container_recycled(&mut ctx);
-        }
+        self.policy_hook(now, id, |p, ctx| p.on_container_recycled(ctx));
         let container = self.containers.remove(&id).expect("container to recycle");
+        self.ledger.fold(Some(Residency::of(&container)), None);
         if let Some(an) = &mut self.anatomy {
             // Fold the table's lifecycle edges and still-resident pages
             // into the run-wide flow matrix at end of container life.

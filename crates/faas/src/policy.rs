@@ -47,26 +47,25 @@ impl<'a> PolicyCtx<'a> {
             self.pool.note_refused_offload();
             return 0;
         }
-        // Determine how many of the candidates are actually local.
-        let movable: Vec<PageId> = ids
-            .iter()
-            .copied()
-            .filter(|&id| self.container.table().meta(id).state() == faasmem_mem::PageState::Local)
-            .collect();
-        if movable.is_empty() {
-            return 0;
+        // One scan: count the local candidates, stopping at pool
+        // capacity. The batch is the prefix of `ids` holding the first
+        // `fit` of them; the table skips the non-local ids inside it.
+        let capacity = self.pool.available_bytes() / page_size;
+        let table = self.container.table();
+        let mut fit = 0u64;
+        let mut end = 0;
+        while end < ids.len() && fit < capacity {
+            fit += u64::from(table.meta(ids[end]).state() == faasmem_mem::PageState::Local);
+            end += 1;
         }
-        // Truncate to pool capacity.
-        let fit = (self.pool.available_bytes() / page_size).min(movable.len() as u64) as usize;
         if fit == 0 {
             return 0;
         }
-        let batch = &movable[..fit];
         let moved = self
             .container
             .table_mut()
-            .offload_pages(batch.iter().copied());
-        debug_assert_eq!(moved as usize, batch.len());
+            .offload_pages(ids[..end].iter().copied());
+        debug_assert_eq!(u64::from(moved), fit);
         let bytes = u64::from(moved) * page_size;
         self.pool
             .page_out(self.now, u64::from(moved), page_size)
@@ -276,6 +275,34 @@ mod tests {
             governor: &mut gov,
         };
         assert_eq!(ctx.offload_pages(&ids), 0, "pool now full");
+    }
+
+    #[test]
+    fn offload_at_capacity_moves_the_first_local_candidates() {
+        let (mut c, _, mut gov) = harness();
+        let mut pool = RemotePool::new(PoolConfig {
+            capacity_bytes: 5 * PAGE_SIZE_4K,
+            ..PoolConfig::slow_test_pool()
+        });
+        let ids: Vec<_> = c.runtime_range().take(10).iter().collect();
+        let mut ctx = PolicyCtx {
+            now: SimTime::ZERO,
+            container: &mut c,
+            pool: &mut pool,
+            governor: &mut gov,
+        };
+        assert_eq!(ctx.offload_pages(&[ids[1], ids[3]]), 2);
+        // Three pages of room left: the already-remote ids are skipped
+        // and the first three local candidates move.
+        assert_eq!(ctx.offload_pages(&ids), 3);
+        let remote: Vec<bool> = ids
+            .iter()
+            .map(|&id| c.table().meta(id).state() == PageState::Remote)
+            .collect();
+        assert_eq!(
+            remote,
+            [true, true, true, true, true, false, false, false, false, false]
+        );
     }
 
     #[test]

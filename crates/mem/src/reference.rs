@@ -384,15 +384,15 @@ impl ReferencePageTable {
 
     /// O(pages) live-page age histogram (see
     /// [`crate::PageTable::generation_age_histogram`]).
-    pub fn generation_age_histogram(&self, buckets: usize) -> Vec<u64> {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        let mut hist = vec![0u64; buckets];
+    pub fn generation_age_histogram<const N: usize>(&self) -> [u64; N] {
+        assert!(N > 0, "histogram needs at least one bucket");
+        let mut hist = [0u64; N];
         for meta in &self.pages {
             if meta.state() == PageState::Freed {
                 continue;
             }
             let age = self.current_gen.saturating_sub(meta.generation()) as usize;
-            hist[age.min(buckets - 1)] += 1;
+            hist[age.min(N - 1)] += 1;
         }
         hist
     }
@@ -473,13 +473,17 @@ mod tests {
             let id = PageId(i as u32);
             assert_eq!(new.meta(id), reference.meta(id), "page {i} diverged");
         }
-        for buckets in [1, 3, 7] {
-            assert_eq!(
-                new.generation_age_histogram(buckets),
-                reference.generation_age_histogram(buckets),
-                "histogram with {buckets} buckets diverged"
-            );
-        }
+        same_histogram::<1>(new, reference);
+        same_histogram::<3>(new, reference);
+        same_histogram::<7>(new, reference);
+    }
+
+    fn same_histogram<const N: usize>(new: &PageTable, reference: &ReferencePageTable) {
+        assert_eq!(
+            new.generation_age_histogram::<N>(),
+            reference.generation_age_histogram::<N>(),
+            "histogram with {N} buckets diverged"
+        );
     }
 
     proptest::proptest! {

@@ -1094,22 +1094,27 @@ impl PageTable {
         })
     }
 
-    /// Histogram of live-page ages in generations: bucket `i` counts
-    /// pages whose generation lags the table's current generation by
-    /// exactly `i`, with everything older collapsed into the last
-    /// bucket. Feeds the `mem.gen_age_*` telemetry series; an empty
-    /// table yields all-zero buckets. Served from incrementally
+    /// Histogram of live-page ages in generations over `N` buckets:
+    /// bucket `i` counts pages whose generation lags the table's current
+    /// generation by exactly `i`, with everything older collapsed into
+    /// the last bucket. Feeds the `mem.gen_age_*` telemetry series; an
+    /// empty table yields all-zero buckets. Served from incrementally
     /// maintained per-generation live counts, so the cost scales with
-    /// the number of generations, not the number of pages.
-    pub fn generation_age_histogram(&self, buckets: usize) -> Vec<u64> {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        let mut hist = vec![0u64; buckets];
+    /// the number of generations, not the number of pages, and the
+    /// result is a stack array — sampling allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `N` is zero.
+    pub fn generation_age_histogram<const N: usize>(&self) -> [u64; N] {
+        assert!(N > 0, "histogram needs at least one bucket");
+        let mut hist = [0u64; N];
         for (g, &n) in self.gen_live.iter().enumerate() {
             if n == 0 {
                 continue;
             }
             let age = self.current_gen.saturating_sub(g as u32) as usize;
-            hist[age.min(buckets - 1)] += n;
+            hist[age.min(N - 1)] += n;
         }
         hist
     }
@@ -1257,19 +1262,19 @@ mod tests {
     #[test]
     fn generation_age_histogram_buckets_by_lag_and_clamps_tail() {
         let mut t = table();
-        assert_eq!(t.generation_age_histogram(3), [0, 0, 0]);
+        assert_eq!(t.generation_age_histogram::<3>(), [0, 0, 0]);
         t.alloc(Segment::Runtime, 4); // gen 0
         t.create_generation();
         t.alloc(Segment::Init, 2); // gen 1
         t.create_generation();
         t.alloc(Segment::Execution, 1); // gen 2 == current
                                         // Ages: exec=0, init=1, runtime=2.
-        assert_eq!(t.generation_age_histogram(3), [1, 2, 4]);
+        assert_eq!(t.generation_age_histogram::<3>(), [1, 2, 4]);
         // With two buckets the runtime pages collapse into the tail.
-        assert_eq!(t.generation_age_histogram(2), [1, 6]);
+        assert_eq!(t.generation_age_histogram::<2>(), [1, 6]);
         // Another barrier shifts everything one bucket older.
         t.create_generation();
-        assert_eq!(t.generation_age_histogram(4), [0, 1, 2, 4]);
+        assert_eq!(t.generation_age_histogram::<4>(), [0, 1, 2, 4]);
     }
 
     #[test]
@@ -1278,22 +1283,22 @@ mod tests {
         t.alloc(Segment::Runtime, 4); // gen 0
         t.create_generation();
         let e = t.alloc(Segment::Execution, 3); // gen 1
-        assert_eq!(t.generation_age_histogram(2), [3, 4]);
+        assert_eq!(t.generation_age_histogram::<2>(), [3, 4]);
         // Freed pages leave the histogram.
         t.free_range(e);
-        assert_eq!(t.generation_age_histogram(2), [0, 4]);
+        assert_eq!(t.generation_age_histogram::<2>(), [0, 4]);
         // Recycled pages re-enter at the current generation.
         t.create_generation();
         let e2 = t.alloc(Segment::Execution, 3);
         assert_eq!(e, e2, "recycled in place");
-        assert_eq!(t.generation_age_histogram(3), [3, 0, 4]);
+        assert_eq!(t.generation_age_histogram::<3>(), [3, 0, 4]);
         // Reassignment moves a live page between buckets...
         t.set_generation(PageId(0), t.current_generation());
-        assert_eq!(t.generation_age_histogram(3), [4, 0, 3]);
+        assert_eq!(t.generation_age_histogram::<3>(), [4, 0, 3]);
         // ...but a freed page only updates the column, not the counts.
         t.free_range(e2);
         t.set_generation(e2.start(), Generation(0));
-        assert_eq!(t.generation_age_histogram(3), [1, 0, 3]);
+        assert_eq!(t.generation_age_histogram::<3>(), [1, 0, 3]);
     }
 
     #[test]

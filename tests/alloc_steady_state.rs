@@ -15,6 +15,10 @@
 //! the execution range, offload and page-in — allocates nothing. That
 //! also proves the spec-derived reservation is large enough.
 //!
+//! A policy's offload → page-in round trip through [`PolicyCtx`] — the
+//! semi-warm drain and recall shape — allocates nothing either once the
+//! pool's link and the bandwidth governor's sliding window have settled.
+//!
 //! One `#[test]` drives every scenario — the counter is process-global,
 //! so concurrent test threads would attribute each other's allocations.
 
@@ -22,8 +26,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use faasmem_core::Puckets;
-use faasmem_faas::{Container, ContainerId, FunctionId};
-use faasmem_mem::{mib_to_pages, Segment, PAGE_SIZE_4K};
+use faasmem_faas::{Container, ContainerId, FunctionId, PolicyCtx};
+use faasmem_mem::{mib_to_pages, PageId, Segment, PAGE_SIZE_4K};
+use faasmem_pool::{BandwidthGovernor, PoolConfig, RemotePool};
 use faasmem_sim::{EventQueue, SimDuration, SimTime};
 use faasmem_workload::BenchmarkSpec;
 
@@ -117,6 +122,32 @@ fn page_table_lifecycle(c: &mut Container) -> usize {
     c.table().len()
 }
 
+/// `rounds` policy round trips, one per simulated millisecond starting
+/// at `from_ms`: offload `ids` through [`PolicyCtx::offload_pages`] (the
+/// non-local ids in the batch are skipped), then page them back in
+/// through [`PolicyCtx::prefetch_pages`]. Returns the pages moved.
+fn policy_round_trips(
+    c: &mut Container,
+    pool: &mut RemotePool,
+    governor: &mut BandwidthGovernor,
+    ids: &[PageId],
+    from_ms: u64,
+    rounds: u64,
+) -> u64 {
+    let mut moved = 0u64;
+    for ms in from_ms..from_ms + rounds {
+        let mut ctx = PolicyCtx {
+            now: SimTime::from_millis(ms),
+            container: &mut *c,
+            pool: &mut *pool,
+            governor: &mut *governor,
+        };
+        moved += u64::from(ctx.offload_pages(ids));
+        moved += u64::from(ctx.prefetch_pages(ids));
+    }
+    moved
+}
+
 #[test]
 fn event_hot_path_allocates_nothing_at_steady_state() {
     // -- Serial calendar queue under hold churn --------------------
@@ -173,4 +204,43 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
             "{name}: the page-table lifecycle must not allocate (got {allocs} allocations)"
         );
     }
+
+    // -- Policy offload → page-in round trips ------------------------
+    let mut c = Container::new(
+        ContainerId(0),
+        FunctionId(0),
+        BenchmarkSpec::by_name("json").expect("catalog"),
+        PAGE_SIZE_4K,
+        SimTime::ZERO,
+    );
+    c.finish_launch();
+    c.finish_init();
+    // Every other runtime page and the whole init segment, then a freed
+    // execution range: offload must skip the ids that are not local.
+    let freed = c.table_mut().alloc(Segment::Execution, 16);
+    c.table_mut().free_range(freed);
+    let local = c
+        .runtime_range()
+        .iter()
+        .step_by(2)
+        .chain(c.init_range().iter());
+    let ids: Vec<PageId> = local.chain(freed.iter()).collect();
+    let batch = 2 * (ids.len() - freed.len() as usize) as u64;
+    let mut pool = RemotePool::new(PoolConfig::default());
+    let mut governor = BandwidthGovernor::new(1 << 40, SimDuration::from_secs(1));
+    // Warm past one full governor window so its ring stops growing.
+    let warm = policy_round_trips(&mut c, &mut pool, &mut governor, &ids, 0, 3_000);
+    assert_eq!(
+        warm,
+        3_000 * batch,
+        "every round trip moves the local pages"
+    );
+    let (allocs, moved) = allocations_during(|| {
+        policy_round_trips(&mut c, &mut pool, &mut governor, &ids, 3_000, 3_000)
+    });
+    assert_eq!(moved, 3_000 * batch);
+    assert_eq!(
+        allocs, 0,
+        "steady-state PolicyCtx offload/page-in must not allocate (got {allocs} allocations)"
+    );
 }

@@ -1,6 +1,7 @@
 //! Property-based integration tests: platform invariants must hold for
 //! arbitrary traces, benchmark choices and policies.
 
+use faasmem::faas::{NullPolicy, PlatformBuilder, WasteComponent, WasteSide};
 use faasmem::prelude::*;
 use proptest::prelude::*;
 
@@ -36,45 +37,49 @@ fn run_boxed(
     trace: &InvocationTrace,
     seed: u64,
 ) -> RunReport {
-    // PlatformBuilder::policy takes a concrete type; route through a
-    // forwarding adapter so the property can sample policies dynamically.
-    struct Forward(Box<dyn MemoryPolicy>);
-    impl MemoryPolicy for Forward {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn tick_interval(&self) -> Option<SimDuration> {
-            self.0.tick_interval()
-        }
-        fn on_runtime_loaded(&mut self, ctx: &mut faasmem::faas::PolicyCtx<'_>) {
-            self.0.on_runtime_loaded(ctx)
-        }
-        fn on_init_done(&mut self, ctx: &mut faasmem::faas::PolicyCtx<'_>) {
-            self.0.on_init_done(ctx)
-        }
-        fn on_request_start(
-            &mut self,
-            ctx: &mut faasmem::faas::PolicyCtx<'_>,
-            idle: Option<SimDuration>,
-        ) {
-            self.0.on_request_start(ctx, idle)
-        }
-        fn on_request_end(&mut self, ctx: &mut faasmem::faas::PolicyCtx<'_>) {
-            self.0.on_request_end(ctx)
-        }
-        fn on_tick(&mut self, ctx: &mut faasmem::faas::PolicyCtx<'_>) {
-            self.0.on_tick(ctx)
-        }
-        fn on_container_recycled(&mut self, ctx: &mut faasmem::faas::PolicyCtx<'_>) {
-            self.0.on_container_recycled(ctx)
-        }
-    }
-    let mut sim = PlatformSim::builder()
-        .register_function(spec)
-        .policy(Forward(policy))
-        .seed(seed)
-        .build();
-    sim.run(trace)
+    run_configured(&[spec], policy, trace, seed, |b| b)
+}
+
+/// Runs `trace` over `specs` (function ids in slice order) with the
+/// builder further set up by `configure`.
+fn run_configured(
+    specs: &[BenchmarkSpec],
+    policy: Box<dyn MemoryPolicy>,
+    trace: &InvocationTrace,
+    seed: u64,
+    configure: impl FnOnce(PlatformBuilder) -> PlatformBuilder,
+) -> RunReport {
+    let builder = PlatformSim::builder()
+        .register_functions(specs.iter().cloned())
+        .policy(policy)
+        .seed(seed);
+    configure(builder).build().run(trace)
+}
+
+/// A two-function trace in which each function's invocations sit at
+/// least a minute apart — longer than any cold start plus execution —
+/// so every arrival finds its function's container idle (or recycled)
+/// and no function ever has two live containers at once.
+fn sparse_two_function_trace() -> impl Strategy<Value = InvocationTrace> {
+    (
+        proptest::collection::vec(60u64..900, 1..8),
+        proptest::collection::vec(60u64..900, 1..8),
+    )
+        .prop_map(|(gaps0, gaps1)| {
+            let mut invs = Vec::new();
+            for (function, gaps) in [(0, gaps0), (1, gaps1)] {
+                let mut at = 0;
+                for gap in gaps {
+                    at += gap;
+                    invs.push(faasmem::workload::Invocation {
+                        at: SimTime::from_secs(at),
+                        function: FunctionId(function),
+                    });
+                }
+            }
+            invs.sort_by_key(|inv| inv.at);
+            InvocationTrace::from_invocations(invs, SimTime::from_mins(120))
+        })
 }
 
 proptest! {
@@ -277,5 +282,76 @@ proptest! {
         let bound =
             (spec.base_mib() + spec.exec_mib) as f64 * 1024.0 * 1024.0 * peak_containers.max(1.0);
         prop_assert!(peak_remote <= bound, "remote {peak_remote} > bound {bound}");
+    }
+
+    #[test]
+    fn prop_null_policy_keeps_the_pool_side_empty(
+        trace in arbitrary_trace(),
+        spec_idx in 0usize..11,
+        seed in 0u64..100,
+    ) {
+        let spec = BenchmarkSpec::catalog()[spec_idx].clone();
+        let report =
+            run_configured(&[spec], Box::new(NullPolicy), &trace, seed, |b| b.memory_anatomy(true));
+        prop_assert!(report.remote_mem.iter().all(|(_, bytes)| bytes == 0.0));
+        let waste = report.memory_anatomy.expect("anatomy was on").waste;
+        prop_assert_eq!(waste.conservation_violations, 0);
+        prop_assert_eq!(waste.pool_byte_us, 0);
+        for component in WasteComponent::ALL {
+            if component.side() == WasteSide::Pool {
+                prop_assert_eq!(waste.component(component), 0, "{}", component.name());
+                for f in &report.function_waste {
+                    prop_assert_eq!(f.ledger.get(component), 0, "{}", component.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prop_share_runtime_never_raises_local_mem(
+        trace in arbitrary_trace(),
+        policy_idx in 0u8..4,
+        spec_idx in 0usize..11,
+        seed in 0u64..100,
+    ) {
+        let specs = [BenchmarkSpec::catalog()[spec_idx].clone()];
+        let run = |share: bool| {
+            run_configured(&specs, policy_for(policy_idx), &trace, seed, |b| b.share_runtime(share))
+        };
+        let (private, shared) = (run(false), run(true));
+        // Sharing changes accounting only: the runs are event-for-event
+        // identical, so the series are comparable at every instant.
+        prop_assert_eq!(&shared.requests, &private.requests);
+        prop_assert_eq!(&shared.remote_mem, &private.remote_mem);
+        for (at, _) in private.local_mem.iter().chain(shared.local_mem.iter()) {
+            let (p, s) = (private.local_mem.value_at(at), shared.local_mem.value_at(at));
+            prop_assert!(s <= p, "shared {s:?} > private {p:?} at {at}");
+        }
+    }
+
+    #[test]
+    fn prop_share_runtime_is_a_noop_without_concurrent_containers(
+        trace in sparse_two_function_trace(),
+        policy_idx in 0u8..4,
+        specs in (0usize..11, 0usize..11),
+        seed in 0u64..100,
+    ) {
+        let catalog = BenchmarkSpec::catalog();
+        let specs = [catalog[specs.0].clone(), catalog[specs.1].clone()];
+        let run = |share: bool| {
+            run_configured(&specs, policy_for(policy_idx), &trace, seed, |b| b.share_runtime(share))
+        };
+        let (private, shared) = (run(false), run(true));
+        // The precondition, checked on the run itself: no two
+        // containers of one function were ever alive together.
+        for (i, a) in private.containers.iter().enumerate() {
+            for b in &private.containers[i + 1..] {
+                let disjoint = a.retired_at <= b.created_at || b.retired_at <= a.created_at;
+                prop_assert!(a.function != b.function || disjoint, "{a:?} overlaps {b:?}");
+            }
+        }
+        prop_assert_eq!(shared.local_mem, private.local_mem);
+        prop_assert_eq!(shared.remote_mem, private.remote_mem);
+        prop_assert_eq!(shared.requests, private.requests);
     }
 }
