@@ -10,8 +10,9 @@
 //! * pooling turns the remote share into reused (cheap) memory → ~44%
 //!   DRAM cost reduction.
 
-use faasmem_bench::{render_table, Experiment, PolicyKind};
-use faasmem_faas::{NodeProfile, RackPlan, RackReport};
+use faasmem_bench::render_table;
+use faasmem_core::FaasMemPolicy;
+use faasmem_faas::{NodeProfile, PlatformSim, RackPlan, RackReport};
 use faasmem_sim::SimTime;
 use faasmem_workload::{BenchmarkSpec, FunctionId, LoadClass, TraceSynthesizer};
 
@@ -51,10 +52,14 @@ fn main() {
             .bursty(true)
             .duration(SimTime::from_mins(60))
             .synthesize_for(FunctionId(0));
-        let outcome = Experiment::new(spec.clone(), PolicyKind::FaasMem).run(&trace);
+        let report = PlatformSim::builder()
+            .register_function(spec)
+            .policy(FaasMemPolicy::builder().build())
+            .build()
+            .run(&trace);
         // Scale the measured per-container behaviour to a 5000-container
         // production node.
-        let node = NodeProfile::from_report(&outcome.report, 384.0, 5_000.0);
+        let node = NodeProfile::from_report(&report, 384.0, 5_000.0);
         let node = NodeProfile {
             containers: 5_000.0,
             local_dram_gib: 384.0,

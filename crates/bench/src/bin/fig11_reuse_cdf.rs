@@ -7,8 +7,8 @@
 //! same CDF from a platform run, plots it as ASCII, and marks the chosen
 //! timing.
 
-use faasmem_bench::{Experiment, PolicyKind};
-use faasmem_core::{SemiWarm, SemiWarmConfig};
+use faasmem_core::{FaasMemPolicy, SemiWarm, SemiWarmConfig};
+use faasmem_faas::PlatformSim;
 use faasmem_metrics::Cdf;
 use faasmem_sim::SimTime;
 use faasmem_workload::{BenchmarkSpec, FunctionId, LoadClass, TraceSynthesizer};
@@ -20,9 +20,12 @@ fn main() {
         .bursty(true)
         .duration(SimTime::from_mins(120))
         .synthesize_for(FunctionId(0));
-    let outcome = Experiment::new(spec, PolicyKind::FaasMem).run(&trace);
-    let intervals = outcome
-        .report
+    let report = PlatformSim::builder()
+        .register_function(spec)
+        .policy(FaasMemPolicy::builder().build())
+        .build()
+        .run(&trace);
+    let intervals = report
         .reuse_intervals
         .get(&FunctionId(0))
         .expect("warm reuses observed");

@@ -22,7 +22,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use faasmem_baselines::{DamonPolicy, NoOffloadPolicy, TmoPolicy};
 use faasmem_core::{FaasMemPolicy, FaasMemStats, StatsHandle};
 use faasmem_faas::{MemoryPolicy, PlatformConfig, PlatformSim, RunReport, RunSummary};
 use faasmem_metrics::agg;
@@ -1702,32 +1701,11 @@ fn run_cell(
             .config(cell.config.config.clone())
             .tracer(tracer.clone())
             .sampler(sampler.clone());
-        let (mut sim, stats) = match cell.policy {
-            PolicySpec::Kind(kind) => match kind {
-                PolicyKind::Baseline => (builder.policy(NoOffloadPolicy).build(), None),
-                PolicyKind::Tmo => (builder.policy(TmoPolicy::default()).build(), None),
-                PolicyKind::Damon => (builder.policy(DamonPolicy::default()).build(), None),
-                PolicyKind::FaasMem => {
-                    let p = FaasMemPolicy::builder().build();
-                    let s = p.stats();
-                    (builder.policy(p).build(), Some(s))
-                }
-                PolicyKind::FaasMemNoPucket => {
-                    let p = FaasMemPolicy::builder().without_pucket().build();
-                    let s = p.stats();
-                    (builder.policy(p).build(), Some(s))
-                }
-                PolicyKind::FaasMemNoSemiWarm => {
-                    let p = FaasMemPolicy::builder().without_semiwarm().build();
-                    let s = p.stats();
-                    (builder.policy(p).build(), Some(s))
-                }
-            },
-            PolicySpec::Custom { make, .. } => {
-                let (policy, stats) = make();
-                (builder.policy(policy).build(), stats)
-            }
+        let (policy, stats) = match cell.policy {
+            PolicySpec::Kind(kind) => kind.build(),
+            PolicySpec::Custom { make, .. } => make(),
         };
+        let mut sim = builder.policy(policy).build();
         let mut report = {
             profile_scope!("simulate");
             sim.run(&trace)

@@ -22,8 +22,7 @@ pub mod svg;
 
 use faasmem_baselines::{DamonPolicy, NoOffloadPolicy, TmoPolicy};
 use faasmem_core::{FaasMemPolicy, StatsHandle};
-use faasmem_faas::{PlatformConfig, PlatformSim, RunReport};
-use faasmem_workload::{BenchmarkSpec, InvocationTrace};
+use faasmem_faas::MemoryPolicy;
 
 /// The systems compared throughout the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,72 +57,21 @@ impl PolicyKind {
             PolicyKind::FaasMemNoSemiWarm => "FaaSMem w/o Semi-warm",
         }
     }
-}
 
-/// A configured single-function experiment run.
-pub struct Experiment {
-    /// The function under test.
-    pub spec: BenchmarkSpec,
-    /// The policy under test.
-    pub policy: PolicyKind,
-    /// Platform configuration (page size, keep-alive, pool, ...).
-    pub platform: PlatformConfig,
-}
-
-/// The outcome of an [`Experiment`]: the platform report plus FaaSMem's
-/// mechanism stats when the policy was a FaaSMem variant.
-pub struct ExperimentOutcome {
-    /// Platform-level measurements.
-    pub report: RunReport,
-    /// FaaSMem mechanism stats (None for baselines).
-    pub faasmem_stats: Option<StatsHandle>,
-}
-
-impl Experiment {
-    /// A single-function experiment with the default platform config.
-    pub fn new(spec: BenchmarkSpec, policy: PolicyKind) -> Self {
-        Experiment {
-            spec,
-            policy,
-            platform: PlatformConfig::default(),
+    /// A fresh policy of this kind, with FaaSMem's mechanism stats
+    /// handle for the FaaSMem variants (`None` for the baselines).
+    pub fn build(self) -> (Box<dyn MemoryPolicy>, Option<StatsHandle>) {
+        let faasmem = match self {
+            PolicyKind::Baseline => return (Box::new(NoOffloadPolicy), None),
+            PolicyKind::Tmo => return (Box::new(TmoPolicy::default()), None),
+            PolicyKind::Damon => return (Box::new(DamonPolicy::default()), None),
+            PolicyKind::FaasMem => FaasMemPolicy::builder(),
+            PolicyKind::FaasMemNoPucket => FaasMemPolicy::builder().without_pucket(),
+            PolicyKind::FaasMemNoSemiWarm => FaasMemPolicy::builder().without_semiwarm(),
         }
-    }
-
-    /// Overrides the platform configuration.
-    pub fn platform(mut self, platform: PlatformConfig) -> Self {
-        self.platform = platform;
-        self
-    }
-
-    /// Runs the experiment on `trace`.
-    pub fn run(self, trace: &InvocationTrace) -> ExperimentOutcome {
-        let builder = PlatformSim::builder()
-            .register_function(self.spec)
-            .config(self.platform);
-        let (mut sim, stats) = match self.policy {
-            PolicyKind::Baseline => (builder.policy(NoOffloadPolicy).build(), None),
-            PolicyKind::Tmo => (builder.policy(TmoPolicy::default()).build(), None),
-            PolicyKind::Damon => (builder.policy(DamonPolicy::default()).build(), None),
-            PolicyKind::FaasMem => {
-                let p = FaasMemPolicy::builder().build();
-                let s = p.stats();
-                (builder.policy(p).build(), Some(s))
-            }
-            PolicyKind::FaasMemNoPucket => {
-                let p = FaasMemPolicy::builder().without_pucket().build();
-                let s = p.stats();
-                (builder.policy(p).build(), Some(s))
-            }
-            PolicyKind::FaasMemNoSemiWarm => {
-                let p = FaasMemPolicy::builder().without_semiwarm().build();
-                let s = p.stats();
-                (builder.policy(p).build(), Some(s))
-            }
-        };
-        ExperimentOutcome {
-            report: sim.run(trace),
-            faasmem_stats: stats,
-        }
+        .build();
+        let stats = faasmem.stats();
+        (Box::new(faasmem), Some(stats))
     }
 }
 
@@ -199,8 +147,9 @@ pub fn fmt_mib(mib: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faasmem_faas::PlatformSim;
     use faasmem_sim::SimTime;
-    use faasmem_workload::{FunctionId, Invocation};
+    use faasmem_workload::{BenchmarkSpec, FunctionId, Invocation, InvocationTrace};
 
     fn tiny_trace() -> InvocationTrace {
         InvocationTrace::from_invocations(
@@ -228,15 +177,19 @@ mod tests {
             PolicyKind::FaasMemNoPucket,
             PolicyKind::FaasMemNoSemiWarm,
         ] {
-            let spec = BenchmarkSpec::by_name("json").unwrap();
-            let outcome = Experiment::new(spec, kind).run(&tiny_trace());
-            assert_eq!(outcome.report.requests_completed, 2, "{}", kind.name());
-            assert_eq!(outcome.report.policy, kind.name());
+            let (policy, stats) = kind.build();
+            let mut sim = PlatformSim::builder()
+                .register_function(BenchmarkSpec::by_name("json").unwrap())
+                .policy(policy)
+                .build();
+            let report = sim.run(&tiny_trace());
+            assert_eq!(report.requests_completed, 2, "{}", kind.name());
+            assert_eq!(report.policy, kind.name());
             match kind {
                 PolicyKind::FaasMem
                 | PolicyKind::FaasMemNoPucket
-                | PolicyKind::FaasMemNoSemiWarm => assert!(outcome.faasmem_stats.is_some()),
-                _ => assert!(outcome.faasmem_stats.is_none()),
+                | PolicyKind::FaasMemNoSemiWarm => assert!(stats.is_some()),
+                _ => assert!(stats.is_none()),
             }
         }
     }

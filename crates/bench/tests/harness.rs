@@ -203,6 +203,18 @@ fn exported_files_roundtrip_through_the_parser() {
     let timing = std::fs::read_to_string(dir.join("harness_test_grid.timing.json"))
         .expect("read timing document");
     let timing = json::parse(&timing).expect("timing document parses");
+    assert_eq!(
+        timing.get("schema_version").and_then(|v| v.as_num()),
+        Some(1.0)
+    );
+    assert_eq!(
+        timing.get("grid").and_then(|v| v.as_str()),
+        Some("harness_test_grid")
+    );
+    assert!(timing
+        .get("cells")
+        .and_then(|v| v.as_arr())
+        .is_some_and(|c| !c.is_empty()));
     assert_eq!(timing.get("jobs").and_then(|v| v.as_num()), Some(4.0));
     // Wall-clock lives only in the timing file, never in the main one.
     assert!(
@@ -433,25 +445,43 @@ fn chrome_export_is_well_formed() {
         .policy_kinds([PolicyKind::Baseline, PolicyKind::FaasMem]);
     let run = run_grid(&grid, &traced_opts(2));
     let doc = json::parse(&run.chrome_json()).expect("chrome document parses");
+    assert_eq!(
+        doc.get("displayTimeUnit").and_then(|v| v.as_str()),
+        Some("ms")
+    );
     let events = doc
         .get("traceEvents")
         .and_then(|v| v.as_arr())
         .expect("traceEvents array");
     assert!(!events.is_empty());
+    let int = |e: &json::JsonValue, key: &str| {
+        e.get(key)
+            .and_then(|v| v.as_num())
+            .is_some_and(|n| n.fract() == 0.0)
+    };
+    let mut phases = Vec::new();
     for e in events {
         let ph = e.get("ph").and_then(|v| v.as_str()).expect("ph");
         assert!(
             ["B", "E", "i", "M"].contains(&ph),
             "unexpected phase {ph:?}: {e:?}"
         );
-        assert!(e.get("pid").and_then(|v| v.as_num()).is_some(), "{e:?}");
+        if !phases.contains(&ph) {
+            phases.push(ph);
+        }
+        assert!(int(e, "pid"), "{e:?}");
         assert!(e.get("name").and_then(|v| v.as_str()).is_some(), "{e:?}");
         if ph != "M" {
             // Real events carry a thread and a timestamp; metadata rows
             // (process_name has no tid) only name things.
-            assert!(e.get("tid").and_then(|v| v.as_num()).is_some(), "{e:?}");
-            assert!(e.get("ts").and_then(|v| v.as_num()).is_some(), "{e:?}");
+            assert!(int(e, "tid"), "{e:?}");
+            let ts = e.get("ts").and_then(|v| v.as_num());
+            assert!(ts.is_some_and(|ts| ts >= 0.0), "{e:?}");
         }
+    }
+    // Spans open and close, and metadata names the rows.
+    for ph in ["B", "E", "M"] {
+        assert!(phases.contains(&ph), "no {ph:?} events: {phases:?}");
     }
 }
 

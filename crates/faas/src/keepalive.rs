@@ -23,7 +23,9 @@ use faasmem_sim::SimDuration;
 /// // No history yet: the conservative default applies.
 /// assert_eq!(ka.timeout_from_samples(&[]), ka.default);
 /// // A function always reused within ~30 s gets a tight timeout.
-/// let samples: Vec<f64> = (0..50).map(|i| 20.0 + (i % 10) as f64).collect();
+/// let samples: Vec<SimDuration> = (0..50)
+///     .map(|i| SimDuration::from_secs(20 + i % 10))
+///     .collect();
 /// let t = ka.timeout_from_samples(&samples);
 /// assert!(t < SimDuration::from_mins(2));
 /// ```
@@ -57,13 +59,12 @@ impl Default for AdaptiveKeepAlive {
 }
 
 impl AdaptiveKeepAlive {
-    /// Computes the timeout from observed idle-before-reuse gaps in
-    /// seconds.
-    pub fn timeout_from_samples(&self, gaps_secs: &[f64]) -> SimDuration {
-        if gaps_secs.len() < self.min_samples {
+    /// Computes the timeout from observed idle-before-reuse gaps.
+    pub fn timeout_from_samples(&self, gaps: &[SimDuration]) -> SimDuration {
+        if gaps.len() < self.min_samples {
             return self.default;
         }
-        let cdf = Cdf::from_samples(gaps_secs.iter().copied());
+        let cdf = Cdf::from_samples(gaps.iter().map(|g| g.as_secs_f64()));
         let q = cdf
             .quantile(self.percentile)
             .unwrap_or(self.default.as_secs_f64());
@@ -79,14 +80,15 @@ mod tests {
     #[test]
     fn thin_history_uses_default() {
         let ka = AdaptiveKeepAlive::default();
-        assert_eq!(ka.timeout_from_samples(&[1.0; 7]), ka.default);
-        assert_ne!(ka.timeout_from_samples(&[1.0; 8]), ka.default);
+        let gap = SimDuration::from_secs(1);
+        assert_eq!(ka.timeout_from_samples(&[gap; 7]), ka.default);
+        assert_ne!(ka.timeout_from_samples(&[gap; 8]), ka.default);
     }
 
     #[test]
     fn fast_reuse_shrinks_timeout() {
         let ka = AdaptiveKeepAlive::default();
-        let gaps = vec![5.0; 100];
+        let gaps = vec![SimDuration::from_secs(5); 100];
         let t = ka.timeout_from_samples(&gaps);
         // 5 s × 1.25 margin = 6.25 s, clamped up to the 30 s floor.
         assert_eq!(t, SimDuration::from_secs(30));
@@ -95,7 +97,7 @@ mod tests {
     #[test]
     fn heavy_tail_respects_upper_clamp() {
         let ka = AdaptiveKeepAlive::default();
-        let gaps = vec![3_600.0; 100];
+        let gaps = vec![SimDuration::from_secs(3_600); 100];
         assert_eq!(ka.timeout_from_samples(&gaps), SimDuration::from_mins(10));
     }
 
@@ -109,7 +111,7 @@ mod tests {
             min_samples: 1,
             default: SimDuration::from_mins(10),
         };
-        let gaps = vec![100.0; 9];
+        let gaps = vec![SimDuration::from_secs(100); 9];
         assert_eq!(ka.timeout_from_samples(&gaps), SimDuration::from_secs(200));
     }
 }

@@ -331,7 +331,6 @@ impl PlatformBuilder {
             containers: HashMap::new(),
             in_flight: HashMap::new(),
             next_container: 0,
-            reuse_gaps: HashMap::new(),
             faults: None,
             blame,
             anatomy,
@@ -411,6 +410,19 @@ struct InFlight {
     remote_stall_until: SimTime,
 }
 
+/// How one request's remote faults are served (see
+/// `PlatformSim::route_recall`).
+#[derive(Debug, Clone, Copy)]
+enum Recall {
+    /// The primary path served the pages after this link stall.
+    Primary(SimDuration),
+    /// Surviving replicas serve the pages (failover detour).
+    Replica,
+    /// The pages are abandoned and the container rebuilt locally.
+    /// `counted` when a pool-node loss already counted the bytes lost.
+    Rebuild { counted: bool },
+}
+
 /// The blame component a traced stall cause charges. The trace and
 /// metrics crates are deliberately decoupled (they agree on component
 /// *names*, not types), so the platform — which depends on both — owns
@@ -487,9 +499,6 @@ pub struct PlatformSim {
     governor: BandwidthGovernor,
     rng: SimRng,
     next_container: u64,
-    /// Observed idle-before-reuse gaps per function, in seconds (drives
-    /// the adaptive keep-alive).
-    reuse_gaps: HashMap<FunctionId, Vec<f64>>,
     faults: Option<FaultRuntime>,
     /// Per-invocation blame accumulator; `Some` only when
     /// [`PlatformConfig::blame`] is set. Records in `handle_finish`
@@ -718,68 +727,66 @@ impl PlatformSim {
         queue: &mut EventQueue<Event>,
         report: &mut RunReport,
     ) {
-        {
-            report.events_processed += 1;
-            self.tracer.set_now(now);
-            // Integrate occupancy over the interval ending now, against
-            // the state frozen since the previous event — before the
-            // breaker, fabric repairs or the event mutate anything.
-            self.anatomy_advance(now);
-            if let Some(fr) = &mut self.faults {
-                // Graceful degradation: while the breaker holds the pool
-                // unhealthy, policies refuse new offloads and the
-                // platform leans on local-memory keep-alive.
-                let open = fr.breaker.is_open(now);
-                self.pool.set_offloads_suspended(open);
-                // The pool traces the open transition at trip time; the
-                // close is only observable here, when the cooldown lapses.
-                if fr.breaker_open_prev && !open {
-                    self.tracer.emit(None, None, EventKind::BreakerClose);
-                }
-                fr.breaker_open_prev = open;
+        report.events_processed += 1;
+        self.tracer.set_now(now);
+        // Integrate occupancy over the interval ending now, against
+        // the state frozen since the previous event — before the
+        // breaker, fabric repairs or the event mutate anything.
+        self.anatomy_advance(now);
+        if let Some(fr) = &mut self.faults {
+            // Graceful degradation: while the breaker holds the pool
+            // unhealthy, policies refuse new offloads and the
+            // platform leans on local-memory keep-alive.
+            let open = fr.breaker.is_open(now);
+            self.pool.set_offloads_suspended(open);
+            // The pool traces the open transition at trip time; the
+            // close is only observable here, when the cooldown lapses.
+            if fr.breaker_open_prev && !open {
+                self.tracer.emit(None, None, EventKind::BreakerClose);
             }
-            if let Some(fabric) = &mut self.fabric {
-                // Apply background repairs that completed before this
-                // instant, so recall decisions see the repaired state.
-                fabric.advance(now);
-            }
-            match event {
-                Event::Invoke(req, function) => {
-                    self.handle_invoke(now, req, function, queue, report);
-                }
-                Event::RuntimeLoaded(id) => self.handle_runtime_loaded(now, id, queue),
-                Event::InitDone(id) => self.handle_init_done(now, id, queue),
-                Event::FinishExec(id) => self.handle_finish(now, id, queue, report),
-                Event::RecycleCheck(id) => self.handle_recycle(now, id, queue, report),
-                Event::Tick => {
-                    // Visit containers in id order: tick-time offloads
-                    // queue on the shared link, so HashMap iteration
-                    // order would leak into link contention and make
-                    // runs irreproducible. The id buffer lives on the
-                    // simulator and is reused tick after tick, so the
-                    // steady-state loop allocates nothing.
-                    let mut ids = std::mem::take(&mut self.tick_scratch);
-                    ids.clear();
-                    ids.extend(self.containers.keys().copied());
-                    ids.sort_unstable();
-                    for id in ids.drain(..) {
-                        self.policy_hook(now, id, |p, ctx| p.on_tick(ctx));
-                    }
-                    // Hand the (drained) buffer back for the next tick.
-                    self.tick_scratch = ids;
-                    if let Some(dt) = setup.tick {
-                        if !self.containers.is_empty() || arrivals_pending || !queue.is_empty() {
-                            queue.push(now + dt, Event::Tick);
-                        }
-                    }
-                }
-                Event::NodeLoss(i) => self.handle_node_loss(now, i as usize, report),
-                Event::ContainerCrash(i) => self.handle_crash(now, i as usize, report),
-                Event::PoolNodeLoss(i) => self.handle_pool_node_loss(now, i as usize, report),
-            }
-            self.record_memory(now, report);
-            self.sample_due(now, report);
+            fr.breaker_open_prev = open;
         }
+        if let Some(fabric) = &mut self.fabric {
+            // Apply background repairs that completed before this
+            // instant, so recall decisions see the repaired state.
+            fabric.advance(now);
+        }
+        match event {
+            Event::Invoke(req, function) => {
+                self.handle_invoke(now, req, function, queue, report);
+            }
+            Event::RuntimeLoaded(id) => self.handle_runtime_loaded(now, id, queue),
+            Event::InitDone(id) => self.handle_init_done(now, id, queue),
+            Event::FinishExec(id) => self.handle_finish(now, id, queue, report),
+            Event::RecycleCheck(id) => self.handle_recycle(now, id, queue, report),
+            Event::Tick => {
+                // Visit containers in id order: tick-time offloads
+                // queue on the shared link, so HashMap iteration
+                // order would leak into link contention and make
+                // runs irreproducible. The id buffer lives on the
+                // simulator and is reused tick after tick, so the
+                // steady-state loop allocates nothing.
+                let mut ids = std::mem::take(&mut self.tick_scratch);
+                ids.clear();
+                ids.extend(self.containers.keys().copied());
+                ids.sort_unstable();
+                for id in ids.drain(..) {
+                    self.policy_hook(now, id, |p, ctx| p.on_tick(ctx));
+                }
+                // Hand the (drained) buffer back for the next tick.
+                self.tick_scratch = ids;
+                if let Some(dt) = setup.tick {
+                    if !self.containers.is_empty() || arrivals_pending || !queue.is_empty() {
+                        queue.push(now + dt, Event::Tick);
+                    }
+                }
+            }
+            Event::NodeLoss(i) => self.handle_node_loss(now, i as usize, report),
+            Event::ContainerCrash(i) => self.handle_crash(now, i as usize, report),
+            Event::PoolNodeLoss(i) => self.handle_pool_node_loss(now, i as usize, report),
+        }
+        self.record_memory(now, report);
+        self.sample_due(now, report);
     }
 
     /// Drains leftover containers and fills the report's run-end fields.
@@ -1051,12 +1058,13 @@ impl PlatformSim {
         fr.lost_remote_bytes += lost_bytes;
     }
 
-    /// The keep-alive timeout currently applicable to `function`.
-    fn timeout_for(&self, function: FunctionId) -> SimDuration {
+    /// The keep-alive timeout currently applicable to `function`; the
+    /// adaptive policy learns from the run's observed reuse intervals.
+    fn timeout_for(&self, function: FunctionId, report: &RunReport) -> SimDuration {
         match self.config.adaptive_keep_alive {
             Some(policy) => {
-                let gaps = self
-                    .reuse_gaps
+                let gaps = report
+                    .reuse_intervals
                     .get(&function)
                     .map(Vec::as_slice)
                     .unwrap_or(&[]);
@@ -1331,10 +1339,6 @@ impl PlatformSim {
                 .entry(function)
                 .or_default()
                 .push(idle);
-            self.reuse_gaps
-                .entry(function)
-                .or_default()
-                .push(idle.as_secs_f64());
             self.policy_hook(now, id, |p, ctx| p.on_request_start(ctx, Some(idle)));
             self.with_container(now, id, |_, ctx| ctx.container.begin_execution(now));
             self.start_execution(now, id, req, now, false, queue);
@@ -1401,6 +1405,67 @@ impl PlatformSim {
         self.start_execution(now, id, flight.req, flight.arrived, true, queue);
     }
 
+    /// Decides how a recall of `faulted` pages is served. The primary
+    /// path's page-in (plain, or retried under the fault policy) runs
+    /// here; the replica and rebuild routes are settled by the caller.
+    /// Also returns the wall time wasted on primary retries that gave up.
+    fn route_recall(
+        &mut self,
+        now: SimTime,
+        id: ContainerId,
+        faulted: u64,
+    ) -> (Recall, SimDuration) {
+        let page_size = self.config.page_size;
+        let Some(fr) = &mut self.faults else {
+            let link = self
+                .pool
+                .page_in(now, faulted, page_size)
+                .expect("faulted pages are held by the pool");
+            return (Recall::Primary(link), SimDuration::ZERO);
+        };
+        // How the fabric sees this recall: `lost` means the segment was
+        // destroyed by a pool-node loss (no retry can help), `detour`
+        // means the primary path is dead or breaker-open but surviving
+        // replicas can serve it.
+        let (lost, detour) = match &self.fabric {
+            Some(f) if f.has_segment(id.0) => {
+                let can = f.can_failover(id.0);
+                let sick = f.primary_down(id.0) || fr.breaker.is_open(now);
+                (f.primary_down(id.0) && !can, sick && can)
+            }
+            Some(_) => (true, false),
+            None => (false, false),
+        };
+        if lost {
+            // The node loss already counted these bytes as lost.
+            return (Recall::Rebuild { counted: true }, SimDuration::ZERO);
+        }
+        if detour {
+            return (Recall::Replica, SimDuration::ZERO);
+        }
+        let recall = self
+            .pool
+            .page_in_resilient(now, faulted, page_size, &fr.policy, &mut fr.breaker)
+            .expect("faulted pages are held by the pool");
+        match recall {
+            RecallOutcome::Recovered { stall, retries } => {
+                fr.page_in_retries += u64::from(retries);
+                (Recall::Primary(stall), SimDuration::ZERO)
+            }
+            RecallOutcome::GaveUp { wasted, retries } => {
+                fr.page_in_retries += u64::from(retries);
+                // The primary path timed out: detour to a surviving
+                // replica, or give the unreachable pages up.
+                let route = if self.fabric.as_ref().is_some_and(|f| f.can_failover(id.0)) {
+                    Recall::Replica
+                } else {
+                    Recall::Rebuild { counted: false }
+                };
+                (route, wasted)
+            }
+        }
+    }
+
     /// Plans the request's page accesses, charges remote faults, and
     /// schedules its completion.
     fn start_execution(
@@ -1458,12 +1523,11 @@ impl PlatformSim {
             let cpu = SimDuration::from_micros(cpu_micros as u64);
             let faulted = u64::from(outcome.faulted);
             let bytes = faulted * page_size;
-            match &mut self.faults {
-                None => {
-                    let link = self
-                        .pool
-                        .page_in(now, faulted, page_size)
-                        .expect("faulted pages are held by the pool");
+            let (route, wasted) = self.route_recall(now, id, faulted);
+            // Primary retries abandoned before the route was settled.
+            breakdown.charge(BlameComponent::AbandonedWait, wasted);
+            let settled = match route {
+                Recall::Primary(link) => {
                     if let Some(fabric) = &mut self.fabric {
                         fabric.on_page_in(id.0, bytes);
                     }
@@ -1471,125 +1535,51 @@ impl PlatformSim {
                     breakdown.charge(BlameComponent::FaultCpu, cpu);
                     link + cpu
                 }
-                Some(fr) => {
-                    // How the fabric sees this recall: `lost` means the
-                    // segment was destroyed by a pool-node loss (no retry
-                    // can help), `detour` means the primary path is dead
-                    // or breaker-open but surviving replicas can serve it.
-                    let (lost, detour) = match &self.fabric {
-                        Some(f) if f.has_segment(id.0) => {
-                            let can = f.can_failover(id.0);
-                            let sick = f.primary_down(id.0) || fr.breaker.is_open(now);
-                            (f.primary_down(id.0) && !can, sick && can)
-                        }
-                        Some(_) => (true, false),
-                        None => (false, false),
-                    };
-                    if lost {
-                        // The pages died with their pool node: abandon
-                        // them and rebuild the container's state via the
-                        // slow path (relaunch + reinit) locally.
-                        fr.page_ins_gave_up += 1;
-                        fr.forced_cold_restarts += 1;
-                        self.pool
-                            .discard(faulted, page_size)
-                            .expect("faulted pages are held by the pool");
-                        if let Some(fabric) = &mut self.fabric {
-                            fabric.on_recall_lost(id.0);
-                        }
-                        let rebuild = spec.launch_time + spec.init_time;
-                        self.tracer.emit(
-                            Some(id.0),
-                            Some(u64::from(req)),
-                            EventKind::RecallAbandoned {
-                                pages: faulted,
-                                wasted_us: 0,
-                                rebuild_us: rebuild.as_micros(),
-                            },
-                        );
-                        breakdown.charge(BlameComponent::ForcedRebuild, rebuild);
-                        rebuild
-                    } else if detour {
-                        // Failover recall: read from surviving replicas,
-                        // skipping the sick primary path entirely.
-                        let link = self
-                            .pool
-                            .page_in(now, faulted, page_size)
-                            .expect("faulted pages are held by the pool");
-                        let fabric = self.fabric.as_mut().expect("detour implies fabric");
-                        let penalty = fabric.on_failover_recall(id.0, bytes);
-                        breakdown.charge(BlameComponent::RecallStall, link);
-                        breakdown.charge(BlameComponent::FailoverDetour, penalty);
-                        breakdown.charge(BlameComponent::FaultCpu, cpu);
-                        link + penalty + cpu
-                    } else {
-                        let recall = self
-                            .pool
-                            .page_in_resilient(now, faulted, page_size, &fr.policy, &mut fr.breaker)
-                            .expect("faulted pages are held by the pool");
-                        match recall {
-                            RecallOutcome::Recovered { stall, retries } => {
-                                fr.page_in_retries += u64::from(retries);
-                                if let Some(fabric) = &mut self.fabric {
-                                    fabric.on_page_in(id.0, bytes);
-                                }
-                                breakdown.charge(BlameComponent::RecallStall, stall);
-                                breakdown.charge(BlameComponent::FaultCpu, cpu);
-                                stall + cpu
-                            }
-                            RecallOutcome::GaveUp { wasted, retries } => {
-                                fr.page_in_retries += u64::from(retries);
-                                let replica =
-                                    self.fabric.as_ref().is_some_and(|f| f.can_failover(id.0));
-                                if replica {
-                                    // The primary path timed out but a
-                                    // replica survives: pay the wasted
-                                    // retries, then detour.
-                                    let link = self
-                                        .pool
-                                        .page_in(now + wasted, faulted, page_size)
-                                        .expect("faulted pages are held by the pool");
-                                    let fabric =
-                                        self.fabric.as_mut().expect("replica implies fabric");
-                                    let penalty = fabric.on_failover_recall(id.0, bytes);
-                                    breakdown.charge(BlameComponent::AbandonedWait, wasted);
-                                    breakdown.charge(BlameComponent::RecallStall, link);
-                                    breakdown.charge(BlameComponent::FailoverDetour, penalty);
-                                    breakdown.charge(BlameComponent::FaultCpu, cpu);
-                                    wasted + link + penalty + cpu
-                                } else {
-                                    // The remote pages are unreachable:
-                                    // abandon them and rebuild the
-                                    // container's state via the slow path
-                                    // (relaunch + reinit) locally.
-                                    fr.page_ins_gave_up += 1;
-                                    fr.forced_cold_restarts += 1;
-                                    fr.lost_remote_bytes += bytes;
-                                    self.pool
-                                        .discard(faulted, page_size)
-                                        .expect("faulted pages are held by the pool");
-                                    if let Some(fabric) = &mut self.fabric {
-                                        fabric.on_recall_lost(id.0);
-                                    }
-                                    let rebuild = spec.launch_time + spec.init_time;
-                                    self.tracer.emit(
-                                        Some(id.0),
-                                        Some(u64::from(req)),
-                                        EventKind::RecallAbandoned {
-                                            pages: faulted,
-                                            wasted_us: wasted.as_micros(),
-                                            rebuild_us: rebuild.as_micros(),
-                                        },
-                                    );
-                                    breakdown.charge(BlameComponent::AbandonedWait, wasted);
-                                    breakdown.charge(BlameComponent::ForcedRebuild, rebuild);
-                                    wasted + rebuild
-                                }
-                            }
-                        }
-                    }
+                Recall::Replica => {
+                    // Failover recall: read from surviving replicas,
+                    // skipping the sick primary path entirely.
+                    let link = self
+                        .pool
+                        .page_in(now + wasted, faulted, page_size)
+                        .expect("faulted pages are held by the pool");
+                    let fabric = self.fabric.as_mut().expect("replica implies fabric");
+                    let penalty = fabric.on_failover_recall(id.0, bytes);
+                    breakdown.charge(BlameComponent::RecallStall, link);
+                    breakdown.charge(BlameComponent::FailoverDetour, penalty);
+                    breakdown.charge(BlameComponent::FaultCpu, cpu);
+                    link + penalty + cpu
                 }
-            }
+                Recall::Rebuild { counted } => {
+                    // Abandon the remote pages and rebuild the
+                    // container's state via the slow path (relaunch +
+                    // reinit) locally.
+                    let fr = self.faults.as_mut().expect("rebuilds need faults");
+                    fr.page_ins_gave_up += 1;
+                    fr.forced_cold_restarts += 1;
+                    if !counted {
+                        fr.lost_remote_bytes += bytes;
+                    }
+                    self.pool
+                        .discard(faulted, page_size)
+                        .expect("faulted pages are held by the pool");
+                    if let Some(fabric) = &mut self.fabric {
+                        fabric.on_recall_lost(id.0);
+                    }
+                    let rebuild = spec.launch_time + spec.init_time;
+                    self.tracer.emit(
+                        Some(id.0),
+                        Some(u64::from(req)),
+                        EventKind::RecallAbandoned {
+                            pages: faulted,
+                            wasted_us: wasted.as_micros(),
+                            rebuild_us: rebuild.as_micros(),
+                        },
+                    );
+                    breakdown.charge(BlameComponent::ForcedRebuild, rebuild);
+                    rebuild
+                }
+            };
+            wasted + settled
         } else {
             SimDuration::ZERO
         };
@@ -1684,7 +1674,10 @@ impl PlatformSim {
         if flight.cold {
             report.cold_starts += 1;
         }
-        queue.push(now + self.timeout_for(function), Event::RecycleCheck(id));
+        queue.push(
+            now + self.timeout_for(function, report),
+            Event::RecycleCheck(id),
+        );
     }
 
     fn handle_recycle(
@@ -1700,7 +1693,7 @@ impl PlatformSim {
         if container.stage() != ContainerStage::KeepAlive {
             return; // busy again; a newer check is scheduled
         }
-        let timeout = self.timeout_for(container.function());
+        let timeout = self.timeout_for(container.function(), report);
         if container.idle_since(now) < timeout {
             // Reused since this check was scheduled, or the adaptive
             // timeout grew in the meantime: re-arm at the new deadline.
@@ -2534,6 +2527,69 @@ mod tests {
         // locally: both phases show up as named components.
         assert!(blame.component(BlameComponent::AbandonedWait).total > SimDuration::ZERO);
         assert!(blame.component(BlameComponent::ForcedRebuild).total > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn recall_that_gives_up_detours_to_a_surviving_replica() {
+        use faasmem_metrics::BlameComponent;
+        use faasmem_pool::RedundancyPolicy;
+        use faasmem_sim::faults::{LinkSchedule, LinkWindow};
+        // The outage of the test above, but the segment is erasure-coded
+        // and a parity node has died (primary intact, so no up-front
+        // detour): once the primary retries give up, the surviving
+        // fragments serve the recall — paying the degraded-read
+        // reconstruction — instead of a local rebuild.
+        let plan = FaultPlan {
+            link: LinkSchedule::from_windows(vec![LinkWindow {
+                start: SimTime::from_secs(40),
+                end: SimTime::from_secs(3_600),
+                factor: 0.0,
+            }]),
+            pool_node_losses: vec![faasmem_sim::faults::PoolNodeLossEvent {
+                at: SimTime::from_secs(50),
+                node: 2,
+            }],
+            ..FaultPlan::empty()
+        };
+        let mut s = PlatformSim::builder()
+            .register_function(spec())
+            .policy(OffloadInitPolicy)
+            .fabric(FabricConfig {
+                nodes: 3,
+                redundancy: RedundancyPolicy::ErasureCoded { data: 2, parity: 1 },
+                ..FabricConfig::default()
+            })
+            .blame(true)
+            .seed(5)
+            .faults(FaultConfig {
+                plan_override: Some(plan),
+                policy: RemoteFaultPolicy::hasty(),
+                ..FaultConfig::default()
+            })
+            .build();
+        let r = s.run(&one_function_trace(&[10, 60]));
+        let f = r.faults.unwrap();
+        assert!(f.page_in_retries >= 1, "the primary path was retried");
+        assert_eq!(f.page_ins_gave_up, 0, "the replica carried the recall");
+        assert_eq!(f.forced_cold_restarts, 0);
+        assert_eq!(f.lost_remote_bytes, 0);
+        assert_eq!(r.cold_starts, 1, "the second request stays warm");
+        let blame = r.blame.expect("blame enabled");
+        assert_eq!(blame.conservation_violations, 0);
+        for component in [
+            BlameComponent::AbandonedWait,
+            BlameComponent::RecallStall,
+            BlameComponent::FailoverDetour,
+        ] {
+            assert!(
+                blame.component(component).total > SimDuration::ZERO,
+                "{component:?}"
+            );
+        }
+        assert_eq!(
+            blame.component(BlameComponent::ForcedRebuild).total,
+            SimDuration::ZERO
+        );
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! * [`Cdf`] — an empirical CDF with quantile and fraction-below queries.
 //! * [`TimeSeries`] — a step function of a value over simulated time with
 //!   time-weighted averaging, used for memory-usage timelines.
-//! * [`Histogram`] — fixed-width binning for access-count heat maps.
 //!
 //! # Examples
 //!
@@ -31,7 +30,6 @@ pub mod agg;
 pub mod blame;
 pub mod cdf;
 pub mod durability;
-pub mod histogram;
 pub mod latency;
 pub mod registry;
 pub mod slo;
@@ -43,7 +41,6 @@ pub use blame::{
 };
 pub use cdf::Cdf;
 pub use durability::DurabilityTracker;
-pub use histogram::Histogram;
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use registry::MetricsRegistry;
 pub use slo::SloTracker;
