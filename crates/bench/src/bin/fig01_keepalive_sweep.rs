@@ -101,7 +101,7 @@ fn main() {
             ("cold-start ratio", cold_pts),
         ],
     );
-    svg::write_chart("fig01_keepalive.svg", &chart);
+    svg::write_chart(&opts.out_dir, "fig01_keepalive.svg", &chart);
     println!();
     println!(
         "{}",

@@ -9,8 +9,8 @@
 use std::collections::HashMap;
 
 use faasmem_bench::render_table;
-use faasmem_faas::{Container, ContainerId, FunctionId};
-use faasmem_mem::{mib_to_pages, pages_to_mib, PageId};
+use faasmem_faas::{touch_request, Container, ContainerId, FunctionId};
+use faasmem_mem::{mib_to_pages, pages_to_mib};
 use faasmem_sim::{SimRng, SimTime};
 use faasmem_workload::{BenchmarkSpec, RequestAccess};
 
@@ -63,18 +63,12 @@ fn main() {
             exec_pages,
             &mut rng,
         );
-        let runtime_base = container.runtime_range().start().0;
-        let init_base = container.init_range().start().0;
         for idx in plan.init.iter() {
             *init_hits.entry(idx).or_default() += 1;
         }
+        let (runtime, init) = (container.runtime_range(), container.init_range());
         let table = container.table_mut();
-        let mut touched = table
-            .touch_pages(plan.runtime.iter().map(|i| PageId(runtime_base + i)))
-            .touched;
-        touched += table
-            .touch_pages(plan.init.iter().map(|i| PageId(init_base + i)))
-            .touched;
+        let mut touched = touch_request(table, runtime, init, &plan).touched;
         let exec = table.alloc(faasmem_mem::Segment::Execution, plan.exec_pages);
         touched += table.touch_range(exec).touched;
         container.set_exec_range(exec);

@@ -8,6 +8,7 @@
 
 use faasmem_bench::render_table;
 use faasmem_core::{PucketKind, Puckets};
+use faasmem_faas::touch_request;
 use faasmem_mem::{mib_to_pages, PageTable, Segment};
 use faasmem_sim::SimRng;
 use faasmem_workload::{BenchmarkSpec, RequestAccess};
@@ -49,14 +50,7 @@ fn main() {
             0,
             rng,
         );
-        let runtime_base = runtime.start().0;
-        let init_base = init.start().0;
-        table.touch_pages(
-            plan.runtime
-                .iter()
-                .map(|i| faasmem_mem::PageId(runtime_base + i)),
-        );
-        table.touch_pages(plan.init.iter().map(|i| faasmem_mem::PageId(init_base + i)));
+        touch_request(table, runtime, init, &plan);
         puckets.promote_accessed(table);
     };
 

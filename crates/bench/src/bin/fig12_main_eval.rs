@@ -133,6 +133,7 @@ fn main() {
             ],
         );
         svg::write_chart(
+            &opts.out_dir,
             &format!("fig12_{}.svg", heading.to_lowercase().replace(' ', "_")),
             &chart,
         );

@@ -126,7 +126,11 @@ fn main() {
             "fraction of containers",
             &chart_series,
         );
-        svg::write_chart("fig14_semiwarm_cdf.svg", &chart);
+        svg::write_chart(
+            std::path::Path::new("results"),
+            "fig14_semiwarm_cdf.svg",
+            &chart,
+        );
     }
     println!("Paper reference (Fig 14): semi-warm > 1/2 of lifetime for ~50% of functions;");
     println!("high- and low-load functions benefit most, middle-load least.");

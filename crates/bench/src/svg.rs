@@ -266,14 +266,15 @@ pub fn stack_vertical(panels: &[String]) -> String {
     s
 }
 
-/// Writes an SVG string under `results/` (created if needed); best-effort
-/// — experiments must not fail because the filesystem is read-only.
-pub fn write_chart(filename: &str, svg: &str) {
-    let dir = std::path::Path::new("results");
+/// Writes an SVG string to `dir/filename`, creating `dir` if needed;
+/// best-effort — experiments must not fail because the filesystem is
+/// read-only. The note naming the file goes to stderr, so an
+/// experiment's stdout does not depend on where its charts land.
+pub fn write_chart(dir: &std::path::Path, filename: &str, svg: &str) {
     if std::fs::create_dir_all(dir).is_ok() {
         let path = dir.join(filename);
         if std::fs::write(&path, svg).is_ok() {
-            println!("(chart written to {})", path.display());
+            eprintln!("(chart written to {})", path.display());
         }
     }
 }

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-use faasmem_mem::{mib_to_pages, PageRange, PageTable, Segment};
+use faasmem_mem::{mib_to_pages, PageRange, PageTable, Segment, TouchOutcome};
 use faasmem_sim::{SimDuration, SimTime};
-use faasmem_workload::{BenchmarkSpec, FunctionId};
+use faasmem_workload::{AccessSet, BenchmarkSpec, FunctionId, RequestAccess};
 
 /// Uniquely identifies a container within one platform run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -258,6 +258,27 @@ impl Container {
         self.last_used = now;
         self.stage = ContainerStage::KeepAlive;
     }
+}
+
+/// Touches one planned request's pages, runtime then init, through
+/// [`PageTable::touch_prefix_runs`]: each segment that faulted emits one
+/// demand page-in event. `runtime` and `init` are the segments the
+/// plan's indexes are relative to. The execution segment is the
+/// caller's, because only a running request allocates one.
+pub fn touch_request(
+    table: &mut PageTable,
+    runtime: PageRange,
+    init: PageRange,
+    plan: &RequestAccess,
+) -> TouchOutcome {
+    let mut outcome = touch_segment(table, runtime, &plan.runtime);
+    outcome.merge(touch_segment(table, init, &plan.init));
+    outcome
+}
+
+fn touch_segment(table: &mut PageTable, segment: PageRange, set: &AccessSet) -> TouchOutcome {
+    debug_assert!(set.end() <= segment.len(), "plan overruns its segment");
+    table.touch_prefix_runs(segment.start(), set.prefix(), set.runs())
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub mod report;
 mod residency;
 
 pub use cluster::{ClusterReport, ClusterSim, ClusterSpec, NodeReport};
-pub use container::{Container, ContainerId, ContainerStage};
+pub use container::{touch_request, Container, ContainerId, ContainerStage};
 pub use density::{estimate_density, DensityEstimate};
 pub use keepalive::AdaptiveKeepAlive;
 pub use platform::{FaultConfig, PlatformBuilder, PlatformConfig, PlatformSim};

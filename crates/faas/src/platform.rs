@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use faasmem_mem::{mib_to_pages, FlowMatrix, PageId};
+use faasmem_mem::{mib_to_pages, FlowMatrix};
 use faasmem_metrics::{
     BlameAccumulator, BlameBreakdown, BlameComponent, MetricsRegistry, SloTracker,
     WasteAccumulator, WasteComponent, WasteLedger,
@@ -15,9 +15,9 @@ use faasmem_sim::faults::{FaultPlan, FaultSpec};
 use faasmem_sim::{Clock, EventQueue, SimDuration, SimRng, SimTime};
 use faasmem_telemetry::{Sampler, SeriesGroup};
 use faasmem_trace::{EventKind, StallCause, Tracer};
-use faasmem_workload::{BenchmarkSpec, FunctionId, InvocationTrace, RequestAccess};
+use faasmem_workload::{AccessPlanner, BenchmarkSpec, FunctionId, InvocationTrace};
 
-use crate::container::{Container, ContainerId, ContainerStage};
+use crate::container::{touch_request, Container, ContainerId, ContainerStage};
 use crate::policy::{MemoryPolicy, NullPolicy, PolicyCtx};
 use crate::report::{
     ContainerRecord, DurabilityReport, FaultReport, FunctionWaste, MemoryAnatomyReport,
@@ -337,6 +337,7 @@ impl PlatformBuilder {
             tracer: self.tracer,
             sampler: self.sampler,
             tick_scratch: Vec::new(),
+            planner: AccessPlanner::default(),
             peak_local_bytes: 0,
             peak_live: 0,
             ran: false,
@@ -520,6 +521,9 @@ pub struct PlatformSim {
     /// Run-long scratch buffer for the tick handler's sorted container
     /// walk, reused so the steady-state event loop never allocates.
     tick_scratch: Vec<ContainerId>,
+    /// Run-long scratch every request plans its page accesses into, so
+    /// a warm request allocates nothing.
+    planner: AccessPlanner,
     /// Highest node-local footprint observed at any event (bytes).
     peak_local_bytes: u64,
     /// Highest live-container count observed at any event.
@@ -1492,28 +1496,29 @@ impl PlatformSim {
         let container = self.containers.get(&id).expect("executing container");
         let spec = container.spec().clone();
         let exec_pages = mib_to_pages(spec.exec_mib, page_size) as u32;
-        let plan = RequestAccess::plan_with_rare_runtime(
+        self.planner.plan_with_rare_runtime(
             spec.init_access,
             container.runtime_hot_pages(),
             container.runtime_range().len(),
             spec.runtime_rare_touch_prob,
             container.init_range().len(),
-            exec_pages,
             &mut self.rng,
         );
 
-        let runtime_base = container.runtime_range().start().0;
-        let init_base = container.init_range().start().0;
+        // `with_container` borrows the whole platform; lend it the plan.
+        let planner = std::mem::take(&mut self.planner);
         let outcome = self.with_container(now, id, |_, ctx| {
-            let table = ctx.container.table_mut();
-            let mut outcome =
-                table.touch_pages(plan.runtime.iter().map(|i| PageId(runtime_base + i)));
-            outcome.merge(table.touch_pages(plan.init.iter().map(|i| PageId(init_base + i))));
-            let exec_range = table.alloc(faasmem_mem::Segment::Execution, plan.exec_pages);
-            table.touch_range(exec_range);
-            ctx.container.set_exec_range(exec_range);
+            let c = &mut *ctx.container;
+            let (runtime, init) = (c.runtime_range(), c.init_range());
+            let outcome = touch_request(c.table_mut(), runtime, init, planner.plan());
+            let exec_range = c
+                .table_mut()
+                .alloc(faasmem_mem::Segment::Execution, exec_pages);
+            c.table_mut().touch_range(exec_range);
+            c.set_exec_range(exec_range);
             outcome
         });
+        self.planner = planner;
 
         let stall = if outcome.faulted > 0 {
             // Per-fault CPU handling, throttled by the container's CPU

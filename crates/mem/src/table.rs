@@ -458,8 +458,31 @@ impl PageTable {
 
     /// Touches every page of a range.
     pub fn touch_range(&mut self, range: PageRange) -> TouchOutcome {
+        self.touch_prefix_runs(range.start(), range.len(), &[])
+    }
+
+    /// Touches the pages `base + i` for every `i` in the prefix
+    /// `[0, prefix)` and in each `[start, end)` of `runs` — the shape of
+    /// one segment of a planned request; `runs` ascend above the prefix.
+    /// Sets the Access bit of every live page word by word, faults
+    /// remote ones back in, and emits one demand page-in trace event for
+    /// the whole call if anything faulted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a touched page was never allocated.
+    pub fn touch_prefix_runs(
+        &mut self,
+        base: PageId,
+        prefix: u32,
+        runs: &[(u32, u32)],
+    ) -> TouchOutcome {
         let mut out = TouchOutcome::default();
-        if let Some((start, end)) = self.range_bounds(range) {
+        for (start, end) in std::iter::once((0, prefix)).chain(runs.iter().copied()) {
+            let run = PageRange::new(PageId(base.0 + start), end - start);
+            let Some((start, end)) = self.range_bounds(run) else {
+                continue;
+            };
             for (w, mask) in span_words(start, end) {
                 let live = mask & !self.freed[w];
                 if live == 0 {
@@ -484,24 +507,6 @@ impl PageTable {
                         bits &= bits - 1;
                     }
                 }
-            }
-        }
-        self.trace_demand_faults(out.faulted);
-        out
-    }
-
-    /// Touches an arbitrary set of pages.
-    pub fn touch_pages<I: IntoIterator<Item = PageId>>(&mut self, ids: I) -> TouchOutcome {
-        let mut out = TouchOutcome::default();
-        for id in ids {
-            self.assert_allocated(id);
-            let (w, b) = word_bit(id.index());
-            if self.freed[w] & b != 0 {
-                continue;
-            }
-            out.touched += 1;
-            if self.touch(id) {
-                out.faulted += 1;
             }
         }
         self.trace_demand_faults(out.faulted);
@@ -1350,7 +1355,9 @@ mod tests {
     fn scan_into_reuses_buffer_and_orders_ascending() {
         let mut t = table();
         let r = t.alloc(Segment::Runtime, 200);
-        t.touch_pages([PageId(190), PageId(3), PageId(64), PageId(65)]);
+        for id in [190, 3, 64, 65] {
+            t.touch(PageId(id));
+        }
         let mut buf = vec![PageId(999)]; // stale contents must be cleared
         t.scan_accessed_into(&mut buf);
         assert_eq!(buf, vec![PageId(3), PageId(64), PageId(65), PageId(190)]);
@@ -1738,6 +1745,57 @@ mod tests {
     }
 
     proptest::proptest! {
+        // The prefix-plus-runs kernel is the per-page walk it replaced:
+        // the same outcome, per-page metadata and counters, and one
+        // demand page-in event for all the faults — over a segment with
+        // remote and hot-pool pages in it.
+        #[test]
+        fn prop_touch_prefix_runs_matches_per_page_touches(
+            (prefix, gaps) in (0u32..150, proptest::collection::vec((1u32..40, 1u32..90), 0..8)),
+            offload in proptest::collection::vec((0u32..400, 1u32..70), 0..6),
+            hot in 0u32..400,
+        ) {
+            use faasmem_trace::{EventKind, LayerMask, Tracer};
+
+            let mut runs = Vec::new();
+            let mut end = prefix;
+            for (gap, len) in gaps {
+                runs.push((end + gap, end + gap + len));
+                end += gap + len;
+            }
+            let (mut fast, mut slow) = (table(), table());
+            let pages = end.max(1);
+            let mut segment = PageRange::EMPTY;
+            for t in [&mut fast, &mut slow] {
+                t.alloc(Segment::Runtime, 3);
+                segment = t.alloc(Segment::Init, pages);
+                for &(at, len) in &offload {
+                    let at = at % pages;
+                    t.offload_range(segment.skip(at).take(len.min(pages - at)));
+                }
+                t.set_in_hot_pool(segment.start(), true);
+                t.set_in_hot_pool(PageId(segment.start().0 + hot % pages), true);
+            }
+            let tracer = Tracer::recording(LayerMask::ALL);
+            fast.attach_tracer(tracer.clone(), 1);
+            let base = segment.start();
+            let mut want = TouchOutcome::default();
+            for i in (0..prefix).chain(runs.iter().flat_map(|&(s, e)| s..e)) {
+                want.touched += 1;
+                want.faulted += u32::from(slow.touch(PageId(base.0 + i)));
+            }
+            let got = fast.touch_prefix_runs(base, prefix, &runs);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(fast.stats(), slow.stats());
+            proptest::prop_assert_eq!(fast.hot_local_pages(), slow.hot_local_pages());
+            for i in 0..fast.len() as u32 {
+                proptest::prop_assert_eq!(fast.meta(PageId(i)), slow.meta(PageId(i)));
+            }
+            let events: Vec<EventKind> = tracer.take_events().into_iter().map(|e| e.kind).collect();
+            let demand = EventKind::MemPageIn { pages: u64::from(want.faulted), demand: true };
+            proptest::prop_assert_eq!(events, if want.faulted > 0 { vec![demand] } else { vec![] });
+        }
+
         #[test]
         fn prop_counters_match_state(ops in proptest::collection::vec(0u8..4, 1..120)) {
             let mut t = table();

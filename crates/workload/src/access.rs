@@ -6,8 +6,15 @@
 //! Figures 6 (BERT: a stable hot core plus input-dependent extras), 8
 //! (runtime pages barely recalled after the first request) and 9 (Web:
 //! Pareto-popular cached pages).
+//!
+//! A plan is a prefix plus runs per segment ([`AccessSet`]), never a list
+//! of every touched page, and an [`AccessPlanner`] reuses one plan's
+//! buffers across requests.
 
 use faasmem_sim::SimRng;
+
+#[cfg(test)]
+mod reference;
 
 /// How requests touch a function's init segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,53 +59,102 @@ pub enum InitAccess {
     FullTraversal,
 }
 
-/// A set of segment-relative page indexes, kept as a range when dense.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccessSet {
-    /// The contiguous index range `[start, end)`.
-    Range(u32, u32),
-    /// An explicit, sorted, de-duplicated index list.
-    Sparse(Vec<u32>),
+/// A set of segment-relative page indexes: the prefix `[0, prefix)` plus
+/// sorted, disjoint runs `[start, end)` above it.
+///
+/// Every [`InitAccess`] model plans into this shape — a hot core is the
+/// prefix, sampled pages and cached objects are the runs — so a plan
+/// costs memory per run, not per page. The form is canonical: runs are
+/// non-empty, no run touches the prefix or its neighbour, so `==` is set
+/// equality.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AccessSet {
+    prefix: u32,
+    runs: Vec<(u32, u32)>,
 }
 
 impl AccessSet {
     /// An empty set.
     pub fn empty() -> Self {
-        AccessSet::Range(0, 0)
+        Self::default()
+    }
+
+    /// The prefix `[0, end)`.
+    pub fn up_to(end: u32) -> Self {
+        AccessSet {
+            prefix: end,
+            runs: Vec::new(),
+        }
+    }
+
+    /// End of the prefix `[0, prefix)`.
+    pub fn prefix(&self) -> u32 {
+        self.prefix
+    }
+
+    /// The runs above the prefix, as ascending `[start, end)` pairs.
+    pub fn runs(&self) -> &[(u32, u32)] {
+        &self.runs
+    }
+
+    /// One past the highest index in the set (0 when empty).
+    pub fn end(&self) -> u32 {
+        self.runs.last().map_or(self.prefix, |&(_, end)| end)
+    }
+
+    /// Appends `[start, end)`, merging it into an adjacent prefix or run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` lies below [`AccessSet::end`]: runs are pushed
+    /// in ascending order.
+    pub fn push_run(&mut self, start: u32, end: u32) {
+        assert!(start >= self.end(), "run {start}..{end} is out of order");
+        if start >= end {
+            return;
+        }
+        match self.runs.last_mut() {
+            Some(last) if last.1 == start => last.1 = end,
+            Some(_) => self.runs.push((start, end)),
+            None if self.prefix == start => self.prefix = end,
+            None => self.runs.push((start, end)),
+        }
+    }
+
+    /// Resets the set to the prefix `[0, end)`, keeping the run buffer.
+    fn reset_to(&mut self, end: u32) {
+        self.prefix = end;
+        self.runs.clear();
     }
 
     /// Number of pages in the set.
     pub fn len(&self) -> usize {
-        match self {
-            AccessSet::Range(s, e) => (e - s) as usize,
-            AccessSet::Sparse(v) => v.len(),
-        }
+        let runs: u32 = self.runs.iter().map(|&(s, e)| e - s).sum();
+        (self.prefix + runs) as usize
     }
 
     /// `true` when the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.end() == 0
     }
 
-    /// Iterates over the page indexes.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = u32> + '_> {
-        match self {
-            AccessSet::Range(s, e) => Box::new(*s..*e),
-            AccessSet::Sparse(v) => Box::new(v.iter().copied()),
-        }
+    /// Iterates over the page indexes in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.prefix).chain(self.runs.iter().flat_map(|&(s, e)| s..e))
     }
 
     /// `true` if `index` is in the set.
     pub fn contains(&self, index: u32) -> bool {
-        match self {
-            AccessSet::Range(s, e) => index >= *s && index < *e,
-            AccessSet::Sparse(v) => v.binary_search(&index).is_ok(),
+        if index < self.prefix {
+            return true;
         }
+        let after = self.runs.partition_point(|&(s, _)| s <= index);
+        after > 0 && index < self.runs[after - 1].1
     }
 }
 
 /// The pages one request touches, expressed segment-relatively.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RequestAccess {
     /// Runtime-segment pages touched (the action proxy's working set).
     pub runtime: AccessSet,
@@ -140,6 +196,9 @@ impl RequestAccess {
     /// (`[runtime_hot_pages, runtime_total_pages)`). This reproduces the
     /// paper's Fig 8 observation that a handful of Runtime-Pucket pages
     /// are recalled after the reactive offload — rarely, but not never.
+    ///
+    /// Each call allocates its plan; a loop planning many requests
+    /// reuses one [`AccessPlanner`] instead.
     pub fn plan_with_rare_runtime(
         model: InitAccess,
         runtime_hot_pages: u32,
@@ -149,32 +208,70 @@ impl RequestAccess {
         exec_pages: u32,
         rng: &mut SimRng,
     ) -> RequestAccess {
-        let init = Self::plan_init(model, init_pages, rng);
-        let runtime = if runtime_total_pages > runtime_hot_pages && rng.chance(rare_runtime_prob) {
-            let cold =
-                rng.range(u64::from(runtime_hot_pages), u64::from(runtime_total_pages)) as u32;
-            let mut v: Vec<u32> = (0..runtime_hot_pages).collect();
-            v.push(cold);
-            AccessSet::Sparse(v)
-        } else {
-            AccessSet::Range(0, runtime_hot_pages)
-        };
-        RequestAccess {
-            runtime,
-            init,
-            exec_pages,
-        }
+        let mut planner = AccessPlanner::default();
+        planner.plan_with_rare_runtime(
+            model,
+            runtime_hot_pages,
+            runtime_total_pages,
+            rare_runtime_prob,
+            init_pages,
+            rng,
+        );
+        planner.plan.exec_pages = exec_pages;
+        planner.plan
+    }
+}
+
+/// Run-long scratch for planning requests: the last plan and the bitset
+/// that picks distinct indexes. Once it has planned the largest request
+/// of a workload, planning allocates nothing.
+#[derive(Debug, Default)]
+pub struct AccessPlanner {
+    plan: RequestAccess,
+    picked: IndexBits,
+}
+
+impl AccessPlanner {
+    /// The most recent plan.
+    pub fn plan(&self) -> &RequestAccess {
+        &self.plan
     }
 
-    fn plan_init(model: InitAccess, init_pages: u32, rng: &mut SimRng) -> AccessSet {
+    /// Plans one request's runtime and init pages into the scratch plan
+    /// and returns it; the arguments and the random draws are those of
+    /// [`RequestAccess::plan_with_rare_runtime`]. The execution segment
+    /// is allocated, not planned, so the plan's `exec_pages` stays 0.
+    pub fn plan_with_rare_runtime(
+        &mut self,
+        model: InitAccess,
+        runtime_hot_pages: u32,
+        runtime_total_pages: u32,
+        rare_runtime_prob: f64,
+        init_pages: u32,
+        rng: &mut SimRng,
+    ) -> &RequestAccess {
+        self.plan_init(model, init_pages, rng);
+        let runtime = &mut self.plan.runtime;
+        runtime.reset_to(runtime_hot_pages);
+        if runtime_total_pages > runtime_hot_pages && rng.chance(rare_runtime_prob) {
+            let cold =
+                rng.range(u64::from(runtime_hot_pages), u64::from(runtime_total_pages)) as u32;
+            runtime.push_run(cold, cold + 1);
+        }
+        &self.plan
+    }
+
+    fn plan_init(&mut self, model: InitAccess, init_pages: u32, rng: &mut SimRng) {
+        let AccessPlanner { plan, picked } = self;
+        let init = &mut plan.init;
+        init.reset_to(0);
         if init_pages == 0 {
-            return AccessSet::empty();
+            return;
         }
         match model {
-            InitAccess::FullTraversal => AccessSet::Range(0, init_pages),
+            InitAccess::FullTraversal => init.reset_to(init_pages),
             InitAccess::FixedHot { hot_fraction } => {
-                let hot = fraction_of(init_pages, hot_fraction);
-                AccessSet::Range(0, hot)
+                init.reset_to(fraction_of(init_pages, hot_fraction));
             }
             InitAccess::HotPlusRandom {
                 hot_fraction,
@@ -182,57 +279,46 @@ impl RequestAccess {
             } => {
                 let hot = fraction_of(init_pages, hot_fraction);
                 let extra = fraction_of(init_pages, random_fraction);
+                init.reset_to(hot);
                 if extra == 0 || hot >= init_pages {
-                    return AccessSet::Range(0, hot.min(init_pages));
+                    return;
                 }
-                let mut indexes: Vec<u32> = (0..hot).collect();
                 // Sample without replacement from the cold tail.
                 let tail = init_pages - hot;
                 let take = extra.min(tail);
-                let mut sampled = sample_without_replacement(tail, take, rng);
-                for s in sampled.drain(..) {
-                    indexes.push(hot + s);
-                }
-                indexes.sort_unstable();
-                indexes.dedup();
-                AccessSet::Sparse(indexes)
+                sample_without_replacement(tail, take, rng, picked);
+                init.runs.reserve(take as usize);
+                picked.drain(|s| init.push_run(hot + s, hot + s + 1));
             }
             InitAccess::ParetoPages {
                 alpha,
                 per_request_fraction,
             } => {
                 let per_request = fraction_of(init_pages, per_request_fraction).max(1);
-                let mut indexes = Vec::with_capacity(per_request as usize);
+                picked.start(init_pages);
                 for _ in 0..per_request {
-                    indexes.push(rng.pareto_index(init_pages as usize, alpha) as u32);
+                    picked.insert(rng.pareto_index(init_pages as usize, alpha) as u32);
                 }
-                indexes.sort_unstable();
-                indexes.dedup();
-                AccessSet::Sparse(indexes)
+                init.runs.reserve(per_request as usize);
+                picked.drain(|i| init.push_run(i, i + 1));
             }
             InitAccess::ParetoObjects {
                 alpha,
                 objects,
                 per_request,
             } => {
-                let objects = objects.max(1).min(init_pages.max(1));
-                let mut chosen = Vec::with_capacity(per_request as usize);
-                for _ in 0..per_request.max(1) {
-                    chosen.push(rng.pareto_index(objects as usize, alpha) as u32);
+                let objects = objects.max(1).min(init_pages);
+                let per_request = per_request.max(1);
+                picked.start(objects);
+                for _ in 0..per_request {
+                    picked.insert(rng.pareto_index(objects as usize, alpha) as u32);
                 }
-                chosen.sort_unstable();
-                chosen.dedup();
-                let mut indexes = Vec::new();
-                for obj in chosen {
-                    let start =
-                        (u64::from(obj) * u64::from(init_pages) / u64::from(objects)) as u32;
-                    let end =
-                        ((u64::from(obj) + 1) * u64::from(init_pages) / u64::from(objects)) as u32;
-                    indexes.extend(start..end.max(start + 1).min(init_pages));
-                }
-                indexes.sort_unstable();
-                indexes.dedup();
-                AccessSet::Sparse(indexes)
+                init.runs.reserve(per_request as usize);
+                // `objects <= init_pages`, so each object spans at least
+                // one page and the objects tile the segment in order.
+                let bound =
+                    |obj: u32| (u64::from(obj) * u64::from(init_pages) / u64::from(objects)) as u32;
+                picked.drain(|obj| init.push_run(bound(obj), bound(obj + 1)));
             }
         }
     }
@@ -242,18 +328,54 @@ fn fraction_of(total: u32, fraction: f64) -> u32 {
     ((total as f64 * fraction).round() as u32).min(total)
 }
 
-/// Draws `take` distinct values from `[0, n)` (Floyd's algorithm).
-fn sample_without_replacement(n: u32, take: u32, rng: &mut SimRng) -> Vec<u32> {
+/// Draws `take` distinct values from `[0, n)` into `picked` (Floyd's
+/// algorithm); [`IndexBits::drain`] then yields them in ascending order.
+fn sample_without_replacement(n: u32, take: u32, rng: &mut SimRng, picked: &mut IndexBits) {
     debug_assert!(take <= n);
-    let mut chosen = std::collections::HashSet::with_capacity(take as usize);
-    let mut out = Vec::with_capacity(take as usize);
+    picked.start(n);
     for j in (n - take)..n {
         let t = rng.below(u64::from(j) + 1) as u32;
-        let pick = if chosen.contains(&t) { j } else { t };
-        chosen.insert(pick);
-        out.push(pick);
+        let pick = if picked.contains(t) { j } else { t };
+        picked.insert(pick);
     }
-    out
+}
+
+/// A bitset over the index universe `[0, n)` of one draw, all-zero
+/// between draws so it never needs clearing up front.
+#[derive(Debug, Default)]
+struct IndexBits {
+    words: Vec<u64>,
+    /// Words covering the current universe.
+    used: usize,
+}
+
+impl IndexBits {
+    /// Begins a draw over `[0, n)`, growing the words if needed.
+    fn start(&mut self, n: u32) {
+        self.used = (n as usize).div_ceil(64);
+        if self.words.len() < self.used {
+            self.words.resize(self.used, 0);
+        }
+    }
+
+    fn contains(&self, i: u32) -> bool {
+        self.words[(i >> 6) as usize] & (1 << (i & 63)) != 0
+    }
+
+    fn insert(&mut self, i: u32) {
+        self.words[(i >> 6) as usize] |= 1 << (i & 63);
+    }
+
+    /// Calls `f` on every member in ascending order and empties the set.
+    fn drain(&mut self, mut f: impl FnMut(u32)) {
+        for (w, word) in self.words[..self.used].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                f(((w as u32) << 6) | bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -264,23 +386,54 @@ mod tests {
         SimRng::seed_from(99)
     }
 
+    /// The members of `picked`, in the ascending order `drain` yields.
+    fn drained(picked: &mut IndexBits) -> Vec<u32> {
+        let mut v = Vec::new();
+        picked.drain(|i| v.push(i));
+        v
+    }
+
     #[test]
     fn access_set_range_semantics() {
-        let s = AccessSet::Range(5, 9);
+        let mut s = AccessSet::empty();
+        s.push_run(5, 9);
+        assert_eq!((s.prefix(), s.runs()), (0, &[(5, 9)][..]));
         assert_eq!(s.len(), 4);
+        assert_eq!(s.end(), 9);
         assert!(s.contains(5) && s.contains(8));
         assert!(!s.contains(9) && !s.contains(4));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![5, 6, 7, 8]);
+        let p = AccessSet::up_to(3);
+        assert_eq!(p.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert!(p.contains(0) && !p.contains(3));
     }
 
     #[test]
     fn access_set_sparse_semantics() {
-        let s = AccessSet::Sparse(vec![1, 4, 7]);
-        assert_eq!(s.len(), 3);
-        assert!(s.contains(4));
-        assert!(!s.contains(5));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 4, 7]);
+        let mut s = AccessSet::up_to(2);
+        for i in [4, 7, 8] {
+            s.push_run(i, i + 1);
+        }
+        assert_eq!(s.runs(), &[(4, 5), (7, 9)], "adjacent pages merge");
+        assert_eq!(s.len(), 5);
+        assert!(s.contains(1) && s.contains(4) && s.contains(8));
+        assert!(!s.contains(2) && !s.contains(5) && !s.contains(9));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 4, 7, 8]);
+        // A run starting at the prefix's end extends the prefix, so the
+        // form stays canonical and `==` is set equality.
+        let mut t = AccessSet::up_to(2);
+        t.push_run(2, 4);
+        assert_eq!(t, AccessSet::up_to(4));
+        t.push_run(9, 9);
+        assert_eq!(t, AccessSet::up_to(4), "empty runs are dropped");
         assert!(AccessSet::empty().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn access_set_rejects_descending_runs() {
+        let mut s = AccessSet::up_to(4);
+        s.push_run(3, 5);
     }
 
     #[test]
@@ -301,7 +454,7 @@ mod tests {
             0,
             &mut r,
         );
-        assert_eq!(a.init, AccessSet::Range(0, 100));
+        assert_eq!(a.init, AccessSet::up_to(100));
         // Same every request regardless of RNG state.
         let b = RequestAccess::plan(
             InitAccess::FixedHot { hot_fraction: 0.25 },
@@ -478,27 +631,31 @@ mod tests {
             0,
             &mut r,
         );
-        assert_eq!(a.runtime, AccessSet::Range(0, 10));
+        assert_eq!(a.runtime, AccessSet::up_to(10));
     }
 
     #[test]
     fn sample_without_replacement_is_distinct_and_in_range() {
         let mut r = rng();
+        let mut picked = IndexBits::default();
         for _ in 0..50 {
-            let v = sample_without_replacement(100, 30, &mut r);
+            sample_without_replacement(100, 30, &mut r, &mut picked);
+            let v = drained(&mut picked);
             assert_eq!(v.len(), 30);
-            let set: std::collections::HashSet<_> = v.iter().collect();
-            assert_eq!(set.len(), 30);
+            assert!(v.windows(2).all(|w| w[0] < w[1]));
             assert!(v.iter().all(|&x| x < 100));
         }
+        // Draining empties the set, so a smaller draw starts clean.
+        sample_without_replacement(5, 0, &mut r, &mut picked);
+        assert!(drained(&mut picked).is_empty());
     }
 
     #[test]
     fn sample_full_population() {
         let mut r = rng();
-        let mut v = sample_without_replacement(10, 10, &mut r);
-        v.sort_unstable();
-        assert_eq!(v, (0..10).collect::<Vec<_>>());
+        let mut picked = IndexBits::default();
+        sample_without_replacement(10, 10, &mut r, &mut picked);
+        assert_eq!(drained(&mut picked), (0..10).collect::<Vec<_>>());
     }
 
     proptest::proptest! {
@@ -512,10 +669,14 @@ mod tests {
             let model = InitAccess::HotPlusRandom { hot_fraction: hot, random_fraction: rand_frac };
             let mut r = SimRng::seed_from(seed);
             let a = RequestAccess::plan(model, 0, pages, 0, &mut r);
-            if let AccessSet::Sparse(v) = &a.init {
-                proptest::prop_assert!(v.windows(2).all(|w| w[0] < w[1]));
-                proptest::prop_assert!(v.iter().all(|&i| i < pages));
+            // Canonical form: non-empty runs above the prefix, each
+            // separated from the previous run by at least one page.
+            let mut end = a.init.prefix();
+            for &(s, e) in a.init.runs() {
+                proptest::prop_assert!(end < s && s < e, "run {s}..{e} after {end}");
+                end = e;
             }
+            proptest::prop_assert!(a.init.end() <= pages);
             proptest::prop_assert!(a.init.len() <= pages as usize);
         }
     }

@@ -41,7 +41,7 @@ pub mod error;
 pub mod trace;
 pub mod trace_io;
 
-pub use access::{AccessSet, InitAccess, RequestAccess};
+pub use access::{AccessPlanner, AccessSet, InitAccess, RequestAccess};
 pub use azure::{ArrivalModel, LoadClass, TraceSynthesizer};
 pub use azure_csv::{AzureImport, LossyAzureImport, ParseAzureError};
 pub use benchmark::{BenchmarkSpec, RuntimeKind, RuntimeSpec, ServerlessPlatform};

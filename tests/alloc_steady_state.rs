@@ -15,6 +15,11 @@
 //! the execution range, offload and page-in — allocates nothing. That
 //! also proves the spec-derived reservation is large enough.
 //!
+//! Planning a request into a run-long [`AccessPlanner`] and touching
+//! its pages through [`touch_request`] allocates nothing either once the
+//! planner has seen the workload's largest request — the warm-request
+//! path of a 4 KiB BERT container, with its ~100k-page hot core.
+//!
 //! A policy's offload → page-in round trip through [`PolicyCtx`] — the
 //! semi-warm drain and recall shape — allocates nothing either once the
 //! pool's link and the bandwidth governor's sliding window have settled.
@@ -26,11 +31,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use faasmem_core::Puckets;
-use faasmem_faas::{Container, ContainerId, FunctionId, PolicyCtx};
+use faasmem_faas::{touch_request, Container, ContainerId, FunctionId, PolicyCtx};
 use faasmem_mem::{mib_to_pages, PageId, Segment, PAGE_SIZE_4K};
 use faasmem_pool::{BandwidthGovernor, PoolConfig, RemotePool};
-use faasmem_sim::{EventQueue, SimDuration, SimTime};
-use faasmem_workload::BenchmarkSpec;
+use faasmem_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use faasmem_workload::{AccessPlanner, BenchmarkSpec};
 
 struct CountingAlloc;
 
@@ -122,6 +127,33 @@ fn page_table_lifecycle(c: &mut Container) -> usize {
     c.table().len()
 }
 
+/// `requests` warm requests in platform order: plan into `planner`,
+/// offload the init segment so the touches fault, then touch the plan's
+/// runtime and init pages. Returns the pages faulted back in.
+fn warm_requests(
+    c: &mut Container,
+    planner: &mut AccessPlanner,
+    rng: &mut SimRng,
+    requests: u32,
+) -> u64 {
+    let spec = c.spec().clone();
+    let (runtime, init) = (c.runtime_range(), c.init_range());
+    let mut faulted = 0u64;
+    for _ in 0..requests {
+        let plan = planner.plan_with_rare_runtime(
+            spec.init_access,
+            c.runtime_hot_pages(),
+            runtime.len(),
+            spec.runtime_rare_touch_prob,
+            init.len(),
+            rng,
+        );
+        c.table_mut().offload_range(init);
+        faulted += u64::from(touch_request(c.table_mut(), runtime, init, plan).faulted);
+    }
+    faulted
+}
+
 /// `rounds` policy round trips, one per simulated millisecond starting
 /// at `from_ms`: offload `ids` through [`PolicyCtx::offload_pages`] (the
 /// non-local ids in the batch are skipped), then page them back in
@@ -204,6 +236,31 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
             "{name}: the page-table lifecycle must not allocate (got {allocs} allocations)"
         );
     }
+
+    // -- Warm request: plan into scratch, touch through the kernel ---
+    let mut bert = Container::new(
+        ContainerId(0),
+        FunctionId(0),
+        BenchmarkSpec::by_name("bert").expect("catalog"),
+        PAGE_SIZE_4K,
+        SimTime::ZERO,
+    );
+    bert.finish_launch();
+    bert.finish_init();
+    let mut planner = AccessPlanner::default();
+    let mut rng = SimRng::seed_from(21);
+    assert!(warm_requests(&mut bert, &mut planner, &mut rng, 2) > 0);
+    assert!(
+        planner.plan().init.prefix() > 100_000,
+        "a 4 KiB BERT request has a ~100k-page hot core"
+    );
+    let (allocs, faulted) =
+        allocations_during(|| warm_requests(&mut bert, &mut planner, &mut rng, 8));
+    assert!(faulted > 0, "the offloaded init pages fault back in");
+    assert_eq!(
+        allocs, 0,
+        "a warm request's planning and touches must not allocate (got {allocs} allocations)"
+    );
 
     // -- Policy offload → page-in round trips ------------------------
     let mut c = Container::new(
