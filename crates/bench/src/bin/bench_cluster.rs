@@ -8,27 +8,26 @@
 //!
 //! ```text
 //! cargo run --release -p faasmem-bench --bin bench_cluster -- \
-//!     --threads 4 --profile --check-speedup --out perf
+//!     --threads 4 --check-speedup --out perf
 //! cargo run --release -p faasmem-bench --bin bench_compare -- \
 //!     BENCH_cluster.json perf/BENCH_cluster.json --tolerance 0.25
 //! ```
 //!
 //! The workload is fixed (same seed, same node/function mix) so the
-//! per-phase totals in `BENCH_cluster.json` are comparable across runs
-//! and CI can diff them with `bench_compare`. `--check-speedup` exits
-//! non-zero unless the threaded run beats the serial oracle by at
-//! least [`REQUIRED_SPEEDUP`]× — meaningful only on a multi-core
-//! runner, so it is an opt-in flag rather than the default.
+//! per-phase totals in `BENCH_cluster.json` (written when `--out DIR` is
+//! given) are comparable across runs and CI can diff them with
+//! `bench_compare`. `--check-speedup` exits non-zero unless the threaded
+//! run beats the serial oracle by at least [`REQUIRED_SPEEDUP`]× —
+//! meaningful only on a multi-core runner, so it is an opt-in flag
+//! rather than the default.
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::PathBuf;
 
-use faasmem_bench::json::JsonValue;
+use faasmem_bench::perf::BenchRecorder;
 use faasmem_bench::render_table;
 use faasmem_core::FaasMemPolicy;
 use faasmem_faas::{ClusterReport, ClusterSim, ClusterSpec};
 use faasmem_sim::SimTime;
-use faasmem_telemetry::profiler;
 use faasmem_workload::LoadClass;
 
 /// Minimum threaded-vs-serial wall-clock ratio `--check-speedup`
@@ -39,15 +38,14 @@ const REQUIRED_SPEEDUP: f64 = 2.0;
 struct Options {
     nodes: u32,
     threads: usize,
-    out_dir: PathBuf,
-    profile: bool,
+    out_dir: Option<PathBuf>,
     check_speedup: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: bench_cluster [--nodes N] [--threads T] \
-         [--profile] [--check-speedup] [--out DIR]"
+         [--check-speedup] [--out DIR]"
     );
     std::process::exit(2);
 }
@@ -59,20 +57,18 @@ fn parse_args() -> Options {
     let mut opts = Options {
         nodes: 8,
         threads: default_threads,
-        out_dir: PathBuf::from("."),
-        profile: false,
+        out_dir: None,
         check_speedup: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--profile" => opts.profile = true,
             "--check-speedup" => opts.check_speedup = true,
             "--nodes" => opts.nodes = parse_count(args.next()),
             "--threads" => opts.threads = parse_count(args.next()) as usize,
             "--out" => {
                 let Some(dir) = args.next() else { usage() };
-                opts.out_dir = PathBuf::from(dir);
+                opts.out_dir = Some(PathBuf::from(dir));
             }
             _ => usage(),
         }
@@ -104,59 +100,6 @@ fn cluster(nodes: u32) -> ClusterSim {
     )
 }
 
-/// Runs `f` under a named profiler phase and times it.
-fn timed<T>(phase: &'static str, f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = {
-        let _guard = profiler::enter(phase);
-        f()
-    };
-    (out, start.elapsed().as_secs_f64())
-}
-
-/// The `BENCH_cluster.json` document `bench_compare` diffs in CI.
-fn bench_json(total_wall_secs: f64, phases: &[(&'static str, profiler::PhaseStat)]) -> JsonValue {
-    let mut doc = JsonValue::obj();
-    doc.push("schema_version", JsonValue::Num(1.0));
-    doc.push("bench", JsonValue::Str("cluster".to_string()));
-    doc.push("git_rev", JsonValue::Str(git_rev()));
-    doc.push("total_wall_secs", JsonValue::Num(total_wall_secs));
-    let phase_docs: Vec<JsonValue> = phases
-        .iter()
-        .map(|(name, stat)| {
-            let mut p = JsonValue::obj();
-            p.push("name", JsonValue::Str((*name).to_string()));
-            p.push("calls", JsonValue::Num(stat.calls as f64));
-            p.push("total_secs", JsonValue::Num(stat.total_secs));
-            p.push("self_secs", JsonValue::Num(stat.self_secs));
-            p
-        })
-        .collect();
-    doc.push("phases", JsonValue::Arr(phase_docs));
-    doc
-}
-
-/// The checked-out short revision, for provenance. Best-effort:
-/// "unknown" outside a git checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn write_bench(dir: &Path, doc: &JsonValue) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_cluster.json");
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(path)
-}
-
 fn summarize(report: &ClusterReport) -> String {
     format!(
         "{} req, {} cold starts over {} nodes",
@@ -168,12 +111,12 @@ fn summarize(report: &ClusterReport) -> String {
 
 fn main() {
     let opts = parse_args();
-    profiler::set_enabled(true);
-    let started = Instant::now();
+    let mut bench = BenchRecorder::new("cluster");
 
     let sim = cluster(opts.nodes);
-    let (serial, serial_secs) = timed("cluster_serial", || sim.run_serial());
-    let (parallel, parallel_secs) = timed("cluster_parallel", || sim.run_parallel(opts.threads));
+    let (serial, serial_secs) = bench.time("cluster_serial", || sim.run_serial());
+    let (parallel, parallel_secs) =
+        bench.time("cluster_parallel", || sim.run_parallel(opts.threads));
 
     let rows = vec![
         vec![
@@ -210,17 +153,13 @@ fn main() {
         opts.threads
     );
 
-    profiler::set_enabled(false);
-    let phases = profiler::take_report();
-    let total_wall_secs = started.elapsed().as_secs_f64();
-    if opts.profile {
-        let doc = bench_json(total_wall_secs, &phases);
-        match write_bench(&opts.out_dir, &doc) {
+    if let Some(dir) = &opts.out_dir {
+        match bench.write_bench(dir) {
             Ok(path) => eprintln!("[bench_cluster] wrote {}", path.display()),
             Err(e) => {
                 eprintln!(
                     "[bench_cluster] could not write BENCH file under {}: {e}",
-                    opts.out_dir.display()
+                    dir.display()
                 );
                 std::process::exit(2);
             }

@@ -1,10 +1,9 @@
 //! Diffs two `BENCH_*.json` perf baselines and fails on regression.
 //!
 //! ```text
-//! cargo run --release -p faasmem-bench --bin fig12_main_eval -- \
-//!     --quick --profile --out perf
+//! cargo run --release -p faasmem-bench --bin bench_mem -- --out perf
 //! cargo run --release -p faasmem-bench --bin bench_compare -- \
-//!     BENCH_fig12_quick.json perf/BENCH_fig12_quick.json --tolerance 0.25
+//!     BENCH_mem_micro.json perf/BENCH_mem_micro.json --tolerance 0.25
 //! ```
 //!
 //! `--json` swaps the fixed-width report for a machine-readable JSON

@@ -9,26 +9,24 @@
 //!
 //! ```text
 //! cargo run --release -p faasmem-bench --bin bench_mem -- \
-//!     --profile --check-speedup --out perf
+//!     --check-speedup --out perf
 //! cargo run --release -p faasmem-bench --bin bench_compare -- \
 //!     BENCH_mem_micro.json perf/BENCH_mem_micro.json --tolerance 0.25
 //! ```
 //!
 //! Every phase runs a *fixed* number of repetitions so the per-phase
-//! totals in `BENCH_mem_micro.json` are comparable across runs — the
-//! CI perf job diffs them with `bench_compare` exactly like the grid
-//! baselines. `--check-speedup` exits non-zero unless the bitmap scan
-//! beats the reference walk by at least [`REQUIRED_SPEEDUP`]×.
+//! totals in `BENCH_mem_micro.json` (written when `--out DIR` is given)
+//! are comparable across runs — the CI perf job diffs them with
+//! `bench_compare`. `--check-speedup` exits non-zero unless the bitmap
+//! scan beats the reference walk by at least [`REQUIRED_SPEEDUP`]×.
 
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::PathBuf;
 
-use faasmem_bench::json::JsonValue;
+use faasmem_bench::perf::BenchRecorder;
 use faasmem_bench::render_table;
 use faasmem_core::Puckets;
 use faasmem_mem::{PageId, PageRange, PageTable, ReferencePageTable, Segment, PAGE_SIZE_4K};
-use faasmem_telemetry::profiler;
 
 /// Minimum bitmap-vs-reference scan-throughput ratio `--check-speedup`
 /// enforces (measured at 256k pages).
@@ -59,30 +57,27 @@ const TOUCH_REPS: u32 = 3200;
 const PROMOTE_REPS: u32 = 800;
 
 struct Options {
-    out_dir: PathBuf,
-    profile: bool,
+    out_dir: Option<PathBuf>,
     check_speedup: bool,
 }
 
 fn usage() -> ! {
-    eprintln!("usage: bench_mem [--profile] [--check-speedup] [--out DIR]");
+    eprintln!("usage: bench_mem [--check-speedup] [--out DIR]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        out_dir: PathBuf::from("."),
-        profile: false,
+        out_dir: None,
         check_speedup: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--profile" => opts.profile = true,
             "--check-speedup" => opts.check_speedup = true,
             "--out" => {
                 let Some(dir) = args.next() else { usage() };
-                opts.out_dir = PathBuf::from(dir);
+                opts.out_dir = Some(PathBuf::from(dir));
             }
             _ => usage(),
         }
@@ -117,88 +112,83 @@ fn touch_hot_set_ref(table: &mut ReferencePageTable, range: PageRange) {
 /// Pages scanned per second by the bitmap path at the given size:
 /// each rep re-touches the hot set, then drains it with a word-wise
 /// scan into a reused buffer.
-fn bitmap_scan(pages: u32, reps: u32, phase: &'static str) -> f64 {
+fn bitmap_scan(pages: u32, reps: u32, phase: &'static str, bench: &mut BenchRecorder) -> f64 {
     let (mut table, range) = build_table(pages);
     let mut out: Vec<PageId> = Vec::new();
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
+    let ((), secs) = bench.time(phase, || {
         for _ in 0..reps {
             touch_hot_set(&mut table, range);
             table.scan_accessed_into(&mut out);
             black_box(out.len());
         }
-    }
-    pages as f64 * reps as f64 / start.elapsed().as_secs_f64()
+    });
+    pages as f64 * reps as f64 / secs
 }
 
 /// Pages scanned per second by the naive per-page reference walk.
-fn reference_scan(pages: u32, reps: u32, phase: &'static str) -> f64 {
+fn reference_scan(pages: u32, reps: u32, phase: &'static str, bench: &mut BenchRecorder) -> f64 {
     let mut table = ReferencePageTable::new(PAGE_SIZE_4K);
     let range = table.alloc(Segment::Runtime, pages);
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
+    let ((), secs) = bench.time(phase, || {
         for _ in 0..reps {
             touch_hot_set_ref(&mut table, range);
             let hits = table.scan_accessed();
             black_box(hits.len());
         }
-    }
-    pages as f64 * reps as f64 / start.elapsed().as_secs_f64()
+    });
+    pages as f64 * reps as f64 / secs
 }
 
 /// Aging walk throughput: touch the hot set, then age the whole table.
-fn bitmap_age(pages: u32, reps: u32, phase: &'static str) -> f64 {
+fn bitmap_age(pages: u32, reps: u32, phase: &'static str, bench: &mut BenchRecorder) -> f64 {
     let (mut table, range) = build_table(pages);
     let mut out: Vec<PageId> = Vec::new();
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
+    let ((), secs) = bench.time(phase, || {
         for _ in 0..reps {
             touch_hot_set(&mut table, range);
             table.age_and_collect_idle_into(u8::MAX, &mut out);
             black_box(out.len());
         }
-    }
-    pages as f64 * reps as f64 / start.elapsed().as_secs_f64()
+    });
+    pages as f64 * reps as f64 / secs
 }
 
 /// Offload + page-in sweep throughput over a quarter of the table.
-fn bitmap_offload_page_in(pages: u32, reps: u32, phase: &'static str) -> f64 {
+fn bitmap_offload_page_in(
+    pages: u32,
+    reps: u32,
+    phase: &'static str,
+    bench: &mut BenchRecorder,
+) -> f64 {
     let (mut table, range) = build_table(pages);
     let window = range.take(range.len() / 4);
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
+    let ((), secs) = bench.time(phase, || {
         for _ in 0..reps {
             let out = table.offload_range(window);
             let back = table.page_in_range(window);
             black_box((out, back));
         }
-    }
-    window.len() as f64 * 2.0 * reps as f64 / start.elapsed().as_secs_f64()
+    });
+    window.len() as f64 * 2.0 * reps as f64 / secs
 }
 
 /// Range-touch throughput: every rep touches the whole table, the
 /// per-request access path of the runtime and init segments.
-fn bitmap_touch(pages: u32, reps: u32, phase: &'static str) -> f64 {
+fn bitmap_touch(pages: u32, reps: u32, phase: &'static str, bench: &mut BenchRecorder) -> f64 {
     let (mut table, range) = build_table(pages);
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
+    let ((), secs) = bench.time(phase, || {
         for _ in 0..reps {
             black_box(table.touch_range(range));
         }
-    }
-    pages as f64 * reps as f64 / start.elapsed().as_secs_f64()
+    });
+    pages as f64 * reps as f64 / secs
 }
 
 /// Fused promotion throughput over a fully barriered table (half
 /// Runtime, half Init Pucket): each rep re-touches the hot set,
 /// promotes it into the hot pool in one scan, then rolls the pool back
 /// so the next rep promotes the same pages again.
-fn bitmap_promote(pages: u32, reps: u32, phase: &'static str) -> f64 {
+fn bitmap_promote(pages: u32, reps: u32, phase: &'static str, bench: &mut BenchRecorder) -> f64 {
     let mut table = PageTable::new(PAGE_SIZE_4K);
     let mut puckets = Puckets::new();
     let runtime = table.alloc(Segment::Runtime, pages / 2);
@@ -206,69 +196,23 @@ fn bitmap_promote(pages: u32, reps: u32, phase: &'static str) -> f64 {
     let init = table.alloc(Segment::Init, pages - pages / 2);
     puckets.insert_init_exec_barrier(&mut table);
     let range = PageRange::new(runtime.start(), runtime.len() + init.len());
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
+    let ((), secs) = bench.time(phase, || {
         for _ in 0..reps {
             touch_hot_set(&mut table, range);
             black_box(puckets.promote_accessed(&mut table));
             black_box(puckets.rollback_hot_pool(&mut table));
         }
-    }
-    pages as f64 * reps as f64 / start.elapsed().as_secs_f64()
+    });
+    pages as f64 * reps as f64 / secs
 }
 
 fn fmt_throughput(pages_per_sec: f64) -> String {
     format!("{:.0} Mpages/s", pages_per_sec / 1e6)
 }
 
-/// The `BENCH_mem_micro.json` document `bench_compare` diffs in CI.
-fn bench_json(total_wall_secs: f64, phases: &[(&'static str, profiler::PhaseStat)]) -> JsonValue {
-    let mut doc = JsonValue::obj();
-    doc.push("schema_version", JsonValue::Num(1.0));
-    doc.push("bench", JsonValue::Str("mem_micro".to_string()));
-    doc.push("git_rev", JsonValue::Str(git_rev()));
-    doc.push("total_wall_secs", JsonValue::Num(total_wall_secs));
-    let phase_docs: Vec<JsonValue> = phases
-        .iter()
-        .map(|(name, stat)| {
-            let mut p = JsonValue::obj();
-            p.push("name", JsonValue::Str((*name).to_string()));
-            p.push("calls", JsonValue::Num(stat.calls as f64));
-            p.push("total_secs", JsonValue::Num(stat.total_secs));
-            p.push("self_secs", JsonValue::Num(stat.self_secs));
-            p
-        })
-        .collect();
-    doc.push("phases", JsonValue::Arr(phase_docs));
-    doc
-}
-
-/// The checked-out short revision, for provenance. Best-effort:
-/// "unknown" outside a git checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn write_bench(dir: &Path, doc: &JsonValue) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_mem_micro.json");
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(path)
-}
-
 fn main() {
     let opts = parse_args();
-    profiler::set_enabled(true);
-    let started = Instant::now();
+    let mut bench = BenchRecorder::new("mem_micro");
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut scan_256k = 0.0;
@@ -278,16 +222,16 @@ fn main() {
         } else {
             format!("{}k", pages / 1024)
         };
-        // Phase names are static so the profiler (and the BENCH diff)
-        // can aggregate across runs.
+        // Phase names are static so the BENCH diff can match them
+        // across runs.
         let (scan_phase, age_phase, offload_phase) = match pages {
             65_536 => ("scan_64k", "age_64k", "offload_page_in_64k"),
             262_144 => ("scan_256k", "age_256k", "offload_page_in_256k"),
             _ => ("scan_1m", "age_1m", "offload_page_in_1m"),
         };
-        let scan = bitmap_scan(pages, scan_reps, scan_phase);
-        let age = bitmap_age(pages, age_reps, age_phase);
-        let sweep = bitmap_offload_page_in(pages, offload_reps, offload_phase);
+        let scan = bitmap_scan(pages, scan_reps, scan_phase, &mut bench);
+        let age = bitmap_age(pages, age_reps, age_phase, &mut bench);
+        let sweep = bitmap_offload_page_in(pages, offload_reps, offload_phase, &mut bench);
         if pages == 262_144 {
             scan_256k = scan;
         }
@@ -299,9 +243,9 @@ fn main() {
         ]);
     }
 
-    let touch = bitmap_touch(262_144, TOUCH_REPS, "touch_256k");
-    let promote = bitmap_promote(262_144, PROMOTE_REPS, "promote_256k");
-    let naive = reference_scan(262_144, NAIVE_REPS, "naive_scan_256k");
+    let touch = bitmap_touch(262_144, TOUCH_REPS, "touch_256k", &mut bench);
+    let promote = bitmap_promote(262_144, PROMOTE_REPS, "promote_256k", &mut bench);
+    let naive = reference_scan(262_144, NAIVE_REPS, "naive_scan_256k", &mut bench);
     let speedup = scan_256k / naive;
     rows.push(vec![
         "256k (naive ref)".to_string(),
@@ -324,17 +268,13 @@ fn main() {
     );
     println!("bitmap scan speedup over naive reference at 256k pages: {speedup:.1}x");
 
-    profiler::set_enabled(false);
-    let phases = profiler::take_report();
-    let total_wall_secs = started.elapsed().as_secs_f64();
-    if opts.profile {
-        let doc = bench_json(total_wall_secs, &phases);
-        match write_bench(&opts.out_dir, &doc) {
+    if let Some(dir) = &opts.out_dir {
+        match bench.write_bench(dir) {
             Ok(path) => eprintln!("[bench_mem] wrote {}", path.display()),
             Err(e) => {
                 eprintln!(
                     "[bench_mem] could not write BENCH file under {}: {e}",
-                    opts.out_dir.display()
+                    dir.display()
                 );
                 std::process::exit(2);
             }

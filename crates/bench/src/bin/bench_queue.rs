@@ -20,13 +20,13 @@
 //! and 10 min ahead. That is the event-loop shape of a whole trace
 //! seeded up front, which the span-less layout turns quadratic unless
 //! the queue re-lays out. Every phase runs a *fixed* number of
-//! repetitions so the per-phase totals in `BENCH_queue.json` are
-//! comparable across runs — the CI perf job diffs them with
-//! `bench_compare` like the grid baselines.
+//! repetitions so the per-phase totals in `BENCH_queue.json` (written
+//! when `--out DIR` is given) are comparable across runs — the CI perf
+//! job diffs them with `bench_compare`.
 //!
 //! ```text
 //! cargo run --release -p faasmem-bench --bin bench_queue -- \
-//!     --profile --check-speedup --out perf
+//!     --check-speedup --out perf
 //! cargo run --release -p faasmem-bench --bin bench_compare -- \
 //!     BENCH_queue.json perf/BENCH_queue.json --tolerance 0.25
 //! ```
@@ -36,13 +36,11 @@
 //! events and by [`REQUIRED_SEEDED_SPEEDUP`]× on the seeded hour.
 
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::PathBuf;
 
-use faasmem_bench::json::JsonValue;
+use faasmem_bench::perf::BenchRecorder;
 use faasmem_bench::render_table;
 use faasmem_sim::{EventQueue, ReferenceEventQueue, SimDuration, SimRng, SimTime};
-use faasmem_telemetry::profiler;
 
 /// Minimum calendar-vs-heap throughput ratio `--check-speedup` enforces
 /// (clustered mix, 1M events).
@@ -79,30 +77,27 @@ const SEEDED_REPS: u32 = 16;
 const HOUR_MS: u64 = 3_600_000;
 
 struct Options {
-    out_dir: PathBuf,
-    profile: bool,
+    out_dir: Option<PathBuf>,
     check_speedup: bool,
 }
 
 fn usage() -> ! {
-    eprintln!("usage: bench_queue [--profile] [--check-speedup] [--out DIR]");
+    eprintln!("usage: bench_queue [--check-speedup] [--out DIR]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        out_dir: PathBuf::from("."),
-        profile: false,
+        out_dir: None,
         check_speedup: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--profile" => opts.profile = true,
             "--check-speedup" => opts.check_speedup = true,
             "--out" => {
                 let Some(dir) = args.next() else { usage() };
-                opts.out_dir = PathBuf::from(dir);
+                opts.out_dir = Some(PathBuf::from(dir));
             }
             _ => usage(),
         }
@@ -155,10 +150,14 @@ fn make_times(mix: Mix, n: usize) -> Vec<u64> {
 
 /// Events per second pushing the whole population and draining it dry
 /// through the calendar queue. Clustered runs use the grouped path.
-fn calendar_sort(times: &[u64], reps: u32, grouped: bool, phase: &'static str) -> f64 {
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
+fn calendar_sort(
+    times: &[u64],
+    reps: u32,
+    grouped: bool,
+    phase: &'static str,
+    bench: &mut BenchRecorder,
+) -> f64 {
+    let ((), secs) = bench.time(phase, || {
         for _ in 0..reps {
             let mut q: EventQueue<u32> = EventQueue::with_capacity(times.len());
             push_all_calendar(&mut q, times, grouped);
@@ -168,15 +167,19 @@ fn calendar_sort(times: &[u64], reps: u32, grouped: bool, phase: &'static str) -
             }
             black_box(n);
         }
-    }
-    times.len() as f64 * reps as f64 / start.elapsed().as_secs_f64()
+    });
+    times.len() as f64 * reps as f64 / secs
 }
 
 /// Events per second for the same script through the heap reference.
-fn heap_sort(times: &[u64], reps: u32, grouped: bool, phase: &'static str) -> f64 {
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
+fn heap_sort(
+    times: &[u64],
+    reps: u32,
+    grouped: bool,
+    phase: &'static str,
+    bench: &mut BenchRecorder,
+) -> f64 {
+    let ((), secs) = bench.time(phase, || {
         for _ in 0..reps {
             let mut q: ReferenceEventQueue<u32> = ReferenceEventQueue::with_capacity(times.len());
             push_all_heap(&mut q, times, grouped);
@@ -186,8 +189,8 @@ fn heap_sort(times: &[u64], reps: u32, grouped: bool, phase: &'static str) -> f6
             }
             black_box(n);
         }
-    }
-    times.len() as f64 * reps as f64 / start.elapsed().as_secs_f64()
+    });
+    times.len() as f64 * reps as f64 / secs
 }
 
 fn push_all_calendar(q: &mut EventQueue<u32>, times: &[u64], grouped: bool) {
@@ -235,7 +238,7 @@ fn churn_deltas() -> Vec<u64> {
         .collect()
 }
 
-fn calendar_churn(deltas: &[u64], phase: &'static str) -> f64 {
+fn calendar_churn(deltas: &[u64], phase: &'static str, bench: &mut BenchRecorder) -> f64 {
     let mut q: EventQueue<u32> = EventQueue::with_capacity(CHURN_HOLD);
     for i in 0..CHURN_HOLD {
         q.push(
@@ -243,20 +246,18 @@ fn calendar_churn(deltas: &[u64], phase: &'static str) -> f64 {
             i as u32,
         );
     }
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
+    let ((), secs) = bench.time(phase, || {
         for &d in deltas {
             let (at, ev) = q.pop().expect("hold population never drains");
             q.push(at + SimDuration::from_micros(d), ev);
         }
-    }
-    let rate = deltas.len() as f64 / start.elapsed().as_secs_f64();
+    });
+    let rate = deltas.len() as f64 / secs;
     black_box(q.len());
     rate
 }
 
-fn heap_churn(deltas: &[u64], phase: &'static str) -> f64 {
+fn heap_churn(deltas: &[u64], phase: &'static str, bench: &mut BenchRecorder) -> f64 {
     let mut q: ReferenceEventQueue<u32> = ReferenceEventQueue::with_capacity(CHURN_HOLD);
     for i in 0..CHURN_HOLD {
         q.push(
@@ -264,15 +265,13 @@ fn heap_churn(deltas: &[u64], phase: &'static str) -> f64 {
             i as u32,
         );
     }
-    let start = Instant::now();
-    {
-        let _guard = profiler::enter(phase);
+    let ((), secs) = bench.time(phase, || {
         for &d in deltas {
             let (at, ev) = q.pop().expect("hold population never drains");
             q.push(at + SimDuration::from_micros(d), ev);
         }
-    }
-    let rate = deltas.len() as f64 / start.elapsed().as_secs_f64();
+    });
+    let rate = deltas.len() as f64 / secs;
     black_box(q.len());
     rate
 }
@@ -307,11 +306,9 @@ fn follow_ups(at: SimTime, payload: u32) -> impl Iterator<Item = (SimTime, u32)>
 /// Events per second popped from a queue pre-sized for four events per
 /// arrival (`with_capacity` on an empty queue: no span to tune from),
 /// seeded with the hour and drained with follow-ups.
-fn calendar_seeded_hour(times: &[u64], phase: &'static str) -> f64 {
-    let start = Instant::now();
-    let mut popped = 0u64;
-    {
-        let _guard = profiler::enter(phase);
+fn calendar_seeded_hour(times: &[u64], phase: &'static str, bench: &mut BenchRecorder) -> f64 {
+    let (popped, secs) = bench.time(phase, || {
+        let mut popped = 0u64;
         for _ in 0..SEEDED_REPS {
             let mut q: EventQueue<u32> = EventQueue::with_capacity(times.len() * 4);
             push_all_calendar(&mut q, times, true);
@@ -322,16 +319,15 @@ fn calendar_seeded_hour(times: &[u64], phase: &'static str) -> f64 {
                 }
             }
         }
-    }
-    popped as f64 / start.elapsed().as_secs_f64()
+        popped
+    });
+    popped as f64 / secs
 }
 
 /// The seeded-hour script through the heap reference.
-fn heap_seeded_hour(times: &[u64], phase: &'static str) -> f64 {
-    let start = Instant::now();
-    let mut popped = 0u64;
-    {
-        let _guard = profiler::enter(phase);
+fn heap_seeded_hour(times: &[u64], phase: &'static str, bench: &mut BenchRecorder) -> f64 {
+    let (popped, secs) = bench.time(phase, || {
+        let mut popped = 0u64;
         for _ in 0..SEEDED_REPS {
             let mut q: ReferenceEventQueue<u32> =
                 ReferenceEventQueue::with_capacity(times.len() * 4);
@@ -343,8 +339,9 @@ fn heap_seeded_hour(times: &[u64], phase: &'static str) -> f64 {
                 }
             }
         }
-    }
-    popped as f64 / start.elapsed().as_secs_f64()
+        popped
+    });
+    popped as f64 / secs
 }
 
 fn fmt_rate(events_per_sec: f64) -> String {
@@ -359,8 +356,8 @@ fn size_label(n: usize) -> String {
     }
 }
 
-/// Static phase names per (impl, mix, size), so the profiler and the
-/// BENCH diff aggregate identically across runs.
+/// Static phase names per (impl, mix, size), so the BENCH diff matches
+/// them across runs.
 fn phase_names(mix: Mix, n: usize) -> (&'static str, &'static str) {
     match (mix, n) {
         (Mix::Clustered, 65_536) => ("cal_clustered_64k", "heap_clustered_64k"),
@@ -375,53 +372,9 @@ fn phase_names(mix: Mix, n: usize) -> (&'static str, &'static str) {
     }
 }
 
-/// The `BENCH_queue.json` document `bench_compare` diffs in CI.
-fn bench_json(total_wall_secs: f64, phases: &[(&'static str, profiler::PhaseStat)]) -> JsonValue {
-    let mut doc = JsonValue::obj();
-    doc.push("schema_version", JsonValue::Num(1.0));
-    doc.push("bench", JsonValue::Str("queue".to_string()));
-    doc.push("git_rev", JsonValue::Str(git_rev()));
-    doc.push("total_wall_secs", JsonValue::Num(total_wall_secs));
-    let phase_docs: Vec<JsonValue> = phases
-        .iter()
-        .map(|(name, stat)| {
-            let mut p = JsonValue::obj();
-            p.push("name", JsonValue::Str((*name).to_string()));
-            p.push("calls", JsonValue::Num(stat.calls as f64));
-            p.push("total_secs", JsonValue::Num(stat.total_secs));
-            p.push("self_secs", JsonValue::Num(stat.self_secs));
-            p
-        })
-        .collect();
-    doc.push("phases", JsonValue::Arr(phase_docs));
-    doc
-}
-
-/// The checked-out short revision, for provenance. Best-effort:
-/// "unknown" outside a git checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn write_bench(dir: &Path, doc: &JsonValue) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_queue.json");
-    std::fs::write(&path, doc.to_pretty())?;
-    Ok(path)
-}
-
 fn main() {
     let opts = parse_args();
-    profiler::set_enabled(true);
-    let started = Instant::now();
+    let mut bench = BenchRecorder::new("queue");
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut gate_speedup = 0.0;
@@ -430,8 +383,8 @@ fn main() {
             let times = make_times(mix, n);
             let grouped = mix == Mix::Clustered;
             let (cal_phase, heap_phase) = phase_names(mix, n);
-            let cal = calendar_sort(&times, reps, grouped, cal_phase);
-            let heap = heap_sort(&times, reps, grouped, heap_phase);
+            let cal = calendar_sort(&times, reps, grouped, cal_phase, &mut bench);
+            let heap = heap_sort(&times, reps, grouped, heap_phase, &mut bench);
             let speedup = cal / heap;
             if mix == Mix::Clustered && n == 1 << 20 {
                 gate_speedup = speedup;
@@ -447,8 +400,8 @@ fn main() {
     }
 
     let deltas = churn_deltas();
-    let cal = calendar_churn(&deltas, "cal_churn_1m");
-    let heap = heap_churn(&deltas, "heap_churn_1m");
+    let cal = calendar_churn(&deltas, "cal_churn_1m", &mut bench);
+    let heap = heap_churn(&deltas, "heap_churn_1m", &mut bench);
     rows.push(vec![
         "churn (hold 64k)".to_string(),
         size_label(CHURN_OPS),
@@ -458,8 +411,8 @@ fn main() {
     ]);
 
     let times = seeded_hour_times();
-    let cal = calendar_seeded_hour(&times, "cal_seeded_hour");
-    let heap = heap_seeded_hour(&times, "heap_seeded_hour");
+    let cal = calendar_seeded_hour(&times, "cal_seeded_hour", &mut bench);
+    let heap = heap_seeded_hour(&times, "heap_seeded_hour", &mut bench);
     let seeded_speedup = cal / heap;
     rows.push(vec![
         "seeded hour (pre-sized)".to_string(),
@@ -476,17 +429,13 @@ fn main() {
     println!("\ncalendar speedup over heap on the clustered 1M mix: {gate_speedup:.1}x");
     println!("calendar speedup over heap on the seeded hour: {seeded_speedup:.1}x");
 
-    profiler::set_enabled(false);
-    let phases = profiler::take_report();
-    let total_wall_secs = started.elapsed().as_secs_f64();
-    if opts.profile {
-        let doc = bench_json(total_wall_secs, &phases);
-        match write_bench(&opts.out_dir, &doc) {
+    if let Some(dir) = &opts.out_dir {
+        match bench.write_bench(dir) {
             Ok(path) => eprintln!("[bench_queue] wrote {}", path.display()),
             Err(e) => {
                 eprintln!(
                     "[bench_queue] could not write BENCH file under {}: {e}",
-                    opts.out_dir.display()
+                    dir.display()
                 );
                 std::process::exit(2);
             }

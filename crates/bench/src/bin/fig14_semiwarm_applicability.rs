@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use faasmem_bench::harness::HarnessOptions;
 use faasmem_bench::{render_table, svg};
 use faasmem_core::FaasMemPolicy;
 use faasmem_faas::{FunctionId, PlatformSim};
@@ -126,11 +127,8 @@ fn main() {
             "fraction of containers",
             &chart_series,
         );
-        svg::write_chart(
-            std::path::Path::new("results"),
-            "fig14_semiwarm_cdf.svg",
-            &chart,
-        );
+        let out_dir = HarnessOptions::from_env().out_dir;
+        svg::write_chart(&out_dir, "fig14_semiwarm_cdf.svg", &chart);
     }
     println!("Paper reference (Fig 14): semi-warm > 1/2 of lifetime for ~50% of functions;");
     println!("high- and low-load functions benefit most, middle-load least.");

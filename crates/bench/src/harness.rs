@@ -26,9 +26,7 @@ use faasmem_core::{FaasMemPolicy, FaasMemStats, StatsHandle};
 use faasmem_faas::{MemoryPolicy, PlatformConfig, PlatformSim, RunReport, RunSummary};
 use faasmem_metrics::agg;
 use faasmem_sim::{SimDuration, SimTime};
-use faasmem_telemetry::{
-    profile_scope, profiler, rss, SampleSpec, Sampler, SeriesMask, TimeSeries,
-};
+use faasmem_telemetry::{rss, SampleSpec, Sampler, SeriesMask, TimeSeries};
 use faasmem_trace::{chrome_trace, ChromeGroup, EventKind, LayerMask, TraceEvent, Tracer};
 use faasmem_workload::{
     ArrivalModel, BenchmarkSpec, FunctionId, InvocationTrace, LoadClass, TraceStats,
@@ -461,9 +459,6 @@ pub struct HarnessOptions {
     pub series_interval: SimDuration,
     /// Series groups recorded when sampling is on (default: all).
     pub series_select: SeriesMask,
-    /// Profile the harness itself and export a `BENCH_*.json` perf
-    /// baseline next to the results.
-    pub profile: bool,
 }
 
 impl Default for HarnessOptions {
@@ -478,7 +473,6 @@ impl Default for HarnessOptions {
             series: None,
             series_interval: SimDuration::from_secs(1),
             series_select: SeriesMask::ALL,
-            profile: false,
         }
     }
 }
@@ -489,8 +483,8 @@ impl HarnessOptions {
     /// `--trace-filter LAYERS` / `--trace-filter=LAYERS` (comma list of
     /// `harness,container,memory,pool`), `--series PATH` /
     /// `--series=PATH`, `--series-interval SECS`, `--series-select
-    /// GROUPS` (comma list of `faas,mem,pool,registry`) and `--profile`
-    /// from the process arguments. Unknown arguments are ignored so
+    /// GROUPS` (comma list of `faas,mem,pool,registry`) from the
+    /// process arguments. Unknown arguments are ignored so
     /// binaries can add their own flags.
     pub fn from_env() -> Self {
         Self::parse(std::env::args().skip(1))
@@ -552,8 +546,6 @@ impl HarnessOptions {
                 }
             } else if let Some(list) = arg.strip_prefix("--series-select=") {
                 Self::apply_series_select(&mut opts, list);
-            } else if arg == "--profile" {
-                opts.profile = true;
             }
         }
         opts.jobs = opts.jobs.max(1);
@@ -850,7 +842,6 @@ impl GridRun {
 
     /// Writes the merged series document (compact JSON) to `path`.
     pub fn write_series(&self, path: &Path, interval: SimDuration) -> std::io::Result<()> {
-        profile_scope!("series_export");
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
@@ -906,7 +897,6 @@ impl GridRun {
     /// Writes the JSONL trace to `path` and the Chrome view next to it
     /// (`path` with its extension replaced by `chrome.json`).
     pub fn write_trace(&self, path: &Path) -> std::io::Result<()> {
-        profile_scope!("trace_flush");
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
@@ -920,7 +910,6 @@ impl GridRun {
     /// Writes `<name>.json` (deterministic) and `<name>.timing.json`
     /// (wall-clock) under `dir`, returning the main file's path.
     pub fn write_results(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        profile_scope!("json_export");
         std::fs::create_dir_all(dir)?;
         let main = dir.join(format!("{}.json", self.name));
         std::fs::write(&main, self.to_json().to_pretty())?;
@@ -972,99 +961,6 @@ impl GridRun {
             );
         }
     }
-
-    /// The perf-baseline document diffed by `bench_compare`: grid id,
-    /// git revision, total/per-cell wall time, peak RSS and the
-    /// profiler's per-phase breakdown. Wall-clock data throughout —
-    /// this is a timing side channel like `timing_json`, never part of
-    /// the deterministic results.
-    pub fn bench_json(&self, phases: &[(&'static str, profiler::PhaseStat)]) -> JsonValue {
-        let mut walls: Vec<f64> = self.cells.iter().map(|c| c.wall_secs).collect();
-        walls.sort_by(|a, b| a.partial_cmp(b).expect("finite wall times"));
-        let mut doc = JsonValue::obj();
-        doc.push("schema_version", JsonValue::Num(SCHEMA_VERSION as f64));
-        doc.push("bench", JsonValue::Str(bench_id(&self.name, self.quick)));
-        doc.push("grid", JsonValue::Str(self.name.clone()));
-        doc.push("git_rev", JsonValue::Str(git_rev()));
-        doc.push("quick", JsonValue::Bool(self.quick));
-        doc.push("jobs", JsonValue::Num(self.jobs as f64));
-        doc.push("cells", JsonValue::Num(self.cells.len() as f64));
-        doc.push("total_wall_secs", JsonValue::Num(self.wall_total_secs));
-        if let Some(p50) = percentile(&walls, 0.50) {
-            doc.push("cell_wall_p50_secs", JsonValue::Num(p50));
-        }
-        if let Some(p95) = percentile(&walls, 0.95) {
-            doc.push("cell_wall_p95_secs", JsonValue::Num(p95));
-        }
-        if let Some(&max) = walls.last() {
-            doc.push("cell_wall_max_secs", JsonValue::Num(max));
-        }
-        match rss::peak_rss_kb() {
-            Some(kb) => doc.push("peak_rss_kb", JsonValue::Num(kb as f64)),
-            None => doc.push("peak_rss_kb", JsonValue::Null),
-        };
-        let phase_docs: Vec<JsonValue> = phases
-            .iter()
-            .map(|(name, stat)| {
-                let mut p = JsonValue::obj();
-                p.push("name", JsonValue::Str((*name).to_string()));
-                p.push("calls", JsonValue::Num(stat.calls as f64));
-                p.push("total_secs", JsonValue::Num(stat.total_secs));
-                p.push("self_secs", JsonValue::Num(stat.self_secs));
-                p
-            })
-            .collect();
-        doc.push("phases", JsonValue::Arr(phase_docs));
-        doc
-    }
-
-    /// Writes `BENCH_<id>.json` under `dir` and returns its path.
-    pub fn write_bench(
-        &self,
-        dir: &Path,
-        phases: &[(&'static str, profiler::PhaseStat)],
-    ) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("BENCH_{}.json", bench_id(&self.name, self.quick)));
-        std::fs::write(&path, self.bench_json(phases).to_pretty())?;
-        Ok(path)
-    }
-}
-
-/// The BENCH file id for a grid: the figure prefix of the grid name
-/// (`fig12_main_eval` → `fig12`), suffixed `_quick` for smoke runs so
-/// quick and full baselines never collide.
-fn bench_id(grid_name: &str, quick: bool) -> String {
-    let stem = grid_name.split('_').next().unwrap_or(grid_name);
-    let stem = if stem.is_empty() { grid_name } else { stem };
-    if quick {
-        format!("{stem}_quick")
-    } else {
-        stem.to_string()
-    }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
-}
-
-/// The checked-out short revision, for provenance in BENCH files.
-/// Best-effort: "unknown" outside a git checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn push_labels(cell: &mut JsonValue, labels: &CellLabels) {
@@ -1479,25 +1375,22 @@ pub fn run_grid(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
     };
 
     let mut cells: Vec<Cell<'_>> = Vec::with_capacity(grid.len());
-    {
-        profile_scope!("expand_grid");
-        for trace in &grid.traces {
-            for bench in &grid.benches {
-                for config in configs {
-                    for policy in &grid.policies {
-                        cells.push(Cell {
-                            labels: CellLabels {
-                                trace: trace.label.clone(),
-                                bench: bench.label.clone(),
-                                config: config.label.clone(),
-                                policy: policy.label().to_string(),
-                            },
-                            bench,
-                            trace,
-                            config,
-                            policy,
-                        });
-                    }
+    for trace in &grid.traces {
+        for bench in &grid.benches {
+            for config in configs {
+                for policy in &grid.policies {
+                    cells.push(Cell {
+                        labels: CellLabels {
+                            trace: trace.label.clone(),
+                            bench: bench.label.clone(),
+                            config: config.label.clone(),
+                            policy: policy.label().to_string(),
+                        },
+                        bench,
+                        trace,
+                        config,
+                        policy,
+                    });
                 }
             }
         }
@@ -1528,10 +1421,7 @@ pub fn run_grid(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
                     }
                     let cell = &cells[i];
                     let cell_started = Instant::now();
-                    let outcome = {
-                        profile_scope!("cell");
-                        run_cell(cell, quick, trace_mask, sample_spec)
-                    };
+                    let outcome = run_cell(cell, quick, trace_mask, sample_spec);
                     mine.push((
                         i,
                         CellResult {
@@ -1544,9 +1434,6 @@ pub fn run_grid(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
                         },
                     ));
                 }
-                // Hand this worker's span aggregates to the global
-                // profiler table before the thread dies.
-                profiler::flush_thread();
                 mine
             }));
         }
@@ -1602,9 +1489,6 @@ pub fn run_and_export(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
         }
         std::process::exit(2);
     }
-    if opts.profile {
-        profiler::set_enabled(true);
-    }
     let run = run_grid(grid, opts);
     match run.write_results(&opts.out_dir) {
         Ok(path) => eprintln!("[harness] wrote {}", path.display()),
@@ -1629,39 +1513,8 @@ pub fn run_and_export(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
             Err(e) => eprintln!("[harness] could not write series {}: {e}", path.display()),
         }
     }
-    if opts.profile {
-        profiler::set_enabled(false);
-        let phases = profiler::take_report();
-        print_phase_table(&phases);
-        match run.write_bench(&opts.out_dir, &phases) {
-            Ok(path) => eprintln!("[harness] wrote {}", path.display()),
-            Err(e) => eprintln!(
-                "[harness] could not write BENCH file under {}: {e}",
-                opts.out_dir.display()
-            ),
-        }
-    }
     run.print_timing();
     run
-}
-
-/// Renders the profiler's per-phase table to stderr (stderr so stdout
-/// stays byte-comparable across runs).
-fn print_phase_table(phases: &[(&'static str, profiler::PhaseStat)]) {
-    if phases.is_empty() {
-        eprintln!("[profile] no spans recorded");
-        return;
-    }
-    eprintln!(
-        "[profile] {:<14} {:>8} {:>12} {:>12}",
-        "phase", "calls", "total_s", "self_s"
-    );
-    for (name, stat) in phases {
-        eprintln!(
-            "[profile] {:<14} {:>8} {:>12.4} {:>12.4}",
-            name, stat.calls, stat.total_secs, stat.self_secs
-        );
-    }
 }
 
 fn run_cell(
@@ -1706,10 +1559,7 @@ fn run_cell(
             PolicySpec::Custom { make, .. } => make(),
         };
         let mut sim = builder.policy(policy).build();
-        let mut report = {
-            profile_scope!("simulate");
-            sim.run(&trace)
-        };
+        let mut report = sim.run(&trace);
         tracer.set_now(report.finished_at);
         tracer.emit(
             None,
@@ -1719,10 +1569,7 @@ fn run_cell(
                 sim_secs: report.finished_at.as_secs_f64(),
             },
         );
-        let summary = {
-            profile_scope!("summarize");
-            report.summarize()
-        };
+        let summary = report.summarize();
         CellOutcome {
             trace_len: trace.len(),
             trace_skipped_rows: cell.trace.skipped_rows,

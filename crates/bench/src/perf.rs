@@ -1,10 +1,10 @@
-//! Comparison of `BENCH_*.json` perf baselines — the analysis half of
-//! the `bench_compare` bin.
+//! `BENCH_*.json` perf baselines: the one writer the micro-benchmark
+//! bins (`bench_mem`, `bench_queue`, `bench_cluster`) record their
+//! phases into, and the comparison behind the `bench_compare` bin.
 //!
-//! A BENCH document (written by [`crate::harness::GridRun::write_bench`])
-//! records a run's total wall time, per-cell wall-time percentiles and
-//! the self-profiler's per-phase breakdown. This module flattens two
-//! such documents into named scalar metrics and flags every metric
+//! A BENCH document ([`BenchRecorder::bench_json`]) records a run's
+//! total wall time and its per-phase breakdown. This module flattens
+//! two such documents into named scalar metrics and flags every metric
 //! whose new value exceeds the old by more than a tolerance — the CI
 //! perf job fails when any metric regresses.
 //!
@@ -14,7 +14,10 @@
 //! any real regression), and the default tolerance is a generous
 //! [`DEFAULT_TOLERANCE`].
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use crate::json::JsonValue;
 
@@ -26,16 +29,112 @@ pub const DEFAULT_TOLERANCE: f64 = 0.25;
 /// wall-clock noise floor makes ratios at that scale meaningless.
 pub const MIN_COMPARABLE_SECS: f64 = 0.005;
 
+/// The BENCH document schema version [`BenchRecorder`] writes.
+const BENCH_SCHEMA_VERSION: f64 = 1.0;
+
+/// One micro-benchmark run's per-phase wall time, and the writer of its
+/// `BENCH_<bench>.json` document.
+///
+/// A bin times each phase with [`BenchRecorder::time`], which hands it
+/// the same seconds it divides into the rate it prints. A repeated phase
+/// name adds to that phase's calls and seconds. Phases are flat, so a
+/// phase's self time is its total time.
+#[derive(Debug)]
+pub struct BenchRecorder {
+    bench: &'static str,
+    started: Instant,
+    phases: BTreeMap<&'static str, (u64, f64)>,
+}
+
+impl BenchRecorder {
+    /// Starts the run's wall clock for the BENCH id `bench` (the
+    /// document is `BENCH_<bench>.json`).
+    pub fn new(bench: &'static str) -> Self {
+        BenchRecorder {
+            bench,
+            started: Instant::now(),
+            phases: BTreeMap::new(),
+        }
+    }
+
+    /// Charges one call of `secs` wall seconds to `phase`.
+    fn record(&mut self, phase: &'static str, secs: f64) {
+        let entry = self.phases.entry(phase).or_insert((0, 0.0));
+        entry.0 += 1;
+        entry.1 += secs;
+    }
+
+    /// Runs `f`, charges its wall time to `phase`, and returns its
+    /// output with the seconds it took.
+    pub fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> (T, f64) {
+        let start = Instant::now();
+        let out = f();
+        let secs = start.elapsed().as_secs_f64();
+        self.record(phase, secs);
+        (out, secs)
+    }
+
+    /// The BENCH document `bench_compare` diffs: schema version, bench
+    /// id, git revision, wall time since [`BenchRecorder::new`], and the
+    /// phases sorted by name.
+    pub fn bench_json(&self) -> JsonValue {
+        let mut doc = JsonValue::obj();
+        doc.push("schema_version", JsonValue::Num(BENCH_SCHEMA_VERSION));
+        doc.push("bench", JsonValue::Str(self.bench.to_string()));
+        doc.push("git_rev", JsonValue::Str(git_rev()));
+        doc.push(
+            "total_wall_secs",
+            JsonValue::Num(self.started.elapsed().as_secs_f64()),
+        );
+        let phases: Vec<JsonValue> = self
+            .phases
+            .iter()
+            .map(|(name, &(calls, secs))| {
+                let mut p = JsonValue::obj();
+                p.push("name", JsonValue::Str((*name).to_string()));
+                p.push("calls", JsonValue::Num(calls as f64));
+                p.push("total_secs", JsonValue::Num(secs));
+                p.push("self_secs", JsonValue::Num(secs));
+                p
+            })
+            .collect();
+        doc.push("phases", JsonValue::Arr(phases));
+        doc
+    }
+
+    /// Writes `BENCH_<bench>.json` under `dir` and returns its path.
+    pub fn write_bench(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("BENCH_{}.json", self.bench));
+        std::fs::write(&path, self.bench_json().to_pretty())?;
+        Ok(path)
+    }
+}
+
+/// The checked-out short revision, for provenance. Best-effort:
+/// "unknown" outside a git checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// A BENCH document flattened to named scalar metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchDoc {
-    /// The `bench` id (e.g. `fig12_quick`); compared runs should agree.
+    /// The `bench` id (e.g. `mem_micro`); compared runs should agree.
     pub bench: String,
     /// The producing checkout's short git revision (`unknown` outside
     /// a checkout).
     pub git_rev: String,
-    /// Named wall-time metrics in document order: the headline scalars
-    /// plus one `phase:<name>` entry per profiler phase.
+    /// Named wall-time metrics in document order: `total_wall_secs`
+    /// plus one `phase:<name>` entry per recorded phase.
     pub metrics: Vec<(String, f64)>,
 }
 
@@ -61,20 +160,11 @@ pub fn parse_bench(doc: &JsonValue) -> Result<BenchDoc, String> {
         .and_then(JsonValue::as_str)
         .unwrap_or("unknown")
         .to_string();
-    let mut metrics = Vec::new();
-    for key in [
-        "total_wall_secs",
-        "cell_wall_p50_secs",
-        "cell_wall_p95_secs",
-        "cell_wall_max_secs",
-    ] {
-        if let Some(v) = doc.get(key).and_then(JsonValue::as_num) {
-            metrics.push((key.to_string(), v));
-        }
-    }
-    if metrics.is_empty() {
-        return Err("no wall-time metrics (is this a BENCH file?)".to_string());
-    }
+    let total = doc
+        .get("total_wall_secs")
+        .and_then(JsonValue::as_num)
+        .ok_or_else(|| "no wall-time metrics (is this a BENCH file?)".to_string())?;
+    let mut metrics = vec![("total_wall_secs".to_string(), total)];
     if let Some(phases) = doc.get("phases").and_then(JsonValue::as_arr) {
         for phase in phases {
             let name = phase
@@ -259,11 +349,9 @@ mod tests {
 
     fn doc(total: f64, simulate: f64) -> BenchDoc {
         let text = format!(
-            r#"{{"bench":"fig12_quick","git_rev":"abc1234",
+            r#"{{"bench":"mem_micro","git_rev":"abc1234",
                 "total_wall_secs":{total},
-                "cell_wall_p50_secs":{half},
-                "phases":[{{"name":"simulate","calls":4,"total_secs":{simulate},"self_secs":{simulate}}}]}}"#,
-            half = total / 2.0
+                "phases":[{{"name":"simulate","calls":4,"total_secs":{simulate},"self_secs":{simulate}}}]}}"#
         );
         parse_bench(&json::parse(&text).unwrap()).unwrap()
     }
@@ -271,12 +359,56 @@ mod tests {
     #[test]
     fn parse_flattens_headline_and_phase_metrics() {
         let d = doc(2.0, 1.5);
-        assert_eq!(d.bench, "fig12_quick");
+        assert_eq!(d.bench, "mem_micro");
         assert_eq!(d.git_rev, "abc1234");
         assert_eq!(d.metric("total_wall_secs"), Some(2.0));
-        assert_eq!(d.metric("cell_wall_p50_secs"), Some(1.0));
         assert_eq!(d.metric("phase:simulate"), Some(1.5));
         assert_eq!(d.metric("phase:nope"), None);
+    }
+
+    #[test]
+    fn recorder_sums_repeated_phases_and_round_trips() {
+        let mut rec = BenchRecorder::new("unit");
+        rec.record("zeta", 0.25);
+        rec.record("alpha", 0.5);
+        rec.record("zeta", 0.125);
+        let (answer, secs) = rec.time("mid", || 42);
+        assert_eq!(answer, 42);
+        assert!(secs >= 0.0);
+
+        let doc = rec.bench_json();
+        assert_eq!(
+            doc.get("schema_version").and_then(JsonValue::as_num),
+            Some(1.0)
+        );
+        let phases = doc.get("phases").and_then(JsonValue::as_arr).unwrap();
+        let names: Vec<&str> = phases
+            .iter()
+            .map(|p| p.get("name").and_then(JsonValue::as_str).unwrap())
+            .collect();
+        assert_eq!(names, ["alpha", "mid", "zeta"]);
+        let zeta = &phases[2];
+        assert_eq!(zeta.get("calls").and_then(JsonValue::as_num), Some(2.0));
+        assert_eq!(
+            zeta.get("total_secs").and_then(JsonValue::as_num),
+            Some(0.375)
+        );
+        assert_eq!(
+            zeta.get("self_secs").and_then(JsonValue::as_num),
+            Some(0.375)
+        );
+
+        // The written file parses back into the comparator's view.
+        let dir = std::env::temp_dir().join(format!("faasmem-perf-{}", std::process::id()));
+        let path = rec.write_bench(&dir).unwrap();
+        assert_eq!(path.file_name().unwrap(), "BENCH_unit.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let parsed = parse_bench(&json::parse(&text).unwrap()).unwrap();
+        assert_eq!(parsed.bench, "unit");
+        assert_eq!(parsed.metric("phase:zeta"), Some(0.375));
+        assert_eq!(parsed.metric("phase:alpha"), Some(0.5));
+        assert!(parsed.metric("total_wall_secs").unwrap() >= secs);
     }
 
     #[test]
@@ -324,7 +456,7 @@ mod tests {
         let out = comparison_json(&old, &new, &cmp, 0.25);
         assert_eq!(
             out.get("bench").and_then(JsonValue::as_str),
-            Some("fig12_quick")
+            Some("mem_micro")
         );
         assert_eq!(
             out.get("regressions").and_then(JsonValue::as_num),

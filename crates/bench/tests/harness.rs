@@ -585,40 +585,6 @@ fn enabling_series_does_not_change_the_main_document() {
 }
 
 #[test]
-fn bench_json_carries_percentiles_and_phases() {
-    let run = run_grid(&sample_grid(), &quick_opts(2));
-    let phases = [(
-        "simulate",
-        faasmem_telemetry::profiler::PhaseStat {
-            calls: 12,
-            total_secs: 3.5,
-            self_secs: 3.5,
-        },
-    )];
-    let doc = run.bench_json(&phases);
-    assert_eq!(
-        doc.get("bench").and_then(|v| v.as_str()),
-        Some("harness_quick")
-    );
-    assert_eq!(doc.get("cells").and_then(|v| v.as_num()), Some(12.0));
-    let p50 = doc
-        .get("cell_wall_p50_secs")
-        .and_then(|v| v.as_num())
-        .expect("p50");
-    let p95 = doc
-        .get("cell_wall_p95_secs")
-        .and_then(|v| v.as_num())
-        .expect("p95");
-    assert!(p50 <= p95, "p50 {p50} must not exceed p95 {p95}");
-    let phase = &doc.get("phases").and_then(|v| v.as_arr()).expect("phases")[0];
-    assert_eq!(phase.get("name").and_then(|v| v.as_str()), Some("simulate"));
-    assert_eq!(phase.get("calls").and_then(|v| v.as_num()), Some(12.0));
-    // The BENCH document feeds straight into the comparator.
-    let bench = faasmem_bench::perf::parse_bench(&doc).expect("comparable");
-    assert_eq!(bench.metric("phase:simulate"), Some(3.5));
-}
-
-#[test]
 fn options_parser() {
     let opts = HarnessOptions::parse(["--jobs", "3", "--quick", "--out", "exports"]);
     assert_eq!(opts.jobs, 3);
@@ -654,7 +620,6 @@ fn options_parser() {
     // Telemetry flags: disabled by default...
     let opts = HarnessOptions::parse(["--quick"]);
     assert!(opts.series.is_none());
-    assert!(!opts.profile);
     assert!(opts.sample_spec().is_none());
 
     // ...and parsed in both --flag VALUE and --flag=VALUE forms.
@@ -665,14 +630,12 @@ fn options_parser() {
         "2.5",
         "--series-select",
         "faas,pool",
-        "--profile",
     ]);
     assert_eq!(
         opts.series,
         Some(std::path::PathBuf::from("out.series.json"))
     );
     assert_eq!(opts.series_interval, SimDuration::from_secs_f64(2.5));
-    assert!(opts.profile);
     let spec = opts.sample_spec().expect("series path set");
     use faasmem_telemetry::SeriesGroup;
     assert!(spec.select.contains(SeriesGroup::Faas));

@@ -1,20 +1,38 @@
 //! Schema and invariant checks on the tracked result grids in
-//! `results/`.
+//! `results/` and the tracked `BENCH_*.json` perf baselines at the
+//! repository root.
 //!
 //! `ci/grids.sh` regenerates each of these grids and byte-compares the
 //! fresh JSON with the tracked file, so every assertion here holds for
 //! every fresh run too: the export schema, the blocks a grid must (or
 //! must not) carry, the conservation invariants, and the attribution
-//! shifts the discussion experiments exist to show.
+//! shifts the discussion experiments exist to show. The CI perf job
+//! diffs a fresh run of each micro-benchmark against its tracked
+//! baseline, so each baseline must stay comparable and named there.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use faasmem_bench::json::{self, JsonValue};
+use faasmem_bench::perf;
+
+/// The repository root.
+fn root() -> String {
+    format!("{}/../..", env!("CARGO_MANIFEST_DIR"))
+}
 
 /// The raw text of `results/<file>`.
 fn read(file: &str) -> String {
-    let path = format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"));
+    let path = format!("{}/results/{file}", root());
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The file names of the tracked `BENCH_*.json` baselines, sorted.
+fn tracked_bench_files() -> BTreeSet<String> {
+    std::fs::read_dir(root())
+        .expect("repository root")
+        .map(|entry| entry.expect("dir entry").file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect()
 }
 
 /// Parses `results/<grid><suffix>` and checks the header every harness
@@ -313,4 +331,50 @@ fn tracked_anatomy_export_conserves_and_shows_the_attribution_shift() {
     let redundancy = |config| component(config, "FaaSMem", "redundancy_amplification");
     assert!(redundancy("ka=10min, mirror2") > 0.0);
     assert_eq!(redundancy("ka=10min, no redundancy"), 0.0);
+}
+
+#[test]
+fn tracked_bench_baselines_stay_comparable() {
+    let files = tracked_bench_files();
+    assert!(!files.is_empty(), "no tracked BENCH_*.json baselines");
+    for file in &files {
+        let path = format!("{}/{file}", root());
+        let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let doc = json::parse(&raw).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let bench = perf::parse_bench(&doc).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let stem = &file["BENCH_".len()..file.len() - ".json".len()];
+        assert_eq!(bench.bench, stem, "{file}: bench id must name the file");
+        assert_eq!(num(&doc, "schema_version"), 1.0, "{file}");
+        let phases = field(&doc, "phases").as_arr().expect("phases array");
+        assert!(!phases.is_empty(), "{file}: no phases");
+        let names: Vec<&str> = phases.iter().map(|p| text(p, "name")).collect();
+        assert_eq!(names, sorted(names.iter().copied()), "{file}: phase order");
+        for phase in phases {
+            let name = text(phase, "name");
+            assert!(num(phase, "calls") >= 1.0, "{file}: {name} never ran");
+            let total = num(phase, "total_secs");
+            assert!(
+                total.is_finite() && total >= 0.0,
+                "{file}: {name} total_secs {total}"
+            );
+            assert_eq!(bench.metric(&format!("phase:{name}")), Some(total));
+        }
+    }
+}
+
+#[test]
+fn tracked_bench_baselines_are_exactly_the_ones_ci_gates() {
+    let ci = std::fs::read_to_string(format!("{}/.github/workflows/ci.yml", root()))
+        .expect("ci workflow");
+    let named: BTreeSet<String> = ci
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '/'))
+        .filter_map(|token| token.rsplit('/').next())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .map(str::to_string)
+        .collect();
+    assert_eq!(
+        named,
+        tracked_bench_files(),
+        "the BENCH files ci.yml names must be exactly the tracked baselines"
+    );
 }

@@ -1,7 +1,6 @@
 //! Sim-time telemetry for the FaaSMem reproduction.
 //!
-//! Two halves, matching the two things the harness could not see
-//! before this crate existed:
+//! Two pieces, for what the end-of-run aggregates cannot show:
 //!
 //! 1. **What happens *inside* a run.** The end-of-run aggregates and
 //!    the discrete event trace (`faasmem-trace`) bracket a run but do
@@ -16,16 +15,10 @@
 //!    perturb the simulation, and the output is a pure function of
 //!    the cell (byte-identical for any `--jobs` value).
 //!
-//! 2. **Where the harness spends wall time.** The [`profiler`] module
-//!    provides `profile_scope!`, a thread-local span stack that is
-//!    zero-cost when disabled (a global flag checked once per scope;
-//!    no clock reads). Aggregated per-phase tables feed the
-//!    `BENCH_<grid>.json` perf baselines diffed by `bench_compare`.
-//!
-//! [`rss::peak_rss_kb`] rounds out the picture with the process
-//! high-water resident set, read from `/proc/self/status` on Linux.
+//! 2. **What the process itself costs.** [`rss::peak_rss_kb`] reads the
+//!    process high-water resident set from `/proc/self/status` on
+//!    Linux; the harness records it per cell.
 
-pub mod profiler;
 pub mod rss;
 pub mod sampler;
 pub mod series;
