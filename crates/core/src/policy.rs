@@ -138,7 +138,7 @@ impl FaasMemPolicy {
         for &kind in kinds {
             state
                 .puckets
-                .append_inactive_pages(ctx.container.table(), kind, ids);
+                .append_inactive_pages(ctx.container.table(), kind, usize::MAX, ids);
         }
         ctx.offload_pages(ids)
     }
@@ -355,22 +355,24 @@ impl MemoryPolicy for FaasMemPolicy {
             return;
         }
         // Drain coldest-first: Pucket inactive lists, then the hot pool,
-        // then (when Puckets are disabled) any remaining local page.
+        // then (when Puckets are disabled) any remaining local page. Each
+        // collector stops at the budget still left, so the batch is the
+        // ascending prefix of the full drain order.
         let state = self.containers.get(&id).expect("state exists");
         let table = ctx.container.table();
-        self.scratch_ids.clear();
+        let budget = budget as usize;
+        let ids = &mut self.scratch_ids;
+        ids.clear();
         if self.config.enable_pucket {
-            state
-                .puckets
-                .append_inactive_pages(table, PucketKind::Runtime, &mut self.scratch_ids);
-            state
-                .puckets
-                .append_inactive_pages(table, PucketKind::Init, &mut self.scratch_ids);
-            table.append_hot_pool_local(&mut self.scratch_ids);
+            for kind in [PucketKind::Runtime, PucketKind::Init] {
+                state
+                    .puckets
+                    .append_inactive_pages(table, kind, budget - ids.len(), ids);
+            }
+            table.append_hot_pool_local(budget - ids.len(), ids);
         } else {
-            table.append_local(&mut self.scratch_ids);
+            table.append_local(budget, ids);
         }
-        self.scratch_ids.truncate(budget as usize);
         let moved = ctx.offload_pages(&self.scratch_ids);
         if moved > 0 {
             let bytes = u64::from(moved) * page_size;

@@ -145,20 +145,22 @@ impl Puckets {
     /// not currently in the hot page pool — the offloading candidates.
     pub fn inactive_pages(&self, table: &PageTable, kind: PucketKind) -> Vec<PageId> {
         let mut out = Vec::new();
-        self.append_inactive_pages(table, kind, &mut out);
+        self.append_inactive_pages(table, kind, usize::MAX, &mut out);
         out
     }
 
-    /// Appends one Pucket's inactive list to `out` (no clear), ascending
-    /// — the allocation-free path the semi-warm reclamation tick uses.
+    /// Appends one Pucket's inactive list to `out` (no clear), ascending,
+    /// at most `limit` pages of it — the allocation-free path the
+    /// semi-warm reclamation tick uses.
     pub fn append_inactive_pages(
         &self,
         table: &PageTable,
         kind: PucketKind,
+        limit: usize,
         out: &mut Vec<PageId>,
     ) {
         if let Some((lo, hi)) = self.gen_bounds(kind) {
-            table.append_inactive_in_gen_range(lo, hi, out);
+            table.append_inactive_in_gen_range(lo, hi, limit, out);
         }
     }
 
@@ -172,7 +174,7 @@ impl Puckets {
     /// only.
     pub fn hot_pool_pages(&self, table: &PageTable) -> Vec<PageId> {
         let mut out = Vec::new();
-        table.append_hot_pool_local(&mut out);
+        table.append_hot_pool_local(usize::MAX, &mut out);
         out
     }
 

@@ -172,8 +172,9 @@ const SEG_MASK: u8 = 0b0011_0000;
 /// membership and the segment into one byte, plus the MGLRU generation
 /// number and an idle-scan counter (how many consecutive aging scans
 /// found the page untouched) used by the DAMON-style baseline. The
-/// table itself stores these column-wise (DESIGN § data layout); this
-/// struct is what [`PageTable::meta`](crate::PageTable::meta) returns.
+/// table itself stores these as bitmaps and bit planes (DESIGN § data
+/// layout); this struct is what
+/// [`PageTable::meta`](crate::PageTable::meta) returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageMeta {
     flags: u8,
@@ -192,8 +193,9 @@ impl PageMeta {
     }
 
     /// Assembles a snapshot from the table's column-oriented storage.
-    /// The table keeps flags in bitmaps and the rest in dense columns;
-    /// this reconstitutes the value-type view callers see via
+    /// The table keeps flags, segments and generations in bitmaps and
+    /// the idle counter in a byte column; this reconstitutes the
+    /// value-type view callers see via
     /// [`PageTable::meta`](crate::PageTable::meta).
     pub(crate) fn from_parts(
         state: PageState,

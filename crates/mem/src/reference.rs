@@ -486,140 +486,204 @@ mod tests {
         );
     }
 
+    /// Drives a [`PageTable`] and a reference table through one random
+    /// op script and asserts every observable output matches.
+    fn differential(ops: &[u32]) {
+        let mut new = PageTable::new(PAGE_SIZE_4K);
+        let mut reference = ReferencePageTable::new(PAGE_SIZE_4K);
+        let mut ranges: Vec<PageRange> = Vec::new();
+        let mut coin_seed = 0x5EED_0001u64;
+        for (i, &v) in ops.iter().enumerate() {
+            let arg = v / 11;
+            match v % 11 {
+                0 => {
+                    // Allocations cross word boundaries on purpose:
+                    // up to 80 pages lands mid-word more often than
+                    // not.
+                    let seg = Segment::ALL[arg as usize % 3];
+                    let count = arg % 80 + 1;
+                    let a = new.alloc(seg, count);
+                    let b = reference.alloc(seg, count);
+                    proptest::prop_assert_eq!(a, b);
+                    ranges.push(a);
+                }
+                1 => {
+                    if !ranges.is_empty() {
+                        let r = ranges.swap_remove(arg as usize % ranges.len());
+                        new.free_range(r);
+                        reference.free_range(r);
+                    }
+                }
+                2 => {
+                    if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
+                        proptest::prop_assert_eq!(new.touch_range(r), reference.touch_range(r));
+                    }
+                }
+                3 => {
+                    if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
+                        proptest::prop_assert_eq!(new.offload_range(r), reference.offload_range(r));
+                    }
+                }
+                4 => {
+                    if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
+                        proptest::prop_assert_eq!(new.page_in_range(r), reference.page_in_range(r));
+                    }
+                }
+                5 if arg % 2 == 0 => {
+                    proptest::prop_assert_eq!(new.scan_accessed(), reference.scan_accessed());
+                }
+                5 => {
+                    // Pucket bounds anywhere in (and one past) the
+                    // generation space, including the unbarriered
+                    // "everything is Runtime" case.
+                    let span = new.current_generation().0 + 2;
+                    let (a, b) = ((arg / 2) % span, (arg / 7) % span);
+                    let (runtime_end, init_end) = if arg % 5 == 1 {
+                        (u32::MAX, u32::MAX)
+                    } else {
+                        (a.min(b), a.max(b))
+                    };
+                    proptest::prop_assert_eq!(
+                        new.promote_accessed(runtime_end, init_end),
+                        reference.promote_accessed(runtime_end, init_end)
+                    );
+                    proptest::prop_assert_eq!(new.hot_local_pages(), reference.hot_local_pages());
+                }
+                6 => {
+                    let thr = (arg % 3 + 1) as u8;
+                    proptest::prop_assert_eq!(
+                        new.age_and_collect_idle(thr),
+                        reference.age_and_collect_idle(thr)
+                    );
+                }
+                7 => {
+                    // Twin coin streams: equality of the collected
+                    // ids implies the draw sequences stayed aligned.
+                    let thr = (arg % 3 + 1) as u8;
+                    let prob = 0.35 + f64::from(arg % 50) / 100.0;
+                    let mut c1 = Coin(coin_seed);
+                    let mut c2 = Coin(coin_seed);
+                    coin_seed = coin_seed
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(1);
+                    let a = new.age_and_collect_idle_sampled(thr, prob, || c1.next());
+                    let b = reference.age_and_collect_idle_sampled(thr, prob, || c2.next());
+                    proptest::prop_assert_eq!(a, b);
+                    proptest::prop_assert_eq!(c1.0, c2.0, "coin draw counts diverged");
+                }
+                8 => {
+                    if !new.is_empty() {
+                        let id = PageId(arg % new.len() as u32);
+                        let on = i % 2 == 0;
+                        new.set_in_hot_pool(id, on);
+                        reference.set_in_hot_pool(id, on);
+                    } else {
+                        proptest::prop_assert_eq!(
+                            new.clear_local_hot_pool(),
+                            reference.clear_local_hot_pool()
+                        );
+                    }
+                    if i % 5 == 0 {
+                        proptest::prop_assert_eq!(
+                            new.clear_local_hot_pool(),
+                            reference.clear_local_hot_pool()
+                        );
+                    }
+                }
+                10 => {
+                    // The Pucket drain kernels against the naive
+                    // predicate: open, empty, reversed and
+                    // past-the-current-generation intervals, each
+                    // bounded by a limit that must keep the ascending
+                    // prefix, appended after stale contents.
+                    let span = new.current_generation().0 + 3;
+                    let (a, b) = ((arg / 2) % span, (arg / 5) % span);
+                    let (lo, hi) = match arg % 5 {
+                        0 => (0, u32::MAX),
+                        1 => (a.max(b), a.min(b)),
+                        2 => (a, u32::MAX),
+                        _ => (a.min(b), a.max(b)),
+                    };
+                    let limit = if arg % 3 == 0 {
+                        usize::MAX
+                    } else {
+                        (arg / 3) as usize % 50
+                    };
+                    let local = |m: PageMeta| m.state() == PageState::Local;
+                    let inactive = reference.collect_ids(|_, m| {
+                        local(m) && !m.in_hot_pool() && (lo..hi).contains(&m.generation())
+                    });
+                    let hot = reference.collect_ids(|_, m| local(m) && m.in_hot_pool());
+                    let all_local = reference.collect_ids(|_, m| local(m));
+                    let stale = [PageId(u32::MAX)];
+                    let prefix =
+                        |ids: &[PageId]| [&stale[..], &ids[..ids.len().min(limit)]].concat();
+
+                    let mut got = stale.to_vec();
+                    new.append_inactive_in_gen_range(lo, hi, limit, &mut got);
+                    proptest::prop_assert_eq!(&got, &prefix(&inactive));
+                    got.truncate(1);
+                    new.append_inactive_in_gen_range(lo, hi, usize::MAX, &mut got);
+                    proptest::prop_assert_eq!(
+                        new.count_inactive_in_gen_range(lo, hi),
+                        got.len() as u64 - 1
+                    );
+                    proptest::prop_assert_eq!(&got[1..], &inactive[..]);
+
+                    got.truncate(1);
+                    new.append_hot_pool_local(limit, &mut got);
+                    proptest::prop_assert_eq!(&got, &prefix(&hot));
+                    got.truncate(1);
+                    new.append_local(limit, &mut got);
+                    proptest::prop_assert_eq!(&got, &prefix(&all_local));
+
+                    if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
+                        let in_range = reference.collect_ids(|id, m| local(m) && r.contains(id));
+                        got.truncate(1);
+                        new.append_local_in_range(r, &mut got);
+                        proptest::prop_assert_eq!(&got[1..], &in_range[..]);
+                    }
+                }
+                9 => {
+                    if i % 4 == 0 {
+                        let g = new.create_generation();
+                        proptest::prop_assert_eq!(g, reference.create_generation());
+                    } else if !new.is_empty() {
+                        let id = PageId(arg % new.len() as u32);
+                        let g = Generation(arg % (new.current_generation().0 + 1));
+                        new.set_generation(id, g);
+                        reference.set_generation(id, g);
+                    }
+                }
+                _ => unreachable!("op is v % 11"),
+            }
+        }
+        assert_same_observables(&new, &reference);
+    }
+
     proptest::proptest! {
         // The bitmap/SoA table is observably equivalent to the naive
         // per-page model: same returned ids in the same (ascending)
         // order, same idle counters and flags, same accounting — across
-        // random alloc/free/touch/offload/scan/age interleavings.
+        // random alloc/free/touch/offload/scan/age/drain interleavings.
         #[test]
         fn prop_bitmap_path_matches_reference(
-            ops in proptest::collection::vec(0u32..70_000, 1..90),
+            ops in proptest::collection::vec(0u32..77_000, 1..90),
         ) {
-            let mut new = PageTable::new(PAGE_SIZE_4K);
-            let mut reference = ReferencePageTable::new(PAGE_SIZE_4K);
-            let mut ranges: Vec<PageRange> = Vec::new();
-            let mut coin_seed = 0x5EED_0001u64;
-            for (i, &v) in ops.iter().enumerate() {
-                let arg = v / 10;
-                match v % 10 {
-                    0 => {
-                        // Allocations cross word boundaries on purpose:
-                        // up to 80 pages lands mid-word more often than
-                        // not.
-                        let seg = Segment::ALL[arg as usize % 3];
-                        let count = arg % 80 + 1;
-                        let a = new.alloc(seg, count);
-                        let b = reference.alloc(seg, count);
-                        proptest::prop_assert_eq!(a, b);
-                        ranges.push(a);
-                    }
-                    1 => {
-                        if !ranges.is_empty() {
-                            let r = ranges.swap_remove(arg as usize % ranges.len());
-                            new.free_range(r);
-                            reference.free_range(r);
-                        }
-                    }
-                    2 => {
-                        if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
-                            proptest::prop_assert_eq!(
-                                new.touch_range(r),
-                                reference.touch_range(r)
-                            );
-                        }
-                    }
-                    3 => {
-                        if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
-                            proptest::prop_assert_eq!(
-                                new.offload_range(r),
-                                reference.offload_range(r)
-                            );
-                        }
-                    }
-                    4 => {
-                        if let Some(&r) = ranges.get(arg as usize % ranges.len().max(1)) {
-                            proptest::prop_assert_eq!(
-                                new.page_in_range(r),
-                                reference.page_in_range(r)
-                            );
-                        }
-                    }
-                    5 if arg % 2 == 0 => {
-                        proptest::prop_assert_eq!(new.scan_accessed(), reference.scan_accessed());
-                    }
-                    5 => {
-                        // Pucket bounds anywhere in (and one past) the
-                        // generation space, including the unbarriered
-                        // "everything is Runtime" case.
-                        let span = new.current_generation().0 + 2;
-                        let (a, b) = ((arg / 2) % span, (arg / 7) % span);
-                        let (runtime_end, init_end) = if arg % 5 == 1 {
-                            (u32::MAX, u32::MAX)
-                        } else {
-                            (a.min(b), a.max(b))
-                        };
-                        proptest::prop_assert_eq!(
-                            new.promote_accessed(runtime_end, init_end),
-                            reference.promote_accessed(runtime_end, init_end)
-                        );
-                        proptest::prop_assert_eq!(
-                            new.hot_local_pages(),
-                            reference.hot_local_pages()
-                        );
-                    }
-                    6 => {
-                        let thr = (arg % 3 + 1) as u8;
-                        proptest::prop_assert_eq!(
-                            new.age_and_collect_idle(thr),
-                            reference.age_and_collect_idle(thr)
-                        );
-                    }
-                    7 => {
-                        // Twin coin streams: equality of the collected
-                        // ids implies the draw sequences stayed aligned.
-                        let thr = (arg % 3 + 1) as u8;
-                        let prob = 0.35 + f64::from(arg % 50) / 100.0;
-                        let mut c1 = Coin(coin_seed);
-                        let mut c2 = Coin(coin_seed);
-                        coin_seed = coin_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                        let a = new.age_and_collect_idle_sampled(thr, prob, || c1.next());
-                        let b = reference.age_and_collect_idle_sampled(thr, prob, || c2.next());
-                        proptest::prop_assert_eq!(a, b);
-                        proptest::prop_assert_eq!(c1.0, c2.0, "coin draw counts diverged");
-                    }
-                    8 => {
-                        if !new.is_empty() {
-                            let id = PageId(arg % new.len() as u32);
-                            let on = i % 2 == 0;
-                            new.set_in_hot_pool(id, on);
-                            reference.set_in_hot_pool(id, on);
-                        } else {
-                            proptest::prop_assert_eq!(
-                                new.clear_local_hot_pool(),
-                                reference.clear_local_hot_pool()
-                            );
-                        }
-                        if i % 5 == 0 {
-                            proptest::prop_assert_eq!(
-                                new.clear_local_hot_pool(),
-                                reference.clear_local_hot_pool()
-                            );
-                        }
-                    }
-                    _ => {
-                        if i % 4 == 0 {
-                            let g = new.create_generation();
-                            proptest::prop_assert_eq!(g, reference.create_generation());
-                        } else if !new.is_empty() {
-                            let id = PageId(arg % new.len() as u32);
-                            let g = Generation(arg % (new.current_generation().0 + 1));
-                            new.set_generation(id, g);
-                            reference.set_generation(id, g);
-                        }
-                    }
-                }
-            }
-            assert_same_observables(&new, &reference);
+            differential(&ops);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+        // The long-run differential pass CI runs explicitly
+        // (`cargo test -p faasmem-mem --release --lib -- --ignored`).
+        #[test]
+        #[ignore = "long oracle run; exercised explicitly by the CI test job"]
+        fn table_oracle_extended_equivalence(
+            ops in proptest::collection::vec(0u32..77_000, 1..90),
+        ) {
+            differential(&ops);
         }
     }
 

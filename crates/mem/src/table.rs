@@ -10,22 +10,30 @@
 //!
 //! # Data layout
 //!
-//! The table is column-oriented (see DESIGN § data layout). Single-bit
-//! page attributes — the Access bit, the recently-faulted flag, freed
-//! state, remote residency, hot-pool membership — live in packed `u64`
-//! bitmaps, one bit per page; multi-bit attributes (generation, idle-scan
-//! counter, segment tag) live in dense parallel columns — 6 bytes of
-//! columns plus 5 bitmap bits per page. Batch operations iterate
-//! word-wise: an all-zero mask word skips 64 pages in one branch, and
-//! set bits are visited in ascending page-id order via `trailing_zeros`.
-//! Every scan-like operation either returns counts
-//! ([`PageTable::promote_accessed`], [`PageTable::clear_accessed`]) or
-//! has an `_into` variant writing into a caller-owned scratch buffer, so
-//! steady-state simulation allocates nothing per scan.
+//! The table is column-oriented (see DESIGN § data layout). Every
+//! per-page attribute but one is a packed `u64` bitmap, one bit per
+//! page: the five flags — the Access bit, the recently-faulted flag,
+//! freed state, remote residency, hot-pool membership — plus one *plane*
+//! per MGLRU generation and one per lifecycle segment, each holding the
+//! pages tagged with that value (freed pages included). A FaaSMem table,
+//! with its three generations, costs 11 bits per page; a table that
+//! never inserts a barrier touches 9. The DAMON-style idle-scan counter
+//! is the only byte column, and it is allocated on the first aging scan,
+//! so policies that never age pages never pay for it.
 //!
-//! A table built with [`PageTable::with_capacity`] reserves every column
-//! for its final page count up front; allocation only grows the columns
-//! (amortised) once a table outgrows that reservation.
+//! Batch operations iterate word-wise: an all-zero mask word skips 64
+//! pages in one branch, a generation interval is the OR of its planes,
+//! per-segment counts are one `popcount` per plane, and set bits are
+//! visited in ascending page-id order via `trailing_zeros`. Every
+//! scan-like operation either returns counts
+//! ([`PageTable::promote_accessed`], [`PageTable::clear_accessed`]) or
+//! has an `_into`/`append_*` variant writing into a caller-owned scratch
+//! buffer, so steady-state simulation allocates nothing per scan.
+//!
+//! A table built with [`PageTable::with_capacity`] reserves every bitmap
+//! for its final page count, and generation planes for one container
+//! lifecycle, up front; allocation only grows them (amortised) once a
+//! table outgrows that reservation.
 //!
 //! The `freed` bitmap carries a *tail guard*: bits at indices `>= len`
 //! (the slack of the last partial word) are kept set, so the live-page
@@ -35,6 +43,7 @@ use crate::flow::PageFlows;
 use crate::page::{PageId, PageMeta, PageRange, PageState, Segment};
 use crate::stats::MemStats;
 use faasmem_trace::{EventKind, TraceLayer, Tracer};
+use std::ops::Range;
 
 /// An MGLRU generation number.
 ///
@@ -82,7 +91,7 @@ pub struct PromoteSummary {
 
 /// Generations one container lifecycle creates: the runtime generation
 /// plus one per time barrier (paper §4). [`PageTable::with_capacity`]
-/// reserves the per-generation live counts for them.
+/// reserves their planes and per-generation live counts.
 const LIFECYCLE_GENERATIONS: usize = 3;
 
 /// `(word index, bit mask)` addressing one page in a bitmap.
@@ -108,6 +117,23 @@ fn span_words(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
         }
         (w, mask)
     })
+}
+
+/// Appends the pages of each `(word index, bits)` to `out` in ascending
+/// order, stopping once `limit` have been appended.
+#[inline]
+fn append_bits(out: &mut Vec<PageId>, limit: usize, words: impl Iterator<Item = (usize, u64)>) {
+    let mut left = limit;
+    for (w, mut bits) in words {
+        if left == 0 {
+            return;
+        }
+        while bits != 0 && left > 0 {
+            out.push(PageId(((w << 6) | bits.trailing_zeros() as usize) as u32));
+            left -= 1;
+            bits &= bits - 1;
+        }
+    }
 }
 
 /// Per-container page table with MGLRU generations and residency tracking.
@@ -146,14 +172,23 @@ pub struct PageTable {
     remote: Vec<u64>,
     /// Hot-page-pool membership bits (policy-owned, see `set_in_hot_pool`).
     hot_pool: Vec<u64>,
-    /// MGLRU generation per page.
-    generation: Vec<u32>,
-    /// DAMON-style idle-scan counter per page.
+    /// One bitmap per lifecycle segment (`Segment::ALL` index). Every
+    /// page `< len`, freed or not, is in exactly one.
+    segments: [Vec<u64>; 3],
+    /// One bitmap per MGLRU generation, laid out back to back: plane `g`
+    /// is `gen_planes[g * plane_words..][..plane_words]`. Every page
+    /// `< len`, freed or not, is in exactly one plane; there are
+    /// `gen_live.len()` planes.
+    gen_planes: Vec<u64>,
+    /// Words per generation plane: at least `words()`, so allocating
+    /// within it moves no plane.
+    plane_words: usize,
+    /// DAMON-style idle-scan counter per page. Empty until the first
+    /// aging scan sizes it to `len`; a page past its end has count 0.
     idle_scans: Vec<u8>,
-    /// Lifecycle segment tag per page (`Segment::ALL` index).
-    segment: Vec<u8>,
     /// Live pages per generation, indexed by generation number — keeps
     /// `generation_age_histogram` O(generations) instead of O(pages).
+    /// Its length is the number of generation planes.
     gen_live: Vec<u64>,
     current_gen: u32,
     /// Freed execution ranges available for reuse, newest last.
@@ -194,13 +229,15 @@ impl PageTable {
         Self::with_capacity(page_size, 0)
     }
 
-    /// Creates an empty table whose per-page columns and bitmaps are
-    /// reserved for exactly `pages` pages, so allocating up to that many
-    /// pages never reallocates and leaves no growth slack. A container
-    /// passes its runtime + init + execution page count: execution
-    /// ranges are recycled, so that sum is the table's final length.
-    /// The small per-generation and free-range lists are reserved for
-    /// one lifecycle's three generations and one freed execution range.
+    /// Creates an empty table whose bitmaps are reserved for exactly
+    /// `pages` pages, so allocating up to that many pages never
+    /// reallocates and leaves no growth slack. A container passes its
+    /// runtime + init + execution page count: execution ranges are
+    /// recycled, so that sum is the table's final length. Generation
+    /// planes and live counts are reserved for one lifecycle's three
+    /// generations, and the free-range list for one freed execution
+    /// range. The idle-scan counters are not reserved: only a policy
+    /// that ages pages allocates them.
     ///
     /// # Panics
     ///
@@ -208,6 +245,10 @@ impl PageTable {
     pub fn with_capacity(page_size: u64, pages: usize) -> Self {
         assert!(page_size > 0, "page size must be positive");
         let words = pages.div_ceil(64);
+        let mut gen_planes = Vec::with_capacity(LIFECYCLE_GENERATIONS * words);
+        gen_planes.resize(words, 0);
+        let mut gen_live = Vec::with_capacity(LIFECYCLE_GENERATIONS);
+        gen_live.push(0);
         PageTable {
             page_size,
             len: 0,
@@ -216,10 +257,11 @@ impl PageTable {
             freed: Vec::with_capacity(words),
             remote: Vec::with_capacity(words),
             hot_pool: Vec::with_capacity(words),
-            generation: Vec::with_capacity(pages),
-            idle_scans: Vec::with_capacity(pages),
-            segment: Vec::with_capacity(pages),
-            gen_live: Vec::with_capacity(LIFECYCLE_GENERATIONS),
+            segments: std::array::from_fn(|_| Vec::with_capacity(words)),
+            gen_planes,
+            plane_words: words,
+            idle_scans: Vec::new(),
+            gen_live,
             current_gen: 0,
             free_exec: Vec::with_capacity(1),
             local_pages: 0,
@@ -298,12 +340,87 @@ impl PageTable {
         Some((start, end))
     }
 
-    fn bump_gen_live(&mut self, generation: u32, count: u64) {
-        let g = generation as usize;
+    /// Makes sure generation `g` has a (zeroed) plane and a live count.
+    fn ensure_plane(&mut self, g: usize) {
         if self.gen_live.len() <= g {
             self.gen_live.resize(g + 1, 0);
+            self.gen_planes.resize((g + 1) * self.plane_words, 0);
         }
-        self.gen_live[g] += count;
+    }
+
+    /// Widens every generation plane to at least `words` words,
+    /// doubling so a table grown page by page moves its planes O(log n)
+    /// times.
+    fn widen_planes(&mut self, words: usize) {
+        if words <= self.plane_words {
+            return;
+        }
+        let old = self.plane_words;
+        let new = words.max(2 * old);
+        let mut planes = vec![0u64; self.gen_live.len() * new];
+        if old > 0 {
+            for (to, from) in planes
+                .chunks_exact_mut(new)
+                .zip(self.gen_planes.chunks_exact(old))
+            {
+                to[..old].copy_from_slice(from);
+            }
+        }
+        self.gen_planes = planes;
+        self.plane_words = new;
+    }
+
+    /// The planes of the generation interval `[lo, hi)`, clamped to the
+    /// planes that exist, so `hi == u32::MAX` means "every generation
+    /// from `lo` on".
+    #[inline]
+    fn gen_span(&self, lo: u32, hi: u32) -> Range<usize> {
+        let hi = (hi as usize).min(self.gen_live.len());
+        (lo as usize).min(hi)..hi
+    }
+
+    /// The pages of word `w` whose generation lies in `gens`: the OR of
+    /// those planes.
+    #[inline]
+    fn gen_mask(&self, gens: Range<usize>, w: usize) -> u64 {
+        gens.fold(0, |mask, g| {
+            mask | self.gen_planes[g * self.plane_words + w]
+        })
+    }
+
+    /// The generation of page `i`: the plane holding its bit.
+    fn generation_of(&self, i: usize) -> usize {
+        let (w, b) = word_bit(i);
+        (0..self.gen_live.len())
+            .find(|&g| self.gen_planes[g * self.plane_words + w] & b != 0)
+            .expect("every allocated page is in one generation plane")
+    }
+
+    /// The segment (`Segment::ALL` index) of the page at `(w, b)`.
+    #[inline]
+    fn segment_of(&self, w: usize, b: u64) -> usize {
+        self.segments
+            .iter()
+            .position(|plane| plane[w] & b != 0)
+            .expect("every allocated page is in one segment plane")
+    }
+
+    /// Adds the pages of `bits` (in word `w`) to their segments' local
+    /// counts: one `popcount` per segment.
+    #[inline]
+    fn add_local_by_segment(&mut self, w: usize, bits: u64) {
+        for (local, plane) in self.local_by_segment.iter_mut().zip(&self.segments) {
+            *local += u64::from((bits & plane[w]).count_ones());
+        }
+    }
+
+    /// Removes the pages of `bits` (in word `w`) from their segments'
+    /// local counts.
+    #[inline]
+    fn remove_local_by_segment(&mut self, w: usize, bits: u64) {
+        for (local, plane) in self.local_by_segment.iter_mut().zip(&self.segments) {
+            *local -= u64::from((bits & plane[w]).count_ones());
+        }
     }
 
     /// The generation newly allocated pages are tagged with.
@@ -316,6 +433,7 @@ impl PageTable {
     /// the returned generation.
     pub fn create_generation(&mut self) -> Generation {
         self.current_gen += 1;
+        self.ensure_plane(self.current_gen as usize);
         if self.tracer.wants(TraceLayer::Memory) {
             self.tracer.emit(
                 self.owner,
@@ -351,17 +469,21 @@ impl PageTable {
         // New freed words arrive all-ones (tail guard), then the newly
         // allocated span is carved out as live.
         self.freed.resize(words, !0u64);
+        for plane in &mut self.segments {
+            plane.resize(words, 0);
+        }
+        self.widen_planes(words);
+        let gen = self.current_gen as usize * self.plane_words;
         for (w, mask) in span_words(start, new_len) {
             self.freed[w] &= !mask;
+            self.segments[segment.index()][w] |= mask;
+            self.gen_planes[gen + w] |= mask;
         }
-        self.generation.resize(new_len, self.current_gen);
-        self.idle_scans.resize(new_len, 0);
-        self.segment.resize(new_len, segment.index() as u8);
         self.len = new_len;
         self.local_pages += u64::from(count);
         self.local_by_segment[segment.index()] += u64::from(count);
         self.total_allocated += u64::from(count);
-        self.bump_gen_live(self.current_gen, u64::from(count));
+        self.gen_live[self.current_gen as usize] += u64::from(count);
         PageRange::new(PageId(start as u32), count)
     }
 
@@ -369,6 +491,7 @@ impl PageTable {
     /// state, exactly as `PageMeta::new` would.
     fn recycle(&mut self, range: PageRange) {
         let (start, end) = self.range_bounds(range).expect("recycled range non-empty");
+        let (planes, gen) = (self.gen_live.len(), self.current_gen as usize);
         for (w, mask) in span_words(start, end) {
             debug_assert_eq!(self.freed[w] & mask, mask, "recycled pages must be freed");
             self.freed[w] &= !mask;
@@ -376,15 +499,25 @@ impl PageTable {
             self.recently_faulted[w] &= !mask;
             self.remote[w] &= !mask;
             self.hot_pool[w] &= !mask;
+            for plane in &mut self.segments {
+                plane[w] &= !mask;
+            }
+            self.segments[Segment::Execution.index()][w] |= mask;
+            for g in 0..planes {
+                self.gen_planes[g * self.plane_words + w] &= !mask;
+            }
+            self.gen_planes[gen * self.plane_words + w] |= mask;
         }
-        self.generation[start..end].fill(self.current_gen);
-        self.idle_scans[start..end].fill(0);
-        self.segment[start..end].fill(Segment::Execution.index() as u8);
+        // Counters past the column's end are already 0 (see `idle_scans`).
+        let idle_end = end.min(self.idle_scans.len());
+        if let Some(idle) = self.idle_scans.get_mut(start..idle_end) {
+            idle.fill(0);
+        }
         self.freed_pages -= u64::from(range.len());
         self.local_pages += u64::from(range.len());
         self.local_by_segment[Segment::Execution.index()] += u64::from(range.len());
         self.total_reused += u64::from(range.len());
-        self.bump_gen_live(self.current_gen, u64::from(range.len()));
+        self.gen_live[gen] += u64::from(range.len());
     }
 
     fn take_free_exec(&mut self, count: u32) -> Option<PageRange> {
@@ -421,12 +554,12 @@ impl PageTable {
         };
         PageMeta::from_parts(
             state,
-            Segment::ALL[self.segment[i] as usize],
+            Segment::ALL[self.segment_of(w, b)],
             self.accessed[w] & b != 0,
             self.hot_pool[w] & b != 0,
             self.recently_faulted[w] & b != 0,
-            self.idle_scans[i],
-            self.generation[i],
+            self.idle_scans.get(i).copied().unwrap_or(0),
+            self.generation_of(i) as u32,
         )
     }
 
@@ -447,7 +580,7 @@ impl PageTable {
             self.recently_faulted[w] |= b;
             self.remote_pages -= 1;
             self.local_pages += 1;
-            self.local_by_segment[self.segment[i] as usize] += 1;
+            self.local_by_segment[self.segment_of(w, b)] += 1;
             self.hot_local_pages += u64::from(self.hot_pool[w] & b != 0);
             self.total_faulted += 1;
             true
@@ -500,12 +633,7 @@ impl PageTable {
                     self.local_pages += n;
                     self.hot_local_pages += u64::from((faulted & self.hot_pool[w]).count_ones());
                     self.total_faulted += n;
-                    let mut bits = faulted;
-                    while bits != 0 {
-                        let i = (w << 6) | bits.trailing_zeros() as usize;
-                        self.local_by_segment[self.segment[i] as usize] += 1;
-                        bits &= bits - 1;
-                    }
+                    self.add_local_by_segment(w, faulted);
                 }
             }
         }
@@ -540,7 +668,7 @@ impl PageTable {
         self.remote[w] &= !b;
         self.remote_pages -= 1;
         self.local_pages += 1;
-        self.local_by_segment[self.segment[i] as usize] += 1;
+        self.local_by_segment[self.segment_of(w, b)] += 1;
         self.hot_local_pages += u64::from(self.hot_pool[w] & b != 0);
         self.total_prefetched += 1;
         true
@@ -569,12 +697,7 @@ impl PageTable {
                 moved += movable.count_ones();
                 self.remote[w] &= !movable;
                 self.hot_local_pages += u64::from((movable & self.hot_pool[w]).count_ones());
-                let mut bits = movable;
-                while bits != 0 {
-                    let i = (w << 6) | bits.trailing_zeros() as usize;
-                    self.local_by_segment[self.segment[i] as usize] += 1;
-                    bits &= bits - 1;
-                }
+                self.add_local_by_segment(w, movable);
             }
         }
         self.remote_pages -= u64::from(moved);
@@ -608,7 +731,7 @@ impl PageTable {
         }
         self.remote[w] |= b;
         self.local_pages -= 1;
-        self.local_by_segment[self.segment[i] as usize] -= 1;
+        self.local_by_segment[self.segment_of(w, b)] -= 1;
         self.remote_pages += 1;
         self.hot_local_pages -= u64::from(self.hot_pool[w] & b != 0);
         self.total_offloaded += 1;
@@ -627,12 +750,7 @@ impl PageTable {
                 moved += movable.count_ones();
                 self.remote[w] |= movable;
                 self.hot_local_pages -= u64::from((movable & self.hot_pool[w]).count_ones());
-                let mut bits = movable;
-                while bits != 0 {
-                    let i = (w << 6) | bits.trailing_zeros() as usize;
-                    self.local_by_segment[self.segment[i] as usize] -= 1;
-                    bits &= bits - 1;
-                }
+                self.remove_local_by_segment(w, movable);
             }
         }
         self.local_pages -= u64::from(moved);
@@ -672,16 +790,11 @@ impl PageTable {
             let live = mask & !self.freed[w];
             if live != 0 {
                 let remote = live & self.remote[w];
-                let mut bits = live;
-                while bits != 0 {
-                    let t = bits.trailing_zeros() as usize;
-                    let i = (w << 6) | t;
-                    self.gen_live[self.generation[i] as usize] -= 1;
-                    if remote & (1u64 << t) == 0 {
-                        self.local_by_segment[self.segment[i] as usize] -= 1;
-                    }
-                    bits &= bits - 1;
+                for g in 0..self.gen_live.len() {
+                    let plane = self.gen_planes[g * self.plane_words + w];
+                    self.gen_live[g] -= u64::from((live & plane).count_ones());
                 }
+                self.remove_local_by_segment(w, live & !remote);
                 let n = u64::from(live.count_ones());
                 let nr = u64::from(remote.count_ones());
                 self.freed_pages += n;
@@ -751,6 +864,8 @@ impl PageTable {
     /// carries the same hit count.
     pub fn promote_accessed(&mut self, runtime_end: u32, init_end: u32) -> PromoteSummary {
         debug_assert!(runtime_end <= init_end, "Pucket bounds out of order");
+        let runtime = self.gen_span(0, runtime_end);
+        let init = self.gen_span(runtime_end, init_end);
         let mut summary = PromoteSummary::default();
         let mut hits_total = 0u64;
         for w in 0..self.words() {
@@ -762,27 +877,19 @@ impl PageTable {
             if hits != 0 {
                 hits_total += u64::from(hits.count_ones());
                 self.accessed[w] &= !hits;
-                let faulted = self.recently_faulted[w];
-                let mut promoted = 0u64;
-                let mut bits = hits & !self.hot_pool[w];
-                while bits != 0 {
-                    let t = bits.trailing_zeros() as usize;
-                    let b = 1u64 << t;
-                    let recalled = u32::from(faulted & b != 0);
-                    let g = self.generation[(w << 6) | t];
-                    if g < runtime_end {
-                        summary.runtime_promoted += 1;
-                        summary.runtime_recalled += recalled;
-                        promoted |= b;
-                    } else if g < init_end {
-                        summary.init_promoted += 1;
-                        summary.init_recalled += recalled;
-                        promoted |= b;
-                    }
-                    bits &= bits - 1;
+                let fresh = hits & !self.hot_pool[w];
+                if fresh != 0 {
+                    let faulted = self.recently_faulted[w];
+                    let runtime_hits = fresh & self.gen_mask(runtime.clone(), w);
+                    let init_hits = fresh & self.gen_mask(init.clone(), w);
+                    summary.runtime_promoted += runtime_hits.count_ones();
+                    summary.runtime_recalled += (runtime_hits & faulted).count_ones();
+                    summary.init_promoted += init_hits.count_ones();
+                    summary.init_recalled += (init_hits & faulted).count_ones();
+                    let promoted = runtime_hits | init_hits;
+                    self.hot_pool[w] |= promoted;
+                    self.hot_local_pages += u64::from((promoted & !self.remote[w]).count_ones());
                 }
-                self.hot_pool[w] |= promoted;
-                self.hot_local_pages += u64::from((promoted & !self.remote[w]).count_ones());
             }
             self.recently_faulted[w] &= !live;
         }
@@ -839,6 +946,7 @@ impl PageTable {
     /// order.
     pub fn age_and_collect_idle_into(&mut self, idle_threshold: u8, out: &mut Vec<PageId>) {
         out.clear();
+        self.size_idle_column();
         for w in 0..self.words() {
             let live = !self.freed[w];
             if live == 0 {
@@ -870,6 +978,15 @@ impl PageTable {
             }
         }
         self.trace_aging(idle_threshold, out.len() as u64);
+    }
+
+    /// Sizes the idle-scan counters to `len`: allocated on the first
+    /// aging scan, then extended with zeroed counters for the pages
+    /// allocated since the previous one.
+    fn size_idle_column(&mut self) {
+        if self.idle_scans.len() < self.len {
+            self.idle_scans.resize(self.len, 0);
+        }
     }
 
     fn trace_aging(&self, threshold: u8, collected: u64) {
@@ -930,6 +1047,7 @@ impl PageTable {
             "sample probability {sample_prob} out of range"
         );
         out.clear();
+        self.size_idle_column();
         for w in 0..self.words() {
             let live = !self.freed[w];
             if live == 0 {
@@ -985,16 +1103,15 @@ impl PageTable {
         }
     }
 
-    /// Appends the ids of live *local* pages to `out` (no clear) — the
-    /// residency sweep semi-warm reclamation uses when Puckets are off.
-    pub fn append_local(&self, out: &mut Vec<PageId>) {
-        for w in 0..self.words() {
-            let mut bits = !self.freed[w] & !self.remote[w];
-            while bits != 0 {
-                out.push(PageId(((w << 6) | bits.trailing_zeros() as usize) as u32));
-                bits &= bits - 1;
-            }
-        }
+    /// Appends the ids of live *local* pages to `out` (no clear),
+    /// ascending, at most `limit` of them — the residency sweep
+    /// semi-warm reclamation uses when Puckets are off.
+    pub fn append_local(&self, limit: usize, out: &mut Vec<PageId>) {
+        append_bits(
+            out,
+            limit,
+            (0..self.words()).map(|w| (w, !self.freed[w] & !self.remote[w])),
+        );
     }
 
     /// Appends the ids of live local pages inside `range` to `out` (no
@@ -1004,75 +1121,70 @@ impl PageTable {
         let Some((start, end)) = self.range_bounds(range) else {
             return;
         };
-        for (w, mask) in span_words(start, end) {
-            let mut bits = mask & !self.freed[w] & !self.remote[w];
-            while bits != 0 {
-                out.push(PageId(((w << 6) | bits.trailing_zeros() as usize) as u32));
-                bits &= bits - 1;
-            }
-        }
+        append_bits(
+            out,
+            usize::MAX,
+            span_words(start, end).map(|(w, mask)| (w, mask & !self.freed[w] & !self.remote[w])),
+        );
+    }
+
+    /// The inactive pages of word `w` — live, local, outside the hot
+    /// pool — whose generation lies in `gens`.
+    #[inline]
+    fn inactive_in(&self, gens: Range<usize>, w: usize) -> u64 {
+        !self.freed[w] & !self.remote[w] & !self.hot_pool[w] & self.gen_mask(gens, w)
     }
 
     /// Appends the ids of *inactive* pages — live, local, outside the hot
     /// pool — whose generation lies in `[gen_lo, gen_hi)`, in ascending
-    /// order (no clear). This is a Pucket's inactive list expressed as a
-    /// generation interval.
-    pub fn append_inactive_in_gen_range(&self, gen_lo: u32, gen_hi: u32, out: &mut Vec<PageId>) {
-        for w in 0..self.words() {
-            let mut bits = !self.freed[w] & !self.remote[w] & !self.hot_pool[w];
-            while bits != 0 {
-                let i = (w << 6) | bits.trailing_zeros() as usize;
-                let g = self.generation[i];
-                if g >= gen_lo && g < gen_hi {
-                    out.push(PageId(i as u32));
-                }
-                bits &= bits - 1;
-            }
-        }
+    /// order (no clear), at most `limit` of them. This is a Pucket's
+    /// inactive list expressed as a generation interval; `gen_hi ==
+    /// u32::MAX` leaves it open above.
+    pub fn append_inactive_in_gen_range(
+        &self,
+        gen_lo: u32,
+        gen_hi: u32,
+        limit: usize,
+        out: &mut Vec<PageId>,
+    ) {
+        let gens = self.gen_span(gen_lo, gen_hi);
+        append_bits(
+            out,
+            limit,
+            (0..self.words()).map(|w| (w, self.inactive_in(gens.clone(), w))),
+        );
     }
 
     /// Counts what [`PageTable::append_inactive_in_gen_range`] would
-    /// append, without materialising the ids.
+    /// append without a limit, without materialising the ids.
     pub fn count_inactive_in_gen_range(&self, gen_lo: u32, gen_hi: u32) -> u64 {
-        let mut count = 0u64;
-        for w in 0..self.words() {
-            let mut bits = !self.freed[w] & !self.remote[w] & !self.hot_pool[w];
-            while bits != 0 {
-                let i = (w << 6) | bits.trailing_zeros() as usize;
-                let g = self.generation[i];
-                if g >= gen_lo && g < gen_hi {
-                    count += 1;
-                }
-                bits &= bits - 1;
-            }
-        }
-        count
+        let gens = self.gen_span(gen_lo, gen_hi);
+        (0..self.words())
+            .map(|w| u64::from(self.inactive_in(gens.clone(), w).count_ones()))
+            .sum()
     }
 
     /// Appends the ids of live *local* hot-pool pages to `out` (no
-    /// clear), ascending. Remote pages keep their hot-pool flag (it is
-    /// what marks them for recall prefetch) but are not reported here.
-    pub fn append_hot_pool_local(&self, out: &mut Vec<PageId>) {
-        for w in 0..self.words() {
-            let mut bits = self.hot_pool[w] & !self.freed[w] & !self.remote[w];
-            while bits != 0 {
-                out.push(PageId(((w << 6) | bits.trailing_zeros() as usize) as u32));
-                bits &= bits - 1;
-            }
-        }
+    /// clear), ascending, at most `limit` of them. Remote pages keep
+    /// their hot-pool flag (it is what marks them for recall prefetch)
+    /// but are not reported here.
+    pub fn append_hot_pool_local(&self, limit: usize, out: &mut Vec<PageId>) {
+        append_bits(
+            out,
+            limit,
+            (0..self.words()).map(|w| (w, self.hot_pool[w] & !self.freed[w] & !self.remote[w])),
+        );
     }
 
     /// Appends the ids of remote hot-pool pages to `out` (no clear),
     /// ascending — the set recall prefetch restores when a semi-warm
     /// container is hit.
     pub fn append_hot_pool_remote(&self, out: &mut Vec<PageId>) {
-        for w in 0..self.words() {
-            let mut bits = self.hot_pool[w] & self.remote[w] & !self.freed[w];
-            while bits != 0 {
-                out.push(PageId(((w << 6) | bits.trailing_zeros() as usize) as u32));
-                bits &= bits - 1;
-            }
-        }
+        append_bits(
+            out,
+            usize::MAX,
+            (0..self.words()).map(|w| (w, self.hot_pool[w] & self.remote[w] & !self.freed[w])),
+        );
     }
 
     /// Clears hot-pool membership on every live *local* page (the §5.3
@@ -1146,20 +1258,25 @@ impl PageTable {
         }
     }
 
-    /// Reassigns a page's generation (used when rolling hot pages back to
-    /// their original Pucket).
+    /// Moves a page to another generation, freed pages included (a
+    /// freed page's generation is what [`PageTable::meta`] reports until
+    /// it is recycled). No policy moves pages between generations — the
+    /// §5.3 rollback clears hot-pool flags instead — so only tests call
+    /// this, to put pages in arbitrary generations.
     pub fn set_generation(&mut self, id: PageId, generation: Generation) {
         self.assert_allocated(id);
         let i = id.index();
-        let old = self.generation[i];
-        let new = generation.0;
+        let old = self.generation_of(i);
+        let new = generation.0 as usize;
         if old != new {
+            self.ensure_plane(new);
             let (w, b) = word_bit(i);
+            self.gen_planes[old * self.plane_words + w] &= !b;
+            self.gen_planes[new * self.plane_words + w] |= b;
             if self.freed[w] & b == 0 {
-                self.gen_live[old as usize] -= 1;
-                self.bump_gen_live(new, 1);
+                self.gen_live[old] -= 1;
+                self.gen_live[new] += 1;
             }
-            self.generation[i] = new;
         }
     }
 
@@ -1300,7 +1417,7 @@ mod tests {
         // Reassignment moves a live page between buckets...
         t.set_generation(PageId(0), t.current_generation());
         assert_eq!(t.generation_age_histogram::<3>(), [4, 0, 3]);
-        // ...but a freed page only updates the column, not the counts.
+        // ...but a freed page only moves its plane bit, not the counts.
         t.free_range(e2);
         t.set_generation(e2.start(), Generation(0));
         assert_eq!(t.generation_age_histogram::<3>(), [1, 0, 3]);
@@ -1541,7 +1658,7 @@ mod tests {
         t.set_in_hot_pool(init.start(), true);
 
         let mut out = Vec::new();
-        t.append_local(&mut out);
+        t.append_local(usize::MAX, &mut out);
         assert_eq!(out.len(), 140 - 3);
         assert_eq!(out[0], PageId(3));
 
@@ -1551,21 +1668,21 @@ mod tests {
 
         // Runtime pucket = generations [0, 1): live local non-hot.
         out.clear();
-        t.append_inactive_in_gen_range(0, 1, &mut out);
+        t.append_inactive_in_gen_range(0, 1, usize::MAX, &mut out);
         assert_eq!(out.len(), 70 - 3 - 1);
         assert!(!out.contains(&PageId(65)));
         assert_eq!(t.count_inactive_in_gen_range(0, 1), 66);
         assert_eq!(t.count_inactive_in_gen_range(1, u32::MAX), 69);
 
         out.clear();
-        t.append_hot_pool_local(&mut out);
+        t.append_hot_pool_local(usize::MAX, &mut out);
         assert_eq!(out, vec![PageId(65), init.start()]);
 
         // An offloaded hot page keeps its flag but stops being reported
         // as local, and rollback leaves it flagged for recall.
         t.offload(PageId(65));
         out.clear();
-        t.append_hot_pool_local(&mut out);
+        t.append_hot_pool_local(usize::MAX, &mut out);
         assert_eq!(out, vec![init.start()]);
         assert_eq!(t.clear_local_hot_pool(), 1);
         assert!(t.meta(PageId(65)).in_hot_pool());
@@ -1663,6 +1780,95 @@ mod tests {
         assert_eq!(s.remote_bytes, 3 * PAGE_SIZE_4K);
         assert_eq!(s.total_offloaded, 3);
         assert_eq!(s.resident_bytes(), 8 * PAGE_SIZE_4K);
+    }
+
+    /// Bits of per-page storage `t` holds: the capacity of every bitmap
+    /// (flags, segment planes, generation planes) plus the idle counters.
+    fn storage_bits(t: &PageTable) -> usize {
+        let flags = [
+            &t.accessed,
+            &t.recently_faulted,
+            &t.freed,
+            &t.remote,
+            &t.hot_pool,
+            &t.gen_planes,
+        ];
+        let words: usize = flags
+            .into_iter()
+            .chain(&t.segments)
+            .map(Vec::capacity)
+            .sum();
+        words * 64 + t.idle_scans.capacity() * 8
+    }
+
+    #[test]
+    fn lifecycle_table_holds_eleven_bits_per_page_until_it_ages() {
+        // A container at 64 KiB pages: 100 MiB runtime, 32 MiB init and
+        // 20 MiB execution. 2432 pages are whole bitmap words, so the
+        // bound carries no rounding slack.
+        let (runtime, init, exec) = (1600u32, 512u32, 320u32);
+        let pages = (runtime + init + exec) as usize;
+        let mut t = PageTable::with_capacity(64 * 1024, pages);
+        t.alloc(Segment::Runtime, runtime);
+        t.create_generation();
+        t.alloc(Segment::Init, init);
+        t.create_generation();
+        let e = t.alloc(Segment::Execution, exec);
+        t.touch_range(e);
+        t.free_range(e);
+        assert_eq!(t.alloc(Segment::Execution, exec), e, "recycled in place");
+        assert_eq!(t.len(), pages);
+        assert!(
+            storage_bits(&t) <= 11 * pages,
+            "{} bits for {pages} pages",
+            storage_bits(&t)
+        );
+        assert_eq!(t.idle_scans.capacity(), 0, "no idle counters before aging");
+
+        t.age_and_collect_idle(1);
+        assert_eq!(t.idle_scans.len(), pages, "one idle counter per page");
+        assert!(storage_bits(&t) <= 19 * pages);
+        t.free_range(e);
+        t.alloc(Segment::Execution, exec);
+        assert_eq!(t.idle_scans.len(), pages);
+        assert_eq!(t.meta(e.start()).idle_scans(), 0, "recycling resets it");
+    }
+
+    #[test]
+    fn hundreds_of_generations_match_the_reference() {
+        use crate::ReferencePageTable;
+
+        let mut t = table();
+        let mut r = ReferencePageTable::new(PAGE_SIZE_4K);
+        let mut exec = Vec::new();
+        for i in 0..300u32 {
+            assert_eq!(t.create_generation(), r.create_generation());
+            let segment = Segment::ALL[i as usize % 3];
+            let count = i % 70 + 1;
+            let range = t.alloc(segment, count);
+            assert_eq!(range, r.alloc(segment, count));
+            if segment == Segment::Execution {
+                exec.push(range);
+            }
+            if i % 7 == 3 {
+                if let Some(e) = exec.pop() {
+                    t.free_range(e);
+                    r.free_range(e);
+                }
+            }
+        }
+        assert!(t.total_reused > 0, "some execution ranges were recycled");
+        for i in 0..t.len() as u32 {
+            assert_eq!(t.meta(PageId(i)), r.meta(PageId(i)), "page {i}");
+        }
+        assert_eq!(
+            t.generation_age_histogram::<4>(),
+            r.generation_age_histogram::<4>()
+        );
+        assert_eq!(
+            t.generation_age_histogram::<512>(),
+            r.generation_age_histogram::<512>()
+        );
     }
 
     #[test]

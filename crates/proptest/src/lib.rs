@@ -102,7 +102,8 @@ macro_rules! prop_assert_ne {
 
 /// Declares property tests: each `#[test] fn name(pattern in strategy,
 /// ...) { body }` item expands to an ordinary `#[test]` that runs the
-/// body over `cases` deterministic random inputs.
+/// body over `cases` deterministic random inputs. Further attributes,
+/// such as `#[ignore]`, carry over to the generated test.
 ///
 /// An optional leading `#![proptest_config(expr)]` overrides the
 /// default [`ProptestConfig`].
@@ -119,9 +120,9 @@ macro_rules! proptest {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __proptest_impl {
-    (@cfg ($cfg:expr) $(#[test] fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block)*) => {
+    (@cfg ($cfg:expr) $($(#[$meta:meta])+ fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
-            #[test]
+            $(#[$meta])+
             fn $name() {
                 let __config: $crate::ProptestConfig = $cfg;
                 let __seed_base = $crate::test_runner::fnv1a(

@@ -12,8 +12,11 @@
 //! the spec's runtime + init + execution pages when the container is
 //! created, so the whole page-table lifecycle — segment allocation,
 //! barriers, touches, the fused promotion scan, freeing and recycling
-//! the execution range, offload and page-in — allocates nothing. That
-//! also proves the spec-derived reservation is large enough.
+//! the execution range, the budget-bounded semi-warm drain into a
+//! reserved buffer, offload and page-in — allocates nothing. That also
+//! proves the spec-derived reservation is large enough. A DAMON-style
+//! policy's first aging scan allocates the table's idle counters once;
+//! after it, aging rounds and execution free/recycle allocate nothing.
 //!
 //! Planning a request into a run-long [`AccessPlanner`] and touching
 //! its pages through [`touch_request`] allocates nothing either once the
@@ -30,7 +33,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use faasmem_core::Puckets;
+use faasmem_core::{PucketKind, Puckets};
 use faasmem_faas::{touch_request, Container, ContainerId, FunctionId, PolicyCtx};
 use faasmem_mem::{mib_to_pages, PageId, Segment, PAGE_SIZE_4K};
 use faasmem_pool::{BandwidthGovernor, PoolConfig, RemotePool};
@@ -95,12 +98,18 @@ fn queue_churn(q: &mut EventQueue<u64>, ops: usize) -> u64 {
     acc
 }
 
+/// Pages one semi-warm tick drains in the lifecycle below.
+const DRAIN_BUDGET: usize = 512;
+
 /// One container's page-table lifecycle in platform order: launch,
 /// Runtime-Init barrier, init, Init-Execution barrier, two requests
 /// (the second recycles the first's execution range), each followed
-/// by the fused promotion scan, then an offload/page-in round trip of
-/// the runtime segment. Returns the table length at the end.
-fn page_table_lifecycle(c: &mut Container) -> usize {
+/// by the fused promotion scan, then one semi-warm drain of
+/// [`DRAIN_BUDGET`] pages collected coldest-first into `drain` (whose
+/// capacity the caller reserved) and offloaded, and an offload/page-in
+/// round trip of the runtime segment. Returns the table length at the
+/// end.
+fn page_table_lifecycle(c: &mut Container, drain: &mut Vec<PageId>) -> usize {
     let mut puckets = Puckets::new();
     c.finish_launch();
     puckets.insert_runtime_init_barrier(c.table_mut());
@@ -121,6 +130,13 @@ fn page_table_lifecycle(c: &mut Container) -> usize {
         puckets.promote_accessed(c.table_mut());
         c.finish_execution(SimTime::from_secs(request), SimDuration::ZERO);
     }
+    drain.clear();
+    for kind in [PucketKind::Runtime, PucketKind::Init] {
+        puckets.append_inactive_pages(c.table(), kind, DRAIN_BUDGET - drain.len(), drain);
+    }
+    c.table()
+        .append_hot_pool_local(DRAIN_BUDGET - drain.len(), drain);
+    c.table_mut().offload_pages(drain.iter().copied());
     let runtime = c.runtime_range();
     c.table_mut().offload_range(runtime);
     c.table_mut().page_in_range(runtime);
@@ -229,11 +245,42 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
             PAGE_SIZE_4K,
             SimTime::ZERO,
         );
-        let (allocs, len) = allocations_during(|| page_table_lifecycle(&mut c));
+        let mut drain = Vec::with_capacity(DRAIN_BUDGET);
+        let (allocs, len) = allocations_during(|| page_table_lifecycle(&mut c, &mut drain));
         assert_eq!(len, expected, "{name}: final table length");
+        assert_eq!(
+            drain.len(),
+            DRAIN_BUDGET,
+            "{name}: the drain fills its budget"
+        );
         assert_eq!(
             allocs, 0,
             "{name}: the page-table lifecycle must not allocate (got {allocs} allocations)"
+        );
+
+        // DAMON-style aging: the first scan sizes the idle counters;
+        // later rounds, with the execution range recycled in between,
+        // reuse them.
+        let exec_pages = mib_to_pages(c.spec().exec_mib, PAGE_SIZE_4K) as u32;
+        let table = c.table_mut();
+        let mut cold = Vec::with_capacity(table.len());
+        table.age_and_collect_idle_into(2, &mut cold);
+        let (allocs, collected) = allocations_during(|| {
+            let mut collected = 0;
+            for _ in 0..4 {
+                let exec = table.alloc(Segment::Execution, exec_pages);
+                table.touch_range(exec);
+                table.age_and_collect_idle_into(2, &mut cold);
+                collected += cold.len();
+                table.free_range(exec);
+            }
+            collected
+        });
+        assert_eq!(table.len(), expected, "{name}: execution pages recycled");
+        assert!(collected > 0, "{name}: idle pages reach the threshold");
+        assert_eq!(
+            allocs, 0,
+            "{name}: aging rounds after the first must not allocate (got {allocs} allocations)"
         );
     }
 
