@@ -5,8 +5,8 @@
 //! replaced) at 64k, 1M and 10M events across three timestamp mixes:
 //!
 //! - **clustered** — bursts of same-instant events on a fixed cadence,
-//!   pushed as groups: the FaaSMem shape (Tick cadence, bursty traces
-//!   seeded via `push_at_many`).
+//!   pushed as groups through `push_at_many`: the Tick-cadence,
+//!   same-instant-burst shape of a FaaSMem run.
 //! - **uniform** — independent uniform timestamps, the classic
 //!   calendar-queue sort benchmark.
 //! - **bimodal** — half near-term, half far-future, stressing the
@@ -31,9 +31,14 @@
 //!     BENCH_queue.json perf/BENCH_queue.json --tolerance 0.25
 //! ```
 //!
+//! Every phase also reports each queue's high-water
+//! `allocated_bytes()`; only the timings go into `BENCH_queue.json`.
+//!
 //! `--check-speedup` exits non-zero unless the calendar queue beats the
 //! heap by at least [`REQUIRED_SPEEDUP`]× on the clustered mix at 1M
-//! events and by [`REQUIRED_SEEDED_SPEEDUP`]× on the seeded hour.
+//! events and by [`REQUIRED_SEEDED_SPEEDUP`]× on the seeded hour, and
+//! retains at most [`MAX_MEMORY_RATIO`]× the heap's bytes on the churn
+//! and seeded-hour phases.
 
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -50,6 +55,10 @@ const REQUIRED_SPEEDUP: f64 = 2.0;
 /// on the seeded hour: never slower than the heap.
 const REQUIRED_SEEDED_SPEEDUP: f64 = 1.0;
 
+/// Most bytes the calendar queue may retain per byte the heap retains,
+/// which `--check-speedup` enforces on the churn and seeded-hour phases.
+const MAX_MEMORY_RATIO: usize = 2;
+
 /// Same-instant burst width of the clustered mix.
 const BURST: usize = 64;
 
@@ -61,7 +70,7 @@ const BURST_STEP_US: u64 = 1_000;
 /// `bench_compare` needs cross-run totals.
 const SIZES: [(usize, u32); 3] = [(64 * 1024, 8), (1 << 20, 2), (10 << 20, 1)];
 
-/// Pop-one/push-one operations per churn reptition (hold model).
+/// Pop-one/push-one operations per churn repetition (hold model).
 const CHURN_OPS: usize = 1 << 20;
 
 /// Events resident during the churn phase.
@@ -148,70 +157,98 @@ fn make_times(mix: Mix, n: usize) -> Vec<u64> {
     }
 }
 
-/// Events per second pushing the whole population and draining it dry
-/// through the calendar queue. Clustered runs use the grouped path.
-fn calendar_sort(
-    times: &[u64],
-    reps: u32,
-    grouped: bool,
-    phase: &'static str,
-    bench: &mut BenchRecorder,
-) -> f64 {
-    let ((), secs) = bench.time(phase, || {
-        for _ in 0..reps {
-            let mut q: EventQueue<u32> = EventQueue::with_capacity(times.len());
-            push_all_calendar(&mut q, times, grouped);
-            let mut n = 0u64;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n);
-        }
-    });
-    times.len() as f64 * reps as f64 / secs
+/// The two queues under test, driven through the same scripts.
+trait BenchQueue {
+    fn with_capacity(capacity: usize) -> Self;
+    fn push(&mut self, at: SimTime, event: u32);
+    fn push_at_many(&mut self, at: SimTime, events: impl IntoIterator<Item = u32>);
+    fn pop(&mut self) -> Option<(SimTime, u32)>;
+    fn len(&self) -> usize;
+    fn allocated_bytes(&self) -> usize;
 }
 
-/// Events per second for the same script through the heap reference.
-fn heap_sort(
-    times: &[u64],
-    reps: u32,
-    grouped: bool,
-    phase: &'static str,
-    bench: &mut BenchRecorder,
-) -> f64 {
-    let ((), secs) = bench.time(phase, || {
-        for _ in 0..reps {
-            let mut q: ReferenceEventQueue<u32> = ReferenceEventQueue::with_capacity(times.len());
-            push_all_heap(&mut q, times, grouped);
-            let mut n = 0u64;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n);
-        }
-    });
-    times.len() as f64 * reps as f64 / secs
-}
-
-fn push_all_calendar(q: &mut EventQueue<u32>, times: &[u64], grouped: bool) {
-    if grouped {
-        // Same-instant runs land as one group each, like trace seeding.
-        let mut i = 0;
-        while i < times.len() {
-            let t = times[i];
-            let run = times[i..].iter().take_while(|&&x| x == t).count();
-            q.push_at_many(SimTime::from_micros(t), (i..i + run).map(|j| j as u32));
-            i += run;
-        }
-    } else {
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_micros(t), i as u32);
-        }
+impl BenchQueue for EventQueue<u32> {
+    fn with_capacity(capacity: usize) -> Self {
+        EventQueue::with_capacity(capacity)
+    }
+    fn push(&mut self, at: SimTime, event: u32) {
+        EventQueue::push(self, at, event);
+    }
+    fn push_at_many(&mut self, at: SimTime, events: impl IntoIterator<Item = u32>) {
+        EventQueue::push_at_many(self, at, events);
+    }
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        EventQueue::pop(self)
+    }
+    fn len(&self) -> usize {
+        EventQueue::len(self)
+    }
+    fn allocated_bytes(&self) -> usize {
+        EventQueue::allocated_bytes(self)
     }
 }
 
-fn push_all_heap(q: &mut ReferenceEventQueue<u32>, times: &[u64], grouped: bool) {
+impl BenchQueue for ReferenceEventQueue<u32> {
+    fn with_capacity(capacity: usize) -> Self {
+        ReferenceEventQueue::with_capacity(capacity)
+    }
+    fn push(&mut self, at: SimTime, event: u32) {
+        ReferenceEventQueue::push(self, at, event);
+    }
+    fn push_at_many(&mut self, at: SimTime, events: impl IntoIterator<Item = u32>) {
+        ReferenceEventQueue::push_at_many(self, at, events);
+    }
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        ReferenceEventQueue::pop(self)
+    }
+    fn len(&self) -> usize {
+        ReferenceEventQueue::len(self)
+    }
+    fn allocated_bytes(&self) -> usize {
+        ReferenceEventQueue::allocated_bytes(self)
+    }
+}
+
+/// One phase's result: events per second, and the queue's high-water
+/// [`BenchQueue::allocated_bytes`] (neither queue ever gives capacity
+/// back, so the value after the phase is its high-water mark).
+struct Run {
+    rate: f64,
+    bytes: usize,
+}
+
+/// Pushes the whole population and drains it dry. Clustered runs use
+/// the grouped path.
+fn sort<Q: BenchQueue>(
+    times: &[u64],
+    reps: u32,
+    grouped: bool,
+    phase: &'static str,
+    bench: &mut BenchRecorder,
+) -> Run {
+    let (bytes, secs) = bench.time(phase, || {
+        let mut bytes = 0;
+        for _ in 0..reps {
+            let mut q = Q::with_capacity(times.len());
+            push_all(&mut q, times, grouped);
+            let mut n = 0u64;
+            while q.pop().is_some() {
+                n += 1;
+            }
+            black_box(n);
+            bytes = bytes.max(q.allocated_bytes());
+        }
+        bytes
+    });
+    Run {
+        rate: times.len() as f64 * reps as f64 / secs,
+        bytes,
+    }
+}
+
+fn push_all<Q: BenchQueue>(q: &mut Q, times: &[u64], grouped: bool) {
     if grouped {
+        // Same-instant runs land as one group each.
         let mut i = 0;
         while i < times.len() {
             let t = times[i];
@@ -238,8 +275,8 @@ fn churn_deltas() -> Vec<u64> {
         .collect()
 }
 
-fn calendar_churn(deltas: &[u64], phase: &'static str, bench: &mut BenchRecorder) -> f64 {
-    let mut q: EventQueue<u32> = EventQueue::with_capacity(CHURN_HOLD);
+fn churn<Q: BenchQueue>(deltas: &[u64], phase: &'static str, bench: &mut BenchRecorder) -> Run {
+    let mut q = Q::with_capacity(CHURN_HOLD);
     for i in 0..CHURN_HOLD {
         q.push(
             SimTime::from_micros((i / BURST) as u64 * BURST_STEP_US),
@@ -252,28 +289,11 @@ fn calendar_churn(deltas: &[u64], phase: &'static str, bench: &mut BenchRecorder
             q.push(at + SimDuration::from_micros(d), ev);
         }
     });
-    let rate = deltas.len() as f64 / secs;
     black_box(q.len());
-    rate
-}
-
-fn heap_churn(deltas: &[u64], phase: &'static str, bench: &mut BenchRecorder) -> f64 {
-    let mut q: ReferenceEventQueue<u32> = ReferenceEventQueue::with_capacity(CHURN_HOLD);
-    for i in 0..CHURN_HOLD {
-        q.push(
-            SimTime::from_micros((i / BURST) as u64 * BURST_STEP_US),
-            i as u32,
-        );
+    Run {
+        rate: deltas.len() as f64 / secs,
+        bytes: q.allocated_bytes(),
     }
-    let ((), secs) = bench.time(phase, || {
-        for &d in deltas {
-            let (at, ev) = q.pop().expect("hold population never drains");
-            q.push(at + SimDuration::from_micros(d), ev);
-        }
-    });
-    let rate = deltas.len() as f64 / secs;
-    black_box(q.len());
-    rate
 }
 
 /// The seeded-hour arrival times, sorted, at millisecond granularity so
@@ -303,45 +323,33 @@ fn follow_ups(at: SimTime, payload: u32) -> impl Iterator<Item = (SimTime, u32)>
     near.into_iter().chain(far)
 }
 
-/// Events per second popped from a queue pre-sized for four events per
-/// arrival (`with_capacity` on an empty queue: no span to tune from),
-/// seeded with the hour and drained with follow-ups.
-fn calendar_seeded_hour(times: &[u64], phase: &'static str, bench: &mut BenchRecorder) -> f64 {
-    let (popped, secs) = bench.time(phase, || {
-        let mut popped = 0u64;
+/// Pops from a queue pre-sized for four events per arrival
+/// (`with_capacity` on an empty queue: no span to tune from), seeded
+/// with the hour and drained with follow-ups.
+fn seeded_hour<Q: BenchQueue>(
+    times: &[u64],
+    phase: &'static str,
+    bench: &mut BenchRecorder,
+) -> Run {
+    let ((popped, bytes), secs) = bench.time(phase, || {
+        let (mut popped, mut bytes) = (0u64, 0);
         for _ in 0..SEEDED_REPS {
-            let mut q: EventQueue<u32> = EventQueue::with_capacity(times.len() * 4);
-            push_all_calendar(&mut q, times, true);
+            let mut q = Q::with_capacity(times.len() * 4);
+            push_all(&mut q, times, true);
             while let Some((at, payload)) = q.pop() {
                 popped += 1;
                 for (t, e) in follow_ups(at, payload) {
                     q.push(t, e);
                 }
             }
+            bytes = bytes.max(q.allocated_bytes());
         }
-        popped
+        (popped, bytes)
     });
-    popped as f64 / secs
-}
-
-/// The seeded-hour script through the heap reference.
-fn heap_seeded_hour(times: &[u64], phase: &'static str, bench: &mut BenchRecorder) -> f64 {
-    let (popped, secs) = bench.time(phase, || {
-        let mut popped = 0u64;
-        for _ in 0..SEEDED_REPS {
-            let mut q: ReferenceEventQueue<u32> =
-                ReferenceEventQueue::with_capacity(times.len() * 4);
-            push_all_heap(&mut q, times, true);
-            while let Some((at, payload)) = q.pop() {
-                popped += 1;
-                for (t, e) in follow_ups(at, payload) {
-                    q.push(t, e);
-                }
-            }
-        }
-        popped
-    });
-    popped as f64 / secs
+    Run {
+        rate: popped as f64 / secs,
+        bytes,
+    }
 }
 
 fn fmt_rate(events_per_sec: f64) -> String {
@@ -372,6 +380,24 @@ fn phase_names(mix: Mix, n: usize) -> (&'static str, &'static str) {
     }
 }
 
+/// One table row: the mix, its size, and both queues' rates and
+/// retained bytes.
+fn row(label: &str, events: usize, cal: &Run, heap: &Run) -> Vec<String> {
+    vec![
+        label.to_string(),
+        size_label(events),
+        fmt_rate(cal.rate),
+        fmt_rate(heap.rate),
+        format!("{:.1}x", cal.rate / heap.rate),
+        fmt_bytes(cal.bytes),
+        fmt_bytes(heap.bytes),
+    ]
+}
+
+fn fmt_bytes(bytes: usize) -> String {
+    format!("{:.2} MiB", bytes as f64 / (1 << 20) as f64)
+}
+
 fn main() {
     let opts = parse_args();
     let mut bench = BenchRecorder::new("queue");
@@ -383,48 +409,47 @@ fn main() {
             let times = make_times(mix, n);
             let grouped = mix == Mix::Clustered;
             let (cal_phase, heap_phase) = phase_names(mix, n);
-            let cal = calendar_sort(&times, reps, grouped, cal_phase, &mut bench);
-            let heap = heap_sort(&times, reps, grouped, heap_phase, &mut bench);
-            let speedup = cal / heap;
+            let cal = sort::<EventQueue<u32>>(&times, reps, grouped, cal_phase, &mut bench);
+            let heap =
+                sort::<ReferenceEventQueue<u32>>(&times, reps, grouped, heap_phase, &mut bench);
             if mix == Mix::Clustered && n == 1 << 20 {
-                gate_speedup = speedup;
+                gate_speedup = cal.rate / heap.rate;
             }
-            rows.push(vec![
-                mix.name().to_string(),
-                size_label(n),
-                fmt_rate(cal),
-                fmt_rate(heap),
-                format!("{speedup:.1}x"),
-            ]);
+            rows.push(row(mix.name(), n, &cal, &heap));
         }
     }
 
     let deltas = churn_deltas();
-    let cal = calendar_churn(&deltas, "cal_churn_1m", &mut bench);
-    let heap = heap_churn(&deltas, "heap_churn_1m", &mut bench);
-    rows.push(vec![
-        "churn (hold 64k)".to_string(),
-        size_label(CHURN_OPS),
-        fmt_rate(cal),
-        fmt_rate(heap),
-        format!("{:.1}x", cal / heap),
-    ]);
+    let churn_cal = churn::<EventQueue<u32>>(&deltas, "cal_churn_1m", &mut bench);
+    let churn_heap = churn::<ReferenceEventQueue<u32>>(&deltas, "heap_churn_1m", &mut bench);
+    rows.push(row("churn (hold 64k)", CHURN_OPS, &churn_cal, &churn_heap));
 
     let times = seeded_hour_times();
-    let cal = calendar_seeded_hour(&times, "cal_seeded_hour", &mut bench);
-    let heap = heap_seeded_hour(&times, "heap_seeded_hour", &mut bench);
-    let seeded_speedup = cal / heap;
-    rows.push(vec![
-        "seeded hour (pre-sized)".to_string(),
-        size_label(SEEDED_ARRIVALS as usize),
-        fmt_rate(cal),
-        fmt_rate(heap),
-        format!("{seeded_speedup:.1}x"),
-    ]);
+    let seeded_cal = seeded_hour::<EventQueue<u32>>(&times, "cal_seeded_hour", &mut bench);
+    let seeded_heap =
+        seeded_hour::<ReferenceEventQueue<u32>>(&times, "heap_seeded_hour", &mut bench);
+    let seeded_speedup = seeded_cal.rate / seeded_heap.rate;
+    rows.push(row(
+        "seeded hour (pre-sized)",
+        SEEDED_ARRIVALS as usize,
+        &seeded_cal,
+        &seeded_heap,
+    ));
 
     print!(
         "{}",
-        render_table(&["mix", "events", "calendar", "heap", "speedup"], &rows)
+        render_table(
+            &[
+                "mix",
+                "events",
+                "calendar",
+                "heap",
+                "speedup",
+                "calendar mem",
+                "heap mem"
+            ],
+            &rows
+        )
     );
     println!("\ncalendar speedup over heap on the clustered 1M mix: {gate_speedup:.1}x");
     println!("calendar speedup over heap on the seeded hour: {seeded_speedup:.1}x");
@@ -455,6 +480,19 @@ fn main() {
                 "bench_queue: seeded-hour speedup {seeded_speedup:.2}x below the required {REQUIRED_SEEDED_SPEEDUP}x"
             );
             failed = true;
+        }
+        for (phase, cal, heap) in [
+            ("churn", &churn_cal, &churn_heap),
+            ("seeded-hour", &seeded_cal, &seeded_heap),
+        ] {
+            if cal.bytes > MAX_MEMORY_RATIO * heap.bytes {
+                eprintln!(
+                    "bench_queue: {phase} calendar retains {} against the heap's {}, over {MAX_MEMORY_RATIO}x",
+                    fmt_bytes(cal.bytes),
+                    fmt_bytes(heap.bytes)
+                );
+                failed = true;
+            }
         }
         if failed {
             std::process::exit(1);

@@ -88,11 +88,6 @@ impl<E> ReferenceEventQueue<E> {
         self.heap.push(HeapEntry(ScheduledEvent { at, seq, event }));
     }
 
-    /// Reserves room for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// Schedules a batch of events all firing at `at`, in iteration
     /// order.
     pub fn push_at_many<I: IntoIterator<Item = E>>(&mut self, at: SimTime, events: I) {
@@ -128,9 +123,10 @@ impl<E> ReferenceEventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
+    /// Heap bytes the queue holds: the binary heap at its capacity,
+    /// which never shrinks, so this is also the run's high-water mark.
+    pub fn allocated_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<HeapEntry<E>>()
     }
 }
 

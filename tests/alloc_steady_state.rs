@@ -1,8 +1,11 @@
 //! Zero steady-state allocation on the event and page-table hot paths.
 //!
-//! The calendar queue reuses run-long buffers, so once a workload's
-//! geometry has settled, a pop-one/push-one churn and a grouped
-//! push/drain cycle must perform **zero** heap allocations. A
+//! The calendar queue keeps every event in one slot arena whose drained
+//! blocks are recycled through a free list, and its drain buffer,
+//! overflow tier and bucket ring are run-long buffers. So once a
+//! workload has reached its high-water of pending events, a
+//! pop-one/push-one churn and a grouped push/drain cycle must perform
+//! **zero** heap allocations. A
 //! counting global allocator measures exactly that: warm the structure
 //! through several full cycles at the identical operation mix, switch
 //! the counter on, run the same mix again, and assert the count stayed
@@ -212,8 +215,8 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
     );
 
     // -- Grouped same-instant delivery ------------------------------
-    // Group moves land on buckets whose capacity the warmup set; the
-    // steady loop reuses it.
+    // Group moves land in arena blocks the warmup freed; the steady
+    // loop recycles them.
     fn group_churn(gq: &mut EventQueue<u64>, rounds: usize) {
         for r in 0..rounds {
             let at = SimTime::from_micros(r as u64 * 300);

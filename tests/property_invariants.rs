@@ -204,71 +204,6 @@ proptest! {
     }
 
     #[test]
-    fn prop_groups_wrapping_the_bucket_ring_stay_fifo(
-        first in proptest::collection::vec(0u32..100, 1..12),
-        second in proptest::collection::vec(100u32..200, 1..12),
-        drained in 0usize..12,
-        advance in 2u64..16,
-        wrap_extra in 0u64..16,
-        delta in 0u64..1_000,
-    ) {
-        // Regression: same-instant groups whose bucket lands *below*
-        // the ring cursor (the index computation wraps modulo the
-        // bucket count) must still interleave across a partial drain
-        // exactly like individual pushes. Exercises the modular index
-        // path the plain straddle test above never reaches.
-        use faasmem::sim::EventQueue;
-        let mut batched: EventQueue<u32> = EventQueue::new();
-        let mut individual: EventQueue<u32> = EventQueue::new();
-        let n = batched.bucket_count() as u64;
-        let w = batched.bucket_width_micros();
-        // March the cursor `c` buckets into the ring with pacer events
-        // so later indexes have somewhere to wrap to.
-        let c = (advance - 1).min(n - 2).max(1);
-        for i in 0..=c {
-            let at = SimTime::from_micros(i * w + w / 2);
-            batched.push(at, u32::MAX);
-            individual.push(at, u32::MAX);
-        }
-        for _ in 0..=c {
-            prop_assert_eq!(batched.pop(), individual.pop());
-        }
-        // The cursor now sits on bucket `c` with ring_start = c·w. An
-        // offset in [n - c, n) stays inside the horizon but maps to a
-        // physical bucket below the cursor — the wraparound.
-        let offset = n - c + (wrap_extra % c);
-        let at = SimTime::from_micros(c * w + offset * w + delta % w.max(1));
-        batched.push_at_many(at, first.iter().copied());
-        for &e in &first {
-            individual.push(at, e);
-        }
-        // Wrapped, not parked: the instant is below the horizon.
-        prop_assert_eq!(batched.overflow_len(), 0);
-        let drained = drained.min(first.len());
-        for _ in 0..drained {
-            prop_assert_eq!(batched.pop(), individual.pop());
-        }
-        // The second same-instant group straddles that partial drain
-        // and lands on the same wrapped bucket.
-        batched.push_at_many(at, second.iter().copied());
-        for &e in &second {
-            individual.push(at, e);
-        }
-        let mut batched_order = Vec::new();
-        while let Some(popped) = batched.pop() {
-            prop_assert_eq!(Some(popped), individual.pop());
-            batched_order.push(popped.1);
-        }
-        prop_assert!(individual.is_empty());
-        let expected: Vec<u32> = first[drained..]
-            .iter()
-            .chain(second.iter())
-            .copied()
-            .collect();
-        prop_assert_eq!(batched_order, expected);
-    }
-
-    #[test]
     fn prop_offload_never_exceeds_allocated(
         trace in arbitrary_trace(),
         seed in 0u64..100,
