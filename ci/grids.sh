@@ -24,11 +24,11 @@ jobs=$(nproc)
 # "@" stands for the run's directory.
 rows=(
   "fig12_main_eval        | --quick                             | no  |"
-  "fig12_main_eval        | --quick --trace @/fig12.trace.jsonl | no  | \$bin/trace_summary @/fig12.trace.jsonl"
+  "fig12_main_eval        | --quick --trace @/fig12.trace.jsonl | no  | \$bin/query containers @/fig12.trace.jsonl; \$bin/query spans @/fig12.trace.jsonl --slowest 5 --critical-path"
   "disc07_fault_tolerance | --quick                             | no  |"
   "disc08_durability      | --quick                             | yes |"
   "disc09_tail_blame      |                                     | yes |"
-  "disc10_memory_anatomy  |                                     | yes | \$bin/mem_query results/disc10_memory_anatomy.json --top 5; \$bin/mem_query results/disc10_memory_anatomy.json --flow"
+  "disc10_memory_anatomy  |                                     | yes | \$bin/query mem results/disc10_memory_anatomy.json --top 5; \$bin/query mem results/disc10_memory_anatomy.json --flow"
 )
 
 for i in "${!rows[@]}"; do

@@ -27,41 +27,19 @@ pub use damon::{DamonConfig, DamonMode, DamonPolicy};
 pub use faasmem_faas::NullPolicy as NoOffloadPolicy;
 pub use tmo::{TmoConfig, TmoPolicy};
 
-use faasmem_faas::MemoryPolicy;
-
-/// Convenience: the paper's comparison systems by name.
-///
-/// # Examples
-///
-/// ```
-/// use faasmem_baselines::baseline_by_name;
-///
-/// assert!(baseline_by_name("TMO").is_some());
-/// assert!(baseline_by_name("Baseline").is_some());
-/// assert!(baseline_by_name("nope").is_none());
-/// ```
-pub fn baseline_by_name(name: &str) -> Option<Box<dyn MemoryPolicy>> {
-    match name {
-        "Baseline" => Some(Box::new(NoOffloadPolicy)),
-        "TMO" => Some(Box::new(TmoPolicy::default())),
-        "DAMON" => Some(Box::new(DamonPolicy::default())),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn names_round_trip() {
-        for name in ["Baseline", "TMO", "DAMON"] {
-            let p = baseline_by_name(name).expect(name);
-            assert_eq!(p.name(), name);
-        }
-        assert!(
-            baseline_by_name("FaaSMem").is_none(),
-            "FaaSMem lives in faasmem-core"
-        );
+        use faasmem_faas::MemoryPolicy;
+        let policies: [Box<dyn MemoryPolicy>; 3] = [
+            Box::new(NoOffloadPolicy),
+            Box::new(TmoPolicy::default()),
+            Box::new(DamonPolicy::default()),
+        ];
+        let names: Vec<&str> = policies.iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["Baseline", "TMO", "DAMON"]);
     }
 }

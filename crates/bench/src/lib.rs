@@ -14,6 +14,7 @@
 //! cargo run --release -p faasmem-bench --bin fig12_main_eval
 //! ```
 
+pub mod anatomy;
 pub mod dashboard;
 pub mod harness;
 pub mod json;

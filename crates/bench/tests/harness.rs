@@ -430,8 +430,9 @@ fn trace_jsonl_is_byte_identical_across_thread_counts() {
         let parallel = run_grid(&grid, &traced_opts(jobs)).trace_jsonl();
         assert_eq!(parallel, serial, "trace diverged at jobs={jobs}");
     }
-    // The summary tool accepts the merged stream whole.
-    let summary = faasmem_trace::summarize_jsonl(&serial).expect("trace summarizes");
+    // The strict reader decodes the merged stream whole.
+    let cells = faasmem_trace::read_jsonl(&serial).expect("trace decodes");
+    let summary = faasmem_trace::TraceSummary::from_cells(&cells);
     assert_eq!(summary.cells.len(), sample_grid().len());
 }
 

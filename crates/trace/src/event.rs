@@ -8,8 +8,9 @@
 //! wall-clock time — that is the core determinism rule (wall-clock
 //! lives only in `.timing.json` files, which are never byte-compared).
 
-use crate::json::JsonValue;
+use crate::json::{self, JsonValue};
 use faasmem_sim::SimTime;
+use std::collections::BTreeMap;
 
 /// The subsystem an event originates from. Used for `--trace-filter`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -672,6 +673,224 @@ impl TraceEvent {
     pub fn jsonl_line(&self, cell: Option<u64>) -> String {
         self.to_json(cell).to_compact()
     }
+
+    /// Decodes one JSONL object into its `cell` and event: the exact
+    /// inverse of [`TraceEvent::to_json`]. It is strict, since the
+    /// writer never emits what it rejects: an unknown kind, a missing
+    /// or mistyped key, or a `layer` that disagrees with the kind is an
+    /// error naming the key.
+    pub fn from_json(doc: &JsonValue) -> Result<(Option<u64>, TraceEvent), String> {
+        use EventKind::*;
+        let k = Keys(doc);
+        let kind = match k.str("kind")? {
+            "cell_start" => CellStart {
+                trace: k.str("trace")?.into(),
+                bench: k.str("bench")?.into(),
+                config: k.str("config")?.into(),
+                policy: k.str("policy")?.into(),
+                seed: k.u64("seed")?,
+            },
+            "cell_end" => CellEnd {
+                requests: k.u64("requests")?,
+                sim_secs: k.f64("sim_secs")?,
+            },
+            "request_arrive" => RequestArrive {
+                function: k.u32("function")?,
+            },
+            "container_launch" => ContainerLaunch {
+                function: k.u32("function")?,
+            },
+            "runtime_loaded" => RuntimeLoaded,
+            "init_done" => InitDone,
+            "exec_start" => ExecStart {
+                cold: k.bool("cold")?,
+            },
+            "exec_stall" => {
+                let cause = k.str("cause")?;
+                ExecStall {
+                    cause: StallCause::from_name(cause)
+                        .ok_or_else(|| format!("key \"cause\": unknown stall cause {cause:?}"))?,
+                    us: k.u64("us")?,
+                }
+            }
+            "exec_end" => ExecEnd {
+                latency_us: k.u64("latency_us")?,
+                faults: k.u64("faults")?,
+            },
+            "keep_alive_enter" => KeepAliveEnter,
+            "container_retire" => ContainerRetire {
+                requests: k.u64("requests")?,
+            },
+            "container_crash" => ContainerCrash,
+            "node_loss" => NodeLoss {
+                victims: k.u64("victims")?,
+                lost_bytes: k.u64("lost_bytes")?,
+            },
+            "access_scan" => AccessScan {
+                live: k.u64("live")?,
+                accessed: k.u64("accessed")?,
+            },
+            "generation_create" => GenerationCreate {
+                generation: k.u64("generation")?,
+            },
+            "generation_age" => GenerationAge {
+                threshold: k.u64("threshold")?,
+                collected: k.u64("collected")?,
+            },
+            "mem_offload" => MemOffload {
+                pages: k.u64("pages")?,
+            },
+            "mem_page_in" => MemPageIn {
+                pages: k.u64("pages")?,
+                demand: k.bool("demand")?,
+            },
+            "pool_page_out" => PoolPageOut {
+                bytes: k.u64("bytes")?,
+                stall_us: k.u64("stall_us")?,
+                queued_us: k.u64("queued_us")?,
+            },
+            "pool_page_in" => PoolPageIn {
+                bytes: k.u64("bytes")?,
+                stall_us: k.u64("stall_us")?,
+                queued_us: k.u64("queued_us")?,
+            },
+            "pool_discard" => PoolDiscard {
+                bytes: k.u64("bytes")?,
+            },
+            "recall_begin" => RecallBegin {
+                bytes: k.u64("bytes")?,
+            },
+            "offload_refused" => OffloadRefused,
+            "recall_retry" => RecallRetry {
+                attempt: k.u64("attempt")?,
+                waited_us: k.u64("waited_us")?,
+            },
+            "recall_gave_up" => RecallGaveUp {
+                retries: k.u64("retries")?,
+                wasted_us: k.u64("wasted_us")?,
+            },
+            "breaker_open" => BreakerOpen,
+            "breaker_close" => BreakerClose,
+            "fault_window" => FaultWindow {
+                start_us: k.u64("start_us")?,
+                end_us: k.u64("end_us")?,
+                factor: k.f64("factor")?,
+            },
+            "recall_abandoned" => RecallAbandoned {
+                pages: k.u64("pages")?,
+                wasted_us: k.u64("wasted_us")?,
+                rebuild_us: k.u64("rebuild_us")?,
+            },
+            "replica_recall" => ReplicaRecall {
+                node: k.u64("node")?,
+                bytes: k.u64("bytes")?,
+                reconstruct_us: k.u64("reconstruct_us")?,
+            },
+            "repair_start" => RepairStart {
+                node: k.u64("node")?,
+                bytes: k.u64("bytes")?,
+                backlog_bytes: k.u64("backlog_bytes")?,
+            },
+            "repair_done" => RepairDone {
+                node: k.u64("node")?,
+                bytes: k.u64("bytes")?,
+                mttr_us: k.u64("mttr_us")?,
+            },
+            "pool_node_down" => PoolNodeDown {
+                node: k.u64("node")?,
+                lost_segments: k.u64("lost_segments")?,
+                degraded_segments: k.u64("degraded_segments")?,
+            },
+            other => return Err(format!("key \"kind\": unknown kind {other:?}")),
+        };
+        let layer = k.str("layer")?;
+        if layer != kind.layer().name() {
+            return Err(format!(
+                "key \"layer\": {layer:?} does not match kind {:?}",
+                kind.name()
+            ));
+        }
+        let event = TraceEvent {
+            time: SimTime::from_micros(k.u64("t")?),
+            seq: k.u64("seq")?,
+            container: k.opt_u64("ctr")?,
+            request: k.opt_u64("req")?,
+            kind,
+        };
+        Ok((k.opt_u64("cell")?, event))
+    }
+}
+
+/// Typed lookups into one JSONL object for [`TraceEvent::from_json`];
+/// each error names the key at fault.
+struct Keys<'a>(&'a JsonValue);
+
+impl Keys<'_> {
+    fn get(&self, key: &str) -> Result<&JsonValue, String> {
+        self.0
+            .get(key)
+            .ok_or_else(|| format!("missing key {key:?}"))
+    }
+
+    fn str(&self, key: &str) -> Result<&str, String> {
+        self.get(key)?
+            .as_str()
+            .ok_or_else(|| format!("key {key:?} is not a string"))
+    }
+
+    fn bool(&self, key: &str) -> Result<bool, String> {
+        match self.get(key)? {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Err(format!("key {key:?} is not a boolean")),
+        }
+    }
+
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        self.get(key)?
+            .as_num()
+            .ok_or_else(|| format!("key {key:?} is not a number"))
+    }
+
+    /// A whole number in `[0, 2^64]`. The writer prints `u64::MAX` as
+    /// `2^64` (the nearest `f64`), which converts back to `u64::MAX`.
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        let n = self.f64(key)?;
+        if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
+            Ok(n as u64)
+        } else {
+            Err(format!("key {key:?} is not an unsigned integer: {n}"))
+        }
+    }
+
+    fn u32(&self, key: &str) -> Result<u32, String> {
+        u32::try_from(self.u64(key)?).map_err(|_| format!("key {key:?} does not fit in 32 bits"))
+    }
+
+    fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+        match self.0.get(key) {
+            None => Ok(None),
+            Some(_) => self.u64(key).map(Some),
+        }
+    }
+}
+
+/// Decodes a JSONL trace (as the harness `--trace` path writes it) and
+/// groups its events by cell, keeping each cell's events in file
+/// order. A line without a `cell` key belongs to cell 0. Blank lines
+/// are skipped; any other line that does not decode is an error
+/// carrying its 1-based line number.
+pub fn read_jsonl(input: &str) -> Result<BTreeMap<u64, Vec<TraceEvent>>, String> {
+    let mut cells: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
+    for (lineno, line) in input.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let (cell, event) = json::parse(line)
+            .and_then(|doc| TraceEvent::from_json(&doc))
+            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        cells.entry(cell.unwrap_or(0)).or_default().push(event);
+    }
+    Ok(cells)
 }
 
 #[cfg(test)]
@@ -745,110 +964,167 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_kind_reports_a_consistent_layer() {
+    /// One event of every kind: the k-th integer field of a payload is
+    /// `n / k`, so swapped fields show (functions take the low 32 bits
+    /// of `n`); floats are `x`, flags `b`, labels `s`.
+    fn every_kind(n: u64, x: f64, b: bool, s: &str) -> Vec<EventKind> {
         use EventKind::*;
-        let kinds: Vec<EventKind> = vec![
+        vec![
             CellStart {
-                trace: "t".into(),
-                bench: "b".into(),
-                config: "c".into(),
+                trace: s.into(),
+                bench: format!("{s}/b"),
+                config: String::new(),
                 policy: "p".into(),
-                seed: 1,
+                seed: n,
             },
             CellEnd {
-                requests: 1,
-                sim_secs: 1.0,
+                requests: n,
+                sim_secs: x,
             },
-            RequestArrive { function: 0 },
-            ContainerLaunch { function: 0 },
+            RequestArrive { function: n as u32 },
+            ContainerLaunch { function: n as u32 },
             RuntimeLoaded,
             InitDone,
-            ExecStart { cold: true },
+            ExecStart { cold: b },
             ExecStall {
-                cause: StallCause::RecallStall,
-                us: 250,
+                cause: StallCause::ALL[n as usize % StallCause::ALL.len()],
+                us: n,
             },
             ExecEnd {
-                latency_us: 1,
-                faults: 0,
+                latency_us: n,
+                faults: n / 2,
             },
             KeepAliveEnter,
-            ContainerRetire { requests: 1 },
+            ContainerRetire { requests: n },
             ContainerCrash,
             NodeLoss {
-                victims: 1,
-                lost_bytes: 4096,
+                victims: n,
+                lost_bytes: n / 2,
             },
             AccessScan {
-                live: 1,
-                accessed: 1,
+                live: n,
+                accessed: n / 2,
             },
-            GenerationCreate { generation: 2 },
+            GenerationCreate { generation: n },
             GenerationAge {
-                threshold: 1,
-                collected: 3,
+                threshold: n,
+                collected: n / 2,
             },
-            MemOffload { pages: 4 },
+            MemOffload { pages: n },
             MemPageIn {
-                pages: 2,
-                demand: true,
+                pages: n,
+                demand: b,
             },
             PoolPageOut {
-                bytes: 4096,
-                stall_us: 10,
-                queued_us: 0,
+                bytes: n,
+                stall_us: n / 2,
+                queued_us: n / 3,
             },
             PoolPageIn {
-                bytes: 4096,
-                stall_us: 10,
-                queued_us: 5,
+                bytes: n,
+                stall_us: n / 2,
+                queued_us: n / 3,
             },
-            PoolDiscard { bytes: 4096 },
-            RecallBegin { bytes: 4096 },
+            PoolDiscard { bytes: n },
+            RecallBegin { bytes: n },
             OffloadRefused,
             RecallRetry {
-                attempt: 1,
-                waited_us: 100,
+                attempt: n,
+                waited_us: n / 2,
             },
             RecallGaveUp {
-                retries: 3,
-                wasted_us: 300,
+                retries: n,
+                wasted_us: n / 2,
             },
             BreakerOpen,
             BreakerClose,
             FaultWindow {
-                start_us: 0,
-                end_us: 100,
-                factor: 0.5,
+                start_us: n,
+                end_us: n / 2,
+                factor: x,
             },
             RecallAbandoned {
-                pages: 8,
-                wasted_us: 300,
-                rebuild_us: 5_000,
+                pages: n,
+                wasted_us: n / 2,
+                rebuild_us: n / 3,
             },
             ReplicaRecall {
-                node: 1,
-                bytes: 4096,
-                reconstruct_us: 500,
+                node: n,
+                bytes: n / 2,
+                reconstruct_us: n / 3,
             },
             RepairStart {
-                node: 2,
-                bytes: 4096,
-                backlog_bytes: 8192,
+                node: n,
+                bytes: n / 2,
+                backlog_bytes: n / 3,
             },
             RepairDone {
-                node: 2,
-                bytes: 4096,
-                mttr_us: 1_000_000,
+                node: n,
+                bytes: n / 2,
+                mttr_us: n / 3,
             },
             PoolNodeDown {
-                node: 0,
-                lost_segments: 1,
-                degraded_segments: 2,
+                node: n,
+                lost_segments: n / 2,
+                degraded_segments: n / 3,
             },
-        ];
-        for kind in &kinds {
+        ]
+    }
+
+    /// How many variants `EventKind` has.
+    const VARIANTS: usize = 33;
+
+    /// Exhaustive on purpose: a new variant fails to compile here until
+    /// it takes the next ordinal (and `VARIANTS` grows), and then fails
+    /// `every_kind_is_built_once` until [`every_kind`] builds it.
+    fn ordinal(kind: &EventKind) -> usize {
+        use EventKind::*;
+        match kind {
+            CellStart { .. } => 0,
+            CellEnd { .. } => 1,
+            RequestArrive { .. } => 2,
+            ContainerLaunch { .. } => 3,
+            RuntimeLoaded => 4,
+            InitDone => 5,
+            ExecStart { .. } => 6,
+            ExecStall { .. } => 7,
+            ExecEnd { .. } => 8,
+            KeepAliveEnter => 9,
+            ContainerRetire { .. } => 10,
+            ContainerCrash => 11,
+            NodeLoss { .. } => 12,
+            AccessScan { .. } => 13,
+            GenerationCreate { .. } => 14,
+            GenerationAge { .. } => 15,
+            MemOffload { .. } => 16,
+            MemPageIn { .. } => 17,
+            PoolPageOut { .. } => 18,
+            PoolPageIn { .. } => 19,
+            PoolDiscard { .. } => 20,
+            RecallBegin { .. } => 21,
+            OffloadRefused => 22,
+            RecallRetry { .. } => 23,
+            RecallGaveUp { .. } => 24,
+            BreakerOpen => 25,
+            BreakerClose => 26,
+            FaultWindow { .. } => 27,
+            RecallAbandoned { .. } => 28,
+            ReplicaRecall { .. } => 29,
+            RepairStart { .. } => 30,
+            RepairDone { .. } => 31,
+            PoolNodeDown { .. } => 32,
+        }
+    }
+
+    #[test]
+    fn every_kind_is_built_once() {
+        let ordinals: Vec<usize> = every_kind(1, 1.0, true, "s").iter().map(ordinal).collect();
+        assert_eq!(ordinals, (0..VARIANTS).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn every_kind_reports_a_consistent_layer() {
+        for kind in every_kind(1, 1.0, true, "t") {
             // Every kind serializes without panicking and its name is
             // non-empty; layer() must be stable with the JSONL field.
             let event = TraceEvent {
@@ -861,6 +1137,116 @@ mod tests {
             let line = event.jsonl_line(Some(1));
             assert!(line.contains(&format!("\"kind\":\"{}\"", kind.name())));
             assert!(line.contains(&format!("\"layer\":\"{}\"", kind.layer().name())));
+        }
+    }
+
+    /// Writes `event` as a JSONL line, parses it and decodes it back.
+    fn roundtrip(event: &TraceEvent, cell: Option<u64>) -> (Option<u64>, TraceEvent) {
+        let doc = json::parse(&event.jsonl_line(cell)).expect("the writer emits valid JSON");
+        TraceEvent::from_json(&doc).expect("the decoder accepts what the writer emits")
+    }
+
+    /// 2^53: a JSON number (an `f64`) holds every integer up to it
+    /// exactly.
+    const EXACT: u64 = 1 << 53;
+
+    #[test]
+    fn decoding_inverts_the_writer_at_the_range_ends() {
+        for n in [0, 1, u64::from(u32::MAX), EXACT] {
+            for kind in every_kind(n, 0.0, false, "") {
+                let event = TraceEvent {
+                    time: SimTime::from_micros(n),
+                    seq: n,
+                    container: Some(n),
+                    request: Some(n),
+                    kind,
+                };
+                assert_eq!(roundtrip(&event, Some(n)), (Some(n), event));
+            }
+        }
+        // A permanent fault window ends at u64::MAX, which the writer
+        // prints as 2^64.
+        let permanent = TraceEvent {
+            time: SimTime::ZERO,
+            seq: 0,
+            container: None,
+            request: None,
+            kind: EventKind::FaultWindow {
+                start_us: 5,
+                end_us: u64::MAX,
+                factor: 0.0,
+            },
+        };
+        assert_eq!(roundtrip(&permanent, None), (None, permanent));
+    }
+
+    #[test]
+    fn decoding_rejects_what_the_writer_never_emits() {
+        let decode = |line: &str| TraceEvent::from_json(&json::parse(line).unwrap()).unwrap_err();
+        let cases = [
+            ("{\"t\":0,\"seq\":0,\"layer\":\"pool\"}", "\"kind\""),
+            ("{\"t\":0,\"seq\":0,\"layer\":\"pool\",\"kind\":\"teleport\"}", "teleport"),
+            ("{\"t\":0,\"seq\":0,\"layer\":\"memory\",\"kind\":\"breaker_open\"}", "\"layer\""),
+            ("{\"seq\":0,\"layer\":\"pool\",\"kind\":\"breaker_open\"}", "\"t\""),
+            ("{\"t\":-1,\"seq\":0,\"layer\":\"pool\",\"kind\":\"breaker_open\"}", "\"t\""),
+            ("{\"t\":0.5,\"seq\":0,\"layer\":\"pool\",\"kind\":\"breaker_open\"}", "\"t\""),
+            ("{\"t\":0,\"seq\":0,\"layer\":\"pool\",\"kind\":\"breaker_open\",\"ctr\":\"3\"}", "\"ctr\""),
+            ("{\"t\":0,\"seq\":0,\"layer\":\"container\",\"kind\":\"exec_end\",\"faults\":0}", "\"latency_us\""),
+            ("{\"t\":0,\"seq\":0,\"layer\":\"container\",\"kind\":\"exec_start\",\"cold\":1}", "\"cold\""),
+            ("{\"t\":0,\"seq\":0,\"layer\":\"container\",\"kind\":\"request_arrive\",\"function\":4294967296}", "\"function\""),
+        ];
+        for (line, key) in cases {
+            let err = decode(line);
+            assert!(err.contains(key), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn read_jsonl_groups_by_cell_and_numbers_its_errors() {
+        let event = |seq| TraceEvent {
+            time: SimTime::ZERO,
+            seq,
+            container: None,
+            request: None,
+            kind: EventKind::BreakerOpen,
+        };
+        let input = [
+            event(0).jsonl_line(Some(2)),
+            String::new(),
+            event(1).jsonl_line(None),
+            event(2).jsonl_line(Some(2)),
+        ]
+        .join("\n");
+        let cells = read_jsonl(&input).unwrap();
+        assert_eq!(cells.keys().copied().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(cells[&0], vec![event(1)]);
+        assert_eq!(cells[&2], vec![event(0), event(2)]);
+        let err = read_jsonl(&format!("{input}\n{{\"t\":0}}")).unwrap_err();
+        assert!(err.starts_with("line 5: missing key \"kind\""), "{err}");
+    }
+
+    proptest::proptest! {
+        // `from_json(parse(jsonl_line(e)))` gives back `e` for every
+        // kind, with and without a cell, container and request, over
+        // the whole range a JSON number holds exactly.
+        #[test]
+        fn prop_decoding_inverts_the_writer(
+            n in 0u64..EXACT + 1,
+            x in -1e9f64..1e9,
+            flags in 0u8..16,
+        ) {
+            let has = |bit: u8| flags & (1 << bit) != 0;
+            for kind in every_kind(n, x, has(0), "a\"b\\c\n\u{1}é") {
+                let event = TraceEvent {
+                    time: SimTime::from_micros(n),
+                    seq: n / 3,
+                    container: has(1).then_some(n / 5),
+                    request: has(2).then_some(n / 7),
+                    kind,
+                };
+                let cell = has(3).then_some(n % 64);
+                proptest::prop_assert_eq!(roundtrip(&event, cell), (cell, event));
+            }
         }
     }
 }

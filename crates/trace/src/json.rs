@@ -6,7 +6,7 @@
 //! shortest-round-trip formatting, non-finite numbers become `null`), a
 //! single-line compact writer for JSONL streams, and a small
 //! recursive-descent parser used by the determinism tests, the trace
-//! summary tool and the CI schema check to read the files back.
+//! reader and the CI schema check to read the files back.
 //!
 //! This module is the one JSON writer for the whole workspace: grid
 //! results, timing files, JSONL traces and Chrome trace exports all

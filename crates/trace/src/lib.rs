@@ -17,13 +17,17 @@
 //! 2. **Zero cost when off.** The default [`Tracer::disabled`] handle
 //!    is a `None`; every emission site is one well-predicted branch
 //!    and no allocation.
-//! 3. **Pluggable sinks.** [`BufferSink`] (harness default),
-//!    [`RingSink`] (bounded flight recorder), [`JsonlSink`]
-//!    (streaming), [`NullSink`] — all behind the [`TraceSink`] trait.
+//! 3. **One sink trait.** The harness records into a [`BufferSink`];
+//!    any other destination implements [`TraceSink`] and plugs in
+//!    through [`Tracer::with_sink`].
 //!
-//! Export paths: compact JSONL via [`TraceEvent::jsonl_line`], Chrome
-//! trace-event / Perfetto via [`chrome::chrome_trace`], and per-
-//! container timeline reconstruction via [`summary::summarize_jsonl`].
+//! Export paths: compact JSONL via [`TraceEvent::jsonl_line`] and
+//! Chrome trace-event / Perfetto via [`chrome::chrome_trace`]. The
+//! JSONL schema has one reader, [`read_jsonl`], which decodes every
+//! line with [`TraceEvent::from_json`] (the exact inverse of the
+//! writer) and groups the typed events by cell. Two folds consume
+//! them: [`TraceSummary::from_cells`] rebuilds per-container
+//! timelines, [`SpanForest::from_cells`] per-invocation span trees.
 //! The [`json`] module is the workspace's one JSON writer/parser
 //! (re-exported by `bench::json`), so result files, timing files and
 //! traces share a single formatting rule.
@@ -37,9 +41,9 @@ pub mod summary;
 pub mod tracer;
 
 pub use chrome::{chrome_trace, ChromeGroup};
-pub use event::{EventKind, LayerMask, StallCause, TraceEvent, TraceLayer};
+pub use event::{read_jsonl, EventKind, LayerMask, StallCause, TraceEvent, TraceLayer};
 pub use json::JsonValue;
 pub use query::{known_functions, QueryHit, QueryOptions};
-pub use spans::{build_spans, spans_from_jsonl, CellSpans, InvocationSpans, Span, SpanForest};
-pub use summary::{summarize_jsonl, CellSummary, ContainerTimeline, TraceSummary};
-pub use tracer::{BufferSink, JsonlSink, NullSink, RingSink, TraceSink, Tracer};
+pub use spans::{build_spans, CellSpans, InvocationSpans, Span, SpanForest};
+pub use summary::{CellSummary, ContainerTimeline, TraceSummary};
+pub use tracer::{BufferSink, TraceSink, Tracer};

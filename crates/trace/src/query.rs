@@ -1,7 +1,7 @@
 //! Queries over reconstructed span forests: slowest-N, per-component
 //! ranking, and critical-path rendering.
 //!
-//! This is the library behind the `trace_query` bin. Everything is a
+//! This is the library behind `query spans`. Everything is a
 //! pure function of the parsed [`SpanForest`], so queries over the same
 //! trace file render identically no matter which harness run (serial
 //! or `--jobs N`) produced it.
@@ -10,7 +10,7 @@ use crate::event::StallCause;
 use crate::spans::{InvocationSpans, SpanForest};
 use std::fmt::Write as _;
 
-/// What `trace_query` should select and how to render it.
+/// What `query spans` should select and how to render it.
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
     /// How many invocations to keep, slowest first.

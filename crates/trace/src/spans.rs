@@ -22,12 +22,11 @@
 //! invariant: child durations sum to the reported end-to-end latency.
 //!
 //! **Determinism.** Reconstruction is a pure function of the event
-//! stream's `(sim_time, seq)` total order: the builder sorts rows by
+//! stream's `(sim_time, seq)` total order: the builder sorts events by
 //! that key before folding, so any arrival permutation of the same
 //! events yields the identical span forest (property-tested below).
 
 use crate::event::{EventKind, StallCause, TraceEvent};
-use crate::json::{self, JsonValue};
 use std::collections::BTreeMap;
 
 /// What a child span represents.
@@ -169,66 +168,6 @@ pub struct SpanForest {
     pub cells: Vec<CellSpans>,
 }
 
-/// The subset of event data span reconstruction consumes; both the
-/// typed-event and JSONL paths reduce to this row before folding.
-#[derive(Debug, Clone)]
-struct Row {
-    t: u64,
-    seq: u64,
-    ctr: Option<u64>,
-    req: Option<u64>,
-    kind: RowKind,
-}
-
-#[derive(Debug, Clone)]
-enum RowKind {
-    Arrive { function: u64 },
-    Launch,
-    RuntimeLoaded,
-    InitDone,
-    ExecStart { cold: bool },
-    ExecStall { cause: StallCause, us: u64 },
-    ExecEnd { latency_us: u64, faults: u64 },
-    CellLabel { label: String },
-}
-
-fn row_of(event: &TraceEvent) -> Option<Row> {
-    let kind = match &event.kind {
-        EventKind::RequestArrive { function } => RowKind::Arrive {
-            function: u64::from(*function),
-        },
-        EventKind::ContainerLaunch { .. } => RowKind::Launch,
-        EventKind::RuntimeLoaded => RowKind::RuntimeLoaded,
-        EventKind::InitDone => RowKind::InitDone,
-        EventKind::ExecStart { cold } => RowKind::ExecStart { cold: *cold },
-        EventKind::ExecStall { cause, us } => RowKind::ExecStall {
-            cause: *cause,
-            us: *us,
-        },
-        EventKind::ExecEnd { latency_us, faults } => RowKind::ExecEnd {
-            latency_us: *latency_us,
-            faults: *faults,
-        },
-        EventKind::CellStart {
-            trace,
-            bench,
-            config,
-            policy,
-            ..
-        } => RowKind::CellLabel {
-            label: format!("{trace}/{bench}/{config}/{policy}"),
-        },
-        _ => return None,
-    };
-    Some(Row {
-        t: event.time.as_micros(),
-        seq: event.seq,
-        ctr: event.container,
-        req: event.request,
-        kind,
-    })
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct CtrState {
     launched_us: Option<u64>,
@@ -243,79 +182,86 @@ struct Pending {
     stalls: Vec<(StallCause, u64)>,
 }
 
-/// Folds rows (any order) into the deterministic span forest of one
-/// cell. Sorting by `(t, seq)` first is what makes the result a pure
+/// Folds one cell's events (any order) into its label and span
+/// forest. Sorting by `(t, seq)` first is what makes the result a pure
 /// function of the stream's total order rather than arrival order.
-fn fold_rows(mut rows: Vec<Row>) -> (String, Vec<InvocationSpans>) {
-    rows.sort_by_key(|r| (r.t, r.seq));
+fn fold(events: &[TraceEvent]) -> (String, Vec<InvocationSpans>) {
+    let mut events: Vec<&TraceEvent> = events.iter().collect();
+    events.sort_by_key(|e| e.key());
     let mut label = String::new();
     let mut containers: BTreeMap<u64, CtrState> = BTreeMap::new();
     let mut pending: BTreeMap<u64, Pending> = BTreeMap::new();
     let mut done: Vec<InvocationSpans> = Vec::new();
 
-    for row in rows {
-        match row.kind {
-            RowKind::CellLabel { label: l } => label = l,
-            RowKind::Arrive { function } => {
-                if let Some(req) = row.req {
+    for event in events {
+        let t = event.time.as_micros();
+        match &event.kind {
+            EventKind::CellStart {
+                trace,
+                bench,
+                config,
+                policy,
+                ..
+            } => label = format!("{trace}/{bench}/{config}/{policy}"),
+            EventKind::RequestArrive { function } => {
+                if let Some(req) = event.request {
                     pending.insert(
                         req,
                         Pending {
-                            arrived_us: row.t,
-                            function: Some(function),
+                            arrived_us: t,
+                            function: Some(u64::from(*function)),
                             exec_start: None,
                             stalls: Vec::new(),
                         },
                     );
                 }
             }
-            RowKind::Launch => {
-                if let Some(ctr) = row.ctr {
+            EventKind::ContainerLaunch { .. } => {
+                if let Some(ctr) = event.container {
                     // A fresh launch resets the container's cold-start
                     // markers (ids are not recycled today, but the
                     // builder must not rely on that).
                     containers.insert(
                         ctr,
                         CtrState {
-                            launched_us: Some(row.t),
+                            launched_us: Some(t),
                             runtime_loaded_us: None,
                         },
                     );
                 }
             }
-            RowKind::RuntimeLoaded => {
-                if let Some(ctr) = row.ctr {
-                    containers.entry(ctr).or_default().runtime_loaded_us = Some(row.t);
+            EventKind::RuntimeLoaded => {
+                if let Some(ctr) = event.container {
+                    containers.entry(ctr).or_default().runtime_loaded_us = Some(t);
                 }
             }
-            RowKind::InitDone => {}
-            RowKind::ExecStart { cold } => {
-                if let Some(req) = row.req {
+            EventKind::ExecStart { cold } => {
+                if let Some(req) = event.request {
                     let entry = pending.entry(req).or_insert_with(|| Pending {
-                        arrived_us: row.t,
+                        arrived_us: t,
                         function: None,
                         exec_start: None,
                         stalls: Vec::new(),
                     });
-                    entry.exec_start = Some((row.t, row.ctr, cold));
+                    entry.exec_start = Some((t, event.container, *cold));
                 }
             }
-            RowKind::ExecStall { cause, us } => {
-                if let Some(req) = row.req {
+            EventKind::ExecStall { cause, us } => {
+                if let Some(req) = event.request {
                     if let Some(entry) = pending.get_mut(&req) {
-                        entry.stalls.push((cause, us));
+                        entry.stalls.push((*cause, *us));
                     }
                 }
             }
-            RowKind::ExecEnd { latency_us, faults } => {
-                let Some(req) = row.req else { continue };
+            EventKind::ExecEnd { latency_us, faults } => {
+                let Some(req) = event.request else { continue };
                 let Some(entry) = pending.remove(&req) else {
                     continue;
                 };
                 let (exec_start_us, ctr, cold) =
                     entry
                         .exec_start
-                        .unwrap_or((entry.arrived_us, row.ctr, false));
+                        .unwrap_or((entry.arrived_us, event.container, false));
                 let mut children = Vec::new();
                 let mut cursor = entry.arrived_us;
                 let mut push = |kind: SpanKind, cursor: &mut u64, end: u64| {
@@ -346,19 +292,20 @@ fn fold_rows(mut rows: Vec<Row>) -> (String, Vec<InvocationSpans>) {
                     let end = cursor + us;
                     push(SpanKind::Stall(*cause), &mut cursor, end);
                 }
-                push(SpanKind::Exec, &mut cursor, row.t);
+                push(SpanKind::Exec, &mut cursor, t);
                 done.push(InvocationSpans {
                     request: req,
                     container: ctr,
                     function: entry.function,
                     cold,
                     arrived_us: entry.arrived_us,
-                    end_us: row.t,
-                    latency_us,
-                    faults,
+                    end_us: t,
+                    latency_us: *latency_us,
+                    faults: *faults,
                     children,
                 });
             }
+            _ => {}
         }
     }
     (label, done)
@@ -367,85 +314,36 @@ fn fold_rows(mut rows: Vec<Row>) -> (String, Vec<InvocationSpans>) {
 /// Reconstructs the span forest of one cell from its typed events,
 /// in any order.
 pub fn build_spans(events: &[TraceEvent]) -> Vec<InvocationSpans> {
-    fold_rows(events.iter().filter_map(row_of).collect()).1
+    fold(events).1
 }
 
-/// Parses a merged JSONL trace (as written by the harness `--trace`
-/// path) into per-cell span forests. Malformed lines are an error.
-pub fn spans_from_jsonl(input: &str) -> Result<SpanForest, String> {
-    let mut per_cell: BTreeMap<u64, Vec<Row>> = BTreeMap::new();
-    for (lineno, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let num = |key: &str| doc.get(key).and_then(JsonValue::as_num).map(|n| n as u64);
-        let text = |key: &str| doc.get(key).and_then(JsonValue::as_str).unwrap_or("");
-        let kind = match text("kind") {
-            "request_arrive" => RowKind::Arrive {
-                function: num("function").unwrap_or(0),
-            },
-            "container_launch" => RowKind::Launch,
-            "runtime_loaded" => RowKind::RuntimeLoaded,
-            "init_done" => RowKind::InitDone,
-            "exec_start" => RowKind::ExecStart {
-                cold: doc.get("cold") == Some(&JsonValue::Bool(true)),
-            },
-            "exec_stall" => {
-                let cause = StallCause::from_name(text("cause")).ok_or_else(|| {
-                    format!(
-                        "line {}: unknown stall cause {:?}",
-                        lineno + 1,
-                        text("cause")
-                    )
-                })?;
-                RowKind::ExecStall {
-                    cause,
-                    us: num("us").unwrap_or(0),
-                }
+impl SpanForest {
+    /// Reconstructs every cell's span forest from a decoded trace, as
+    /// [`read_jsonl`](crate::read_jsonl) groups it.
+    pub fn from_cells(cells: &BTreeMap<u64, Vec<TraceEvent>>) -> SpanForest {
+        let cells = cells.iter().map(|(&cell, events)| {
+            let (label, invocations) = fold(events);
+            CellSpans {
+                cell,
+                label,
+                invocations,
             }
-            "exec_end" => RowKind::ExecEnd {
-                latency_us: num("latency_us").unwrap_or(0),
-                faults: num("faults").unwrap_or(0),
-            },
-            "cell_start" => RowKind::CellLabel {
-                label: format!(
-                    "{}/{}/{}/{}",
-                    text("trace"),
-                    text("bench"),
-                    text("config"),
-                    text("policy")
-                ),
-            },
-            _ => continue,
-        };
-        per_cell
-            .entry(num("cell").unwrap_or(0))
-            .or_default()
-            .push(Row {
-                t: num("t").unwrap_or(0),
-                seq: num("seq").unwrap_or(0),
-                ctr: num("ctr"),
-                req: num("req"),
-                kind,
-            });
-    }
-    let mut forest = SpanForest::default();
-    for (cell, rows) in per_cell {
-        let (label, invocations) = fold_rows(rows);
-        forest.cells.push(CellSpans {
-            cell,
-            label,
-            invocations,
         });
+        SpanForest {
+            cells: cells.collect(),
+        }
     }
-    Ok(forest)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::read_jsonl;
     use faasmem_sim::SimTime;
+
+    fn spans_from_jsonl(input: &str) -> Result<SpanForest, String> {
+        read_jsonl(input).map(|cells| SpanForest::from_cells(&cells))
+    }
 
     fn ev(us: u64, seq: u64, ctr: Option<u64>, req: Option<u64>, kind: EventKind) -> TraceEvent {
         TraceEvent {

@@ -1,14 +1,13 @@
 //! Per-container timeline reconstruction from a JSONL trace.
 //!
-//! This is the analysis half of the `trace_summary` bin: it parses the
-//! JSONL lines the harness wrote, groups them by `(cell, container)`,
-//! and folds each group into a [`ContainerTimeline`] — when the
+//! This is the analysis half of `query containers`: it folds the
+//! events [`read_jsonl`](crate::read_jsonl) decoded, grouped by
+//! `(cell, container)`, into [`ContainerTimeline`]s — when the
 //! container launched, how long init took, how many executions and
 //! faults it served, what it offloaded and recalled — plus per-cell
-//! pool totals. Everything here operates on the serialized trace, so
-//! it doubles as a schema check for the JSONL writer.
+//! pool totals.
 
-use crate::json::{self, JsonValue};
+use crate::event::{EventKind, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -80,145 +79,18 @@ pub struct TraceSummary {
     pub cells: Vec<CellSummary>,
 }
 
-fn num(doc: &JsonValue, key: &str) -> Option<u64> {
-    doc.get(key).and_then(JsonValue::as_num).map(|n| n as u64)
-}
-
-fn text<'a>(doc: &'a JsonValue, key: &str) -> &'a str {
-    doc.get(key).and_then(JsonValue::as_str).unwrap_or("")
-}
-
-/// Parses a JSONL trace into per-cell, per-container summaries.
-/// Malformed lines are an error (the writer never emits them).
-pub fn summarize_jsonl(input: &str) -> Result<TraceSummary, String> {
-    struct CellState {
-        summary: CellSummary,
-        containers: BTreeMap<u64, ContainerTimeline>,
-    }
-    let mut cells: BTreeMap<u64, CellState> = BTreeMap::new();
-
-    for (lineno, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let cell = num(&doc, "cell").unwrap_or(0);
-        let state = cells.entry(cell).or_insert_with(|| CellState {
-            summary: CellSummary {
-                cell,
-                ..CellSummary::default()
-            },
-            containers: BTreeMap::new(),
-        });
-        state.summary.events += 1;
-        let t = num(&doc, "t").unwrap_or(0);
-        let ctr = num(&doc, "ctr");
-        let timeline = ctr.map(|c| {
-            state
-                .containers
-                .entry(c)
-                .or_insert_with(|| ContainerTimeline {
-                    container: c,
-                    ..ContainerTimeline::default()
-                })
-        });
-        match text(&doc, "kind") {
-            "cell_start" => {
-                state.summary.label = format!(
-                    "{}/{}/{}/{}",
-                    text(&doc, "trace"),
-                    text(&doc, "bench"),
-                    text(&doc, "config"),
-                    text(&doc, "policy")
-                );
-            }
-            "cell_end" => {
-                state.summary.requests = num(&doc, "requests").unwrap_or(0);
-                state.summary.sim_secs = doc
-                    .get("sim_secs")
-                    .and_then(JsonValue::as_num)
-                    .unwrap_or(0.0);
-            }
-            "container_launch" => {
-                if let Some(tl) = timeline {
-                    tl.function = num(&doc, "function");
-                    tl.launched_us = Some(t);
-                }
-            }
-            "runtime_loaded" => {
-                if let Some(tl) = timeline {
-                    tl.runtime_loaded_us = Some(t);
-                }
-            }
-            "init_done" => {
-                if let Some(tl) = timeline {
-                    tl.init_done_us = Some(t);
-                }
-            }
-            "exec_start" => {
-                if let Some(tl) = timeline {
-                    tl.execs += 1;
-                    if doc.get("cold") == Some(&JsonValue::Bool(true)) {
-                        tl.cold_execs += 1;
-                    }
-                    if let Some(req) = num(&doc, "req") {
-                        tl.requests.push(req);
-                    }
-                }
-            }
-            "exec_end" => {
-                if let Some(tl) = timeline {
-                    tl.faults += num(&doc, "faults").unwrap_or(0);
-                }
-            }
-            "container_retire" => {
-                if let Some(tl) = timeline {
-                    tl.retired_us = Some(t);
-                }
-            }
-            "container_crash" => {
-                if let Some(tl) = timeline {
-                    tl.crashed = true;
-                }
-            }
-            "mem_offload" => {
-                if let Some(tl) = timeline {
-                    tl.offload_pages += num(&doc, "pages").unwrap_or(0);
-                }
-            }
-            "mem_page_in" => {
-                if let Some(tl) = timeline {
-                    let pages = num(&doc, "pages").unwrap_or(0);
-                    if doc.get("demand") == Some(&JsonValue::Bool(true)) {
-                        tl.demand_pages += pages;
-                    } else {
-                        tl.prefetch_pages += pages;
-                    }
-                }
-            }
-            "pool_page_out" => {
-                state.summary.pool_bytes_out += num(&doc, "bytes").unwrap_or(0);
-            }
-            "pool_page_in" => {
-                state.summary.pool_bytes_in += num(&doc, "bytes").unwrap_or(0);
-            }
-            "recall_retry" => state.summary.recall_retries += 1,
-            "recall_gave_up" => state.summary.recalls_gave_up += 1,
-            "breaker_open" => state.summary.breaker_opens += 1,
-            _ => {}
-        }
-    }
-
-    let mut out = TraceSummary::default();
-    for (_, state) in cells {
-        let mut summary = state.summary;
-        summary.containers = state.containers.into_values().collect();
-        out.cells.push(summary);
-    }
-    Ok(out)
-}
-
 impl TraceSummary {
+    /// Folds a decoded trace, as [`read_jsonl`](crate::read_jsonl)
+    /// groups it, into per-cell, per-container summaries.
+    pub fn from_cells(cells: &BTreeMap<u64, Vec<TraceEvent>>) -> TraceSummary {
+        TraceSummary {
+            cells: cells
+                .iter()
+                .map(|(&cell, events)| summarize_cell(cell, events))
+                .collect(),
+        }
+    }
+
     /// Narrows the summary to one container id: cells that never saw
     /// the container are dropped, and surviving cells keep only that
     /// container's timeline. Cell-level totals (events, pool bytes,
@@ -243,6 +115,71 @@ impl TraceSummary {
     }
 }
 
+/// Folds one cell's events, in stream order.
+fn summarize_cell(cell: u64, events: &[TraceEvent]) -> CellSummary {
+    let mut summary = CellSummary {
+        cell,
+        events: events.len() as u64,
+        ..CellSummary::default()
+    };
+    let mut containers: BTreeMap<u64, ContainerTimeline> = BTreeMap::new();
+    for event in events {
+        let t = event.time.as_micros();
+        let timeline = event.container.map(|c| {
+            containers.entry(c).or_insert_with(|| ContainerTimeline {
+                container: c,
+                ..ContainerTimeline::default()
+            })
+        });
+        match (&event.kind, timeline) {
+            (
+                EventKind::CellStart {
+                    trace,
+                    bench,
+                    config,
+                    policy,
+                    ..
+                },
+                _,
+            ) => summary.label = format!("{trace}/{bench}/{config}/{policy}"),
+            (EventKind::CellEnd { requests, sim_secs }, _) => {
+                summary.requests = *requests;
+                summary.sim_secs = *sim_secs;
+            }
+            (EventKind::ContainerLaunch { function }, Some(tl)) => {
+                tl.function = Some(u64::from(*function));
+                tl.launched_us = Some(t);
+            }
+            (EventKind::RuntimeLoaded, Some(tl)) => tl.runtime_loaded_us = Some(t),
+            (EventKind::InitDone, Some(tl)) => tl.init_done_us = Some(t),
+            (EventKind::ExecStart { cold }, Some(tl)) => {
+                tl.execs += 1;
+                tl.cold_execs += u64::from(*cold);
+                tl.requests.extend(event.request);
+            }
+            (EventKind::ExecEnd { faults, .. }, Some(tl)) => tl.faults += faults,
+            (EventKind::ContainerRetire { .. }, Some(tl)) => tl.retired_us = Some(t),
+            (EventKind::ContainerCrash, Some(tl)) => tl.crashed = true,
+            (EventKind::MemOffload { pages }, Some(tl)) => tl.offload_pages += pages,
+            (EventKind::MemPageIn { pages, demand }, Some(tl)) => {
+                if *demand {
+                    tl.demand_pages += pages;
+                } else {
+                    tl.prefetch_pages += pages;
+                }
+            }
+            (EventKind::PoolPageOut { bytes, .. }, _) => summary.pool_bytes_out += bytes,
+            (EventKind::PoolPageIn { bytes, .. }, _) => summary.pool_bytes_in += bytes,
+            (EventKind::RecallRetry { .. }, _) => summary.recall_retries += 1,
+            (EventKind::RecallGaveUp { .. }, _) => summary.recalls_gave_up += 1,
+            (EventKind::BreakerOpen, _) => summary.breaker_opens += 1,
+            _ => {}
+        }
+    }
+    summary.containers = containers.into_values().collect();
+    summary
+}
+
 fn fmt_opt_ms(us: Option<u64>) -> String {
     match us {
         Some(us) => format!("{:.1}", us as f64 / 1000.0),
@@ -250,8 +187,8 @@ fn fmt_opt_ms(us: Option<u64>) -> String {
     }
 }
 
-/// Renders the summary as the fixed-width text table the
-/// `trace_summary` bin prints.
+/// Renders the summary as the fixed-width text table
+/// `query containers` prints.
 pub fn render_text(summary: &TraceSummary) -> String {
     let mut out = String::new();
     for cell in &summary.cells {
@@ -313,8 +250,12 @@ pub fn render_text(summary: &TraceSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, TraceEvent};
+    use crate::read_jsonl;
     use faasmem_sim::SimTime;
+
+    fn summarize_jsonl(input: &str) -> Result<TraceSummary, String> {
+        read_jsonl(input).map(|cells| TraceSummary::from_cells(&cells))
+    }
 
     fn line(us: u64, seq: u64, ctr: Option<u64>, req: Option<u64>, kind: EventKind) -> String {
         TraceEvent {
@@ -524,8 +465,22 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_reported_with_line_numbers() {
-        let err = summarize_jsonl("{\"t\":0}\nnot json").unwrap_err();
+        let valid = line(0, 0, None, None, EventKind::BreakerOpen);
+        let err = summarize_jsonl(&format!("{valid}\nnot json")).unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
+        // A line without a kind is not an event of cell 0.
+        let err = summarize_jsonl("{\"t\":0}").unwrap_err();
+        assert!(err.starts_with("line 1: missing key \"kind\""), "{err}");
+        // A missing payload field is not a zero.
+        let no_latency = valid
+            .replace("pool", "container")
+            .replace("breaker_open", "exec_end")
+            .replace('}', ",\"faults\":0}");
+        let err = summarize_jsonl(&format!("{valid}\n{no_latency}")).unwrap_err();
+        assert!(
+            err.starts_with("line 2: missing key \"latency_us\""),
+            "{err}"
+        );
     }
 
     #[test]

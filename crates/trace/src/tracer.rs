@@ -1,4 +1,4 @@
-//! The [`Tracer`] handle and the pluggable [`TraceSink`] family.
+//! The [`Tracer`] handle and the pluggable [`TraceSink`] trait.
 //!
 //! A `Tracer` is a cheap clonable handle shared by every emitter in a
 //! cell (platform, page tables, remote pool). The disabled tracer is a
@@ -19,8 +19,6 @@
 use crate::event::{EventKind, LayerMask, TraceEvent, TraceLayer};
 use faasmem_sim::SimTime;
 use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::io::Write;
 use std::rc::Rc;
 
 /// Destination for stamped events.
@@ -33,16 +31,6 @@ pub trait TraceSink {
     fn drain(&mut self) -> Vec<TraceEvent> {
         Vec::new()
     }
-}
-
-/// Drops every event. Provided for API completeness; the usual
-/// zero-cost "off" state is [`Tracer::disabled`], which never reaches
-/// a sink at all.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: TraceEvent) {}
 }
 
 /// Buffers every event in memory, unbounded. The harness uses one per
@@ -66,75 +54,6 @@ impl TraceSink for BufferSink {
 
     fn drain(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.events)
-    }
-}
-
-/// A bounded ring: keeps the most recent `capacity` events and counts
-/// the rest as dropped. Useful for "flight recorder" introspection of
-/// long runs where only the tail matters.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    buf: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Events evicted so far to stay within capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, event: TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event);
-    }
-
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        self.buf.drain(..).collect()
-    }
-}
-
-/// Streams each event as one JSONL line to a writer. Write errors are
-/// deliberately swallowed (tracing must never alter simulation
-/// control flow); callers who care should flush and check the writer
-/// after the run.
-pub struct JsonlSink<W: Write> {
-    cell: Option<u64>,
-    writer: W,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// A streaming sink tagging each line with `cell` (when given).
-    pub fn new(cell: Option<u64>, writer: W) -> JsonlSink<W> {
-        JsonlSink { cell, writer }
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: TraceEvent) {
-        let line = event.jsonl_line(self.cell);
-        let _ = writeln!(self.writer, "{line}");
     }
 }
 
@@ -344,62 +263,6 @@ mod tests {
         // stream would betray the filter setting.
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[1].seq, 1);
-    }
-
-    #[test]
-    fn ring_sink_keeps_the_tail() {
-        let tracer = Tracer::with_sink(LayerMask::ALL, Box::new(RingSink::new(2)));
-        for i in 0..5u64 {
-            tracer.set_now(SimTime::from_micros(i));
-            tracer.emit(None, None, EventKind::MemOffload { pages: i });
-        }
-        let events = tracer.take_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, EventKind::MemOffload { pages: 3 });
-        assert_eq!(events[1].kind, EventKind::MemOffload { pages: 4 });
-    }
-
-    #[test]
-    fn ring_sink_counts_drops() {
-        let mut ring = RingSink::new(1);
-        for seq in 0..3 {
-            ring.record(TraceEvent {
-                time: SimTime::ZERO,
-                seq,
-                container: None,
-                request: None,
-                kind: EventKind::BreakerOpen,
-            });
-        }
-        assert_eq!(ring.dropped(), 2);
-        assert_eq!(ring.drain().len(), 1);
-    }
-
-    #[test]
-    fn jsonl_sink_streams_lines() {
-        let sink = JsonlSink::new(Some(3), Vec::new());
-        let tracer = Tracer::with_sink(LayerMask::ALL, Box::new(sink));
-        tracer.set_now(SimTime::from_micros(42));
-        tracer.emit(Some(0), None, EventKind::PoolDiscard { bytes: 4096 });
-        tracer.emit(None, None, EventKind::BreakerOpen);
-        // Streaming sinks do not buffer.
-        assert!(tracer.take_events().is_empty());
-        drop(tracer);
-        // The writer is owned by the sink; rebuild a standalone sink to
-        // inspect bytes instead.
-        let mut sink = JsonlSink::new(Some(3), Vec::new());
-        sink.record(TraceEvent {
-            time: SimTime::from_micros(42),
-            seq: 0,
-            container: Some(0),
-            request: None,
-            kind: EventKind::PoolDiscard { bytes: 4096 },
-        });
-        let bytes = sink.into_inner();
-        assert_eq!(
-            String::from_utf8(bytes).unwrap(),
-            "{\"cell\":3,\"t\":42,\"seq\":0,\"layer\":\"pool\",\"kind\":\"pool_discard\",\"ctr\":0,\"bytes\":4096}\n"
-        );
     }
 
     proptest! {
