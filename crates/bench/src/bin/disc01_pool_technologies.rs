@@ -15,6 +15,7 @@ use faasmem_bench::harness::{
 };
 use faasmem_bench::{fmt_mib, fmt_secs, render_table, PolicyKind};
 use faasmem_faas::PlatformConfig;
+use faasmem_metrics::Cdf;
 use faasmem_pool::PoolConfig;
 use faasmem_workload::{BenchmarkSpec, LoadClass};
 
@@ -61,28 +62,19 @@ fn main() {
         let offloaded = s.pool_stats.bytes_out as f64 / (1024.0 * 1024.0);
         // Tail of the warm requests only — cold starts dominate P99
         // otherwise and hide the backend's fault latency.
-        let mut warm: Vec<f64> = outcome
+        let warm: Cdf = outcome
             .report
             .requests
             .iter()
             .filter(|r| !r.cold)
             .map(|r| r.latency.as_secs_f64())
             .collect();
-        warm.sort_by(f64::total_cmp);
-        let warm_p99 = if warm.is_empty() {
-            0.0
-        } else {
-            let idx = ((warm.len() as f64 * 0.99).ceil() as usize)
-                .saturating_sub(1)
-                .min(warm.len() - 1);
-            warm[idx]
-        };
         rows.push(vec![
             name.to_string(),
             fmt_mib(s.avg_local_mib),
             format!("{offloaded:.0} MiB"),
             fmt_secs(s.latency.p95.as_secs_f64()),
-            fmt_secs(warm_p99),
+            fmt_secs(warm.quantile(0.99).unwrap_or(0.0)),
         ]);
     }
     println!(

@@ -20,6 +20,7 @@ use faasmem_bench::harness::{
 use faasmem_bench::{fmt_mib, fmt_secs, render_table};
 use faasmem_core::{FaasMemConfigBuilder, FaasMemPolicy};
 use faasmem_faas::PlatformConfig;
+use faasmem_metrics::Cdf;
 use faasmem_sim::SimTime;
 use faasmem_workload::{BenchmarkSpec, FunctionId, Invocation, InvocationTrace};
 
@@ -74,16 +75,12 @@ fn main() {
         for (label, _) in VARIANTS {
             let outcome = run.outcome("7-minute gaps", app, "16k-s8", label);
             let warm: Vec<_> = outcome.report.requests.iter().filter(|r| !r.cold).collect();
-            let warm_p95 = {
-                let mut lat: Vec<f64> = warm.iter().map(|r| r.latency.as_secs_f64()).collect();
-                lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                lat[((lat.len() as f64 * 0.95).ceil() as usize - 1).min(lat.len() - 1)]
-            };
+            let warm_latency: Cdf = warm.iter().map(|r| r.latency.as_secs_f64()).collect();
             let faults: u32 = warm.iter().map(|r| r.faults).sum();
             rows.push(vec![
                 label.to_string(),
                 fmt_mib(outcome.summary.avg_local_mib),
-                fmt_secs(warm_p95),
+                fmt_secs(warm_latency.quantile(0.95).expect("warm requests")),
                 faults.to_string(),
                 format!(
                     "{:.0} MiB",

@@ -9,7 +9,6 @@
 
 use faasmem_core::{FaasMemPolicy, SemiWarm, SemiWarmConfig};
 use faasmem_faas::PlatformSim;
-use faasmem_metrics::Cdf;
 use faasmem_sim::SimTime;
 use faasmem_workload::{BenchmarkSpec, FunctionId, LoadClass, TraceSynthesizer};
 
@@ -25,12 +24,10 @@ fn main() {
         .policy(FaasMemPolicy::builder().build())
         .build()
         .run(&trace);
-    let intervals = report
+    let cdf = report
         .reuse_intervals
         .get(&FunctionId(0))
         .expect("warm reuses observed");
-    let secs: Vec<f64> = intervals.iter().map(|d| d.as_secs_f64()).collect();
-    let cdf = Cdf::from_samples(secs.iter().copied());
     println!(
         "container reused intervals: {} samples, median {:.1}s, p99 {:.1}s\n",
         cdf.len(),
@@ -48,11 +45,7 @@ fn main() {
     }
 
     // The semi-warm machinery makes the same choice from the same data.
-    let mut sw = SemiWarm::new(SemiWarmConfig::default());
-    for &d in intervals {
-        sw.record_reuse_interval(FunctionId(0), d);
-    }
-    let timing = sw.start_timing(FunctionId(0));
+    let timing = SemiWarm::new(SemiWarmConfig::default()).start_timing(Some(cdf), FunctionId(0));
     println!();
     println!("semi-warm start timing (p99, pessimistic): {timing}");
     println!("=> containers keep all hot pages for 99% of observed reuses; only the");

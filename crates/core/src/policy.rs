@@ -196,22 +196,19 @@ impl MemoryPolicy for FaasMemPolicy {
     fn on_request_start(&mut self, ctx: &mut PolicyCtx<'_>, idle: Option<SimDuration>) {
         let function = ctx.container.function();
         let now = ctx.now;
-        match idle {
-            Some(idle) => self.semiwarm.record_reuse_interval(function, idle),
-            None if self.config.semiwarm.cold_start_aware => {
-                // §8.3.2 extension: a cold start hides a would-be reuse.
-                // Feed its gap into the CDF as a censored sample (long
-                // gaps saturate at the cap) so the semi-warm timing stays
-                // pessimistic under bursts.
-                if let Some(&prev) = self.last_seen.get(&function) {
-                    let gap = now.saturating_since(prev);
-                    if !gap.is_zero() {
-                        let censored = gap.min(self.config.semiwarm.cold_start_censor_cap);
-                        self.semiwarm.record_reuse_interval(function, censored);
-                    }
+        // A warm start's gap is already in the platform's reuse store.
+        if idle.is_none() && self.config.semiwarm.cold_start_aware {
+            // §8.3.2 extension: a cold start hides a would-be reuse.
+            // Feed its gap into the CDF as a censored sample (long gaps
+            // saturate at the cap) so the semi-warm timing stays
+            // pessimistic under bursts.
+            if let Some(&prev) = self.last_seen.get(&function) {
+                let gap = now.saturating_since(prev);
+                if !gap.is_zero() {
+                    let censored = gap.min(self.config.semiwarm.cold_start_censor_cap);
+                    self.semiwarm.record_censored(function, censored);
                 }
             }
-            None => {}
         }
         self.last_seen.insert(function, now);
         let recall_prefetch = self.config.semiwarm.recall_prefetch;
@@ -328,29 +325,26 @@ impl MemoryPolicy for FaasMemPolicy {
         let now = ctx.now;
         let function = ctx.container.function();
         let idle = ctx.container.idle_since(now);
-        if !self.semiwarm.should_be_semi_warm(function, idle) {
+        let reuse = ctx.reuse_intervals.get(&function);
+        if idle < self.semiwarm.start_timing(reuse, function) {
             return;
         }
-        let id = ctx.container.id();
         let page_size = ctx.container.table().page_size();
         let resident = ctx.container.table().local_bytes() + ctx.container.table().remote_bytes();
         let throttle = ctx.governor.throttle_factor(now);
-        let tick = self.config.tick;
-        let budget = {
-            let state = self.state_mut(id);
-            state.activity.enter(now);
-            let mut carry = state.activity.carry;
-            let pages = self
-                .semiwarm
-                .pages_this_tick(resident, page_size, tick, throttle, &mut carry);
-            // Write the carry back through the map borrow.
-            self.containers
-                .get_mut(&id)
-                .expect("state exists")
-                .activity
-                .carry = carry;
-            pages
-        };
+        let rollback_min_interval = self.config.rollback_min_interval;
+        let state = self
+            .containers
+            .entry(ctx.container.id())
+            .or_insert_with(|| CState::new(rollback_min_interval));
+        state.activity.enter(now);
+        let budget = self.semiwarm.pages_this_tick(
+            resident,
+            page_size,
+            self.config.tick,
+            throttle,
+            &mut state.activity.carry,
+        );
         if budget == 0 {
             return;
         }
@@ -358,7 +352,6 @@ impl MemoryPolicy for FaasMemPolicy {
         // then (when Puckets are disabled) any remaining local page. Each
         // collector stops at the budget still left, so the batch is the
         // ascending prefix of the full drain order.
-        let state = self.containers.get(&id).expect("state exists");
         let table = ctx.container.table();
         let budget = budget as usize;
         let ids = &mut self.scratch_ids;
@@ -376,11 +369,7 @@ impl MemoryPolicy for FaasMemPolicy {
         let moved = ctx.offload_pages(&self.scratch_ids);
         if moved > 0 {
             let bytes = u64::from(moved) * page_size;
-            self.containers
-                .get_mut(&id)
-                .expect("state exists")
-                .activity
-                .bytes_offloaded += bytes;
+            state.activity.bytes_offloaded += bytes;
             self.stats.borrow_mut().semi_warm_bytes += bytes;
         }
     }

@@ -16,28 +16,29 @@ use faasmem_sim::{SimDuration, SimTime};
 
 use crate::config::SemiWarmConfig;
 
-/// Per-function semi-warm timing derived from observed container-reuse
-/// intervals, plus the gradual-offload rate computation.
+/// Per-function semi-warm timing, read in place from the platform's
+/// [reuse intervals](faasmem_faas::PolicyCtx::reuse_intervals) and the
+/// policy's own censored cold-start gaps, plus the gradual-offload rate
+/// computation.
 ///
 /// # Examples
 ///
 /// ```
 /// use faasmem_core::{SemiWarm, SemiWarmConfig};
+/// use faasmem_metrics::Cdf;
 /// use faasmem_sim::SimDuration;
 /// use faasmem_workload::FunctionId;
 ///
-/// let mut sw = SemiWarm::new(SemiWarmConfig::default());
-/// let f = FunctionId(0);
-/// for secs in [1u64, 2, 3, 4, 30] {
-///     sw.record_reuse_interval(f, SimDuration::from_secs(secs));
-/// }
+/// let sw = SemiWarm::new(SemiWarmConfig::default());
+/// let reuse = Cdf::from_samples(vec![1.0, 2.0, 3.0, 4.0, 30.0]);
 /// // The 99th percentile of the observed intervals: 30 s.
-/// assert_eq!(sw.start_timing(f), SimDuration::from_secs(30));
+/// assert_eq!(sw.start_timing(Some(&reuse), FunctionId(0)), SimDuration::from_secs(30));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SemiWarm {
     config: SemiWarmConfig,
-    intervals: HashMap<FunctionId, Vec<f64>>,
+    /// Censored cold-start gaps per function, in seconds.
+    censored: HashMap<FunctionId, Cdf>,
 }
 
 impl SemiWarm {
@@ -45,7 +46,7 @@ impl SemiWarm {
     pub fn new(config: SemiWarmConfig) -> Self {
         SemiWarm {
             config,
-            intervals: HashMap::new(),
+            censored: HashMap::new(),
         }
     }
 
@@ -54,39 +55,29 @@ impl SemiWarm {
         &self.config
     }
 
-    /// Records one observed container-reused interval for `function`.
-    pub fn record_reuse_interval(&mut self, function: FunctionId, interval: SimDuration) {
-        self.intervals
+    /// Records the gap behind one cold start of `function` as a censored
+    /// reuse sample (the cold-start-aware extension, §8.3.2).
+    pub fn record_censored(&mut self, function: FunctionId, gap: SimDuration) {
+        self.censored
             .entry(function)
             .or_default()
-            .push(interval.as_secs_f64());
+            .insert(gap.as_secs_f64());
     }
 
-    /// Number of reuse samples gathered for `function`.
-    pub fn samples_for(&self, function: FunctionId) -> usize {
-        self.intervals.get(&function).map_or(0, Vec::len)
-    }
-
-    /// The semi-warm start timing for `function`: the configured
-    /// percentile of the reuse-interval CDF once enough samples exist,
-    /// else the configured default.
-    pub fn start_timing(&self, function: FunctionId) -> SimDuration {
-        match self.intervals.get(&function) {
-            Some(samples) if samples.len() >= self.config.min_samples => {
-                let cdf = Cdf::from_samples(samples.iter().copied());
-                let secs = cdf
-                    .quantile(self.config.start_percentile)
-                    .expect("non-empty sample set");
-                SimDuration::from_secs_f64(secs)
-            }
-            _ => self.config.default_start,
+    /// The semi-warm start timing for `function`, given its observed
+    /// reuse intervals `reuse` in seconds: the configured percentile of
+    /// those intervals together with the censored gaps, once there are
+    /// enough samples, else the configured default.
+    pub fn start_timing(&self, reuse: Option<&Cdf>, function: FunctionId) -> SimDuration {
+        let empty = Cdf::default();
+        let reuse = reuse.unwrap_or(&empty);
+        let censored = self.censored.get(&function).unwrap_or(&empty);
+        if reuse.len() + censored.len() < self.config.min_samples {
+            return self.config.default_start;
         }
-    }
-
-    /// Whether a container idle for `idle` should be in its semi-warm
-    /// period.
-    pub fn should_be_semi_warm(&self, function: FunctionId, idle: SimDuration) -> bool {
-        idle >= self.start_timing(function)
+        reuse
+            .union_quantile(censored, self.config.start_percentile)
+            .map_or(self.config.default_start, SimDuration::from_secs_f64)
     }
 
     /// How many whole pages to offload in one maintenance tick for a
@@ -157,58 +148,91 @@ mod tests {
         SemiWarmConfig::default()
     }
 
+    /// `n` reuse intervals of `secs` seconds each.
+    fn reuse(secs: f64, n: usize) -> Cdf {
+        Cdf::from_samples(vec![secs; n])
+    }
+
     #[test]
     fn default_timing_until_enough_samples() {
-        let mut sw = SemiWarm::new(config());
+        let sw = SemiWarm::new(config());
         let f = FunctionId(1);
-        assert_eq!(sw.start_timing(f), config().default_start);
-        for _ in 0..4 {
-            sw.record_reuse_interval(f, SimDuration::from_secs(5));
-        }
-        assert_eq!(sw.samples_for(f), 4);
+        assert_eq!(sw.start_timing(None, f), config().default_start);
         assert_eq!(
-            sw.start_timing(f),
+            sw.start_timing(Some(&reuse(5.0, 4)), f),
             config().default_start,
             "4 < min_samples"
         );
-        sw.record_reuse_interval(f, SimDuration::from_secs(5));
-        assert_eq!(sw.start_timing(f), SimDuration::from_secs(5));
+        assert_eq!(
+            sw.start_timing(Some(&reuse(5.0, 5)), f),
+            SimDuration::from_secs(5)
+        );
+    }
+
+    #[test]
+    fn no_history_with_zero_min_samples_uses_default() {
+        let sw = SemiWarm::new(SemiWarmConfig {
+            min_samples: 0,
+            ..config()
+        });
+        let f = FunctionId(0);
+        assert_eq!(sw.start_timing(None, f), config().default_start);
+        assert_eq!(
+            sw.start_timing(Some(&Cdf::default()), f),
+            config().default_start
+        );
     }
 
     #[test]
     fn percentile_is_pessimistic() {
-        let mut sw = SemiWarm::new(config());
-        let f = FunctionId(0);
+        let sw = SemiWarm::new(config());
         // 95 short intervals and five long ones: the 99th percentile
         // must pick up the tail, not the median.
-        for _ in 0..95 {
-            sw.record_reuse_interval(f, SimDuration::from_secs(2));
-        }
+        let mut intervals = reuse(2.0, 95);
         for _ in 0..5 {
-            sw.record_reuse_interval(f, SimDuration::from_secs(120));
+            intervals.insert(120.0);
         }
-        assert_eq!(sw.start_timing(f), SimDuration::from_secs(120));
+        assert_eq!(
+            sw.start_timing(Some(&intervals), FunctionId(0)),
+            SimDuration::from_secs(120)
+        );
     }
 
     #[test]
     fn per_function_isolation() {
+        // Censored gaps recorded for one function never reach another's
+        // timing.
         let mut sw = SemiWarm::new(config());
         for _ in 0..10 {
-            sw.record_reuse_interval(FunctionId(0), SimDuration::from_secs(1));
-            sw.record_reuse_interval(FunctionId(1), SimDuration::from_secs(100));
+            sw.record_censored(FunctionId(1), SimDuration::from_secs(100));
         }
-        assert!(sw.start_timing(FunctionId(0)) < sw.start_timing(FunctionId(1)));
+        let ones = reuse(1.0, 10);
+        let f0 = sw.start_timing(Some(&ones), FunctionId(0));
+        assert_eq!(f0, SimDuration::from_secs(1));
+        assert!(f0 < sw.start_timing(Some(&ones), FunctionId(1)));
+    }
+
+    #[test]
+    fn censored_gaps_join_the_reuse_intervals() {
+        let mut sw = SemiWarm::new(config());
+        let f = FunctionId(0);
+        // Four reuses plus one censored gap reach min_samples together,
+        // and the censored gap is the union's 99th percentile.
+        sw.record_censored(f, SimDuration::from_secs(300));
+        assert_eq!(sw.start_timing(None, f), config().default_start);
+        assert_eq!(
+            sw.start_timing(Some(&reuse(3.0, 4)), f),
+            SimDuration::from_secs(300)
+        );
     }
 
     #[test]
     fn should_be_semi_warm_threshold() {
-        let mut sw = SemiWarm::new(config());
-        let f = FunctionId(0);
-        for _ in 0..10 {
-            sw.record_reuse_interval(f, SimDuration::from_secs(10));
-        }
-        assert!(!sw.should_be_semi_warm(f, SimDuration::from_secs(9)));
-        assert!(sw.should_be_semi_warm(f, SimDuration::from_secs(10)));
+        // A container idle for at least the start timing is semi-warm.
+        let sw = SemiWarm::new(config());
+        let timing = sw.start_timing(Some(&reuse(10.0, 10)), FunctionId(0));
+        assert!(SimDuration::from_secs(9) < timing);
+        assert!(SimDuration::from_secs(10) >= timing);
     }
 
     #[test]

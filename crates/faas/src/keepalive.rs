@@ -17,16 +17,15 @@ use faasmem_sim::SimDuration;
 ///
 /// ```
 /// use faasmem_faas::AdaptiveKeepAlive;
+/// use faasmem_metrics::Cdf;
 /// use faasmem_sim::SimDuration;
 ///
 /// let ka = AdaptiveKeepAlive::default();
 /// // No history yet: the conservative default applies.
-/// assert_eq!(ka.timeout_from_samples(&[]), ka.default);
+/// assert_eq!(ka.timeout_from_samples(None), ka.default);
 /// // A function always reused within ~30 s gets a tight timeout.
-/// let samples: Vec<SimDuration> = (0..50)
-///     .map(|i| SimDuration::from_secs(20 + i % 10))
-///     .collect();
-/// let t = ka.timeout_from_samples(&samples);
+/// let gaps: Cdf = (0..50).map(|i| f64::from(20 + i % 10)).collect();
+/// let t = ka.timeout_from_samples(Some(&gaps));
 /// assert!(t < SimDuration::from_mins(2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,13 +58,13 @@ impl Default for AdaptiveKeepAlive {
 }
 
 impl AdaptiveKeepAlive {
-    /// Computes the timeout from observed idle-before-reuse gaps.
-    pub fn timeout_from_samples(&self, gaps: &[SimDuration]) -> SimDuration {
-        if gaps.len() < self.min_samples {
+    /// Computes the timeout from a function's observed idle-before-reuse
+    /// gaps, in seconds (`None`: no warm start yet).
+    pub fn timeout_from_samples(&self, gaps: Option<&Cdf>) -> SimDuration {
+        let Some(gaps) = gaps.filter(|g| g.len() >= self.min_samples) else {
             return self.default;
-        }
-        let cdf = Cdf::from_samples(gaps.iter().map(|g| g.as_secs_f64()));
-        let q = cdf
+        };
+        let q = gaps
             .quantile(self.percentile)
             .unwrap_or(self.default.as_secs_f64());
         let padded = SimDuration::from_secs_f64(q * self.margin);
@@ -77,19 +76,23 @@ impl AdaptiveKeepAlive {
 mod tests {
     use super::*;
 
+    /// `n` gaps of `secs` seconds each.
+    fn gaps(secs: f64, n: usize) -> Cdf {
+        Cdf::from_samples(vec![secs; n])
+    }
+
     #[test]
     fn thin_history_uses_default() {
         let ka = AdaptiveKeepAlive::default();
-        let gap = SimDuration::from_secs(1);
-        assert_eq!(ka.timeout_from_samples(&[gap; 7]), ka.default);
-        assert_ne!(ka.timeout_from_samples(&[gap; 8]), ka.default);
+        assert_eq!(ka.timeout_from_samples(None), ka.default);
+        assert_eq!(ka.timeout_from_samples(Some(&gaps(1.0, 7))), ka.default);
+        assert_ne!(ka.timeout_from_samples(Some(&gaps(1.0, 8))), ka.default);
     }
 
     #[test]
     fn fast_reuse_shrinks_timeout() {
         let ka = AdaptiveKeepAlive::default();
-        let gaps = vec![SimDuration::from_secs(5); 100];
-        let t = ka.timeout_from_samples(&gaps);
+        let t = ka.timeout_from_samples(Some(&gaps(5.0, 100)));
         // 5 s × 1.25 margin = 6.25 s, clamped up to the 30 s floor.
         assert_eq!(t, SimDuration::from_secs(30));
     }
@@ -97,8 +100,10 @@ mod tests {
     #[test]
     fn heavy_tail_respects_upper_clamp() {
         let ka = AdaptiveKeepAlive::default();
-        let gaps = vec![SimDuration::from_secs(3_600); 100];
-        assert_eq!(ka.timeout_from_samples(&gaps), SimDuration::from_mins(10));
+        assert_eq!(
+            ka.timeout_from_samples(Some(&gaps(3_600.0, 100))),
+            SimDuration::from_mins(10)
+        );
     }
 
     #[test]
@@ -111,7 +116,9 @@ mod tests {
             min_samples: 1,
             default: SimDuration::from_mins(10),
         };
-        let gaps = vec![SimDuration::from_secs(100); 9];
-        assert_eq!(ka.timeout_from_samples(&gaps), SimDuration::from_secs(200));
+        assert_eq!(
+            ka.timeout_from_samples(Some(&gaps(100.0, 9))),
+            SimDuration::from_secs(200)
+        );
     }
 }

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use faasmem_mem::{mib_to_pages, FlowMatrix};
 use faasmem_metrics::{
-    BlameAccumulator, BlameBreakdown, BlameComponent, MetricsRegistry, SloTracker,
+    BlameAccumulator, BlameBreakdown, BlameComponent, Cdf, MetricsRegistry, SloTracker,
     WasteAccumulator, WasteComponent, WasteLedger,
 };
 use faasmem_pool::{
@@ -127,6 +127,26 @@ impl PlatformConfig {
         }
         if self.governor_window.is_zero() {
             problems.push("platform config: governor window must be positive".into());
+        }
+        if let Some(ka) = &self.adaptive_keep_alive {
+            if !(ka.percentile > 0.0 && ka.percentile <= 1.0) {
+                problems.push(format!(
+                    "platform config: adaptive keep-alive percentile {} out of (0, 1]",
+                    ka.percentile
+                ));
+            }
+            if !(ka.margin.is_finite() && ka.margin >= 0.0) {
+                problems.push(format!(
+                    "platform config: adaptive keep-alive margin {} must be finite and non-negative",
+                    ka.margin
+                ));
+            }
+            if ka.min > ka.max {
+                problems.push(format!(
+                    "platform config: adaptive keep-alive min {} exceeds max {}",
+                    ka.min, ka.max
+                ));
+            }
         }
         problems.extend(self.pool.validate());
         problems.extend(self.fabric.validate());
@@ -337,6 +357,7 @@ impl PlatformBuilder {
             tracer: self.tracer,
             sampler: self.sampler,
             tick_scratch: Vec::new(),
+            reuse_intervals: HashMap::new(),
             planner: AccessPlanner::default(),
             peak_local_bytes: 0,
             peak_live: 0,
@@ -521,6 +542,9 @@ pub struct PlatformSim {
     /// Run-long scratch buffer for the tick handler's sorted container
     /// walk, reused so the steady-state event loop never allocates.
     tick_scratch: Vec<ContainerId>,
+    /// Each function's container reused intervals in seconds, read by
+    /// policies through [`PolicyCtx`] and by adaptive keep-alive.
+    reuse_intervals: HashMap<FunctionId, Cdf>,
     /// Run-long scratch every request plans its page accesses into, so
     /// a warm request allocates nothing.
     planner: AccessPlanner,
@@ -757,7 +781,7 @@ impl PlatformSim {
         }
         match event {
             Event::Invoke(req, function) => {
-                self.handle_invoke(now, req, function, queue, report);
+                self.handle_invoke(now, req, function, queue);
             }
             Event::RuntimeLoaded(id) => self.handle_runtime_loaded(now, id, queue),
             Event::InitDone(id) => self.handle_init_done(now, id, queue),
@@ -809,6 +833,7 @@ impl PlatformSim {
         self.sample_due(now, report);
 
         report.pool_stats = self.pool.stats();
+        report.reuse_intervals = std::mem::take(&mut self.reuse_intervals);
         report.finished_at = now;
         if let Some(fr) = &self.faults {
             let finished = report.finished_at;
@@ -1064,16 +1089,9 @@ impl PlatformSim {
 
     /// The keep-alive timeout currently applicable to `function`; the
     /// adaptive policy learns from the run's observed reuse intervals.
-    fn timeout_for(&self, function: FunctionId, report: &RunReport) -> SimDuration {
+    fn timeout_for(&self, function: FunctionId) -> SimDuration {
         match self.config.adaptive_keep_alive {
-            Some(policy) => {
-                let gaps = report
-                    .reuse_intervals
-                    .get(&function)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-                policy.timeout_from_samples(gaps)
-            }
+            Some(policy) => policy.timeout_from_samples(self.reuse_intervals.get(&function)),
             None => self.config.keep_alive,
         }
     }
@@ -1280,6 +1298,7 @@ impl PlatformSim {
             container,
             pool: &mut self.pool,
             governor: &mut self.governor,
+            reuse_intervals: &self.reuse_intervals,
         };
         let out = f(self.policy.as_mut(), &mut ctx);
         self.ledger
@@ -1316,7 +1335,6 @@ impl PlatformSim {
         req: u32,
         function: FunctionId,
         queue: &mut EventQueue<Event>,
-        report: &mut RunReport,
     ) {
         self.tracer.emit(
             None,
@@ -1334,15 +1352,11 @@ impl PlatformSim {
             .map(|c| c.id());
 
         if let Some(id) = warm {
-            let idle = {
-                let c = self.containers.get(&id).expect("warm container");
-                c.idle_since(now)
-            };
-            report
-                .reuse_intervals
+            let idle = self.containers[&id].idle_since(now);
+            self.reuse_intervals
                 .entry(function)
                 .or_default()
-                .push(idle);
+                .insert(idle.as_secs_f64());
             self.policy_hook(now, id, |p, ctx| p.on_request_start(ctx, Some(idle)));
             self.with_container(now, id, |_, ctx| ctx.container.begin_execution(now));
             self.start_execution(now, id, req, now, false, queue);
@@ -1679,10 +1693,7 @@ impl PlatformSim {
         if flight.cold {
             report.cold_starts += 1;
         }
-        queue.push(
-            now + self.timeout_for(function, report),
-            Event::RecycleCheck(id),
-        );
+        queue.push(now + self.timeout_for(function), Event::RecycleCheck(id));
     }
 
     fn handle_recycle(
@@ -1698,7 +1709,7 @@ impl PlatformSim {
         if container.stage() != ContainerStage::KeepAlive {
             return; // busy again; a newer check is scheduled
         }
-        let timeout = self.timeout_for(container.function(), report);
+        let timeout = self.timeout_for(container.function());
         if container.idle_since(now) < timeout {
             // Reused since this check was scheduled, or the adaptive
             // timeout grew in the meantime: re-arm at the new deadline.
@@ -1806,7 +1817,8 @@ mod tests {
         // Reuse interval was observed.
         let gaps = &report.reuse_intervals[&FunctionId(0)];
         assert_eq!(gaps.len(), 1);
-        assert!(gaps[0] > SimDuration::from_secs(15) && gaps[0] < SimDuration::from_secs(25));
+        let gap = gaps.min().expect("one gap");
+        assert!(gap > 15.0 && gap < 25.0);
     }
 
     #[test]
@@ -2439,6 +2451,68 @@ mod tests {
         assert!(problems.len() >= 4, "{problems:?}");
         assert!(problems.iter().any(|p| p.contains("page size")));
         assert!(problems.iter().any(|p| p.contains("SLO")));
+    }
+
+    #[test]
+    fn validate_checks_adaptive_keep_alive() {
+        use crate::keepalive::AdaptiveKeepAlive;
+        let with = |ka: AdaptiveKeepAlive| PlatformConfig {
+            adaptive_keep_alive: Some(ka),
+            ..PlatformConfig::default()
+        };
+        let ka = AdaptiveKeepAlive::default();
+        assert!(PlatformConfig::default().validate().is_ok());
+        assert!(with(ka).validate().is_ok());
+        let bad = [
+            (
+                AdaptiveKeepAlive {
+                    percentile: 0.0,
+                    ..ka
+                },
+                "percentile 0 ",
+            ),
+            (
+                AdaptiveKeepAlive {
+                    percentile: 1.5,
+                    ..ka
+                },
+                "percentile 1.5",
+            ),
+            (
+                AdaptiveKeepAlive {
+                    percentile: f64::NAN,
+                    ..ka
+                },
+                "percentile NaN",
+            ),
+            (AdaptiveKeepAlive { margin: -1.0, ..ka }, "margin -1"),
+            (
+                AdaptiveKeepAlive {
+                    margin: f64::NAN,
+                    ..ka
+                },
+                "margin NaN",
+            ),
+            (
+                AdaptiveKeepAlive {
+                    margin: f64::INFINITY,
+                    ..ka
+                },
+                "margin inf",
+            ),
+            (
+                AdaptiveKeepAlive {
+                    min: SimDuration::from_mins(11),
+                    ..ka
+                },
+                "min 660.000s exceeds max 600.000s",
+            ),
+        ];
+        for (ka, expected) in bad {
+            let problems = with(ka).validate().expect_err(expected);
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert!(problems[0].contains(expected), "{problems:?}");
+        }
     }
 
     #[test]

@@ -11,14 +11,19 @@
 //! * periodic ticks → semi-warm gradual offloading, TMO's step-by-step
 //!   offload, DAMON's sampling.
 
+use std::collections::HashMap;
+
 use faasmem_mem::PageId;
+use faasmem_metrics::Cdf;
 use faasmem_pool::{BandwidthGovernor, RemotePool};
 use faasmem_sim::{SimDuration, SimTime};
+use faasmem_workload::FunctionId;
 
 use crate::container::Container;
 
 /// Everything a policy may touch when a hook fires: the affected
-/// container, the remote pool, and the shared bandwidth governor.
+/// container, the remote pool, the shared bandwidth governor, and the
+/// platform's observed reuse intervals.
 #[derive(Debug)]
 pub struct PolicyCtx<'a> {
     /// Current simulated time.
@@ -29,6 +34,10 @@ pub struct PolicyCtx<'a> {
     pub pool: &'a mut RemotePool,
     /// The node-wide offload-bandwidth governor.
     pub governor: &'a mut BandwidthGovernor,
+    /// Each function's container reused intervals so far, in seconds
+    /// (see [`RunReport::reuse_intervals`](crate::RunReport::reuse_intervals)).
+    /// A warm start's gap is in it before `on_request_start` fires.
+    pub reuse_intervals: &'a HashMap<FunctionId, Cdf>,
 }
 
 impl<'a> PolicyCtx<'a> {
@@ -228,6 +237,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         let moved = ctx.offload_pages(&ids);
         assert_eq!(moved, 10);
@@ -239,6 +249,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         assert_eq!(ctx.offload_pages(&ids), 0);
     }
@@ -265,6 +276,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         assert_eq!(ctx.offload_pages(&ids), 3, "only what fits moves");
         assert_eq!(c.table().remote_pages(), 3);
@@ -273,6 +285,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         assert_eq!(ctx.offload_pages(&ids), 0, "pool now full");
     }
@@ -290,6 +303,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         assert_eq!(ctx.offload_pages(&[ids[1], ids[3]]), 2);
         // Three pages of room left: the already-remote ids are skipped
@@ -314,6 +328,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         ctx.offload_pages(&ids);
         let mut ctx = PolicyCtx {
@@ -321,6 +336,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         assert_eq!(ctx.prefetch_pages(&ids), 8);
         assert_eq!(pool.used_bytes(), 0);
@@ -336,6 +352,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         let moved = ctx.offload_where(|_, m| m.segment() == Segment::Init);
         assert!(moved > 0);
@@ -357,6 +374,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         assert_eq!(ctx.offload_pages(&ids), 0);
         assert_eq!(pool.used_bytes(), 0);
@@ -368,6 +386,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         assert_eq!(ctx.offload_pages(&ids), 10);
     }
@@ -381,6 +400,7 @@ mod tests {
             container: &mut c,
             pool: &mut pool,
             governor: &mut gov,
+            reuse_intervals: &HashMap::new(),
         };
         policy.on_runtime_loaded(&mut ctx);
         policy.on_init_done(&mut ctx);

@@ -82,9 +82,11 @@ pub struct RunReport {
     pub pool_stats: PoolStats,
     /// Lifetime records of all containers (recycled or alive at end).
     pub containers: Vec<ContainerRecord>,
-    /// Observed container reused intervals per function (keep-alive gap
-    /// before each warm start) — the semi-warm CDF input.
-    pub reuse_intervals: HashMap<FunctionId, Vec<SimDuration>>,
+    /// Observed container reused intervals per function (the keep-alive
+    /// gap before each warm start), in seconds and sorted — the platform's
+    /// one reuse-interval store, which drove semi-warm timing and adaptive
+    /// keep-alive during the run.
+    pub reuse_intervals: HashMap<FunctionId, Cdf>,
     /// When the run ended (trace horizon + drain).
     pub finished_at: SimTime,
     /// Fault-injection accounting; `None` when the run had no fault

@@ -5,6 +5,18 @@
 //! the semi-warm start timing. The evaluation also reports CDFs of
 //! requests-per-container (Fig 5) and semi-warm share (Fig 14).
 
+/// The nearest-rank rule shared by every percentile in the workspace:
+/// the 1-based rank of the `q`-quantile among `n` sorted samples, the
+/// smallest rank `r` with `r >= q * n` (at least 1).
+///
+/// Returns `None` when `n` is 0 or `q` is NaN or outside `[0, 1]`.
+pub fn nearest_rank(n: usize, q: f64) -> Option<usize> {
+    if n == 0 || !(0.0..=1.0).contains(&q) {
+        return None;
+    }
+    Some(((q * n as f64).ceil() as usize).clamp(1, n))
+}
+
 /// An empirical CDF over `f64` samples.
 ///
 /// # Examples
@@ -46,15 +58,37 @@ impl Cdf {
     /// `[0, 1]` — never panics, so percentile queries are safe on any
     /// input. With a single sample, every valid `q` returns it.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if q.is_nan() || !(0.0..=1.0).contains(&q) {
-            return None;
+        nearest_rank(self.sorted.len(), q).map(|rank| self.sorted[rank - 1])
+    }
+
+    /// Adds one sample, keeping the samples sorted; a non-finite sample
+    /// is discarded, as in [`Cdf::from_samples`]. Quantile queries
+    /// between inserts read the samples in place.
+    pub fn insert(&mut self, x: f64) {
+        if x.is_finite() {
+            let at = self.sorted.partition_point(|&v| v <= x);
+            self.sorted.insert(at, x);
         }
-        if self.sorted.is_empty() {
-            return None;
+    }
+
+    /// The nearest-rank `q`-quantile of the union of `self` and `other`,
+    /// found by binary search on each side without building the union.
+    /// `None` under the same conditions as [`Cdf::quantile`].
+    pub fn union_quantile(&self, other: &Cdf, q: f64) -> Option<f64> {
+        if other.is_empty() {
+            return self.quantile(q);
         }
-        let n = self.sorted.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(self.sorted[rank - 1])
+        let rank = nearest_rank(self.len() + other.len(), q)?;
+        let at_most = |x: f64| {
+            self.sorted.partition_point(|&v| v <= x) + other.sorted.partition_point(|&v| v <= x)
+        };
+        // On each side, the first sample with at least `rank` samples of
+        // the union at or below it; the smaller of the two is the answer.
+        let first = |s: &[f64]| s.get(s.partition_point(|&v| at_most(v) < rank)).copied();
+        [first(&self.sorted), first(&other.sorted)]
+            .into_iter()
+            .flatten()
+            .reduce(f64::min)
     }
 
     /// Fraction of samples `<= x`; 0.0 when empty.
@@ -202,7 +236,108 @@ mod tests {
         assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
     }
 
+    #[test]
+    fn insert_keeps_samples_sorted_and_drops_non_finite() {
+        let mut cdf = Cdf::default();
+        for x in [3.0, 1.0, f64::NAN, 2.0, f64::INFINITY, 2.0] {
+            cdf.insert(x);
+        }
+        assert_eq!(cdf, Cdf::from_samples(vec![1.0, 2.0, 2.0, 3.0]));
+    }
+
+    #[test]
+    fn union_quantile_edges() {
+        let empty = Cdf::default();
+        let a = Cdf::from_samples(vec![5.0, 1.0]);
+        assert_eq!(empty.union_quantile(&empty, 0.5), None);
+        assert_eq!(a.union_quantile(&empty, 1.0), Some(5.0));
+        assert_eq!(empty.union_quantile(&a, 0.0), Some(1.0));
+        assert_eq!(a.union_quantile(&a, 0.75), Some(5.0));
+        assert_eq!(a.union_quantile(&a, 0.5), Some(1.0));
+        assert_eq!(a.union_quantile(&a, f64::NAN), None);
+        assert_eq!(a.union_quantile(&a, 1.5), None);
+    }
+
+    /// The rank rule as each former copy wrote it inline: `Cdf` and
+    /// `LatencyRecorder` clamped the ceiling into `1..=n`; the warm-P99
+    /// table saturated the index at 0; the warm-P95 table subtracted 1
+    /// unguarded (its only `q` was 0.95).
+    fn old_inline_ranks(n: usize, q: f64) -> [Option<usize>; 3] {
+        let ceil = (q * n as f64).ceil() as usize;
+        let clamped = ceil.clamp(1, n);
+        let saturating = ceil.saturating_sub(1).min(n - 1) + 1;
+        let unguarded = (q > 0.0).then(|| (ceil - 1).min(n - 1) + 1);
+        [Some(clamped), Some(saturating), unguarded]
+    }
+
+    #[test]
+    fn nearest_rank_rejects_empty_and_invalid_q() {
+        assert_eq!(nearest_rank(0, 0.5), None);
+        assert_eq!(nearest_rank(5, f64::NAN), None);
+        assert_eq!(nearest_rank(5, -0.01), None);
+        assert_eq!(nearest_rank(5, 1.01), None);
+    }
+
     proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        #[test]
+        fn prop_nearest_rank_matches_old_inline_formulas(n in 1usize..10_001, q in 0.0f64..1.0) {
+            for q in [q, 0.0, 0.5, 0.95, 0.99, 1.0] {
+                let rank = nearest_rank(n, q);
+                for old in old_inline_ranks(n, q).into_iter().flatten() {
+                    proptest::prop_assert_eq!(rank, Some(old), "n={} q={}", n, q);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_insert_matches_from_samples(ops in proptest::collection::vec((0u8..4, 0u32..40, 0.0f64..1.0), 1..300)) {
+            // Small integer values force ties; kind 2 feeds non-finite
+            // samples, kind 3 queries.
+            let mut cdf = Cdf::default();
+            let mut raw = Vec::new();
+            for (kind, v, q) in ops {
+                match kind {
+                    0 | 1 => {
+                        cdf.insert(f64::from(v) / 4.0);
+                        raw.push(f64::from(v) / 4.0);
+                    }
+                    2 => {
+                        let x = if v % 2 == 0 { f64::NAN } else { f64::NEG_INFINITY };
+                        cdf.insert(x);
+                        raw.push(x);
+                    }
+                    _ => {
+                        let fresh = Cdf::from_samples(raw.iter().copied());
+                        proptest::prop_assert_eq!(cdf.len(), fresh.len());
+                        for q in [q, 0.0, 0.99, 1.0] {
+                            proptest::prop_assert_eq!(cdf.quantile(q), fresh.quantile(q));
+                        }
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(cdf, Cdf::from_samples(raw));
+        }
+
+        #[test]
+        fn prop_union_quantile_matches_merged(
+            a in proptest::collection::vec(0u32..20, 0..40),
+            b in proptest::collection::vec(0u32..20, 0..40),
+            q in 0.0f64..1.0,
+        ) {
+            let a = Cdf::from_samples(a.into_iter().map(f64::from));
+            let b = Cdf::from_samples(b.into_iter().map(f64::from));
+            let merged = Cdf::from_samples(a.sorted.iter().chain(&b.sorted).copied());
+            let n = merged.len().max(1) as f64;
+            // A random q, both ends, and q exactly on a rank boundary.
+            for q in [q, 0.0, 1.0, (q * n).floor() / n] {
+                proptest::prop_assert_eq!(a.union_quantile(&b, q), merged.quantile(q), "q={}", q);
+                proptest::prop_assert_eq!(b.union_quantile(&a, q), merged.quantile(q), "q={}", q);
+            }
+        }
+
         #[test]
         fn prop_quantile_and_fraction_inverse(vals in proptest::collection::vec(0.0f64..1e6, 1..200), q in 0.01f64..1.0) {
             let cdf = Cdf::from_samples(vals);

@@ -2,6 +2,8 @@
 
 use faasmem_sim::SimDuration;
 
+use crate::cdf::nearest_rank;
+
 /// Collects latency samples and answers exact percentile queries.
 ///
 /// Percentiles use the nearest-rank method on the sorted sample set, which
@@ -98,15 +100,8 @@ impl LatencyRecorder {
     /// Returns `None` when empty or when `q` is NaN or outside
     /// `[0, 1]` — never panics, matching [`Cdf::quantile`](crate::Cdf::quantile).
     pub fn percentile(&mut self, q: f64) -> Option<SimDuration> {
-        if q.is_nan() || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        if self.samples.is_empty() {
-            return None;
-        }
+        let rank = nearest_rank(self.samples.len(), q)?;
         self.ensure_sorted();
-        let n = self.samples.len();
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
         Some(SimDuration::from_micros(self.samples[rank - 1]))
     }
 
@@ -153,8 +148,8 @@ impl LatencyRecorder {
         self.sorted = true;
     }
 
-    /// Iterates over the raw samples in insertion order is not guaranteed;
-    /// samples may have been sorted by a previous percentile query.
+    /// Iterates over the raw samples. The order is unspecified: a
+    /// previous percentile query may have sorted them.
     pub fn samples(&self) -> impl Iterator<Item = SimDuration> + '_ {
         self.samples.iter().map(|&s| SimDuration::from_micros(s))
     }

@@ -39,7 +39,7 @@ pub mod waste;
 pub use blame::{
     BlameAccumulator, BlameBreakdown, BlameComponent, BlameReport, ComponentBlame, BLAME_COMPONENTS,
 };
-pub use cdf::Cdf;
+pub use cdf::{nearest_rank, Cdf};
 pub use durability::DurabilityTracker;
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use registry::MetricsRegistry;

@@ -30,15 +30,23 @@
 //! semi-warm drain and recall shape — allocates nothing either once the
 //! pool's link and the bandwidth governor's sliding window have settled.
 //!
+//! A FaaSMem maintenance tick on a keep-alive container reads the
+//! semi-warm start timing in place from the platform's sorted
+//! reuse-interval store, so it allocates nothing — neither while the
+//! container is still warm nor, once the drain buffer has grown to the
+//! per-tick budget, while the semi-warm drain runs.
+//!
 //! One `#[test]` drives every scenario — the counter is process-global,
 //! so concurrent test threads would attribute each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use faasmem_core::{PucketKind, Puckets};
-use faasmem_faas::{touch_request, Container, ContainerId, FunctionId, PolicyCtx};
+use faasmem_core::{FaasMemPolicy, PucketKind, Puckets};
+use faasmem_faas::{touch_request, Container, ContainerId, FunctionId, MemoryPolicy, PolicyCtx};
 use faasmem_mem::{mib_to_pages, PageId, Segment, PAGE_SIZE_4K};
+use faasmem_metrics::Cdf;
 use faasmem_pool::{BandwidthGovernor, PoolConfig, RemotePool};
 use faasmem_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use faasmem_workload::{AccessPlanner, BenchmarkSpec};
@@ -192,11 +200,42 @@ fn policy_round_trips(
             container: &mut *c,
             pool: &mut *pool,
             governor: &mut *governor,
+            reuse_intervals: &HashMap::new(),
         };
         moved += u64::from(ctx.offload_pages(ids));
         moved += u64::from(ctx.prefetch_pages(ids));
     }
     moved
+}
+
+/// Everything a hand-driven policy hook needs besides the policy.
+struct Node {
+    container: Container,
+    pool: RemotePool,
+    governor: BandwidthGovernor,
+    reuse: HashMap<FunctionId, Cdf>,
+}
+
+impl Node {
+    /// Fires `hook` on a [`PolicyCtx`] at `now`.
+    fn hook(&mut self, now: SimTime, hook: impl FnOnce(&mut PolicyCtx<'_>)) {
+        hook(&mut PolicyCtx {
+            now,
+            container: &mut self.container,
+            pool: &mut self.pool,
+            governor: &mut self.governor,
+            reuse_intervals: &self.reuse,
+        });
+    }
+
+    /// One FaaSMem tick per simulated second over `secs`. Returns the
+    /// container's remote pages afterwards.
+    fn ticks(&mut self, policy: &mut FaasMemPolicy, secs: std::ops::Range<u64>) -> u64 {
+        for s in secs {
+            self.hook(SimTime::from_secs(s), |ctx| policy.on_tick(ctx));
+        }
+        self.container.table().remote_pages()
+    }
 }
 
 #[test]
@@ -349,5 +388,50 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
     assert_eq!(
         allocs, 0,
         "steady-state PolicyCtx offload/page-in must not allocate (got {allocs} allocations)"
+    );
+    // -- FaaSMem keep-alive ticks, before and after semi-warm entry ----
+    // One cold-started request ends at t = 0; the platform has seen
+    // eight 30 s reuse gaps, so the semi-warm start timing is 30 s.
+    let mut policy = FaasMemPolicy::new();
+    let mut node = Node {
+        container: Container::new(
+            ContainerId(0),
+            FunctionId(0),
+            BenchmarkSpec::by_name("bert").expect("catalog"),
+            PAGE_SIZE_4K,
+            SimTime::ZERO,
+        ),
+        pool: RemotePool::new(PoolConfig::default()),
+        governor: BandwidthGovernor::new(1 << 40, SimDuration::from_secs(1)),
+        reuse: HashMap::from([(FunctionId(0), Cdf::from_samples(vec![30.0; 8]))]),
+    };
+    let min_samples = policy.config().semiwarm.min_samples;
+    assert!(node.reuse[&FunctionId(0)].len() >= min_samples);
+    node.container.finish_launch();
+    node.hook(SimTime::ZERO, |ctx| policy.on_runtime_loaded(ctx));
+    node.container.finish_init();
+    node.hook(SimTime::ZERO, |ctx| {
+        policy.on_init_done(ctx);
+        policy.on_request_start(ctx, None);
+    });
+    node.container
+        .finish_execution(SimTime::ZERO, SimDuration::ZERO);
+    node.hook(SimTime::ZERO, |ctx| policy.on_request_end(ctx));
+    let remote = node.container.table().remote_pages();
+    let (allocs, warm_remote) = allocations_during(|| node.ticks(&mut policy, 1..30));
+    assert_eq!(warm_remote, remote, "no drain before the 30 s start timing");
+    assert_eq!(
+        allocs, 0,
+        "a FaaSMem tick before semi-warm entry must not allocate (got {allocs} allocations)"
+    );
+    // Entry at 30 s; the first drains grow the scratch buffer to the
+    // per-tick page budget.
+    let entered = node.ticks(&mut policy, 30..33);
+    assert!(entered > remote, "the semi-warm drain starts at 30 s");
+    let (allocs, drained) = allocations_during(|| node.ticks(&mut policy, 33..43));
+    assert!(drained > entered, "the drain keeps moving pages");
+    assert_eq!(
+        allocs, 0,
+        "a semi-warm FaaSMem tick must not allocate (got {allocs} allocations)"
     );
 }

@@ -104,14 +104,11 @@ fn reuse_intervals_feed_semiwarm() {
         .get(&FunctionId(0))
         .expect("warm reuses happened");
     assert!(!gaps.is_empty());
-    // Every recorded interval is below the keep-alive timeout, otherwise
-    // the container would have been recycled instead of reused.
-    for &gap in gaps {
-        assert!(
-            gap <= SimDuration::from_mins(10),
-            "gap {gap} exceeds keep-alive"
-        );
-    }
+    // Every recorded interval (in seconds) is below the keep-alive
+    // timeout, otherwise the container would have been recycled instead
+    // of reused.
+    let longest = gaps.max().expect("non-empty");
+    assert!(longest <= 600.0, "gap {longest}s exceeds keep-alive");
 }
 
 #[test]
