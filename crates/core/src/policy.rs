@@ -510,7 +510,7 @@ mod tests {
     fn request_cancels_semiwarm_and_recalls_pages() {
         // Idle long enough to drain, then a second request.
         let (report, _) = run("bert", &[10, 400]);
-        let second = &report.requests[1];
+        let second = report.requests.iter().nth(1).expect("two requests");
         assert!(!second.cold);
         assert!(second.faults > 0, "semi-warm start must recall hot pages");
         // The recall makes it slower than a pure warm hit but far
@@ -645,7 +645,8 @@ mod tests {
         };
         let plain = run_with(false);
         let prefetched = run_with(true);
-        let second_faults = |r: &faasmem_faas::RunReport| r.requests[1].faults;
+        let second_faults =
+            |r: &faasmem_faas::RunReport| r.requests.iter().nth(1).expect("two requests").faults;
         assert!(
             second_faults(&plain) > 500,
             "plain faults {}",

@@ -68,7 +68,7 @@ mod tests {
             requests_completed: 0,
             cold_starts: 0,
             latency: LatencyRecorder::new(),
-            requests: Vec::new(),
+            requests: Default::default(),
             local_mem,
             remote_mem,
             live_containers: live,

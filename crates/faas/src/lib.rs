@@ -66,7 +66,7 @@ pub use policy::{MemoryPolicy, NullPolicy, PolicyCtx};
 pub use rack::{NodeProfile, RackPlan, RackReport};
 pub use report::{
     ContainerRecord, DurabilityReport, FaultReport, FunctionSummary, FunctionWaste,
-    MemoryAnatomyReport, RequestRecord, RunReport, RunSummary,
+    MemoryAnatomyReport, RequestLog, RequestRecord, RunReport, RunSummary,
 };
 
 // Re-export so downstream crates can name functions without depending on

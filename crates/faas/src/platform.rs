@@ -20,7 +20,7 @@ use faasmem_workload::{AccessPlanner, BenchmarkSpec, FunctionId, InvocationTrace
 use crate::container::{touch_request, Container, ContainerId, ContainerStage};
 use crate::policy::{MemoryPolicy, NullPolicy, PolicyCtx};
 use crate::report::{
-    ContainerRecord, DurabilityReport, FaultReport, FunctionWaste, MemoryAnatomyReport,
+    ContainerRecord, DurabilityReport, FaultReport, FunctionWaste, MemoryAnatomyReport, RequestLog,
     RequestRecord, RunReport,
 };
 use crate::residency::{Residency, ResidencyLedger, Tally};
@@ -586,7 +586,7 @@ impl PlatformSim {
         self.seed(&setup, &mut queue);
         let mut arrivals = trace.iter().zip(0u32..).peekable();
         let mut clock = Clock::new();
-        let mut report = self.new_report(&setup);
+        let mut report = self.new_report();
         loop {
             let (at, event) = match arrivals.peek() {
                 Some(&(inv, req)) if queue.peek_time().is_none_or(|t| inv.at <= t) => {
@@ -714,13 +714,13 @@ impl PlatformSim {
     }
 
     /// A fresh, empty [`RunReport`] with the time-series zero anchors.
-    fn new_report(&self, setup: &RunSetup) -> RunReport {
+    fn new_report(&self) -> RunReport {
         let mut report = RunReport {
             policy: self.policy.name(),
             requests_completed: 0,
             cold_starts: 0,
             latency: faasmem_metrics::LatencyRecorder::new(),
-            requests: Vec::with_capacity(setup.trace.len()),
+            requests: RequestLog::new(),
             local_mem: faasmem_metrics::TimeSeries::new(),
             remote_mem: faasmem_metrics::TimeSeries::new(),
             live_containers: faasmem_metrics::TimeSeries::new(),
@@ -832,6 +832,12 @@ impl PlatformSim {
         self.record_memory(now, report);
         self.sample_due(now, report);
 
+        // The latency samples, in completion order, at exact capacity:
+        // the request log is the one per-request store during the run.
+        report.latency = faasmem_metrics::LatencyRecorder::with_capacity(report.requests.len());
+        for r in report.requests.iter() {
+            report.latency.record(r.latency);
+        }
         report.pool_stats = self.pool.stats();
         report.reuse_intervals = std::mem::take(&mut self.reuse_intervals);
         report.finished_at = now;
@@ -1675,7 +1681,6 @@ impl PlatformSim {
         if let Some(slo) = self.faults.as_mut().and_then(|fr| fr.slo.as_mut()) {
             slo.observe(latency);
         }
-        report.latency.record(latency);
         if let Some(acc) = &mut self.blame {
             // Conservation is structural: the breakdown holds the exact
             // addends (cold-start, pure exec, stalls) this latency is
@@ -1795,7 +1800,7 @@ mod tests {
         let c = &report.containers[0];
         assert_eq!(c.requests_served, 1);
         // Latency includes launch + init + exec.
-        let lat = report.requests[0].latency;
+        let lat = report.requests.iter().next().expect("one request").latency;
         assert!(lat >= spec().launch_time + spec().init_time);
         // Lifetime ≈ cold start + exec + keep-alive.
         assert!(c.lifetime() >= SimDuration::from_mins(10));
@@ -1808,7 +1813,7 @@ mod tests {
         assert_eq!(report.requests_completed, 2);
         assert_eq!(report.cold_starts, 1);
         assert_eq!(report.containers.len(), 1, "same container reused");
-        let warm = &report.requests[1];
+        let warm = report.requests.iter().nth(1).expect("two requests");
         assert!(!warm.cold);
         assert!(
             warm.latency < spec().launch_time,

@@ -1,10 +1,11 @@
 //! Run reports: everything the experiments measure.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use faasmem_mem::FlowMatrix;
 use faasmem_metrics::{
-    BlameReport, Cdf, DurabilityTracker, LatencyRecorder, LatencySummary, MetricsRegistry,
+    varint, BlameReport, Cdf, DurabilityTracker, LatencyRecorder, LatencySummary, MetricsRegistry,
     TimeSeries, WasteLedger, WasteReport,
 };
 use faasmem_pool::PoolStats;
@@ -24,6 +25,107 @@ pub struct RequestRecord {
     pub cold: bool,
     /// Remote faults taken during execution.
     pub faults: u32,
+}
+
+/// The per-request records of a run, in completion order, stored as a
+/// compact, lossless byte log (DESIGN § Data layout: run-long logs).
+///
+/// Each record is four LEB128 varints: the function id, the zigzag
+/// difference of its arrival from the previous record's (completion
+/// order is not arrival order, so the difference may be negative), the
+/// latency in µs, and `faults << 1 | cold`. A typical record takes about
+/// nine bytes instead of the 32 of a [`RequestRecord`].
+///
+/// # Examples
+///
+/// ```
+/// use faasmem_faas::{FunctionId, RequestLog, RequestRecord};
+/// use faasmem_sim::{SimDuration, SimTime};
+///
+/// let record = RequestRecord {
+///     function: FunctionId(3),
+///     arrived: SimTime::from_secs(5),
+///     latency: SimDuration::from_millis(12),
+///     cold: true,
+///     faults: 2,
+/// };
+/// let mut log = RequestLog::new();
+/// log.push(record);
+/// assert_eq!(log.len(), 1);
+/// assert_eq!(log.iter().next(), Some(record));
+/// ```
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct RequestLog {
+    bytes: Vec<u8>,
+    len: usize,
+    /// Arrival of the last pushed record: the base of the next delta.
+    last_arrived: u64,
+}
+
+impl RequestLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one record.
+    pub fn push(&mut self, record: RequestRecord) {
+        let arrived = record.arrived.as_micros();
+        let delta = i128::from(arrived) - i128::from(self.last_arrived);
+        self.last_arrived = arrived;
+        varint::put(&mut self.bytes, u128::from(record.function.0));
+        varint::put(&mut self.bytes, varint::zigzag(delta));
+        varint::put(&mut self.bytes, u128::from(record.latency.as_micros()));
+        varint::put(
+            &mut self.bytes,
+            u128::from(record.faults) << 1 | u128::from(record.cold),
+        );
+        self.len += 1;
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when no request has completed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Heap bytes the log holds, growth slack included.
+    pub fn allocated_bytes(&self) -> usize {
+        self.bytes.capacity()
+    }
+
+    /// The records in completion order, decoded in one forward pass.
+    pub fn iter(&self) -> impl Iterator<Item = RequestRecord> + '_ {
+        let (mut pos, mut arrived) = (0, 0i128);
+        std::iter::from_fn(move || {
+            if pos == self.bytes.len() {
+                return None;
+            }
+            let mut next = || varint::get(&self.bytes, &mut pos);
+            let function = FunctionId(next() as u32);
+            arrived += varint::unzigzag(next());
+            let latency = SimDuration::from_micros(next() as u64);
+            let flags = next();
+            Some(RequestRecord {
+                function,
+                arrived: SimTime::from_micros(arrived as u64),
+                latency,
+                cold: flags & 1 == 1,
+                faults: (flags >> 1) as u32,
+            })
+        })
+    }
+}
+
+/// Prints the decoded records, as a `Vec<RequestRecord>` would.
+impl fmt::Debug for RequestLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Per-container lifetime measurement, recorded at recycle time (or at
@@ -68,10 +170,11 @@ pub struct RunReport {
     pub requests_completed: usize,
     /// Requests that triggered a cold start.
     pub cold_starts: usize,
-    /// End-to-end latency samples over all requests.
+    /// End-to-end latency samples over all requests, in completion order
+    /// (filled from [`RunReport::requests`] when the run finishes).
     pub latency: LatencyRecorder,
     /// Per-request records in completion order.
-    pub requests: Vec<RequestRecord>,
+    pub requests: RequestLog,
     /// Node-wide local memory footprint over time (bytes).
     pub local_mem: TimeSeries,
     /// Node-wide remote (offloaded) memory over time (bytes).
@@ -184,7 +287,7 @@ impl RunReport {
     pub fn per_function_summaries(&self) -> Vec<FunctionSummary> {
         let mut by_function: HashMap<FunctionId, (LatencyRecorder, usize, usize, u64)> =
             HashMap::new();
-        for r in &self.requests {
+        for r in self.requests.iter() {
             let entry = by_function.entry(r.function).or_default();
             entry.0.record(r.latency);
             entry.1 += 1;
@@ -441,7 +544,7 @@ mod tests {
             requests_completed: 0,
             cold_starts: 0,
             latency: LatencyRecorder::new(),
-            requests: Vec::new(),
+            requests: RequestLog::new(),
             local_mem: TimeSeries::new(),
             remote_mem: TimeSeries::new(),
             live_containers: TimeSeries::new(),
@@ -517,6 +620,81 @@ mod tests {
         assert_eq!(summaries[1].cold_starts, 1);
         assert_eq!(summaries[1].faults, 7);
         assert_eq!(summaries[1].latency.p50, SimDuration::from_millis(10));
+    }
+
+    /// A `u64` draw that hits both ends of the range often (truncated to
+    /// `u32`, the ends stay 0 and `u32::MAX`).
+    fn extreme(pick: u8, raw: u64) -> u64 {
+        match pick % 4 {
+            0 => 0,
+            1 => u64::MAX,
+            2 => raw % 1_000,
+            _ => raw,
+        }
+    }
+
+    /// One record's draws: a picks word (two bits per field choosing
+    /// zero, the maximum, a small or an arbitrary value, and one bit for
+    /// `cold`) and a raw value per field.
+    type RawRecord = (u32, (u64, u64, u64, u64));
+
+    /// Pushes records with arbitrary (non-monotone) arrivals, function ids
+    /// and fault counts up to `u32::MAX` and latencies up to `u64::MAX`
+    /// µs, and checks that the log hands every one back unchanged.
+    fn round_trip(raw: &[RawRecord]) {
+        let records: Vec<RequestRecord> = raw
+            .iter()
+            .map(|&(picks, (f, a, l, q))| {
+                let pick = |i: u32| (picks >> (2 * i)) as u8;
+                RequestRecord {
+                    function: FunctionId(extreme(pick(0), f) as u32),
+                    arrived: SimTime::from_micros(extreme(pick(1), a)),
+                    latency: SimDuration::from_micros(extreme(pick(2), l)),
+                    cold: picks >> 8 & 1 == 1,
+                    faults: extreme(pick(3), q) as u32,
+                }
+            })
+            .collect();
+        let mut log = RequestLog::new();
+        let mut half = None;
+        for (i, &r) in records.iter().enumerate() {
+            log.push(r);
+            if i == records.len() / 2 {
+                half = Some(log.clone());
+            }
+        }
+        assert_eq!(log.len(), records.len());
+        assert_eq!(log.is_empty(), records.is_empty());
+        assert_eq!(log.iter().collect::<Vec<_>>(), records);
+        assert_eq!(format!("{log:?}"), format!("{records:?}"));
+        assert_eq!(log, log.clone());
+        if let Some(half) = half {
+            assert_eq!(log == half, records.len() == half.len());
+        }
+    }
+
+    fn raw_records(max_len: usize) -> impl proptest::strategy::Strategy<Value = Vec<RawRecord>> {
+        let raw = || 0u64..u64::MAX;
+        proptest::collection::vec((0u32..1 << 9, (raw(), raw(), raw(), raw())), 0..max_len)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_request_log_round_trips(raw in raw_records(80)) {
+            round_trip(&raw);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// The long run of the round trip above, run explicitly by CI
+        /// (`cargo test -p faasmem-faas --release --lib -- --ignored`).
+        #[test]
+        #[ignore = "long oracle run; exercised explicitly by the CI test job"]
+        fn run_log_oracle_extended_requests(raw in raw_records(300)) {
+            round_trip(&raw);
+        }
     }
 
     #[test]

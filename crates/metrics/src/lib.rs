@@ -11,7 +11,8 @@
 //! * [`LatencyRecorder`] — collects samples and answers percentile queries.
 //! * [`Cdf`] — an empirical CDF with quantile and fraction-below queries.
 //! * [`TimeSeries`] — a step function of a value over simulated time with
-//!   time-weighted averaging, used for memory-usage timelines.
+//!   time-weighted averaging, used for memory-usage timelines and stored
+//!   as a delta-varint byte log ([`varint`]).
 //!
 //! # Examples
 //!
@@ -31,9 +32,12 @@ pub mod blame;
 pub mod cdf;
 pub mod durability;
 pub mod latency;
+#[cfg(test)]
+mod reference;
 pub mod registry;
 pub mod slo;
 pub mod timeseries;
+pub mod varint;
 pub mod waste;
 
 pub use blame::{

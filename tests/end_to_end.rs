@@ -287,3 +287,42 @@ fn chaos_grid() -> ExperimentGrid {
         .configs([ConfigCase::default_case(), ConfigCase::new("chaos", chaos)])
         .policy_kinds([PolicyKind::Baseline, PolicyKind::FaasMem])
 }
+
+/// The run-long logs' byte budget on fig12's high-load shape: every
+/// catalog benchmark alone under FaaSMem on the bursty hour. Growth
+/// slack counts (`allocated_bytes` is capacity). The retired layouts
+/// held at least 16 B per series point (`Vec<(SimTime, f64)>`) and 32 B
+/// per request (`Vec<RequestRecord>`); the delta-varint logs must stay
+/// well under both.
+#[test]
+fn run_logs_stay_within_their_byte_budget() {
+    let (mut points, mut series_bytes, mut requests, mut request_bytes) = (0, 0, 0, 0);
+    for spec in BenchmarkSpec::catalog() {
+        let trace = TraceSynthesizer::new(12_001 ^ spec.name.len() as u64)
+            .load_class(LoadClass::High)
+            .bursty(true)
+            .duration(SimTime::from_mins(60))
+            .synthesize_for(FunctionId(0));
+        let report = run_policy_on(&spec, &trace, "FaaSMem");
+        for series in [
+            &report.local_mem,
+            &report.remote_mem,
+            &report.live_containers,
+        ] {
+            points += series.len();
+            series_bytes += series.allocated_bytes();
+        }
+        requests += report.requests.len();
+        request_bytes += report.requests.allocated_bytes();
+    }
+    let per_point = series_bytes as f64 / points as f64;
+    let per_request = request_bytes as f64 / requests as f64;
+    assert!(
+        per_point <= 12.0,
+        "{per_point:.2} B per series point ({points} points)"
+    );
+    assert!(
+        per_request <= 16.0,
+        "{per_request:.2} B per request ({requests} requests)"
+    );
+}

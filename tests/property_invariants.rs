@@ -115,7 +115,7 @@ proptest! {
         let spec = BenchmarkSpec::by_name("json").unwrap();
         let exec = spec.exec_time;
         let report = run_boxed(spec, policy_for(policy_idx), &trace, seed);
-        for r in &report.requests {
+        for r in report.requests.iter() {
             // Latency at least ~the jittered compute time (jitter sigma
             // 0.05 means > 0.7x is astronomically safe).
             prop_assert!(r.latency >= exec.mul_f64(0.7), "latency {} < exec", r.latency);
