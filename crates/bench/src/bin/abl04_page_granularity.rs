@@ -61,33 +61,24 @@ fn main() {
             &label(kib),
             PolicyKind::Baseline.name(),
         );
-        let fm_cell = run.cell(
+        let fm = run.outcome(
             "high-30min",
             "bert",
             &label(kib),
             PolicyKind::FaasMem.name(),
         );
-        let fm = fm_cell.outcome.as_ref().expect("FaaSMem cell ran");
         let saving = 1.0 - fm.summary.avg_local_mib / base.summary.avg_local_mib.max(1e-9);
         rows.push(vec![
             label(kib),
             format!("{:.1}%", saving * 100.0),
             fmt_secs(fm.summary.latency.p95.as_secs_f64()),
-            format!("{:.0} ms", fm_cell.wall_secs * 1000.0),
         ]);
     }
     println!(
         "{}",
-        render_table(
-            &[
-                "page size",
-                "FaaSMem mem saving",
-                "FaaSMem P95",
-                "FaaSMem cell wall-clock"
-            ],
-            &rows
-        )
+        render_table(&["page size", "FaaSMem mem saving", "FaaSMem P95"], &rows)
     );
     println!("Shape: savings stay within a few points across granularities while");
-    println!("simulation cost grows as pages shrink; 64 KiB is the default compromise.");
+    println!("simulation cost grows as pages shrink (per-cell wall-clock in");
+    println!("abl04_page_granularity.timing.json); 64 KiB is the default compromise.");
 }

@@ -9,47 +9,64 @@
 //! ```text
 //! cargo run --release -p faasmem-bench --bin runall [output-dir] [--quick] [--jobs N]
 //! ```
+//!
+//! The tracked `results/` is exactly the output of a full run (no
+//! `--quick`) minus the wall-clock files (`*.timing.*`), and it is the
+//! same for every `--jobs`, so `diff -r -x '*.timing.*' OUT results`
+//! checks a fresh run against it.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Instant;
 
+/// What an experiment's stdout holds, which decides the file runall
+/// captures it in.
+#[derive(Clone, Copy)]
+enum Stdout {
+    /// A deterministic table: `<name>.txt`, tracked in `results/`.
+    Table,
+    /// Wall-clock measurements no run reproduces: `<name>.timing.txt`,
+    /// ignored like the harness's `<grid>.timing.json`.
+    WallClock,
+}
+use Stdout::{Table, WallClock};
+
 /// Every experiment in evaluation order.
-const EXPERIMENTS: &[&str] = &[
-    "fig01_keepalive_sweep",
-    "fig02_damon_p95",
-    "fig03_memory_layout",
-    "fig04_runtime_inactive",
-    "fig05_requests_per_container",
-    "fig06_bert_scan",
-    "fig08_runtime_recalls",
-    "fig09_web_scan",
-    "fig10_rollback_demo",
-    "fig11_reuse_cdf",
-    "fig12_main_eval",
-    "tab01_diverse_traces",
-    "fig13_ablation",
-    "fig14_semiwarm_applicability",
-    "fig15_overhead",
-    "fig16_density",
-    "disc01_pool_technologies",
-    "disc02_hardware_sampling",
-    "disc03_memory_sharing",
-    "disc04_rack_provisioning",
-    "disc05_keepalive_policies",
-    "disc06_load_imbalance",
-    "disc07_fault_tolerance",
-    "disc08_durability",
-    "disc09_tail_blame",
-    "disc10_memory_anatomy",
-    "ext01_coldstart_aware",
-    "ext02_recall_prefetch",
-    "abl01_window_policy",
-    "abl02_semiwarm_percentile",
-    "abl03_rollback_interval",
-    "abl04_page_granularity",
-    "abl05_offload_rate",
+const EXPERIMENTS: &[(&str, Stdout)] = &[
+    ("fig01_keepalive_sweep", Table),
+    ("fig02_damon_p95", Table),
+    ("fig03_memory_layout", Table),
+    ("fig04_runtime_inactive", Table),
+    ("fig05_requests_per_container", Table),
+    ("fig06_bert_scan", Table),
+    ("fig08_runtime_recalls", Table),
+    ("fig09_web_scan", Table),
+    ("fig10_rollback_demo", Table),
+    ("fig11_reuse_cdf", Table),
+    ("fig12_main_eval", Table),
+    ("tab01_diverse_traces", Table),
+    ("fig13_ablation", Table),
+    ("fig14_semiwarm_applicability", Table),
+    ("fig15_overhead", WallClock),
+    ("fig16_density", Table),
+    ("disc01_pool_technologies", Table),
+    ("disc02_hardware_sampling", Table),
+    ("disc03_memory_sharing", Table),
+    ("disc04_rack_provisioning", Table),
+    ("disc05_keepalive_policies", Table),
+    ("disc06_load_imbalance", Table),
+    ("disc07_fault_tolerance", Table),
+    ("disc08_durability", Table),
+    ("disc09_tail_blame", Table),
+    ("disc10_memory_anatomy", Table),
+    ("ext01_coldstart_aware", Table),
+    ("ext02_recall_prefetch", Table),
+    ("abl01_window_policy", Table),
+    ("abl02_semiwarm_percentile", Table),
+    ("abl03_rollback_interval", Table),
+    ("abl04_page_granularity", Table),
+    ("abl05_offload_rate", Table),
 ];
 
 fn main() {
@@ -83,12 +100,15 @@ fn main() {
     let bin_dir = self_exe.parent().expect("bin dir");
 
     let mut failures = 0;
-    for name in EXPERIMENTS {
+    for &(name, stdout) in EXPERIMENTS {
         let start = Instant::now();
         let output = Command::new(bin_dir.join(name)).args(&forwarded).output();
         match output {
             Ok(out) if out.status.success() => {
-                let path = out_dir.join(format!("{name}.txt"));
+                let path = match stdout {
+                    Table => out_dir.join(format!("{name}.txt")),
+                    WallClock => out_dir.join(format!("{name}.timing.txt")),
+                };
                 fs::write(&path, &out.stdout).expect("write result");
                 println!(
                     "{name:<32} ok  ({:>5} ms)  -> {}",

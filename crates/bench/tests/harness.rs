@@ -570,7 +570,7 @@ fn series_json_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn enabling_series_does_not_change_the_main_document() {
+fn enabling_series_or_tracing_does_not_change_the_main_document() {
     let grid = sample_grid();
     let plain = run_grid(&grid, &quick_opts(2)).to_json().to_pretty();
     let sampled_opts = HarnessOptions {
@@ -582,6 +582,13 @@ fn enabling_series_does_not_change_the_main_document() {
     assert_eq!(
         sampled, plain,
         "sampling must never perturb the deterministic results"
+    );
+    let traced = run_grid(&grid, &traced_opts(2));
+    assert!(!traced.trace_jsonl().is_empty(), "the traced run recorded");
+    assert_eq!(
+        traced.to_json().to_pretty(),
+        plain,
+        "tracing must never perturb the deterministic results"
     );
 }
 
