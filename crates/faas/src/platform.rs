@@ -763,10 +763,14 @@ impl PlatformSim {
         self.anatomy_advance(now);
         if let Some(fr) = &mut self.faults {
             // Graceful degradation: while the breaker holds the pool
-            // unhealthy, policies refuse new offloads and the
-            // platform leans on local-memory keep-alive.
+            // unhealthy, or once every pool node is dead (nowhere left
+            // to place anything, for the rest of the run), policies
+            // refuse new offloads and the platform leans on
+            // local-memory keep-alive. This is the one writer of the
+            // suspension.
             let open = fr.breaker.is_open(now);
-            self.pool.set_offloads_suspended(open);
+            let fabric_dead = self.fabric.as_ref().is_some_and(PoolFabric::all_nodes_down);
+            self.pool.set_offloads_suspended(open || fabric_dead);
             // The pool traces the open transition at trip time; the
             // close is only observable here, when the cooldown lapses.
             if fr.breaker_open_prev && !open {
@@ -1068,11 +1072,6 @@ impl PlatformSim {
             return;
         };
         let outcome = fabric.node_down(now, node);
-        if fabric.all_nodes_down() {
-            // Nowhere left to place anything: hold offloads down for the
-            // rest of the run.
-            self.pool.set_offloads_suspended(true);
-        }
         let mut lost_bytes = 0u64;
         let mut victims = 0u64;
         for &(owner, bytes) in &outcome.lost {
@@ -2127,6 +2126,51 @@ mod tests {
         assert!(d.tracker.bytes_lost > 0);
         assert_eq!(d.tracker.avoided_cold_rebuilds, 0);
         assert_eq!(r.cold_starts, 2);
+    }
+
+    #[test]
+    fn offloads_stay_suspended_after_the_last_pool_node_dies() {
+        use faasmem_telemetry::{SampleSpec, SeriesMask};
+        // The only pool node dies at t=60: nowhere is left to place a
+        // page, so offloading must stay suspended to the end of the run,
+        // however many events pass while the breaker stays closed.
+        let loss = SimTime::from_secs(60);
+        let plan = FaultPlan {
+            pool_node_losses: vec![faasmem_sim::faults::PoolNodeLossEvent { at: loss, node: 0 }],
+            ..FaultPlan::empty()
+        };
+        let sampler = Sampler::recording(SampleSpec {
+            interval: SimDuration::from_secs(30),
+            select: SeriesMask::only(SeriesGroup::Pool),
+        });
+        let mut s = PlatformSim::builder()
+            .register_function(spec())
+            .policy(OffloadInitPolicy)
+            .seed(5)
+            .sampler(sampler.clone())
+            .faults(FaultConfig {
+                plan_override: Some(plan),
+                ..FaultConfig::default()
+            })
+            .build();
+        let r = s.run(&one_function_trace(&[10, 120, 300]));
+        let ts = sampler.take_series();
+        let suspended = ts.column("pool.offloads_suspended").expect("pool gauge");
+        let after: Vec<f64> = ts
+            .ticks()
+            .iter()
+            .zip(suspended)
+            .filter(|&(&t, _)| t > loss.as_micros())
+            .map(|(_, &v)| v)
+            .collect();
+        assert!(after.len() > 10, "the run outlives the loss by minutes");
+        assert!(after.iter().all(|&v| v == 1.0), "{after:?}");
+        let f = r.faults.unwrap();
+        // Both later requests' init offloads are refused, so only the
+        // idle holder caught by the loss is rebuilt cold.
+        assert_eq!(f.offloads_refused, 2);
+        assert_eq!(f.forced_cold_restarts, 1);
+        assert_eq!(r.requests_completed, 3);
     }
 
     #[test]
