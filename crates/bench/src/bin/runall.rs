@@ -13,12 +13,15 @@
 //! The tracked `results/` is exactly the output of a full run (no
 //! `--quick`) minus the wall-clock files (`*.timing.*`), and it is the
 //! same for every `--jobs`, so `diff -r -x '*.timing.*' OUT results`
-//! checks a fresh run against it.
+//! checks a fresh run against it. A `--quick` run into `results/`
+//! exits 2 before any experiment runs: it would overwrite that tree.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Instant;
+
+use faasmem_bench::harness::quick_out_problem;
 
 /// What an experiment's stdout holds, which decides the file runall
 /// captures it in.
@@ -85,6 +88,11 @@ fn main() {
         } else {
             out_dir = PathBuf::from(arg);
         }
+    }
+    let quick = forwarded.iter().any(|a| a == "--quick");
+    if let Some(problem) = quick_out_problem(quick, &out_dir) {
+        eprintln!("runall: {problem}");
+        std::process::exit(2);
     }
     fs::create_dir_all(&out_dir).expect("create output dir");
     // Point the harness binaries' JSON exports at the same directory as

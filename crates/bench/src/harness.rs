@@ -17,7 +17,7 @@
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -1472,17 +1472,34 @@ pub fn validate_grid(grid: &ExperimentGrid) -> Vec<String> {
     problems
 }
 
+/// The problem with writing a `--quick` run's output to `out_dir`, if
+/// any. `results/` (relative, as the harness default and `runall` name
+/// it) tracks full-mode output, which a quick run would overwrite.
+pub fn quick_out_problem(quick: bool, out_dir: &Path) -> Option<String> {
+    let is_results = out_dir
+        .components()
+        .filter(|c| *c != Component::CurDir)
+        .eq([Component::Normal("results".as_ref())]);
+    (quick && is_results).then(|| {
+        format!(
+            "--quick would overwrite the tracked full-mode files in {}; pass --out DIR",
+            out_dir.display()
+        )
+    })
+}
+
 /// Convenience wrapper: validate the grid's configurations, run, export
 /// JSON under `opts.out_dir`, print the timing line. A misconfigured
-/// grid exits with status 2 before any cell runs — a driver with a
-/// nonsensical config should fail loudly, not simulate garbage. IO
-/// errors only warn — experiment output on stdout is more important
-/// than the export.
+/// grid, or a `--quick` run aimed at `results/`, exits with status 2
+/// before any cell runs — a driver with a nonsensical config should
+/// fail loudly, not simulate garbage. IO errors only warn — experiment
+/// output on stdout is more important than the export.
 pub fn run_and_export(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
     let mut problems = validate_grid(grid);
     if let Some(spec) = opts.sample_spec() {
         problems.extend(spec.validate());
     }
+    problems.extend(quick_out_problem(opts.quick, &opts.out_dir));
     if !problems.is_empty() {
         for p in &problems {
             eprintln!("[harness] grid {}: {p}", grid.name);

@@ -1,5 +1,5 @@
 //! `BENCH_*.json` perf baselines: the one writer the micro-benchmark
-//! bins (`bench_mem`, `bench_queue`, `bench_cluster`) record their
+//! bins (`bench_mem`, `bench_cluster`) record their
 //! phases into, and the comparison behind the `bench_compare` bin.
 //!
 //! A BENCH document ([`BenchRecorder::bench_json`]) records a run's

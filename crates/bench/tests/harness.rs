@@ -2,9 +2,12 @@
 //! fan-out (the merged document is a pure function of the grid, for any
 //! `--jobs`), grid edge cases, panic isolation, and option parsing.
 
+use std::path::Path;
+use std::process::Command;
+
 use faasmem_bench::harness::{
-    run_grid, validate_grid, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec,
-    SeedMix, TraceSpec, DEFAULT_CONFIG,
+    quick_out_problem, run_grid, validate_grid, BenchCase, ConfigCase, ExperimentGrid,
+    HarnessOptions, PolicySpec, SeedMix, TraceSpec, DEFAULT_CONFIG,
 };
 use faasmem_bench::{json, PolicyKind};
 use faasmem_core::FaasMemPolicy;
@@ -185,6 +188,43 @@ fn panicking_cell_is_captured_while_others_complete() {
         .filter_map(|c| c.get("status").and_then(|s| s.as_str()))
         .collect();
     assert_eq!(statuses, ["ok", "panicked", "ok"]);
+}
+
+#[test]
+fn quick_runs_refuse_the_tracked_results_directory() {
+    for dir in ["results", "./results", "results/"] {
+        assert!(quick_out_problem(true, Path::new(dir)).is_some(), "{dir}");
+        assert_eq!(quick_out_problem(false, Path::new(dir)), None, "{dir}");
+    }
+    for dir in ["out", "out/results", "results-quick"] {
+        assert_eq!(quick_out_problem(true, Path::new(dir)), None, "{dir}");
+    }
+
+    // From an empty directory, a quick run that would write `results/`
+    // exits 2 and leaves the directory empty: a harness bin with its
+    // default `--out`, and runall with its default or a named
+    // `results` output directory.
+    let cwd = std::env::temp_dir().join(format!("faasmem-quick-refusal-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("create scratch directory");
+    let runs: [(&str, &[&str]); 3] = [
+        (env!("CARGO_BIN_EXE_disc07_fault_tolerance"), &["--quick"]),
+        (env!("CARGO_BIN_EXE_runall"), &["--quick"]),
+        (
+            env!("CARGO_BIN_EXE_runall"),
+            &["--jobs", "1", "results", "--quick"],
+        ),
+    ];
+    for (bin, args) in runs {
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("run binary");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        let left: Vec<_> = std::fs::read_dir(&cwd).expect("list").collect();
+        assert!(left.is_empty(), "{bin} {args:?} wrote {left:?}");
+    }
+    std::fs::remove_dir_all(&cwd).expect("remove scratch directory");
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //! The FaaSMem paper evaluates a kernel mechanism on a two-node InfiniBand
 //! cluster. This crate provides the substrate for reproducing those
 //! experiments in software: a microsecond-resolution simulated clock
-//! ([`SimTime`]), a deterministic event queue ([`EventQueue`]) with stable
-//! FIFO tie-breaking, and a seedable random-number layer ([`SimRng`]) so
-//! every experiment regenerates byte-identically.
+//! ([`SimTime`]), a deterministic binary-heap event queue ([`EventQueue`])
+//! with stable FIFO tie-breaking, and a seedable random-number layer
+//! ([`SimRng`]) so every experiment regenerates byte-identically.
 //!
 //! # Examples
 //!
@@ -25,7 +25,6 @@
 pub mod clock;
 pub mod faults;
 pub mod queue;
-pub mod reference;
 pub mod rng;
 pub mod time;
 
@@ -33,7 +32,6 @@ pub use clock::Clock;
 pub use faults::{
     CrashEvent, FaultPlan, FaultSpec, LinkSchedule, LinkWindow, NodeLossEvent, PoolNodeLossEvent,
 };
-pub use queue::{EventQueue, ScheduledEvent};
-pub use reference::ReferenceEventQueue;
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

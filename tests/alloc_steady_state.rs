@@ -1,15 +1,11 @@
 //! Zero steady-state allocation on the event and page-table hot paths.
 //!
-//! The calendar queue keeps every event in one slot arena whose drained
-//! blocks are recycled through a free list, and its drain buffer,
-//! overflow tier and bucket ring are run-long buffers. So once a
-//! workload has reached its high-water of pending events, a
-//! pop-one/push-one churn and a grouped push/drain cycle must perform
-//! **zero** heap allocations. A
-//! counting global allocator measures exactly that: warm the structure
-//! through several full cycles at the identical operation mix, switch
-//! the counter on, run the same mix again, and assert the count stayed
-//! at zero.
+//! The event queue's binary heap keeps its capacity, so once a workload
+//! has reached its high-water of pending events, a pop-one/push-one
+//! churn must perform **zero** heap allocations. A counting global
+//! allocator measures exactly that: warm the structure through several
+//! full cycles at the identical operation mix, switch the counter on,
+//! run the same mix again, and assert the count stayed at zero.
 //!
 //! A container's page table needs no warmup at all: it is reserved for
 //! the spec's runtime + init + execution pages when the container is
@@ -240,37 +236,17 @@ impl Node {
 
 #[test]
 fn event_hot_path_allocates_nothing_at_steady_state() {
-    // -- Serial calendar queue under hold churn --------------------
+    // -- Event queue under hold churn ------------------------------
     let mut q: EventQueue<u64> = EventQueue::with_capacity(1024);
     for i in 0..1024u64 {
         q.push(SimTime::from_micros(i * 50), i);
     }
-    // Warm through several ring laps and any self-tuning re-layouts.
+    // Warm at the identical operation mix.
     queue_churn(&mut q, 50_000);
     let (allocs, _) = allocations_during(|| queue_churn(&mut q, 50_000));
     assert_eq!(
         allocs, 0,
         "steady-state EventQueue churn must not allocate (got {allocs} allocations over 50k ops)"
-    );
-
-    // -- Grouped same-instant delivery ------------------------------
-    // Group moves land in arena blocks the warmup freed; the steady
-    // loop recycles them.
-    fn group_churn(gq: &mut EventQueue<u64>, rounds: usize) {
-        for r in 0..rounds {
-            let at = SimTime::from_micros(r as u64 * 300);
-            gq.push_at_many(at, 0u64..64);
-            for _ in 0..64 {
-                gq.pop().expect("just pushed");
-            }
-        }
-    }
-    let mut gq: EventQueue<u64> = EventQueue::with_capacity(1024);
-    group_churn(&mut gq, 2_000);
-    let (allocs, _) = allocations_during(|| group_churn(&mut gq, 2_000));
-    assert_eq!(
-        allocs, 0,
-        "steady-state grouped push/drain must not allocate (got {allocs} allocations)"
     );
 
     // -- Page-table lifecycle at spec-derived capacity --------------

@@ -159,51 +159,6 @@ proptest! {
     }
 
     #[test]
-    fn prop_push_at_many_groups_straddling_a_drain_stay_fifo(
-        first in proptest::collection::vec(0u32..100, 1..12),
-        second in proptest::collection::vec(100u32..200, 1..12),
-        drained in 0usize..12,
-        at_us in 1u64..1_000,
-    ) {
-        // Regression: two same-instant groups pushed around a partial
-        // drain must interleave exactly like individual pushes — the
-        // batch path shares the queue's seq counter, so later batches
-        // sort after survivors of earlier ones at the same instant.
-        use faasmem::sim::EventQueue;
-        let at = SimTime::from_micros(at_us);
-        let mut batched: EventQueue<u32> = EventQueue::new();
-        let mut individual: EventQueue<u32> = EventQueue::new();
-        batched.push_at_many(at, first.iter().copied());
-        for &e in &first {
-            individual.push(at, e);
-        }
-        // Drain part of the first group, leaving survivors in the heap.
-        let drained = drained.min(first.len());
-        for _ in 0..drained {
-            prop_assert_eq!(batched.pop(), individual.pop());
-        }
-        // The second same-instant group straddles that drain.
-        batched.push_at_many(at, second.iter().copied());
-        for &e in &second {
-            individual.push(at, e);
-        }
-        let mut batched_order = Vec::new();
-        while let Some(popped) = batched.pop() {
-            prop_assert_eq!(Some(popped), individual.pop());
-            batched_order.push(popped.1);
-        }
-        prop_assert!(individual.is_empty());
-        // FIFO across the straddle: first-group survivors, then the
-        // whole second group, each in push order.
-        let expected: Vec<u32> = first[drained..]
-            .iter()
-            .chain(second.iter())
-            .copied()
-            .collect();
-        prop_assert_eq!(batched_order, expected);
-    }
-
-    #[test]
     fn prop_offload_never_exceeds_allocated(
         trace in arbitrary_trace(),
         seed in 0u64..100,
