@@ -23,7 +23,9 @@ use crate::varint;
 /// byte and page counts always are) or the value's raw eight bytes
 /// (`tag = 1`: fractions, −0.0, NaN, ±inf). The last point stays
 /// decoded, so same-instant overwrites and equal-value coalescing work in
-/// place. Readers decode in one forward pass.
+/// place. Readers decode in one forward pass, except `integral` and
+/// `time_weighted_mean` at or after the tail, which read a running
+/// integral kept as points are encoded.
 ///
 /// # Examples
 ///
@@ -49,6 +51,9 @@ pub struct TimeSeries {
     encoded_at: u64,
     /// The last integer-encoded value: the base of the next value delta.
     encoded_int: i64,
+    /// Integral up to the tail: each encoded point's value times the gap
+    /// to the next point, added in point order as the point is encoded.
+    closed_integral: f64,
 }
 
 impl TimeSeries {
@@ -76,6 +81,7 @@ impl TimeSeries {
                 return; // coalesce
             }
             let (t, v) = (*last_t, *last_v);
+            self.closed_integral += v * at.saturating_since(t).as_secs_f64();
             self.encode(t, v);
         }
         self.tail = Some((at, value));
@@ -134,8 +140,18 @@ impl TimeSeries {
 
     /// Integral of the series from the first record to `until`
     /// (value × seconds). `None` if the series is empty or `until`
-    /// precedes the first record.
+    /// precedes the first record. O(1) at or after the last change, a
+    /// forward decode before it; both add the same products in the same
+    /// order, so the sums agree bit for bit.
     pub fn integral(&self, until: SimTime) -> Option<f64> {
+        let (last_t, last_v) = self.tail?;
+        if until >= last_t {
+            let mut total = self.closed_integral;
+            if until > last_t {
+                total += last_v * until.saturating_since(last_t).as_secs_f64();
+            }
+            return Some(total);
+        }
         let mut points = self.iter();
         let (mut t0, mut v0) = points.next()?;
         if until < t0 {
@@ -158,7 +174,8 @@ impl TimeSeries {
     }
 
     /// Time-weighted mean from the first record to `until`. `None` if the
-    /// series is empty or the window has zero width.
+    /// series is empty or the window has zero width. O(1) at or after the
+    /// last change, like [`integral`](TimeSeries::integral).
     pub fn time_weighted_mean(&self, until: SimTime) -> Option<f64> {
         let (first, _) = self.iter().next()?;
         let span = until.checked_since(first)?;
@@ -316,6 +333,28 @@ mod tests {
         assert_eq!(ts.integral(s(4)), Some(20.0));
         assert_eq!(ts.integral(s(10)), Some(50.0));
         assert_eq!(ts.integral(s(20)), Some(50.0));
+    }
+
+    #[test]
+    fn running_integral_matches_the_forward_sum_bit_for_bit() {
+        // A thousand fractional values at uneven gaps: any change to the
+        // products or to the order they are added shows in the low bits.
+        let mut ts = TimeSeries::new();
+        let mut reference = ReferenceTimeSeries::new();
+        for i in 0..1_000u64 {
+            let at = SimTime::from_micros(i * 1_234_567 + i * i % 997);
+            let value = (i * 7_919 % 1_000) as f64 / 7.0;
+            ts.record(at, value);
+            reference.record(at, value);
+        }
+        let tail = ts.iter().last().expect("recorded").0;
+        for until in [tail, tail + SimDuration::from_micros(333), SimTime::MAX] {
+            assert_eq!(
+                ts.integral(until).map(f64::to_bits),
+                reference.integral(until).map(f64::to_bits),
+                "integral {until:?}"
+            );
+        }
     }
 
     #[test]
@@ -569,6 +608,20 @@ mod tests {
         }
         assert_eq!(compact == compact.clone(), reference == reference.clone());
         if let Some((half, reference_half)) = prefix {
+            // The probes lie before, at and after the half series' tail:
+            // the running integral and the forward decode must agree.
+            for &t in &probes {
+                assert_eq!(
+                    result_bits(half.integral(t)),
+                    result_bits(reference_half.integral(t)),
+                    "half integral {t:?}"
+                );
+                assert_eq!(
+                    result_bits(half.time_weighted_mean(t)),
+                    result_bits(reference_half.time_weighted_mean(t)),
+                    "half time_weighted_mean {t:?}"
+                );
+            }
             assert_eq!(compact == half, reference == reference_half);
             assert_eq!(
                 half == half.clone(),

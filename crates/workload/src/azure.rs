@@ -180,8 +180,8 @@ impl BurstState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceSynthesizer {
-    seed: u64,
-    duration: SimTime,
+    pub(crate) seed: u64,
+    pub(crate) duration: SimTime,
     load_class: LoadClass,
     bursty: bool,
     explicit_model: Option<ArrivalModel>,
@@ -247,30 +247,37 @@ impl TraceSynthesizer {
         }
     }
 
-    /// Synthesizes a trace for one function.
+    /// Synthesizes a trace for one function, at exactly its length.
     pub fn synthesize_for(&self, function: FunctionId) -> InvocationTrace {
         let mut rng = SimRng::seed_from(
             self.seed ^ (u64::from(function.0)).wrapping_mul(0xD1B5_4A32_D192_ED03),
         );
         let model = self.model_for(&mut rng);
-        self.generate(function, model, &mut rng)
+        let mut arrivals = Vec::new();
+        self.generate(function, model, &mut rng, &mut arrivals);
+        // Copied out at exact size rather than shrunk in place: the
+        // growth buffer is then freed whole for the next synthesis to
+        // reuse, where an in-place shrink strands its split-off tail
+        // between live traces (DESIGN § Data layout: traces).
+        InvocationTrace::from_sorted(arrivals.to_vec(), self.duration)
     }
 
-    fn generate(
+    /// Appends one function's arrivals over the horizon to `out`. They
+    /// are in firing order by construction: every gap is non-negative.
+    pub(crate) fn generate(
         &self,
         function: FunctionId,
         model: ArrivalModel,
         rng: &mut SimRng,
-    ) -> InvocationTrace {
-        let mut invocations = Vec::new();
+        out: &mut Vec<Invocation>,
+    ) {
         let mut state = BurstState::new();
         // Random phase so clustered functions don't all fire at t=0.
         let mut t = SimTime::ZERO + model.next_gap(rng, &mut state);
         while t <= self.duration {
-            invocations.push(Invocation { at: t, function });
+            out.push(Invocation { at: t, function });
             t += model.next_gap(rng, &mut state);
         }
-        InvocationTrace::from_invocations(invocations, self.duration)
     }
 
     /// Synthesizes a whole cluster: `functions` functions with log-uniform
@@ -281,67 +288,79 @@ impl TraceSynthesizer {
         &self,
         functions: u32,
     ) -> (InvocationTrace, Vec<(FunctionId, LoadClass)>) {
-        let mut merged: Vec<Invocation> = Vec::new();
+        let mut invocations = Vec::new();
         let mut classes = Vec::with_capacity(functions as usize);
         let mut seed_rng = SimRng::seed_from(self.seed);
         for f in 0..functions {
             let function = FunctionId(f);
-            let mut rng = seed_rng.fork(u64::from(f) + 1);
-            // Log-uniform daily rate in [2, 8192].
-            let log_rate = rng.next_f64() * (8192.0f64 / 2.0).ln() + 2.0f64.ln();
-            let per_day = log_rate.exp();
-            let class = LoadClass::classify(per_day);
-            let mean_gap = SimDuration::from_secs_f64(86_400.0 / per_day);
-            // Burstiness correlates with load in the Azure trace: §8.4
-            // attributes the semi-warm benefit of high-load functions to
-            // short-term surges that strand containers, while middle-load
-            // functions "tend to have a stable invocation pattern".
-            let bursty_prob = match class {
-                LoadClass::High => 0.75,
-                LoadClass::Middle => 0.15,
-                LoadClass::Low => 0.35,
-            };
-            let model = if rng.chance(bursty_prob) {
-                if class == LoadClass::High {
-                    // High-load surges: dense in-burst arrivals (so the
-                    // observed reuse intervals — and hence the semi-warm
-                    // start timing — stay short), separated by silences
-                    // longer than any keep-alive, which strand the
-                    // scale-out containers (§8.4).
-                    ArrivalModel::Bursty {
-                        idle_gap: (mean_gap * 6).max(SimDuration::from_mins(20)),
-                        burst_gap: (mean_gap / 15).max(SimDuration::from_millis(100)),
-                        idle_period: SimDuration::from_mins(15),
-                        burst_period: SimDuration::from_secs(45),
-                    }
-                } else {
-                    ArrivalModel::Bursty {
-                        idle_gap: mean_gap * 4,
-                        burst_gap: (mean_gap / 12).max(SimDuration::from_millis(200)),
-                        idle_period: SimDuration::from_mins(8),
-                        burst_period: SimDuration::from_mins(1),
-                    }
-                }
-            } else {
-                ArrivalModel::ParetoGaps {
-                    min_gap: mean_gap.mul_f64(0.35),
-                    alpha: 1.5,
-                }
-            };
-            let trace = self.generate(function, model, &mut rng);
-            merged.extend(trace.iter().copied());
+            let (class, model, mut rng) = cluster_function(&mut seed_rng, function);
+            self.generate(function, model, &mut rng, &mut invocations);
             classes.push((function, class));
         }
         (
-            InvocationTrace::from_invocations(merged, self.duration),
+            InvocationTrace::from_function_runs(invocations, self.duration),
             classes,
         )
     }
 }
 
+/// Draws function `function`'s load class and arrival model for
+/// [`TraceSynthesizer::synthesize_cluster`], forking its stream off
+/// `seed_rng`; returns the forked stream, which then draws the arrivals.
+/// Functions must be drawn in id order.
+pub(crate) fn cluster_function(
+    seed_rng: &mut SimRng,
+    function: FunctionId,
+) -> (LoadClass, ArrivalModel, SimRng) {
+    let mut rng = seed_rng.fork(u64::from(function.0) + 1);
+    // Log-uniform daily rate in [2, 8192].
+    let log_rate = rng.next_f64() * (8192.0f64 / 2.0).ln() + 2.0f64.ln();
+    let per_day = log_rate.exp();
+    let class = LoadClass::classify(per_day);
+    let mean_gap = SimDuration::from_secs_f64(86_400.0 / per_day);
+    // Burstiness correlates with load in the Azure trace: §8.4
+    // attributes the semi-warm benefit of high-load functions to
+    // short-term surges that strand containers, while middle-load
+    // functions "tend to have a stable invocation pattern".
+    let bursty_prob = match class {
+        LoadClass::High => 0.75,
+        LoadClass::Middle => 0.15,
+        LoadClass::Low => 0.35,
+    };
+    let model = if rng.chance(bursty_prob) {
+        if class == LoadClass::High {
+            // High-load surges: dense in-burst arrivals (so the
+            // observed reuse intervals — and hence the semi-warm
+            // start timing — stay short), separated by silences
+            // longer than any keep-alive, which strand the
+            // scale-out containers (§8.4).
+            ArrivalModel::Bursty {
+                idle_gap: (mean_gap * 6).max(SimDuration::from_mins(20)),
+                burst_gap: (mean_gap / 15).max(SimDuration::from_millis(100)),
+                idle_period: SimDuration::from_mins(15),
+                burst_period: SimDuration::from_secs(45),
+            }
+        } else {
+            ArrivalModel::Bursty {
+                idle_gap: mean_gap * 4,
+                burst_gap: (mean_gap / 12).max(SimDuration::from_millis(200)),
+                idle_period: SimDuration::from_mins(8),
+                burst_period: SimDuration::from_mins(1),
+            }
+        }
+    } else {
+        ArrivalModel::ParetoGaps {
+            min_gap: mean_gap.mul_f64(0.35),
+            alpha: 1.5,
+        }
+    };
+    (class, model, rng)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     #[test]
     fn classification_thresholds() {
@@ -489,6 +508,32 @@ mod tests {
             trace.functions().len() > 30,
             "most functions fire at least once"
         );
+    }
+
+    #[test]
+    fn synthesized_traces_are_exactly_sized() {
+        let synth = TraceSynthesizer::new(8).duration(SimTime::from_mins(30));
+        reference::assert_exact_size(&synth.synthesize_for(FunctionId(0)));
+        reference::assert_exact_size(&synth.bursty(true).synthesize_for(FunctionId(1)));
+    }
+
+    proptest::proptest! {
+        // The one-buffer cluster synthesis against the retired
+        // per-function traces concatenated and stable-sorted: same
+        // invocations in the same order, same classes, exact size.
+        #[test]
+        fn prop_cluster_matches_reference(
+            seed in 0u64..u64::MAX,
+            functions in 0u32..40,
+            minutes in 1u64..20,
+        ) {
+            let synth = TraceSynthesizer::new(seed).duration(SimTime::from_mins(minutes));
+            let (trace, classes) = synth.synthesize_cluster(functions);
+            let (expected, expected_classes) = reference::synthesize_cluster(&synth, functions);
+            proptest::prop_assert_eq!(&trace, &expected);
+            proptest::prop_assert_eq!(classes, expected_classes);
+            reference::assert_exact_size(&trace);
+        }
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub mod azure;
 pub mod azure_csv;
 pub mod benchmark;
 pub mod error;
+#[cfg(test)]
+mod reference;
 pub mod trace;
 pub mod trace_io;
 

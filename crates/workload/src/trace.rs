@@ -26,6 +26,10 @@ pub struct Invocation {
 
 /// A time-sorted sequence of invocations over a fixed horizon.
 ///
+/// A trace is built once and read for a whole run, so every constructor
+/// leaves exactly `len` invocations of capacity, with no growth slack
+/// (DESIGN § Data layout: traces).
+///
 /// # Examples
 ///
 /// ```
@@ -50,13 +54,38 @@ pub struct InvocationTrace {
 
 impl InvocationTrace {
     /// Builds a trace, sorting invocations by time (stable, so same-time
-    /// arrivals keep their relative order).
+    /// arrivals keep their relative order). Growth slack in
+    /// `invocations` is released.
     ///
     /// # Panics
     ///
     /// Panics if any invocation fires after `duration`.
     pub fn from_invocations(mut invocations: Vec<Invocation>, duration: SimTime) -> Self {
         invocations.sort_by_key(|inv| inv.at);
+        InvocationTrace::from_sorted(invocations, duration)
+    }
+
+    /// Builds a trace, sorting invocations by `(at, function)` in place:
+    /// no scratch buffer, unlike [`from_invocations`]' stable sort. On
+    /// per-function runs concatenated in function order the two orders
+    /// agree, since two invocations equal in `(at, function)` are equal.
+    ///
+    /// [`from_invocations`]: InvocationTrace::from_invocations
+    pub(crate) fn from_function_runs(mut invocations: Vec<Invocation>, duration: SimTime) -> Self {
+        invocations.sort_unstable_by_key(|inv| (inv.at, inv.function));
+        InvocationTrace::from_sorted(invocations, duration)
+    }
+
+    /// Wraps invocations already in firing order, releasing growth slack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any invocation fires after `duration`.
+    pub(crate) fn from_sorted(mut invocations: Vec<Invocation>, duration: SimTime) -> Self {
+        debug_assert!(
+            invocations.is_sorted_by_key(|inv| inv.at),
+            "invocations must be in firing order"
+        );
         if let Some(last) = invocations.last() {
             assert!(
                 last.at <= duration,
@@ -64,6 +93,7 @@ impl InvocationTrace {
                 last.at
             );
         }
+        invocations.shrink_to_fit();
         InvocationTrace {
             invocations,
             duration,
@@ -115,16 +145,39 @@ impl InvocationTrace {
         ids
     }
 
-    /// Merges two traces over the same horizon.
+    /// Heap bytes the trace holds: exactly `len` invocations, since
+    /// every constructor releases growth slack.
+    pub fn allocated_bytes(&self) -> usize {
+        self.invocations.capacity() * std::mem::size_of::<Invocation>()
+    }
+
+    /// Merges two traces over the same horizon in one linear pass into an
+    /// exactly sized buffer. The merge is stable: on equal `at`, `self`'s
+    /// invocations come first, each side in its own order.
     ///
     /// # Panics
     ///
     /// Panics if the horizons differ.
     pub fn merge(&self, other: &InvocationTrace) -> InvocationTrace {
         assert_eq!(self.duration, other.duration, "traces must share a horizon");
-        let mut all = self.invocations.clone();
-        all.extend_from_slice(&other.invocations);
-        InvocationTrace::from_invocations(all, self.duration)
+        let (a, b) = (&self.invocations, &other.invocations);
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            if b[j].at < a[i].at {
+                merged.push(b[j]);
+                j += 1;
+            } else {
+                merged.push(a[i]);
+                i += 1;
+            }
+        }
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        InvocationTrace {
+            invocations: merged,
+            duration: self.duration,
+        }
     }
 
     /// Statistics over the trace: request rate and inter-arrival spread.
@@ -166,6 +219,7 @@ pub struct TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn inv(secs: u64, f: u32) -> Invocation {
         Invocation {
@@ -209,6 +263,75 @@ mod tests {
         let m = a.merge(&b);
         assert_eq!(m.len(), 2);
         assert_eq!(m.functions().len(), 2);
+    }
+
+    /// The horizon of the scripted traces, in seconds: small, so arrivals
+    /// collide often and some land exactly on it.
+    const HORIZON_SECS: u64 = 6;
+
+    /// A trace from a script of `(second, function)` draws, in script
+    /// order before the stable sort.
+    fn scripted(ops: &[(u64, u32)]) -> InvocationTrace {
+        let invs = ops.iter().map(|&(at, f)| inv(at, f)).collect();
+        InvocationTrace::from_invocations(invs, SimTime::from_secs(HORIZON_SECS))
+    }
+
+    fn script(max_len: usize) -> impl proptest::strategy::Strategy<Value = Vec<(u64, u32)>> {
+        proptest::collection::vec((0..HORIZON_SECS + 1, 0u32..3), 0..max_len)
+    }
+
+    #[test]
+    fn merge_puts_self_first_on_ties() {
+        let a = scripted(&[(1, 2), (3, 0), (6, 1)]);
+        let b = scripted(&[(1, 0), (3, 1), (6, 0)]);
+        let got: Vec<(u64, u32)> = a
+            .merge(&b)
+            .iter()
+            .map(|i| (i.at.as_micros() / 1_000_000, i.function.0))
+            .collect();
+        assert_eq!(got, [(1, 2), (1, 0), (3, 0), (3, 1), (6, 1), (6, 0)]);
+    }
+
+    #[test]
+    fn every_constructor_is_exactly_sized() {
+        let mut invs = Vec::with_capacity(64);
+        invs.extend([inv(5, 0), inv(1, 1)]);
+        let built = InvocationTrace::from_invocations(invs, SimTime::from_secs(10));
+        reference::assert_exact_size(&built);
+        reference::assert_exact_size(&built.merge(&built));
+        reference::assert_exact_size(&InvocationTrace::empty(SimTime::from_secs(10)));
+    }
+
+    proptest::proptest! {
+        // The linear merge against the retired clone-append-stable-sort,
+        // on traces with same-instant arrivals within and across
+        // functions, empty traces and arrivals on the horizon.
+        #[test]
+        fn prop_merge_matches_reference(a in script(24), b in script(24)) {
+            let (a, b) = (scripted(&a), scripted(&b));
+            let merged = a.merge(&b);
+            proptest::prop_assert_eq!(&merged, &reference::merge(&a, &b));
+            reference::assert_exact_size(&merged);
+            reference::assert_exact_size(&a);
+        }
+
+        // The in-place `(at, function)` sort against the retired
+        // concatenate-and-stable-sort, on per-function runs in function
+        // order with the same kinds of collisions.
+        #[test]
+        fn prop_function_runs_match_reference(ops in script(40)) {
+            let mut runs = vec![Vec::new(); 3];
+            for &(at, f) in &ops {
+                runs[f as usize].push(inv(at, f));
+            }
+            for run in &mut runs {
+                run.sort_by_key(|i| i.at);
+            }
+            let horizon = SimTime::from_secs(HORIZON_SECS);
+            let built = InvocationTrace::from_function_runs(runs.concat(), horizon);
+            proptest::prop_assert_eq!(&built, &reference::concatenate(&runs, horizon));
+            reference::assert_exact_size(&built);
+        }
     }
 
     #[test]
