@@ -117,10 +117,11 @@ impl MemoryPolicy for DamonPolicy {
         // Sampling is container-stage agnostic: it runs during execution
         // and keep-alive alike — the design flaw the paper calls out.
         match self.config.mode {
-            DamonMode::ExactScan => ctx
-                .container
-                .table_mut()
-                .age_and_collect_idle_into(self.config.idle_threshold, &mut self.scratch),
+            DamonMode::ExactScan => ctx.container.table_mut().age_and_collect_idle_into(
+                self.config.idle_threshold,
+                usize::MAX,
+                &mut self.scratch,
+            ),
             DamonMode::PebsSampling(p) => {
                 let rng = &mut self.rng;
                 ctx.container.table_mut().age_and_collect_idle_sampled_into(

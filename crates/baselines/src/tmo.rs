@@ -112,14 +112,16 @@ impl MemoryPolicy for TmoPolicy {
         let budget_bytes = resident as f64 * self.config.step_fraction + entry.carry;
         let budget_pages = (budget_bytes / page_size as f64).floor();
         entry.carry = budget_bytes - budget_pages * page_size as f64;
-        // Age first so idleness accumulates even when the budget is zero.
-        ctx.container
-            .table_mut()
-            .age_and_collect_idle_into(self.config.idle_threshold, &mut self.scratch);
-        if budget_pages < 1.0 || self.scratch.is_empty() {
+        // Age every page, so idleness accumulates even when the budget
+        // is zero, but collect only the budget's coldest-first prefix.
+        ctx.container.table_mut().age_and_collect_idle_into(
+            self.config.idle_threshold,
+            budget_pages as usize,
+            &mut self.scratch,
+        );
+        if self.scratch.is_empty() {
             return;
         }
-        self.scratch.truncate(budget_pages as usize);
         ctx.offload_pages(&self.scratch);
     }
 

@@ -146,7 +146,7 @@ fn bitmap_age(pages: u32, reps: u32, phase: &'static str, bench: &mut BenchRecor
     let ((), secs) = bench.time(phase, || {
         for _ in 0..reps {
             touch_hot_set(&mut table, range);
-            table.age_and_collect_idle_into(u8::MAX, &mut out);
+            table.age_and_collect_idle_into(u8::MAX, usize::MAX, &mut out);
             black_box(out.len());
         }
     });

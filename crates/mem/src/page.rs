@@ -172,9 +172,9 @@ const SEG_MASK: u8 = 0b0011_0000;
 /// membership and the segment into one byte, plus the MGLRU generation
 /// number and an idle-scan counter (how many consecutive aging scans
 /// found the page untouched) used by the DAMON-style baseline. The
-/// table itself stores these as bitmaps and bit planes (DESIGN § data
-/// layout); this struct is what
-/// [`PageTable::meta`](crate::PageTable::meta) returns.
+/// table itself stores the flags as bitmaps and the segment and
+/// generation as allocation runs (DESIGN § data layout); this struct
+/// is what [`PageTable::meta`](crate::PageTable::meta) returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageMeta {
     flags: u8,

@@ -487,7 +487,8 @@ mod tests {
     }
 
     /// Drives a [`PageTable`] and a reference table through one random
-    /// op script and asserts every observable output matches.
+    /// op script and asserts every observable output matches, and that
+    /// the table's run list stays canonical after every op.
     fn differential(ops: &[u32]) {
         let mut new = PageTable::new(PAGE_SIZE_4K);
         let mut reference = ReferencePageTable::new(PAGE_SIZE_4K);
@@ -550,11 +551,20 @@ mod tests {
                     proptest::prop_assert_eq!(new.hot_local_pages(), reference.hot_local_pages());
                 }
                 6 => {
+                    // A bounded collection is the ascending prefix of
+                    // the reference's full list, and ages every page
+                    // alike: limits 0, 1, small and unbounded.
                     let thr = (arg % 3 + 1) as u8;
-                    proptest::prop_assert_eq!(
-                        new.age_and_collect_idle(thr),
-                        reference.age_and_collect_idle(thr)
-                    );
+                    let limit = match (arg / 3) % 4 {
+                        0 => 0,
+                        1 => 1,
+                        2 => (arg / 12) as usize % 40 + 2,
+                        _ => usize::MAX,
+                    };
+                    let mut got = vec![PageId(u32::MAX)];
+                    new.age_and_collect_idle_into(thr, limit, &mut got);
+                    let all = reference.age_and_collect_idle(thr);
+                    proptest::prop_assert_eq!(&got[..], &all[..all.len().min(limit)]);
                 }
                 7 => {
                     // Twin coin streams: equality of the collected
@@ -657,6 +667,7 @@ mod tests {
                 }
                 _ => unreachable!("op is v % 11"),
             }
+            new.assert_runs_canonical();
         }
         assert_same_observables(&new, &reference);
     }

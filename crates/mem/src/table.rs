@@ -10,30 +10,39 @@
 //!
 //! # Data layout
 //!
-//! The table is column-oriented (see DESIGN § data layout). Every
-//! per-page attribute but one is a packed `u64` bitmap, one bit per
-//! page: the five flags — the Access bit, the recently-faulted flag,
-//! freed state, remote residency, hot-pool membership — plus one *plane*
-//! per MGLRU generation and one per lifecycle segment, each holding the
-//! pages tagged with that value (freed pages included). A FaaSMem table,
-//! with its three generations, costs 11 bits per page; a table that
-//! never inserts a barrier touches 9. The DAMON-style idle-scan counter
-//! is the only byte column, and it is allocated on the first aging scan,
-//! so policies that never age pages never pay for it.
+//! The table is column-oriented (see DESIGN § data layout). The five
+//! per-page flags — the Access bit, the recently-faulted flag, freed
+//! state, remote residency, hot-pool membership — are packed `u64`
+//! bitmaps, one bit per page. A page's lifecycle segment and MGLRU
+//! generation are not stored per page: they live in one sorted list of
+//! *allocation runs*, each a start page with a segment and a generation
+//! that hold up to the next run's start. The layout is exact because
+//! both attributes are fixed when a page is allocated: a page takes the
+//! generation current at allocation (a time barrier only changes what
+//! *later* pages get) and keeps its allocation segment, and no policy
+//! moves a page between generations. So every `alloc` appends one run
+//! or extends the last, and only recycling a freed execution range (or
+//! the test-only [`PageTable::set_generation`]) splits runs. A FaaSMem
+//! container holds three runs — runtime, init, execution — and 5 bits
+//! per page. The DAMON-style idle-scan counter is the only byte
+//! column, and it is allocated on the first aging scan, so policies
+//! that never age pages never pay for it.
 //!
 //! Batch operations iterate word-wise: an all-zero mask word skips 64
-//! pages in one branch, a generation interval is the OR of its planes,
-//! per-segment counts are one `popcount` per plane, and set bits are
-//! visited in ascending page-id order via `trailing_zeros`. Every
-//! scan-like operation either returns counts
+//! pages in one branch, and set bits are visited in ascending page-id
+//! order via `trailing_zeros`. Kernels that need a word's segments or
+//! generations take them from a run cursor that moves forward with the
+//! word loop, so a word inside one run costs one comparison; the
+//! generation-interval collectors visit only the words of runs in the
+//! interval. Every scan-like operation either returns counts
 //! ([`PageTable::promote_accessed`], [`PageTable::clear_accessed`]) or
 //! has an `_into`/`append_*` variant writing into a caller-owned scratch
 //! buffer, so steady-state simulation allocates nothing per scan.
 //!
 //! A table built with [`PageTable::with_capacity`] reserves every bitmap
-//! for its final page count, and generation planes for one container
-//! lifecycle, up front; allocation only grows them (amortised) once a
-//! table outgrows that reservation.
+//! for its final page count, and the run list and per-generation counts
+//! for one container lifecycle, up front; allocation only grows them
+//! (amortised) once a table outgrows that reservation.
 //!
 //! The `freed` bitmap carries a *tail guard*: bits at indices `>= len`
 //! (the slack of the last partial word) are kept set, so the live-page
@@ -43,7 +52,6 @@ use crate::flow::PageFlows;
 use crate::page::{PageId, PageMeta, PageRange, PageState, Segment};
 use crate::stats::MemStats;
 use faasmem_trace::{EventKind, TraceLayer, Tracer};
-use std::ops::Range;
 
 /// An MGLRU generation number.
 ///
@@ -90,8 +98,10 @@ pub struct PromoteSummary {
 }
 
 /// Generations one container lifecycle creates: the runtime generation
-/// plus one per time barrier (paper §4). [`PageTable::with_capacity`]
-/// reserves their planes and per-generation live counts.
+/// plus one per time barrier (paper §4). It is also the number of
+/// allocation runs a lifecycle leaves (runtime, init, execution), so
+/// [`PageTable::with_capacity`] reserves that many runs and
+/// per-generation live counts.
 const LIFECYCLE_GENERATIONS: usize = 3;
 
 /// `(word index, bit mask)` addressing one page in a bitmap.
@@ -136,6 +146,71 @@ fn append_bits(out: &mut Vec<PageId>, limit: usize, words: impl Iterator<Item = 
     }
 }
 
+/// One allocation run: the pages from `start` up to the next run's
+/// start (or the table's length) share a segment and a generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    start: u32,
+    generation: u32,
+    segment: Segment,
+}
+
+impl Run {
+    /// `true` when both runs tag their pages alike, so that adjacent
+    /// they are one run.
+    #[inline]
+    fn same_tag(&self, other: &Run) -> bool {
+        self.generation == other.generation && self.segment == other.segment
+    }
+}
+
+/// A forward cursor over a run list, for loops that visit pages or
+/// words in ascending order: each lookup resumes where the last one
+/// stopped, so a whole-table pass walks the runs once.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunCursor(usize);
+
+impl RunCursor {
+    /// A cursor at the run holding page `i`, for a pass starting there.
+    /// In `i`'s word, the pages before `i` are reported in that run too,
+    /// so a pass must hold no bits below `i`.
+    #[inline]
+    fn at(runs: &[Run], i: usize) -> Self {
+        RunCursor(
+            runs.partition_point(|r| r.start as usize <= i)
+                .saturating_sub(1),
+        )
+    }
+
+    /// The run holding page `i`. Pages must be asked for in ascending
+    /// order, and `runs` must cover `i`.
+    #[inline]
+    fn run_of(&mut self, runs: &[Run], i: usize) -> Run {
+        while runs.get(self.0 + 1).is_some_and(|r| r.start as usize <= i) {
+            self.0 += 1;
+        }
+        runs[self.0]
+    }
+
+    /// Calls `f(run, mask)` for every run overlapping word `w`, `mask`
+    /// selecting the word's pages in that run (bits past the table's
+    /// length fall in the last run). Words must be visited in ascending
+    /// order.
+    #[inline]
+    fn each_in_word(&mut self, runs: &[Run], w: usize, mut f: impl FnMut(Run, u64)) {
+        let lo = w << 6;
+        let mut run = self.run_of(runs, lo);
+        let mut from = 0;
+        let mut k = self.0;
+        while let Some(next) = runs.get(k + 1).filter(|r| (r.start as usize) < lo + 64) {
+            let to = next.start as usize - lo;
+            f(run, (!0u64 << from) & ((1u64 << to) - 1));
+            (run, from, k) = (*next, to, k + 1);
+        }
+        f(run, !0u64 << from);
+    }
+}
+
 /// Per-container page table with MGLRU generations and residency tracking.
 ///
 /// # Examples
@@ -172,23 +247,18 @@ pub struct PageTable {
     remote: Vec<u64>,
     /// Hot-page-pool membership bits (policy-owned, see `set_in_hot_pool`).
     hot_pool: Vec<u64>,
-    /// One bitmap per lifecycle segment (`Segment::ALL` index). Every
-    /// page `< len`, freed or not, is in exactly one.
-    segments: [Vec<u64>; 3],
-    /// One bitmap per MGLRU generation, laid out back to back: plane `g`
-    /// is `gen_planes[g * plane_words..][..plane_words]`. Every page
-    /// `< len`, freed or not, is in exactly one plane; there are
-    /// `gen_live.len()` planes.
-    gen_planes: Vec<u64>,
-    /// Words per generation plane: at least `words()`, so allocating
-    /// within it moves no plane.
-    plane_words: usize,
+    /// Allocation runs, sorted by start: every page `< len`, freed or
+    /// not, takes the segment and generation of the run holding it.
+    /// Empty exactly when `len` is 0; otherwise the first run starts at
+    /// page 0, every run holds at least one page, and no two adjacent
+    /// runs have the same tag.
+    runs: Vec<Run>,
     /// DAMON-style idle-scan counter per page. Empty until the first
     /// aging scan sizes it to `len`; a page past its end has count 0.
     idle_scans: Vec<u8>,
     /// Live pages per generation, indexed by generation number — keeps
     /// `generation_age_histogram` O(generations) instead of O(pages).
-    /// Its length is the number of generation planes.
+    /// It has an entry for every generation created so far.
     gen_live: Vec<u64>,
     current_gen: u32,
     /// Freed execution ranges available for reuse, newest last.
@@ -233,9 +303,9 @@ impl PageTable {
     /// `pages` pages, so allocating up to that many pages never
     /// reallocates and leaves no growth slack. A container passes its
     /// runtime + init + execution page count: execution ranges are
-    /// recycled, so that sum is the table's final length. Generation
-    /// planes and live counts are reserved for one lifecycle's three
-    /// generations, and the free-range list for one freed execution
+    /// recycled, so that sum is the table's final length. The run list
+    /// and the live counts are reserved for one lifecycle's three runs
+    /// and generations, and the free-range list for one freed execution
     /// range. The idle-scan counters are not reserved: only a policy
     /// that ages pages allocates them.
     ///
@@ -245,8 +315,6 @@ impl PageTable {
     pub fn with_capacity(page_size: u64, pages: usize) -> Self {
         assert!(page_size > 0, "page size must be positive");
         let words = pages.div_ceil(64);
-        let mut gen_planes = Vec::with_capacity(LIFECYCLE_GENERATIONS * words);
-        gen_planes.resize(words, 0);
         let mut gen_live = Vec::with_capacity(LIFECYCLE_GENERATIONS);
         gen_live.push(0);
         PageTable {
@@ -257,9 +325,7 @@ impl PageTable {
             freed: Vec::with_capacity(words),
             remote: Vec::with_capacity(words),
             hot_pool: Vec::with_capacity(words),
-            segments: std::array::from_fn(|_| Vec::with_capacity(words)),
-            gen_planes,
-            plane_words: words,
+            runs: Vec::with_capacity(LIFECYCLE_GENERATIONS),
             idle_scans: Vec::new(),
             gen_live,
             current_gen: 0,
@@ -305,6 +371,51 @@ impl PageTable {
         self.len == 0
     }
 
+    /// Heap bytes the table holds, each buffer at its capacity: the five
+    /// flag bitmaps, the idle-scan counters once a policy ages pages,
+    /// the run list, the per-generation live counts and the free-range
+    /// list.
+    pub fn allocated_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let bitmaps = [
+            &self.accessed,
+            &self.recently_faulted,
+            &self.freed,
+            &self.remote,
+            &self.hot_pool,
+        ];
+        bitmaps.map(Vec::capacity).iter().sum::<usize>() * size_of::<u64>()
+            + self.idle_scans.capacity()
+            + self.runs.capacity() * size_of::<Run>()
+            + self.gen_live.capacity() * size_of::<u64>()
+            + self.free_exec.capacity() * size_of::<PageRange>()
+    }
+
+    /// Asserts the run list's invariants: it covers exactly `[0, len)`,
+    /// every run holds a page, and adjacent runs differ in tag.
+    #[cfg(test)]
+    pub(crate) fn assert_runs_canonical(&self) {
+        assert_eq!(self.runs.is_empty(), self.len == 0, "runs cover the table");
+        if let Some(first) = self.runs.first() {
+            assert_eq!(first.start, 0, "the first run starts at page 0");
+        }
+        for k in 0..self.runs.len() {
+            assert!(
+                (self.runs[k].start as usize) < self.run_end(k),
+                "run {k} is empty: {:?}",
+                self.runs
+            );
+            if k > 0 {
+                assert!(
+                    !self.runs[k - 1].same_tag(&self.runs[k]),
+                    "runs {} and {k} are not merged: {:?}",
+                    k - 1,
+                    self.runs
+                );
+            }
+        }
+    }
+
     /// Number of bitmap words in play.
     #[inline]
     fn words(&self) -> usize {
@@ -340,87 +451,89 @@ impl PageTable {
         Some((start, end))
     }
 
-    /// Makes sure generation `g` has a (zeroed) plane and a live count.
-    fn ensure_plane(&mut self, g: usize) {
+    /// Makes sure generation `g` has a live count.
+    fn ensure_generation(&mut self, g: usize) {
         if self.gen_live.len() <= g {
             self.gen_live.resize(g + 1, 0);
-            self.gen_planes.resize((g + 1) * self.plane_words, 0);
         }
     }
 
-    /// Widens every generation plane to at least `words` words,
-    /// doubling so a table grown page by page moves its planes O(log n)
-    /// times.
-    fn widen_planes(&mut self, words: usize) {
-        if words <= self.plane_words {
+    /// Index of the run holding page `i < len`.
+    #[inline]
+    fn run_index(&self, i: usize) -> usize {
+        self.runs.partition_point(|r| r.start as usize <= i) - 1
+    }
+
+    /// One past the last page of run `k`.
+    #[inline]
+    fn run_end(&self, k: usize) -> usize {
+        self.runs.get(k + 1).map_or(self.len, |r| r.start as usize)
+    }
+
+    /// The run holding page `i < len`.
+    #[inline]
+    fn run_at(&self, i: usize) -> Run {
+        self.runs[self.run_index(i)]
+    }
+
+    /// Tags the pages `[start, end)` with `segment` and `generation`:
+    /// the runs the span cuts are split, and the painted run is merged
+    /// with equal neighbours. `start < end <= len`.
+    fn paint(&mut self, start: usize, end: usize, segment: Segment, generation: u32) {
+        let painted = Run {
+            start: start as u32,
+            generation,
+            segment,
+        };
+        let (i, j) = (self.run_index(start), self.run_index(end - 1));
+        // The steady state — a request recycling the last one's range in
+        // the same generation — repaints nothing and so never allocates.
+        if i == j && self.runs[i].same_tag(&painted) {
             return;
         }
-        let old = self.plane_words;
-        let new = words.max(2 * old);
-        let mut planes = vec![0u64; self.gen_live.len() * new];
-        if old > 0 {
-            for (to, from) in planes
-                .chunks_exact_mut(new)
-                .zip(self.gen_planes.chunks_exact(old))
-            {
-                to[..old].copy_from_slice(from);
-            }
+        let tail = (end < self.run_end(j)).then_some(Run {
+            start: end as u32,
+            ..self.runs[j]
+        });
+        // Run `i` keeps its pages before `start`; the runs the span
+        // covers give way to the painted run and the cut-off tail.
+        let at = if self.runs[i].start < painted.start {
+            i + 1
+        } else {
+            i
+        };
+        self.runs
+            .splice(at..=j, std::iter::once(painted).chain(tail));
+        if self
+            .runs
+            .get(at + 1)
+            .is_some_and(|next| next.same_tag(&painted))
+        {
+            self.runs.remove(at + 1);
         }
-        self.gen_planes = planes;
-        self.plane_words = new;
-    }
-
-    /// The planes of the generation interval `[lo, hi)`, clamped to the
-    /// planes that exist, so `hi == u32::MAX` means "every generation
-    /// from `lo` on".
-    #[inline]
-    fn gen_span(&self, lo: u32, hi: u32) -> Range<usize> {
-        let hi = (hi as usize).min(self.gen_live.len());
-        (lo as usize).min(hi)..hi
-    }
-
-    /// The pages of word `w` whose generation lies in `gens`: the OR of
-    /// those planes.
-    #[inline]
-    fn gen_mask(&self, gens: Range<usize>, w: usize) -> u64 {
-        gens.fold(0, |mask, g| {
-            mask | self.gen_planes[g * self.plane_words + w]
-        })
-    }
-
-    /// The generation of page `i`: the plane holding its bit.
-    fn generation_of(&self, i: usize) -> usize {
-        let (w, b) = word_bit(i);
-        (0..self.gen_live.len())
-            .find(|&g| self.gen_planes[g * self.plane_words + w] & b != 0)
-            .expect("every allocated page is in one generation plane")
-    }
-
-    /// The segment (`Segment::ALL` index) of the page at `(w, b)`.
-    #[inline]
-    fn segment_of(&self, w: usize, b: u64) -> usize {
-        self.segments
-            .iter()
-            .position(|plane| plane[w] & b != 0)
-            .expect("every allocated page is in one segment plane")
+        if at > 0 && self.runs[at - 1].same_tag(&painted) {
+            self.runs.remove(at);
+        }
     }
 
     /// Adds the pages of `bits` (in word `w`) to their segments' local
-    /// counts: one `popcount` per segment.
+    /// counts, taking each page's segment from `cursor`.
     #[inline]
-    fn add_local_by_segment(&mut self, w: usize, bits: u64) {
-        for (local, plane) in self.local_by_segment.iter_mut().zip(&self.segments) {
-            *local += u64::from((bits & plane[w]).count_ones());
-        }
+    fn add_local_by_segment(&mut self, cursor: &mut RunCursor, w: usize, bits: u64) {
+        let local = &mut self.local_by_segment;
+        cursor.each_in_word(&self.runs, w, |run, mask| {
+            local[run.segment.index()] += u64::from((bits & mask).count_ones());
+        });
     }
 
     /// Removes the pages of `bits` (in word `w`) from their segments'
     /// local counts.
     #[inline]
-    fn remove_local_by_segment(&mut self, w: usize, bits: u64) {
-        for (local, plane) in self.local_by_segment.iter_mut().zip(&self.segments) {
-            *local -= u64::from((bits & plane[w]).count_ones());
-        }
+    fn remove_local_by_segment(&mut self, cursor: &mut RunCursor, w: usize, bits: u64) {
+        let local = &mut self.local_by_segment;
+        cursor.each_in_word(&self.runs, w, |run, mask| {
+            local[run.segment.index()] -= u64::from((bits & mask).count_ones());
+        });
     }
 
     /// The generation newly allocated pages are tagged with.
@@ -433,7 +546,7 @@ impl PageTable {
     /// the returned generation.
     pub fn create_generation(&mut self) -> Generation {
         self.current_gen += 1;
-        self.ensure_plane(self.current_gen as usize);
+        self.ensure_generation(self.current_gen as usize);
         if self.tracer.wants(TraceLayer::Memory) {
             self.tracer.emit(
                 self.owner,
@@ -469,15 +582,16 @@ impl PageTable {
         // New freed words arrive all-ones (tail guard), then the newly
         // allocated span is carved out as live.
         self.freed.resize(words, !0u64);
-        for plane in &mut self.segments {
-            plane.resize(words, 0);
-        }
-        self.widen_planes(words);
-        let gen = self.current_gen as usize * self.plane_words;
         for (w, mask) in span_words(start, new_len) {
             self.freed[w] &= !mask;
-            self.segments[segment.index()][w] |= mask;
-            self.gen_planes[gen + w] |= mask;
+        }
+        let run = Run {
+            start: start as u32,
+            generation: self.current_gen,
+            segment,
+        };
+        if self.runs.last().is_none_or(|last| !last.same_tag(&run)) {
+            self.runs.push(run);
         }
         self.len = new_len;
         self.local_pages += u64::from(count);
@@ -491,7 +605,7 @@ impl PageTable {
     /// state, exactly as `PageMeta::new` would.
     fn recycle(&mut self, range: PageRange) {
         let (start, end) = self.range_bounds(range).expect("recycled range non-empty");
-        let (planes, gen) = (self.gen_live.len(), self.current_gen as usize);
+        let gen = self.current_gen as usize;
         for (w, mask) in span_words(start, end) {
             debug_assert_eq!(self.freed[w] & mask, mask, "recycled pages must be freed");
             self.freed[w] &= !mask;
@@ -499,15 +613,8 @@ impl PageTable {
             self.recently_faulted[w] &= !mask;
             self.remote[w] &= !mask;
             self.hot_pool[w] &= !mask;
-            for plane in &mut self.segments {
-                plane[w] &= !mask;
-            }
-            self.segments[Segment::Execution.index()][w] |= mask;
-            for g in 0..planes {
-                self.gen_planes[g * self.plane_words + w] &= !mask;
-            }
-            self.gen_planes[gen * self.plane_words + w] |= mask;
         }
+        self.paint(start, end, Segment::Execution, self.current_gen);
         // Counters past the column's end are already 0 (see `idle_scans`).
         let idle_end = end.min(self.idle_scans.len());
         if let Some(idle) = self.idle_scans.get_mut(start..idle_end) {
@@ -540,10 +647,12 @@ impl PageTable {
     /// Panics if `id` was never allocated.
     pub fn meta(&self, id: PageId) -> PageMeta {
         self.assert_allocated(id);
-        self.meta_idx(id.index())
+        let i = id.index();
+        self.meta_in(i, self.run_at(i))
     }
 
-    fn meta_idx(&self, i: usize) -> PageMeta {
+    /// The metadata of page `i`, whose run is `run`.
+    fn meta_in(&self, i: usize, run: Run) -> PageMeta {
         let (w, b) = word_bit(i);
         let state = if self.freed[w] & b != 0 {
             PageState::Freed
@@ -554,12 +663,12 @@ impl PageTable {
         };
         PageMeta::from_parts(
             state,
-            Segment::ALL[self.segment_of(w, b)],
+            run.segment,
             self.accessed[w] & b != 0,
             self.hot_pool[w] & b != 0,
             self.recently_faulted[w] & b != 0,
             self.idle_scans.get(i).copied().unwrap_or(0),
-            self.generation_of(i) as u32,
+            run.generation,
         )
     }
 
@@ -580,7 +689,7 @@ impl PageTable {
             self.recently_faulted[w] |= b;
             self.remote_pages -= 1;
             self.local_pages += 1;
-            self.local_by_segment[self.segment_of(w, b)] += 1;
+            self.local_by_segment[self.run_at(i).segment.index()] += 1;
             self.hot_local_pages += u64::from(self.hot_pool[w] & b != 0);
             self.total_faulted += 1;
             true
@@ -611,6 +720,7 @@ impl PageTable {
         runs: &[(u32, u32)],
     ) -> TouchOutcome {
         let mut out = TouchOutcome::default();
+        let mut cursor = RunCursor::at(&self.runs, base.index());
         for (start, end) in std::iter::once((0, prefix)).chain(runs.iter().copied()) {
             let run = PageRange::new(PageId(base.0 + start), end - start);
             let Some((start, end)) = self.range_bounds(run) else {
@@ -633,7 +743,7 @@ impl PageTable {
                     self.local_pages += n;
                     self.hot_local_pages += u64::from((faulted & self.hot_pool[w]).count_ones());
                     self.total_faulted += n;
-                    self.add_local_by_segment(w, faulted);
+                    self.add_local_by_segment(&mut cursor, w, faulted);
                 }
             }
         }
@@ -668,7 +778,7 @@ impl PageTable {
         self.remote[w] &= !b;
         self.remote_pages -= 1;
         self.local_pages += 1;
-        self.local_by_segment[self.segment_of(w, b)] += 1;
+        self.local_by_segment[self.run_at(i).segment.index()] += 1;
         self.hot_local_pages += u64::from(self.hot_pool[w] & b != 0);
         self.total_prefetched += 1;
         true
@@ -687,6 +797,7 @@ impl PageTable {
     pub fn page_in_range(&mut self, range: PageRange) -> u32 {
         let mut moved = 0u32;
         if let Some((start, end)) = self.range_bounds(range) {
+            let mut cursor = RunCursor::at(&self.runs, start);
             for (w, mask) in span_words(start, end) {
                 // Remote bits are a subset of live bits, so the mask
                 // alone selects exactly the movable pages.
@@ -697,7 +808,7 @@ impl PageTable {
                 moved += movable.count_ones();
                 self.remote[w] &= !movable;
                 self.hot_local_pages += u64::from((movable & self.hot_pool[w]).count_ones());
-                self.add_local_by_segment(w, movable);
+                self.add_local_by_segment(&mut cursor, w, movable);
             }
         }
         self.remote_pages -= u64::from(moved);
@@ -731,7 +842,7 @@ impl PageTable {
         }
         self.remote[w] |= b;
         self.local_pages -= 1;
-        self.local_by_segment[self.segment_of(w, b)] -= 1;
+        self.local_by_segment[self.run_at(i).segment.index()] -= 1;
         self.remote_pages += 1;
         self.hot_local_pages -= u64::from(self.hot_pool[w] & b != 0);
         self.total_offloaded += 1;
@@ -742,6 +853,7 @@ impl PageTable {
     pub fn offload_range(&mut self, range: PageRange) -> u32 {
         let mut moved = 0u32;
         if let Some((start, end)) = self.range_bounds(range) {
+            let mut cursor = RunCursor::at(&self.runs, start);
             for (w, mask) in span_words(start, end) {
                 let movable = mask & !self.freed[w] & !self.remote[w];
                 if movable == 0 {
@@ -750,7 +862,7 @@ impl PageTable {
                 moved += movable.count_ones();
                 self.remote[w] |= movable;
                 self.hot_local_pages -= u64::from((movable & self.hot_pool[w]).count_ones());
-                self.remove_local_by_segment(w, movable);
+                self.remove_local_by_segment(&mut cursor, w, movable);
             }
         }
         self.local_pages -= u64::from(moved);
@@ -786,15 +898,17 @@ impl PageTable {
         let Some((start, end)) = self.range_bounds(range) else {
             return;
         };
+        let mut cursor = RunCursor::at(&self.runs, start);
         for (w, mask) in span_words(start, end) {
             let live = mask & !self.freed[w];
             if live != 0 {
                 let remote = live & self.remote[w];
-                for g in 0..self.gen_live.len() {
-                    let plane = self.gen_planes[g * self.plane_words + w];
-                    self.gen_live[g] -= u64::from((live & plane).count_ones());
-                }
-                self.remove_local_by_segment(w, live & !remote);
+                let (gen_live, local) = (&mut self.gen_live, &mut self.local_by_segment);
+                cursor.each_in_word(&self.runs, w, |run, mask| {
+                    let freed = live & mask;
+                    gen_live[run.generation as usize] -= u64::from(freed.count_ones());
+                    local[run.segment.index()] -= u64::from((freed & !remote).count_ones());
+                });
                 let n = u64::from(live.count_ones());
                 let nr = u64::from(remote.count_ones());
                 self.freed_pages += n;
@@ -864,8 +978,7 @@ impl PageTable {
     /// carries the same hit count.
     pub fn promote_accessed(&mut self, runtime_end: u32, init_end: u32) -> PromoteSummary {
         debug_assert!(runtime_end <= init_end, "Pucket bounds out of order");
-        let runtime = self.gen_span(0, runtime_end);
-        let init = self.gen_span(runtime_end, init_end);
+        let mut cursor = RunCursor::default();
         let mut summary = PromoteSummary::default();
         let mut hits_total = 0u64;
         for w in 0..self.words() {
@@ -880,8 +993,14 @@ impl PageTable {
                 let fresh = hits & !self.hot_pool[w];
                 if fresh != 0 {
                     let faulted = self.recently_faulted[w];
-                    let runtime_hits = fresh & self.gen_mask(runtime.clone(), w);
-                    let init_hits = fresh & self.gen_mask(init.clone(), w);
+                    let (mut runtime_hits, mut init_hits) = (0, 0);
+                    cursor.each_in_word(&self.runs, w, |run, mask| {
+                        if run.generation < runtime_end {
+                            runtime_hits |= fresh & mask;
+                        } else if run.generation < init_end {
+                            init_hits |= fresh & mask;
+                        }
+                    });
                     summary.runtime_promoted += runtime_hits.count_ones();
                     summary.runtime_recalled += (runtime_hits & faulted).count_ones();
                     summary.init_promoted += init_hits.count_ones();
@@ -937,14 +1056,23 @@ impl PageTable {
     /// candidates a sampling policy would offload.
     pub fn age_and_collect_idle(&mut self, idle_threshold: u8) -> Vec<PageId> {
         let mut out = Vec::new();
-        self.age_and_collect_idle_into(idle_threshold, &mut out);
+        self.age_and_collect_idle_into(idle_threshold, usize::MAX, &mut out);
         out
     }
 
-    /// Allocation-free variant of [`PageTable::age_and_collect_idle`]:
-    /// clears `out` and fills it with the cold local ids in ascending
-    /// order.
-    pub fn age_and_collect_idle_into(&mut self, idle_threshold: u8, out: &mut Vec<PageId>) {
+    /// Allocation-free, bounded variant of
+    /// [`PageTable::age_and_collect_idle`]: ages every live page exactly
+    /// as the unbounded scan does, but collects at most `limit` cold
+    /// local ids — the ascending prefix of the unbounded list — after
+    /// clearing `out`. A policy that offloads a budget of pages per
+    /// tick passes that budget, so collection work scales with what it
+    /// moves; the emitted trace event counts the ids collected.
+    pub fn age_and_collect_idle_into(
+        &mut self,
+        idle_threshold: u8,
+        limit: usize,
+        out: &mut Vec<PageId>,
+    ) {
         out.clear();
         self.size_idle_column();
         for w in 0..self.words() {
@@ -971,7 +1099,8 @@ impl PageTable {
                 let i = (w << 6) | t;
                 let scans = self.idle_scans[i].saturating_add(1);
                 self.idle_scans[i] = scans;
-                if scans >= idle_threshold && self.remote[w] & (1u64 << t) == 0 {
+                if scans >= idle_threshold && self.remote[w] & (1u64 << t) == 0 && out.len() < limit
+                {
                     out.push(PageId(i as u32));
                 }
                 idle &= idle - 1;
@@ -1090,12 +1219,13 @@ impl PageTable {
         out: &mut Vec<PageId>,
     ) {
         out.clear();
+        let mut cursor = RunCursor::default();
         for w in 0..self.words() {
             let mut bits = !self.freed[w];
             while bits != 0 {
                 let i = (w << 6) | bits.trailing_zeros() as usize;
                 let id = PageId(i as u32);
-                if pred(id, self.meta_idx(i)) {
+                if pred(id, self.meta_in(i, cursor.run_of(&self.runs, i))) {
                     out.push(id);
                 }
                 bits &= bits - 1;
@@ -1128,18 +1258,32 @@ impl PageTable {
         );
     }
 
-    /// The inactive pages of word `w` — live, local, outside the hot
-    /// pool — whose generation lies in `gens`.
-    #[inline]
-    fn inactive_in(&self, gens: Range<usize>, w: usize) -> u64 {
-        !self.freed[w] & !self.remote[w] & !self.hot_pool[w] & self.gen_mask(gens, w)
+    /// The words of every run whose generation lies in `[gen_lo,
+    /// gen_hi)`, ascending, each with the mask of its inactive pages —
+    /// live, local, outside the hot pool — in that run. A word two runs
+    /// share comes once per run, with disjoint masks in page order.
+    fn inactive_in_gen_range(
+        &self,
+        gen_lo: u32,
+        gen_hi: u32,
+    ) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (0..self.runs.len())
+            .filter(move |&k| (gen_lo..gen_hi).contains(&self.runs[k].generation))
+            .flat_map(move |k| span_words(self.runs[k].start as usize, self.run_end(k)))
+            .map(|(w, mask)| {
+                (
+                    w,
+                    mask & !self.freed[w] & !self.remote[w] & !self.hot_pool[w],
+                )
+            })
     }
 
     /// Appends the ids of *inactive* pages — live, local, outside the hot
     /// pool — whose generation lies in `[gen_lo, gen_hi)`, in ascending
     /// order (no clear), at most `limit` of them. This is a Pucket's
     /// inactive list expressed as a generation interval; `gen_hi ==
-    /// u32::MAX` leaves it open above.
+    /// u32::MAX` leaves it open above. Only the words of the interval's
+    /// runs are read.
     pub fn append_inactive_in_gen_range(
         &self,
         gen_lo: u32,
@@ -1147,20 +1291,14 @@ impl PageTable {
         limit: usize,
         out: &mut Vec<PageId>,
     ) {
-        let gens = self.gen_span(gen_lo, gen_hi);
-        append_bits(
-            out,
-            limit,
-            (0..self.words()).map(|w| (w, self.inactive_in(gens.clone(), w))),
-        );
+        append_bits(out, limit, self.inactive_in_gen_range(gen_lo, gen_hi));
     }
 
     /// Counts what [`PageTable::append_inactive_in_gen_range`] would
     /// append without a limit, without materialising the ids.
     pub fn count_inactive_in_gen_range(&self, gen_lo: u32, gen_hi: u32) -> u64 {
-        let gens = self.gen_span(gen_lo, gen_hi);
-        (0..self.words())
-            .map(|w| u64::from(self.inactive_in(gens.clone(), w).count_ones()))
+        self.inactive_in_gen_range(gen_lo, gen_hi)
+            .map(|(_, bits)| u64::from(bits.count_ones()))
             .sum()
     }
 
@@ -1205,9 +1343,11 @@ impl PageTable {
 
     /// Iterates over `(id, meta)` for every live (non-freed) page.
     pub fn iter_live(&self) -> impl Iterator<Item = (PageId, PageMeta)> + '_ {
+        let mut cursor = RunCursor::default();
         (0..self.len).filter_map(move |i| {
             let (w, b) = word_bit(i);
-            (self.freed[w] & b == 0).then(|| (PageId(i as u32), self.meta_idx(i)))
+            let run = cursor.run_of(&self.runs, i);
+            (self.freed[w] & b == 0).then(|| (PageId(i as u32), self.meta_in(i, run)))
         })
     }
 
@@ -1266,13 +1406,12 @@ impl PageTable {
     pub fn set_generation(&mut self, id: PageId, generation: Generation) {
         self.assert_allocated(id);
         let i = id.index();
-        let old = self.generation_of(i);
-        let new = generation.0 as usize;
+        let run = self.run_at(i);
+        let (old, new) = (run.generation as usize, generation.0 as usize);
         if old != new {
-            self.ensure_plane(new);
+            self.ensure_generation(new);
+            self.paint(i, i + 1, run.segment, generation.0);
             let (w, b) = word_bit(i);
-            self.gen_planes[old * self.plane_words + w] &= !b;
-            self.gen_planes[new * self.plane_words + w] |= b;
             if self.freed[w] & b == 0 {
                 self.gen_live[old] -= 1;
                 self.gen_live[new] += 1;
@@ -1782,56 +1921,141 @@ mod tests {
         assert_eq!(s.resident_bytes(), 8 * PAGE_SIZE_4K);
     }
 
-    /// Bits of per-page storage `t` holds: the capacity of every bitmap
-    /// (flags, segment planes, generation planes) plus the idle counters.
-    fn storage_bits(t: &PageTable) -> usize {
-        let flags = [
-            &t.accessed,
-            &t.recently_faulted,
-            &t.freed,
-            &t.remote,
-            &t.hot_pool,
-            &t.gen_planes,
-        ];
-        let words: usize = flags
-            .into_iter()
-            .chain(&t.segments)
-            .map(Vec::capacity)
-            .sum();
-        words * 64 + t.idle_scans.capacity() * 8
+    /// Heap bytes a table of `words` bitmap words holds once it has
+    /// run a container lifecycle: five flag bitmaps, plus the run list,
+    /// live counts and free-range list `with_capacity` reserves.
+    fn lifecycle_bytes(words: usize) -> usize {
+        use std::mem::size_of;
+        5 * words * size_of::<u64>()
+            + LIFECYCLE_GENERATIONS * (size_of::<Run>() + size_of::<u64>())
+            + size_of::<PageRange>()
     }
 
-    #[test]
-    fn lifecycle_table_holds_eleven_bits_per_page_until_it_ages() {
-        // A container at 64 KiB pages: 100 MiB runtime, 32 MiB init and
-        // 20 MiB execution. 2432 pages are whole bitmap words, so the
-        // bound carries no rounding slack.
+    /// Runs a container lifecycle at 64 KiB pages — 100 MiB runtime,
+    /// 32 MiB init and `requests` requests of 20 MiB execution, each
+    /// recycling the last one's range — with a time barrier before the
+    /// init and the execution pages when `barriers` is set. 2432 pages
+    /// are whole bitmap words, so the size carries no rounding slack.
+    fn lifecycle_table(barriers: bool, requests: u32) -> (PageTable, PageRange) {
         let (runtime, init, exec) = (1600u32, 512u32, 320u32);
         let pages = (runtime + init + exec) as usize;
         let mut t = PageTable::with_capacity(64 * 1024, pages);
         t.alloc(Segment::Runtime, runtime);
-        t.create_generation();
+        if barriers {
+            t.create_generation();
+        }
         t.alloc(Segment::Init, init);
-        t.create_generation();
+        if barriers {
+            t.create_generation();
+        }
         let e = t.alloc(Segment::Execution, exec);
-        t.touch_range(e);
-        t.free_range(e);
-        assert_eq!(t.alloc(Segment::Execution, exec), e, "recycled in place");
+        for _ in 1..requests {
+            t.touch_range(e);
+            t.free_range(e);
+            assert_eq!(t.alloc(Segment::Execution, exec), e, "recycled in place");
+        }
         assert_eq!(t.len(), pages);
-        assert!(
-            storage_bits(&t) <= 11 * pages,
-            "{} bits for {pages} pages",
-            storage_bits(&t)
-        );
+        t.assert_runs_canonical();
+        (t, e)
+    }
+
+    #[test]
+    fn lifecycle_table_holds_five_bitmaps_and_three_runs() {
+        let (mut t, e) = lifecycle_table(true, 50);
+        let words = t.len() / 64;
+        assert_eq!(t.runs.len(), 3, "runtime, init and execution runs");
+        assert_eq!(t.allocated_bytes(), lifecycle_bytes(words));
         assert_eq!(t.idle_scans.capacity(), 0, "no idle counters before aging");
 
         t.age_and_collect_idle(1);
-        assert_eq!(t.idle_scans.len(), pages, "one idle counter per page");
-        assert!(storage_bits(&t) <= 19 * pages);
+        assert_eq!(t.idle_scans.len(), t.len(), "one idle counter per page");
+        assert_eq!(t.allocated_bytes(), lifecycle_bytes(words) + t.len());
         t.free_range(e);
-        t.alloc(Segment::Execution, exec);
-        assert_eq!(t.idle_scans.len(), pages);
+        t.alloc(Segment::Execution, e.len());
+        assert_eq!(t.idle_scans.len(), t.len());
         assert_eq!(t.meta(e.start()).idle_scans(), 0, "recycling resets it");
+    }
+
+    #[test]
+    fn unbarriered_table_holds_the_same_five_bitmaps() {
+        let (t, _) = lifecycle_table(false, 50);
+        assert_eq!(t.runs.len(), 3, "one generation, three segments");
+        assert_eq!(t.allocated_bytes(), lifecycle_bytes(t.len() / 64));
+        assert_eq!(t.generation_age_histogram::<1>(), [t.len() as u64]);
+    }
+
+    #[test]
+    fn recycled_init_pages_split_and_merge_runs() {
+        let mut t = table();
+        // Two allocations with one tag are one run: pages 0..100, gen 0.
+        t.alloc(Segment::Runtime, 60);
+        t.alloc(Segment::Runtime, 40);
+        assert_eq!(t.runs.len(), 1);
+        t.create_generation();
+        let init = t.alloc(Segment::Init, 100); // gen 1, pages 100..200
+        t.create_generation();
+        t.alloc(Segment::Execution, 30); // gen 2, pages 200..230
+        assert_eq!(t.runs.len(), 3);
+
+        // A freed init span comes back as execution pages: the init run
+        // is cut in three.
+        let middle = init.skip(30).take(30); // pages 130..160
+        t.free_range(middle);
+        assert_eq!(t.alloc(Segment::Execution, 30), middle);
+        t.assert_runs_canonical();
+        assert_eq!(t.runs.len(), 5);
+        for (page, segment, generation) in [
+            (129, Segment::Init, 1),
+            (130, Segment::Execution, 2),
+            (159, Segment::Execution, 2),
+            (160, Segment::Init, 1),
+            (199, Segment::Init, 1),
+            (200, Segment::Execution, 2),
+        ] {
+            let m = t.meta(PageId(page));
+            assert_eq!(
+                (m.segment(), m.generation()),
+                (segment, generation),
+                "page {page}"
+            );
+        }
+        assert_eq!(t.local_pages_in(Segment::Init), 70);
+        assert_eq!(t.local_pages_in(Segment::Execution), 60);
+
+        // Recycling the init tail joins the two execution runs around it.
+        let tail = init.skip(60); // pages 160..200
+        t.free_range(tail);
+        assert_eq!(t.alloc(Segment::Execution, 40), tail);
+        t.assert_runs_canonical();
+        assert_eq!(t.runs.len(), 3, "{:?}", t.runs);
+        assert_eq!(t.local_pages_in(Segment::Execution), 100);
+
+        // Moving a page out of its generation and back restores one run.
+        t.set_generation(PageId(50), Generation(2));
+        assert_eq!(t.runs.len(), 5);
+        t.set_generation(PageId(50), Generation(0));
+        t.assert_runs_canonical();
+        assert_eq!(t.runs.len(), 3);
+    }
+
+    #[test]
+    fn bounded_aging_collects_the_prefix_and_ages_everything() {
+        let mk = || {
+            let mut t = table();
+            let r = t.alloc(Segment::Init, 200);
+            t.touch_range(r.take(10));
+            t
+        };
+        let (mut bounded, mut full) = (mk(), mk());
+        let mut got = vec![PageId(999)];
+        for limit in [0, 1, 17, usize::MAX] {
+            let want = full.age_and_collect_idle(1);
+            bounded.age_and_collect_idle_into(1, limit, &mut got);
+            assert_eq!(got, want[..want.len().min(limit)], "limit {limit}");
+        }
+        for i in 0..200 {
+            assert_eq!(bounded.meta(PageId(i)), full.meta(PageId(i)), "page {i}");
+        }
     }
 
     #[test]

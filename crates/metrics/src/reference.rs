@@ -6,7 +6,7 @@
 //! layout: run-long logs): one 16-byte `(SimTime, f64)` pair per change
 //! point, binary-searched by `value_at`. Its answers are easy to trust,
 //! so the property tests in `timeseries.rs` race the compact series
-//! against it, the way `ReferencePageTable` backs the bit-plane page
+//! against it, the way `ReferencePageTable` backs the bitmap page
 //! table. Test builds only.
 
 use faasmem_sim::{SimDuration, SimTime};

@@ -264,7 +264,9 @@ pub enum EventKind {
     GenerationAge {
         /// Generation threshold used for collection.
         threshold: u64,
-        /// Pages collected as offload candidates.
+        /// Page ids the scan collected as offload candidates: at most
+        /// the caller's collect limit (TMO passes its per-tick budget,
+        /// DAMON no limit), not every page past the threshold.
         collected: u64,
     },
     /// Pages moved local → remote in the page table.

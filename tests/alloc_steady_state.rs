@@ -13,9 +13,12 @@
 //! barriers, touches, the fused promotion scan, freeing and recycling
 //! the execution range, the budget-bounded semi-warm drain into a
 //! reserved buffer, offload and page-in — allocates nothing. That also
-//! proves the spec-derived reservation is large enough. A DAMON-style
-//! policy's first aging scan allocates the table's idle counters once;
-//! after it, aging rounds and execution free/recycle allocate nothing.
+//! proves the spec-derived reservation is large enough. Hundreds of
+//! further requests, each recycling the last one's execution range,
+//! allocate nothing and leave the table's run list as it was. A
+//! DAMON-style policy's first aging scan allocates the table's idle
+//! counters once; after it, aging rounds and execution free/recycle
+//! allocate nothing.
 //!
 //! Planning a request into a run-long [`AccessPlanner`] and touching
 //! its pages through [`touch_request`] allocates nothing either once the
@@ -32,6 +35,10 @@
 //! container is still warm nor, once the drain buffer has grown to the
 //! per-tick budget, while the semi-warm drain runs.
 //!
+//! TMO and DAMON (exact scan) ticks, each re-offloading pages a
+//! prefetch brought back, allocate nothing either once their scratch
+//! buffers and per-container state have grown on the first ticks.
+//!
 //! One `#[test]` drives every scenario — the counter is process-global,
 //! so concurrent test threads would attribute each other's allocations.
 
@@ -39,6 +46,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use faasmem_baselines::{DamonPolicy, TmoConfig, TmoPolicy};
 use faasmem_core::{FaasMemPolicy, PucketKind, Puckets};
 use faasmem_faas::{touch_request, Container, ContainerId, FunctionId, MemoryPolicy, PolicyCtx};
 use faasmem_mem::{mib_to_pages, PageId, Segment, PAGE_SIZE_4K};
@@ -150,6 +158,20 @@ fn page_table_lifecycle(c: &mut Container, drain: &mut Vec<PageId>) -> usize {
     c.table().len()
 }
 
+/// `requests` requests on a keep-alive container, starting at second
+/// `from`: each allocates the execution segment (recycling the previous
+/// request's range), touches it and frees it on completion.
+fn request_cycles(c: &mut Container, from: u64, requests: u64) {
+    let exec_pages = mib_to_pages(c.spec().exec_mib, c.table().page_size()) as u32;
+    for s in from..from + requests {
+        c.begin_execution(SimTime::from_secs(s));
+        let exec = c.table_mut().alloc(Segment::Execution, exec_pages);
+        c.table_mut().touch_range(exec);
+        c.set_exec_range(exec);
+        c.finish_execution(SimTime::from_secs(s), SimDuration::ZERO);
+    }
+}
+
 /// `requests` warm requests in platform order: plan into `planner`,
 /// offload the init segment so the touches fault, then touch the plan's
 /// runtime and init pages. Returns the pages faulted back in.
@@ -224,13 +246,70 @@ impl Node {
         });
     }
 
-    /// One FaaSMem tick per simulated second over `secs`. Returns the
+    /// One policy tick per simulated second over `secs`. Returns the
     /// container's remote pages afterwards.
-    fn ticks(&mut self, policy: &mut FaasMemPolicy, secs: std::ops::Range<u64>) -> u64 {
+    fn ticks(&mut self, policy: &mut impl MemoryPolicy, secs: std::ops::Range<u64>) -> u64 {
         for s in secs {
             self.hook(SimTime::from_secs(s), |ctx| policy.on_tick(ctx));
         }
         self.container.table().remote_pages()
+    }
+
+    /// One round per simulated second over `secs`: prefetch `ids` back
+    /// to local memory, then tick `policy`. Returns the pages the ticks
+    /// offloaded.
+    fn prefetch_and_tick(
+        &mut self,
+        policy: &mut impl MemoryPolicy,
+        ids: &[PageId],
+        secs: std::ops::Range<u64>,
+    ) -> u64 {
+        let before = self.container.table().total_offloaded();
+        for s in secs {
+            self.hook(SimTime::from_secs(s), |ctx| {
+                ctx.prefetch_pages(ids);
+                policy.on_tick(ctx);
+            });
+        }
+        self.container.table().total_offloaded() - before
+    }
+}
+
+/// Eight rounds of [`Node::prefetch_and_tick`] with `policy` on a
+/// keep-alive JSON container, prefetching its first 64 runtime pages,
+/// after eight warm rounds that grow the policy's scratch buffer and
+/// per-container state. Returns the allocations and the pages offloaded
+/// during the measured rounds. TMO's budget takes the coldest-first
+/// prefix, which starts with the prefetched pages; DAMON's exact scan
+/// takes every idle local page.
+fn steady_baseline_ticks(policy: &mut impl MemoryPolicy) -> (u64, u64) {
+    let mut node = keep_alive_node("json");
+    node.container.finish_launch();
+    node.container.finish_init();
+    node.container
+        .finish_execution(SimTime::ZERO, SimDuration::ZERO);
+    let ids: Vec<PageId> = node.container.runtime_range().iter().take(64).collect();
+    assert!(
+        node.prefetch_and_tick(policy, &ids, 0..8) > 0,
+        "warm ticks offload"
+    );
+    allocations_during(|| node.prefetch_and_tick(policy, &ids, 8..16))
+}
+
+/// A node holding one new (still launching) `spec` container, with
+/// the platform having seen eight 30 s reuse gaps of its function.
+fn keep_alive_node(spec: &str) -> Node {
+    Node {
+        container: Container::new(
+            ContainerId(0),
+            FunctionId(0),
+            BenchmarkSpec::by_name(spec).expect("catalog"),
+            PAGE_SIZE_4K,
+            SimTime::ZERO,
+        ),
+        pool: RemotePool::new(PoolConfig::default()),
+        governor: BandwidthGovernor::new(1 << 40, SimDuration::from_secs(1)),
+        reuse: HashMap::from([(FunctionId(0), Cdf::from_samples(vec![30.0; 8]))]),
     }
 }
 
@@ -276,19 +355,34 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
             "{name}: the page-table lifecycle must not allocate (got {allocs} allocations)"
         );
 
+        // Hundreds more requests recycle the execution range in place:
+        // the run list neither grows nor moves.
+        let held = c.table().allocated_bytes();
+        let (allocs, ()) = allocations_during(|| request_cycles(&mut c, 2, 300));
+        assert_eq!(
+            allocs, 0,
+            "{name}: request cycles must not allocate (got {allocs} allocations)"
+        );
+        assert_eq!(c.table().allocated_bytes(), held, "{name}: table grew");
+        assert_eq!(
+            c.table().len(),
+            expected,
+            "{name}: execution pages recycled"
+        );
+
         // DAMON-style aging: the first scan sizes the idle counters;
         // later rounds, with the execution range recycled in between,
         // reuse them.
         let exec_pages = mib_to_pages(c.spec().exec_mib, PAGE_SIZE_4K) as u32;
         let table = c.table_mut();
         let mut cold = Vec::with_capacity(table.len());
-        table.age_and_collect_idle_into(2, &mut cold);
+        table.age_and_collect_idle_into(2, usize::MAX, &mut cold);
         let (allocs, collected) = allocations_during(|| {
             let mut collected = 0;
             for _ in 0..4 {
                 let exec = table.alloc(Segment::Execution, exec_pages);
                 table.touch_range(exec);
-                table.age_and_collect_idle_into(2, &mut cold);
+                table.age_and_collect_idle_into(2, usize::MAX, &mut cold);
                 collected += cold.len();
                 table.free_range(exec);
             }
@@ -369,18 +463,7 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
     // One cold-started request ends at t = 0; the platform has seen
     // eight 30 s reuse gaps, so the semi-warm start timing is 30 s.
     let mut policy = FaasMemPolicy::new();
-    let mut node = Node {
-        container: Container::new(
-            ContainerId(0),
-            FunctionId(0),
-            BenchmarkSpec::by_name("bert").expect("catalog"),
-            PAGE_SIZE_4K,
-            SimTime::ZERO,
-        ),
-        pool: RemotePool::new(PoolConfig::default()),
-        governor: BandwidthGovernor::new(1 << 40, SimDuration::from_secs(1)),
-        reuse: HashMap::from([(FunctionId(0), Cdf::from_samples(vec![30.0; 8]))]),
-    };
+    let mut node = keep_alive_node("bert");
     let min_samples = policy.config().semiwarm.min_samples;
     assert!(node.reuse[&FunctionId(0)].len() >= min_samples);
     node.container.finish_launch();
@@ -409,5 +492,29 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
     assert_eq!(
         allocs, 0,
         "a semi-warm FaaSMem tick must not allocate (got {allocs} allocations)"
+    );
+    // -- TMO and DAMON ticks re-offloading prefetched pages ----------
+    // A 1% step budgets ~150 pages a tick, more than the 64 prefetched.
+    let mut tmo = TmoPolicy::new(TmoConfig {
+        step_fraction: 0.01,
+        ..TmoConfig::default()
+    });
+    let (allocs, moved) = steady_baseline_ticks(&mut tmo);
+    assert!(
+        moved >= 8 * 64,
+        "TMO re-offloads the prefetched pages every tick"
+    );
+    assert_eq!(
+        allocs, 0,
+        "a steady-state TMO tick must not allocate (got {allocs} allocations)"
+    );
+    let (allocs, moved) = steady_baseline_ticks(&mut DamonPolicy::default());
+    assert!(
+        moved >= 8 * 64,
+        "DAMON re-offloads the prefetched pages every tick"
+    );
+    assert_eq!(
+        allocs, 0,
+        "a steady-state DAMON tick must not allocate (got {allocs} allocations)"
     );
 }
