@@ -117,11 +117,21 @@ impl MemoryPolicy for DamonPolicy {
         // Sampling is container-stage agnostic: it runs during execution
         // and keep-alive alike — the design flaw the paper calls out.
         match self.config.mode {
-            DamonMode::ExactScan => ctx.container.table_mut().age_and_collect_idle_into(
-                self.config.idle_threshold,
-                usize::MAX,
-                &mut self.scratch,
-            ),
+            DamonMode::ExactScan => {
+                // A refused offload moves nothing, so collect one id:
+                // aging still runs, and the one id still reaches
+                // `offload_pages`, which counts the refusal.
+                let limit = if ctx.offloads_blocked() {
+                    1
+                } else {
+                    usize::MAX
+                };
+                ctx.container.table_mut().age_and_collect_idle_into(
+                    self.config.idle_threshold,
+                    limit,
+                    &mut self.scratch,
+                )
+            }
             DamonMode::PebsSampling(p) => {
                 let rng = &mut self.rng;
                 ctx.container.table_mut().age_and_collect_idle_sampled_into(
@@ -158,7 +168,9 @@ impl MemoryPolicy for DamonPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faasmem_faas::{FunctionId, PlatformSim, RunReport};
+    use faasmem_faas::{Container, ContainerId, FunctionId, PlatformSim, RunReport};
+    use faasmem_mem::PAGE_SIZE_4K;
+    use faasmem_pool::{BandwidthGovernor, PoolConfig, RemotePool};
     use faasmem_sim::SimTime;
     use faasmem_workload::{BenchmarkSpec, Invocation, InvocationTrace};
 
@@ -236,6 +248,51 @@ mod tests {
             per_request < 1_500.0,
             "avg faults per warm request {per_request}"
         );
+    }
+
+    #[test]
+    fn refused_offloads_age_every_page_and_collect_one_id() {
+        let spec = BenchmarkSpec::by_name("json").unwrap();
+        let mut c = Container::new(
+            ContainerId(0),
+            FunctionId(0),
+            spec,
+            PAGE_SIZE_4K,
+            SimTime::ZERO,
+        );
+        c.finish_launch();
+        c.finish_init();
+        let mut pool = RemotePool::new(PoolConfig::default());
+        pool.set_offloads_suspended(true);
+        let mut governor = BandwidthGovernor::new(1 << 40, SimDuration::from_secs(1));
+        let mut damon = DamonPolicy::default();
+        let threshold = damon.config().idle_threshold;
+        let mut refusals = 0;
+        for tick in 1..=u64::from(threshold) + 1 {
+            // What an unbounded scan would age and collect.
+            let mut aged = c.table().clone();
+            let cold = aged.age_and_collect_idle(threshold);
+            damon.on_tick(&mut PolicyCtx {
+                now: SimTime::from_secs(tick * 5),
+                container: &mut c,
+                pool: &mut pool,
+                governor: &mut governor,
+                reuse_intervals: &HashMap::new(),
+            });
+            for id in 0..c.table().len() as u32 {
+                assert_eq!(c.table().meta(PageId(id)), aged.meta(PageId(id)));
+            }
+            assert!(
+                damon.scratch.len() <= 1,
+                "tick {tick}: {} ids",
+                damon.scratch.len()
+            );
+            assert_eq!(damon.scratch, cold[..cold.len().min(1)], "tick {tick}");
+            refusals += u64::from(!cold.is_empty());
+            assert_eq!(pool.offloads_refused(), refusals, "tick {tick}");
+        }
+        assert!(refusals > 0, "no tick found a cold page");
+        assert_eq!(c.table().remote_pages(), 0);
     }
 
     #[test]

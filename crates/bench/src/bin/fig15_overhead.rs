@@ -5,8 +5,9 @@
 //! the Runtime-Init and Init-Execution barriers (≤ 2.5 ms for the micro-
 //! benchmarks; 10/5/5 ms for Bert/Graph/Web whose init segments are
 //! large) and of one rollback (≤ 7.5 ms). This binary measures the same
-//! operations on 4 KiB-page tables sized per benchmark. For
-//! statistically rigorous numbers run `cargo bench -p faasmem-bench`.
+//! operations on 4 KiB-page tables sized per benchmark. Each cell is the
+//! minimum and mean over [`ITERS`] timed runs after one warm-up; the
+//! table each run works on is built outside the timed window.
 
 use std::time::Instant;
 
@@ -15,12 +16,25 @@ use faasmem_core::Puckets;
 use faasmem_mem::{mib_to_pages, PageTable, Segment, PAGE_SIZE_4K};
 use faasmem_workload::BenchmarkSpec;
 
-fn measure_micros<F: FnMut()>(mut f: F, iters: u32) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
+/// Timed runs per cell.
+const ITERS: u32 = 20;
+
+/// Runs `f` [`ITERS`] times after one warm-up, rebuilding its input
+/// with `setup` outside the timed window, and formats the minimum and
+/// mean in microseconds.
+fn measure<S>(mut setup: impl FnMut() -> S, mut f: impl FnMut(S)) -> String {
+    f(setup());
+    let mut min = f64::INFINITY;
+    let mut total = 0.0;
+    for _ in 0..ITERS {
+        let input = setup();
+        let start = Instant::now();
+        f(input);
+        let us = start.elapsed().as_secs_f64() * 1e6;
+        min = min.min(us);
+        total += us;
     }
-    start.elapsed().as_secs_f64() * 1e6 / f64::from(iters)
+    format!("{min:.1} / {:.1} us", total / f64::from(ITERS))
 }
 
 fn main() {
@@ -30,62 +44,50 @@ fn main() {
         let init_pages = mib_to_pages(spec.init_mib, PAGE_SIZE_4K) as u32;
         let hot_pages = mib_to_pages(spec.runtime_hot_mib, PAGE_SIZE_4K) as u32
             + mib_to_pages(spec.init_mib / 2, PAGE_SIZE_4K) as u32;
+        let runtime_loaded = || {
+            let mut table = PageTable::new(PAGE_SIZE_4K);
+            let runtime = table.alloc(Segment::Runtime, runtime_pages);
+            (table, Puckets::new(), runtime)
+        };
+        let init_done = || {
+            let (mut table, mut puckets, runtime) = runtime_loaded();
+            puckets.insert_runtime_init_barrier(&mut table);
+            let init = table.alloc(Segment::Init, init_pages);
+            (table, puckets, runtime, init)
+        };
 
         // Barrier insertion is O(1) on the generation counter but the
         // paper's number includes the blocking LRU walk; emulate the walk
         // with a full metadata pass, which is the worst case.
-        let ri_barrier = measure_micros(
-            || {
-                let mut table = PageTable::new(PAGE_SIZE_4K);
-                table.alloc(Segment::Runtime, runtime_pages);
-                let mut p = Puckets::new();
-                p.insert_runtime_init_barrier(&mut table);
-                std::hint::black_box(table.scan_accessed());
-            },
-            20,
-        );
-        let ie_barrier = measure_micros(
-            || {
-                let mut table = PageTable::new(PAGE_SIZE_4K);
-                table.alloc(Segment::Runtime, runtime_pages);
-                let mut p = Puckets::new();
-                p.insert_runtime_init_barrier(&mut table);
-                table.alloc(Segment::Init, init_pages);
-                p.insert_init_exec_barrier(&mut table);
-                std::hint::black_box(table.scan_accessed());
-            },
-            20,
-        );
+        let ri_barrier = measure(runtime_loaded, |(mut table, mut puckets, _)| {
+            puckets.insert_runtime_init_barrier(&mut table);
+            std::hint::black_box(table.scan_accessed());
+        });
+        let ie_barrier = measure(init_done, |(mut table, mut puckets, ..)| {
+            puckets.insert_init_exec_barrier(&mut table);
+            std::hint::black_box(table.scan_accessed());
+        });
 
-        // Rollback: clear the hot-pool flag of every hot page.
-        let mut table = PageTable::new(PAGE_SIZE_4K);
-        let r = table.alloc(Segment::Runtime, runtime_pages);
-        let mut puckets = Puckets::new();
-        puckets.insert_runtime_init_barrier(&mut table);
-        let i = table.alloc(Segment::Init, init_pages);
+        // Rollback: clear the hot-pool flag of every hot page, each run
+        // on a fresh copy of one promoted table.
+        let (mut table, mut puckets, runtime, init) = init_done();
         puckets.insert_init_exec_barrier(&mut table);
         table.scan_accessed();
-        table.touch_range(r.take(hot_pages.min(r.len())));
-        table.touch_range(i.take(hot_pages.min(i.len())));
+        table.touch_range(runtime.take(hot_pages.min(runtime.len())));
+        table.touch_range(init.take(hot_pages.min(init.len())));
         puckets.promote_accessed(&mut table);
-        let rollback = measure_micros(
-            || {
-                // Roll back and immediately re-promote so every
-                // iteration does the same amount of work.
-                let hot: Vec<_> = puckets.hot_pool_pages(&table);
-                puckets.rollback_hot_pool(&mut table);
-                for id in hot {
-                    table.set_in_hot_pool(id, true);
-                }
+        let rollback = measure(
+            || table.clone(),
+            |mut t| {
+                std::hint::black_box(puckets.rollback_hot_pool(&mut t));
             },
-            20,
         );
 
         rows.push(vec![
             spec.name.to_string(),
-            format!("{:.2} ms", ri_barrier / 1e3),
-            format!("{:.2} ms", ie_barrier / 1e3),
-            format!("{:.2} ms", rollback / 1e3),
+            ri_barrier,
+            ie_barrier,
+            rollback,
         ]);
     }
     println!(
@@ -100,6 +102,7 @@ fn main() {
             &rows
         )
     );
+    println!("Each cell: min / mean over {ITERS} runs.");
     println!(
         "Paper reference (Fig 15): barriers < 2.5 ms (micro) / <= 10 ms (apps); rollback < 7.5 ms;"
     );

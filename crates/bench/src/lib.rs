@@ -18,7 +18,6 @@ pub mod anatomy;
 pub mod dashboard;
 pub mod harness;
 pub mod json;
-pub mod perf;
 pub mod svg;
 
 use faasmem_baselines::{DamonPolicy, NoOffloadPolicy, TmoPolicy};

@@ -8,8 +8,10 @@
 //! advance on OS threads with no synchronisation beyond work claiming.
 //! Every node's outcome is a pure function of its node id and the
 //! cluster seed, which makes the result **byte-identical for any thread
-//! count** — the property `bench_cluster` and the differential tests
-//! enforce.
+//! count** — the property `bench_cluster` checks on every run against
+//! a 4-thread rack, and the test
+//! `parallel_cluster_is_byte_identical_for_any_schedule` for any
+//! schedule.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -101,7 +103,8 @@ impl ClusterReport {
     /// A canonical textual rendering of every per-node outcome, with
     /// floats fixed to six decimals. Two runs are considered identical
     /// exactly when their digests are byte-equal — this is the string
-    /// `bench_cluster` compares across thread counts.
+    /// `bench_cluster` compares between the serial oracle and its
+    /// threaded run.
     pub fn digest(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(self.nodes.len() * 160);

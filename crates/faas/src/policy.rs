@@ -41,6 +41,15 @@ pub struct PolicyCtx<'a> {
 }
 
 impl<'a> PolicyCtx<'a> {
+    /// `true` while the pool refuses offloads: the circuit breaker holds
+    /// it unhealthy, or the fabric itself is mid-outage, where an RDMA
+    /// write would fail immediately. [`PolicyCtx::offload_pages`]
+    /// refuses every batch then, so a policy need not collect more
+    /// candidates than it takes to have the refusal counted.
+    pub fn offloads_blocked(&self) -> bool {
+        self.pool.offloads_suspended() || !self.pool.out_link_up(self.now)
+    }
+
     /// Offloads the given pages of this container to the remote pool,
     /// updating the page table, pool occupancy and bandwidth accounting.
     /// Returns the number of pages actually moved (pages already remote
@@ -48,11 +57,8 @@ impl<'a> PolicyCtx<'a> {
     /// what fits).
     pub fn offload_pages(&mut self, ids: &[PageId]) -> u32 {
         let page_size = self.container.table().page_size();
-        if self.pool.offloads_suspended() || !self.pool.out_link_up(self.now) {
-            // Graceful degradation: while the circuit breaker holds the
-            // pool unhealthy — or the fabric itself is mid-outage, where
-            // an RDMA write would fail immediately — keep pages in local
-            // DRAM.
+        if self.offloads_blocked() {
+            // Graceful degradation: keep pages in local DRAM.
             self.pool.note_refused_offload();
             return 0;
         }

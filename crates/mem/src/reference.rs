@@ -13,8 +13,9 @@
 //!   and — for sampled aging — the coin-draw sequence. This is what
 //!   lets the word-wise bitmap path claim byte-identical simulation
 //!   results.
-//! * **Benchmarking.** `bench_mem` measures scan throughput against
-//!   this model to report the speedup of the data-oriented layout.
+//! * **Benchmarking.** `bench_mem` races every bitmap kernel against
+//!   this model in one process and fails when the data-oriented
+//!   layout's speed-up falls below a per-kernel floor.
 //!
 //! The reference deliberately emits no trace events and performs no
 //! recycling of its scratch vectors; it is the simplest correct

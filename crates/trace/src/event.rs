@@ -265,8 +265,9 @@ pub enum EventKind {
         /// Generation threshold used for collection.
         threshold: u64,
         /// Page ids the scan collected as offload candidates: at most
-        /// the caller's collect limit (TMO passes its per-tick budget,
-        /// DAMON no limit), not every page past the threshold.
+        /// the caller's collect limit (TMO passes its per-tick budget;
+        /// DAMON no limit, or one id while the pool refuses offloads),
+        /// not every page past the threshold.
         collected: u64,
     },
     /// Pages moved local → remote in the page table.
