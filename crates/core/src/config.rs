@@ -50,6 +50,15 @@ impl OffloadRate {
     }
 }
 
+/// Largest cold-start gap treated as a censored reuse sample (see
+/// [`SemiWarmConfig::cold_start_aware`]).
+pub(crate) const COLD_START_CENSOR_CAP: SimDuration = SimDuration::from_mins(10);
+
+/// Descent-gradient threshold below which the Init-Pucket request
+/// window closes: the window closes when fewer than this fraction of
+/// init pages left the inactive list over the last request (§5.2).
+pub(crate) const WINDOW_EPSILON: f64 = 0.005;
+
 /// Semi-warm period configuration (§6).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SemiWarmConfig {
@@ -69,12 +78,10 @@ pub struct SemiWarmConfig {
     /// §8.3.2 extension: under bursty load, cold-start congestion makes
     /// the observed reuse intervals *underestimate* the ideal semi-warm
     /// timing, hurting the 99th percentile. When enabled, the gap behind
-    /// every cold start (up to `cold_start_censor_cap`) is also fed into
-    /// the reuse CDF as a censored sample, pushing the start timing out
-    /// pessimistically.
+    /// every cold start (up to `COLD_START_CENSOR_CAP`, 10 min) is also fed
+    /// into the reuse CDF as a censored sample, pushing the start timing
+    /// out pessimistically.
     pub cold_start_aware: bool,
-    /// Largest cold-start gap treated as a censored reuse sample.
-    pub cold_start_censor_cap: SimDuration,
     /// Leap-style recall prefetching (related work [46]): when a request
     /// lands on a semi-warm container, pull the whole drained hot set
     /// back in one batch instead of letting the request demand-fault it
@@ -95,7 +102,6 @@ impl Default for SemiWarmConfig {
                 mib_per_sec: 1.0,
             },
             cold_start_aware: false,
-            cold_start_censor_cap: SimDuration::from_mins(10),
             recall_prefetch: false,
         }
     }
@@ -114,11 +120,8 @@ pub struct FaasMemConfig {
     pub enable_semiwarm: bool,
     /// Maintenance tick period (drives semi-warm gradual offloading).
     pub tick: SimDuration,
-    /// Descent-gradient threshold below which the Init-Pucket request
-    /// window closes: the window closes when fewer than this fraction of
-    /// init pages left the inactive list over the last request (§5.2).
-    pub window_epsilon: f64,
-    /// Consecutive below-epsilon requests required to close the window.
+    /// Consecutive below-`WINDOW_EPSILON` requests required to close the
+    /// window.
     pub window_stable_rounds: u32,
     /// Hard cap on the request window (the paper's Web example uses ~20).
     pub window_cap: u32,
@@ -153,12 +156,6 @@ impl FaasMemConfig {
         }
         if self.window_cap < 1 {
             problems.push("faasmem config: window cap must be at least 1".into());
-        }
-        if !(self.window_epsilon.is_finite() && self.window_epsilon >= 0.0) {
-            problems.push(format!(
-                "faasmem config: window epsilon {} must be finite and non-negative",
-                self.window_epsilon
-            ));
         }
         if self.window_stable_rounds == 0 {
             problems.push("faasmem config: window stable rounds must be at least 1".into());
@@ -196,7 +193,6 @@ impl Default for FaasMemConfig {
             enable_pucket: true,
             enable_semiwarm: true,
             tick: SimDuration::from_secs(1),
-            window_epsilon: 0.005,
             window_stable_rounds: 2,
             window_cap: 20,
             rollback_min_interval: SimDuration::from_secs(10),
@@ -237,12 +233,6 @@ impl FaasMemConfigBuilder {
     /// Sets the maintenance tick period.
     pub fn tick(mut self, tick: SimDuration) -> Self {
         self.config.tick = tick;
-        self
-    }
-
-    /// Sets the window-close gradient threshold.
-    pub fn window_epsilon(mut self, epsilon: f64) -> Self {
-        self.config.window_epsilon = epsilon;
         self
     }
 
@@ -299,7 +289,6 @@ impl FaasMemConfigBuilder {
         );
         assert!(!c.tick.is_zero(), "tick must be positive");
         assert!(c.window_cap >= 1, "window cap must be at least 1");
-        assert!(c.window_epsilon >= 0.0, "epsilon must be non-negative");
         self.config
     }
 }
@@ -358,7 +347,6 @@ mod tests {
             .enable_pucket(false)
             .enable_semiwarm(false)
             .tick(SimDuration::from_secs(2))
-            .window_epsilon(0.01)
             .window_cap(5)
             .rollback_min_interval(SimDuration::from_secs(30))
             .semiwarm(SemiWarmConfig {
@@ -378,11 +366,14 @@ mod tests {
         let bad = FaasMemConfig {
             tick: SimDuration::ZERO,
             window_cap: 0,
-            window_epsilon: f64::NAN,
             window_stable_rounds: 0,
             semiwarm: SemiWarmConfig {
                 start_percentile: 1.5,
-                rate: OffloadRate::MibPerSec(-1.0),
+                rate: OffloadRate::Auto {
+                    large_threshold_mib: 256,
+                    percent_per_sec: f64::NAN,
+                    mib_per_sec: -1.0,
+                },
                 ..SemiWarmConfig::default()
             },
             ..FaasMemConfig::default()

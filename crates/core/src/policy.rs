@@ -7,7 +7,7 @@ use faasmem_faas::{ContainerId, ContainerStage, MemoryPolicy, PolicyCtx};
 use faasmem_mem::PageId;
 use faasmem_sim::SimDuration;
 
-use crate::config::{FaasMemConfig, FaasMemConfigBuilder};
+use crate::config::{FaasMemConfig, FaasMemConfigBuilder, COLD_START_CENSOR_CAP, WINDOW_EPSILON};
 use crate::pucket::{PucketKind, Puckets};
 use crate::rollback::{RollbackAction, RollbackCycle};
 use crate::semiwarm::{SemiWarm, SemiWarmActivity};
@@ -176,7 +176,6 @@ impl MemoryPolicy for FaasMemPolicy {
 
     fn on_init_done(&mut self, ctx: &mut PolicyCtx<'_>) {
         let enable_pucket = self.config.enable_pucket;
-        let epsilon = self.config.window_epsilon;
         let rounds = self.config.window_stable_rounds;
         let cap = self.config.window_cap;
         let state = self.state_mut(ctx.container.id());
@@ -190,7 +189,7 @@ impl MemoryPolicy for FaasMemPolicy {
         // them so every Pucket starts with a full inactive list (§4).
         ctx.container.table_mut().clear_accessed();
         let init_total = u64::from(ctx.container.init_range().len());
-        state.window = Some(WindowTracker::new(init_total, epsilon, rounds, cap));
+        state.window = Some(WindowTracker::new(init_total, WINDOW_EPSILON, rounds, cap));
     }
 
     fn on_request_start(&mut self, ctx: &mut PolicyCtx<'_>, idle: Option<SimDuration>) {
@@ -205,7 +204,7 @@ impl MemoryPolicy for FaasMemPolicy {
             if let Some(&prev) = self.last_seen.get(&function) {
                 let gap = now.saturating_since(prev);
                 if !gap.is_zero() {
-                    let censored = gap.min(self.config.semiwarm.cold_start_censor_cap);
+                    let censored = gap.min(COLD_START_CENSOR_CAP);
                     self.semiwarm.record_censored(function, censored);
                 }
             }
@@ -234,55 +233,40 @@ impl MemoryPolicy for FaasMemPolicy {
         if !self.config.enable_pucket {
             return;
         }
-        let id = ctx.container.id();
         let function = ctx.container.function();
         let now = ctx.now;
         let requests = ctx.container.requests_served();
+        let state = self
+            .containers
+            .get_mut(&ctx.container.id())
+            .expect("state exists after cold start");
 
         // 1. Promote revisited pages to the hot page pool. Promotions
         //    that faulted the page back from the pool are recalls (Fig 8).
-        let promote = self
-            .containers
-            .get(&id)
-            .expect("state exists after cold start")
-            .puckets
-            .promote_accessed(ctx.container.table_mut());
-        if promote.runtime_recalled > 0 {
-            let state = self.containers.get_mut(&id).expect("state exists");
-            state.runtime_recalls += u64::from(promote.runtime_recalled);
-        }
+        let promote = state.puckets.promote_accessed(ctx.container.table_mut());
+        state.runtime_recalls += u64::from(promote.runtime_recalled);
 
         // 2. Reactive offload of the Runtime Pucket after request #1
         //    (§5.1: "once the first request of a launching container is
         //    completed ... offload all inactive pages of the Runtime
         //    Pucket").
-        if requests == 1 {
-            let state = self.containers.get_mut(&id).expect("state exists");
-            if !state.runtime_offloaded {
-                state.runtime_offloaded = true;
-                let state = self.containers.get(&id).expect("state exists");
-                Self::offload_inactive(state, ctx, &[PucketKind::Runtime], &mut self.scratch_ids);
-                self.stats
-                    .borrow_mut()
-                    .runtime_offloads
-                    .entry(function)
-                    .and_modify(|c| *c += 1)
-                    .or_insert(1);
-            }
+        if requests == 1 && !state.runtime_offloaded {
+            state.runtime_offloaded = true;
+            Self::offload_inactive(state, ctx, &[PucketKind::Runtime], &mut self.scratch_ids);
+            self.stats
+                .borrow_mut()
+                .runtime_offloads
+                .entry(function)
+                .and_modify(|c| *c += 1)
+                .or_insert(1);
         }
 
         // 3. Window-based offload of the Init Pucket (§5.2).
-        let window_closed = {
-            let state = self.containers.get_mut(&id).expect("state exists");
-            let remaining = state
-                .puckets
-                .inactive_count(ctx.container.table(), PucketKind::Init);
-            state.window.as_mut().and_then(|w| w.observe(remaining))
-        };
-        if let Some(window) = window_closed {
-            let state = self.containers.get_mut(&id).expect("state exists");
+        let remaining = state
+            .puckets
+            .inactive_count(ctx.container.table(), PucketKind::Init);
+        if let Some(window) = state.window.as_mut().and_then(|w| w.observe(remaining)) {
             state.rollback.arm(window, now);
-            let state = self.containers.get(&id).expect("state exists");
             Self::offload_inactive(state, ctx, &[PucketKind::Init], &mut self.scratch_ids);
             self.stats
                 .borrow_mut()
@@ -292,19 +276,13 @@ impl MemoryPolicy for FaasMemPolicy {
         }
 
         // 4. Periodic rollback of the hot page pool (§5.3).
-        let action = {
-            let state = self.containers.get_mut(&id).expect("state exists");
-            state.rollback.on_request_end(now)
-        };
-        match action {
+        match state.rollback.on_request_end(now) {
             RollbackAction::None => {}
             RollbackAction::RollBack => {
-                let state = self.containers.get_mut(&id).expect("state exists");
                 state.puckets.rollback_hot_pool(ctx.container.table_mut());
                 self.stats.borrow_mut().rollbacks += 1;
             }
             RollbackAction::OffloadLeftovers => {
-                let state = self.containers.get(&id).expect("state exists");
                 Self::offload_inactive(
                     state,
                     ctx,

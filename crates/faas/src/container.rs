@@ -52,7 +52,6 @@ pub struct Container {
     /// Remote-fault stall suffered by the most recent request; feedback
     /// signal for TMO-style policies.
     last_request_stall: SimDuration,
-    last_request_faults: u32,
 }
 
 impl Container {
@@ -88,7 +87,6 @@ impl Container {
             init_range: PageRange::EMPTY,
             exec_range: None,
             last_request_stall: SimDuration::ZERO,
-            last_request_faults: 0,
         }
     }
 
@@ -169,11 +167,6 @@ impl Container {
         self.last_request_stall
     }
 
-    /// Remote faults taken by the most recent request.
-    pub fn last_request_faults(&self) -> u32 {
-        self.last_request_faults
-    }
-
     /// Idle time since the last request activity, zero while executing.
     pub fn idle_since(&self, now: SimTime) -> SimDuration {
         match self.stage {
@@ -236,9 +229,8 @@ impl Container {
         self.exec_range = Some(range);
     }
 
-    /// Records the fault penalty the running request suffered.
-    pub fn record_request_penalty(&mut self, faults: u32, stall: SimDuration) {
-        self.last_request_faults = faults;
+    /// Records the remote-fault stall the running request suffered.
+    pub fn record_request_stall(&mut self, stall: SimDuration) {
         self.last_request_stall = stall;
     }
 
@@ -358,8 +350,7 @@ mod tests {
     #[test]
     fn request_penalty_recorded() {
         let mut c = container();
-        c.record_request_penalty(17, SimDuration::from_millis(3));
-        assert_eq!(c.last_request_faults(), 17);
+        c.record_request_stall(SimDuration::from_millis(3));
         assert_eq!(c.last_request_stall(), SimDuration::from_millis(3));
     }
 

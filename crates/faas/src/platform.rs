@@ -4,8 +4,8 @@ use std::collections::HashMap;
 
 use faasmem_mem::{mib_to_pages, FlowMatrix};
 use faasmem_metrics::{
-    BlameAccumulator, BlameBreakdown, BlameComponent, Cdf, MetricsRegistry, SloTracker,
-    WasteAccumulator, WasteComponent, WasteLedger,
+    BlameAccumulator, BlameBreakdown, BlameComponent, Cdf, SloTracker, WasteAccumulator,
+    WasteComponent, WasteLedger,
 };
 use faasmem_pool::{
     BandwidthGovernor, CircuitBreaker, FabricConfig, PoolConfig, PoolFabric, RecallOutcome,
@@ -20,7 +20,7 @@ use faasmem_workload::{AccessPlanner, BenchmarkSpec, FunctionId, InvocationTrace
 use crate::container::{touch_request, Container, ContainerId, ContainerStage};
 use crate::policy::{MemoryPolicy, NullPolicy, PolicyCtx};
 use crate::report::{
-    ContainerRecord, DurabilityReport, FaultReport, FunctionWaste, MemoryAnatomyReport, RequestLog,
+    ContainerRecord, DurabilityReport, FaultReport, FunctionWaste, MemoryAnatomyReport,
     RequestRecord, RunReport,
 };
 use crate::residency::{Residency, ResidencyLedger, Tally};
@@ -45,16 +45,6 @@ pub struct PlatformConfig {
     /// default (one node, no redundancy) builds no fabric at all, so
     /// pre-fabric configurations stay byte-identical.
     pub fabric: FabricConfig,
-    /// Sliding window of the offload-bandwidth governor.
-    pub governor_window: SimDuration,
-    /// Log-normal sigma of execution-time jitter.
-    pub exec_jitter_sigma: f64,
-    /// CPU cost of handling one demand fault (trap + mapping), in
-    /// microseconds. Charged per faulted page and divided by the
-    /// container's CPU share: fault handling is kernel work accounted to
-    /// the (CPU-capped) container cgroup, which is why 0.1-core
-    /// micro-benchmarks suffer the worst blow-ups in the paper's Fig 2.
-    pub fault_cpu_micros: u64,
     /// FAASM-style runtime sharing (paper §9, "Memory sharing in
     /// serverless"): containers of the same function map one shared copy
     /// of the runtime segment, so node-local accounting counts each
@@ -88,6 +78,19 @@ pub struct PlatformConfig {
     pub memory_anatomy: bool,
 }
 
+/// Sliding window of the offload-bandwidth governor.
+const GOVERNOR_WINDOW: SimDuration = SimDuration::from_secs(1);
+
+/// Log-normal sigma of execution-time jitter.
+const EXEC_JITTER_SIGMA: f64 = 0.05;
+
+/// CPU cost of handling one demand fault (trap + mapping), in
+/// microseconds. Charged per faulted page and divided by the
+/// container's CPU share: fault handling is kernel work accounted to
+/// the (CPU-capped) container cgroup, which is why 0.1-core
+/// micro-benchmarks suffer the worst blow-ups in the paper's Fig 2.
+const FAULT_CPU_MICROS: u64 = 8;
+
 /// Fault injection plus the platform's reaction policy.
 ///
 /// The fault timeline derives from [`FaultConfig::spec`]'s own seed, not
@@ -118,15 +121,6 @@ impl PlatformConfig {
         let mut problems = Vec::new();
         if self.page_size == 0 {
             problems.push("platform config: page size must be positive".into());
-        }
-        if !(self.exec_jitter_sigma.is_finite() && self.exec_jitter_sigma >= 0.0) {
-            problems.push(format!(
-                "platform config: exec jitter sigma {} must be finite and non-negative",
-                self.exec_jitter_sigma
-            ));
-        }
-        if self.governor_window.is_zero() {
-            problems.push("platform config: governor window must be positive".into());
         }
         if let Some(ka) = &self.adaptive_keep_alive {
             if !(ka.percentile > 0.0 && ka.percentile <= 1.0) {
@@ -179,9 +173,6 @@ impl Default for PlatformConfig {
             keep_alive: SimDuration::from_mins(10),
             pool: PoolConfig::default(),
             fabric: FabricConfig::default(),
-            governor_window: SimDuration::from_secs(1),
-            exec_jitter_sigma: 0.05,
-            fault_cpu_micros: 8,
             share_runtime: false,
             adaptive_keep_alive: None,
             seed: 0xFAA5,
@@ -323,7 +314,7 @@ impl PlatformBuilder {
         assert!(!self.specs.is_empty(), "register at least one function");
         let governor = BandwidthGovernor::new(
             self.config.pool.effective_out_bytes_per_sec(),
-            self.config.governor_window,
+            GOVERNOR_WINDOW,
         );
         let mut pool = RemotePool::new(self.config.pool.clone());
         pool.attach_tracer(self.tracer.clone());
@@ -348,15 +339,13 @@ impl PlatformBuilder {
             specs: self.specs,
             policy: self.policy,
             config: self.config,
-            containers: HashMap::new(),
-            in_flight: HashMap::new(),
+            containers: Vec::new(),
             next_container: 0,
             faults: None,
             blame,
             anatomy,
             tracer: self.tracer,
             sampler: self.sampler,
-            tick_scratch: Vec::new(),
             reuse_intervals: HashMap::new(),
             planner: AccessPlanner::default(),
             peak_local_bytes: 0,
@@ -401,12 +390,9 @@ struct FaultRuntime {
     policy: RemoteFaultPolicy,
     breaker: CircuitBreaker,
     slo: Option<SloTracker>,
-    page_in_retries: u64,
-    page_ins_gave_up: u64,
-    forced_cold_restarts: u64,
-    node_loss_events: u64,
-    container_crashes: u64,
-    lost_remote_bytes: u64,
+    /// The fault accounting under construction: handlers bump its counters,
+    /// `finish` fills in the fields derived at run end.
+    report: FaultReport,
     /// Breaker state observed on the previous event, so the run loop can
     /// trace the open→closed transition (the pool traces open).
     breaker_open_prev: bool,
@@ -430,6 +416,15 @@ struct InFlight {
     /// recall work (stalls serialize at the head of the exec window);
     /// drives the `faas.invocations_stalled_remote` gauge.
     remote_stall_until: SimTime,
+}
+
+/// One live container and the request it is serving.
+#[derive(Debug)]
+struct Slot {
+    container: Container,
+    /// Set at cold start (the request waits out launch and init) and at
+    /// execution start; taken when the request finishes.
+    flight: Option<InFlight>,
 }
 
 /// How one request's remote faults are served (see
@@ -512,11 +507,14 @@ pub struct PlatformSim {
     config: PlatformConfig,
     specs: Vec<BenchmarkSpec>,
     policy: Box<dyn MemoryPolicy>,
-    containers: HashMap<ContainerId, Container>,
+    /// The live containers with their in-flight requests, in ascending id
+    /// order: ids only grow, so a cold start appends. Every walk is in id
+    /// order by construction, so tick-time offloads queue on the shared
+    /// link in a reproducible order.
+    containers: Vec<Slot>,
     /// Residency of `containers`: folded in by `with_container`, and on
     /// insert and remove.
     ledger: ResidencyLedger,
-    in_flight: HashMap<ContainerId, InFlight>,
     pool: RemotePool,
     governor: BandwidthGovernor,
     rng: SimRng,
@@ -539,9 +537,6 @@ pub struct PlatformSim {
     fabric: Option<PoolFabric>,
     tracer: Tracer,
     sampler: Sampler,
-    /// Run-long scratch buffer for the tick handler's sorted container
-    /// walk, reused so the steady-state event loop never allocates.
-    tick_scratch: Vec<ContainerId>,
     /// Each function's container reused intervals in seconds, read by
     /// policies through [`PolicyCtx`] and by adaptive keep-alive.
     reuse_intervals: HashMap<FunctionId, Cdf>,
@@ -702,12 +697,7 @@ impl PlatformSim {
                 policy: fc.policy,
                 breaker: CircuitBreaker::from_policy(&fc.policy),
                 slo: fc.slo.map(SloTracker::new),
-                page_in_retries: 0,
-                page_ins_gave_up: 0,
-                forced_cold_restarts: 0,
-                node_loss_events: 0,
-                container_crashes: 0,
-                lost_remote_bytes: 0,
+                report: FaultReport::default(),
                 breaker_open_prev: false,
             });
         }
@@ -717,24 +707,7 @@ impl PlatformSim {
     fn new_report(&self) -> RunReport {
         let mut report = RunReport {
             policy: self.policy.name(),
-            requests_completed: 0,
-            cold_starts: 0,
-            latency: faasmem_metrics::LatencyRecorder::new(),
-            requests: RequestLog::new(),
-            local_mem: faasmem_metrics::TimeSeries::new(),
-            remote_mem: faasmem_metrics::TimeSeries::new(),
-            live_containers: faasmem_metrics::TimeSeries::new(),
-            pool_stats: Default::default(),
-            containers: Vec::new(),
-            reuse_intervals: HashMap::new(),
-            finished_at: SimTime::ZERO,
-            faults: None,
-            durability: None,
-            blame: None,
-            memory_anatomy: None,
-            function_waste: Vec::new(),
-            registry: MetricsRegistry::new(),
-            events_processed: 0,
+            ..RunReport::default()
         };
         report.local_mem.record(SimTime::ZERO, 0.0);
         report.remote_mem.record(SimTime::ZERO, 0.0);
@@ -792,21 +765,11 @@ impl PlatformSim {
             Event::FinishExec(id) => self.handle_finish(now, id, queue, report),
             Event::RecycleCheck(id) => self.handle_recycle(now, id, queue, report),
             Event::Tick => {
-                // Visit containers in id order: tick-time offloads
-                // queue on the shared link, so HashMap iteration
-                // order would leak into link contention and make
-                // runs irreproducible. The id buffer lives on the
-                // simulator and is reused tick after tick, so the
-                // steady-state loop allocates nothing.
-                let mut ids = std::mem::take(&mut self.tick_scratch);
-                ids.clear();
-                ids.extend(self.containers.keys().copied());
-                ids.sort_unstable();
-                for id in ids.drain(..) {
-                    self.policy_hook(now, id, |p, ctx| p.on_tick(ctx));
+                // `on_tick` neither launches nor recycles a container,
+                // so a walk by position visits each once, in id order.
+                for at in 0..self.containers.len() {
+                    self.policy_hook(now, at, |p, ctx| p.on_tick(ctx));
                 }
-                // Hand the (drained) buffer back for the next tick.
-                self.tick_scratch = ids;
                 if let Some(dt) = setup.tick {
                     if !self.containers.is_empty() || arrivals_pending || !queue.is_empty() {
                         queue.push(now + dt, Event::Tick);
@@ -826,12 +789,10 @@ impl PlatformSim {
     fn finish(&mut self, now: SimTime, report: &mut RunReport) {
         // Close the final occupancy interval before draining state.
         self.anatomy_advance(now);
-        // Retire any containers still alive (should not happen after the
-        // keep-alive drain, but be robust).
-        let mut leftover: Vec<ContainerId> = self.containers.keys().copied().collect();
-        leftover.sort_unstable();
-        for id in leftover {
-            self.recycle_container(now, id, report);
+        // Retire any containers still alive, in id order (should not
+        // happen after the keep-alive drain, but be robust).
+        while !self.containers.is_empty() {
+            self.recycle_container(now, 0, report);
         }
         self.record_memory(now, report);
         self.sample_due(now, report);
@@ -845,6 +806,8 @@ impl PlatformSim {
         report.pool_stats = self.pool.stats();
         report.reuse_intervals = std::mem::take(&mut self.reuse_intervals);
         report.finished_at = now;
+        report.requests_completed = report.requests.len();
+        report.cold_starts = report.requests.cold_starts();
         if let Some(fr) = &self.faults {
             let finished = report.finished_at;
             let downtime = fr.plan.link.downtime_before(finished);
@@ -856,16 +819,11 @@ impl PlatformSim {
             report.faults = Some(FaultReport {
                 link_availability: availability,
                 link_downtime: downtime,
-                page_in_retries: fr.page_in_retries,
-                page_ins_gave_up: fr.page_ins_gave_up,
-                forced_cold_restarts: fr.forced_cold_restarts,
-                node_loss_events: fr.node_loss_events,
-                container_crashes: fr.container_crashes,
-                lost_remote_bytes: fr.lost_remote_bytes,
                 offloads_refused: self.pool.offloads_refused(),
                 breaker_opens: fr.breaker.opens(),
                 slo_total: fr.slo.map_or(0, |s| s.total()),
                 slo_violations: fr.slo.map_or(0, |s| s.violations()),
+                ..fr.report
             });
         }
         report.durability = self.fabric.as_ref().map(|fabric| DurabilityReport {
@@ -975,13 +933,13 @@ impl PlatformSim {
         reg.add("pool.out_ops", report.pool_stats.out_ops);
         reg.add("pool.in_ops", report.pool_stats.in_ops);
         reg.add("pool.offloads_refused", self.pool.offloads_refused());
-        if let Some(fr) = &self.faults {
-            reg.add("faults.page_in_retries", fr.page_in_retries);
-            reg.add("faults.page_ins_gave_up", fr.page_ins_gave_up);
-            reg.add("faults.forced_cold_restarts", fr.forced_cold_restarts);
-            reg.add("faults.node_loss_events", fr.node_loss_events);
-            reg.add("faults.container_crashes", fr.container_crashes);
-            reg.add("faults.breaker_opens", fr.breaker.opens());
+        if let Some(f) = &report.faults {
+            reg.add("faults.page_in_retries", f.page_in_retries);
+            reg.add("faults.page_ins_gave_up", f.page_ins_gave_up);
+            reg.add("faults.forced_cold_restarts", f.forced_cold_restarts);
+            reg.add("faults.node_loss_events", f.node_loss_events);
+            reg.add("faults.container_crashes", f.container_crashes);
+            reg.add("faults.breaker_opens", f.breaker_opens);
         }
         if let Some(fabric) = &self.fabric {
             let t = fabric.tracker();
@@ -1006,29 +964,32 @@ impl PlatformSim {
     fn handle_node_loss(&mut self, now: SimTime, index: usize, report: &mut RunReport) {
         let Some(fr) = &self.faults else { return };
         let fraction = fr.plan.node_losses[index].fraction;
-        let mut victims: Vec<(ContainerId, u64)> = self
-            .containers
-            .values()
-            .filter(|c| c.stage() == ContainerStage::KeepAlive && c.table().remote_pages() > 0)
-            .map(|c| (c.id(), c.table().remote_pages()))
-            .collect();
-        victims.sort_by_key(|&(id, _)| id);
-        let hit = ((victims.len() as f64 * fraction).ceil() as usize).min(victims.len());
-        victims.truncate(hit);
-        let mut lost_bytes = 0u64;
-        for &(id, remote_pages) in &victims {
-            lost_bytes += remote_pages * self.config.page_size;
-            self.recycle_container(now, id, report);
+        let holds_remote =
+            |c: &Container| c.stage() == ContainerStage::KeepAlive && c.table().remote_pages() > 0;
+        let holders = self.live().filter(|c| holds_remote(c)).count();
+        let hit = ((holders as f64 * fraction).ceil() as usize).min(holders);
+        // The first `hit` holders in id order die; a recycle moves the
+        // next container down to `at`.
+        let (mut at, mut victims, mut lost_bytes) = (0, 0u64, 0u64);
+        while victims < hit as u64 {
+            let c = &self.containers[at].container;
+            if holds_remote(c) {
+                lost_bytes += c.table().remote_pages() * self.config.page_size;
+                victims += 1;
+                self.recycle_container(now, at, report);
+            } else {
+                at += 1;
+            }
         }
-        let fr = self.faults.as_mut().expect("fault runtime");
-        fr.node_loss_events += 1;
-        fr.forced_cold_restarts += victims.len() as u64;
-        fr.lost_remote_bytes += lost_bytes;
+        let f = &mut self.faults.as_mut().expect("fault runtime").report;
+        f.node_loss_events += 1;
+        f.forced_cold_restarts += victims;
+        f.lost_remote_bytes += lost_bytes;
         self.tracer.emit(
             None,
             None,
             EventKind::NodeLoss {
-                victims: victims.len() as u64,
+                victims,
                 lost_bytes,
             },
         );
@@ -1039,23 +1000,22 @@ impl PlatformSim {
     fn handle_crash(&mut self, now: SimTime, index: usize, report: &mut RunReport) {
         let Some(fr) = &self.faults else { return };
         let pick = fr.plan.crashes[index].pick;
-        let mut idle: Vec<ContainerId> = self
-            .containers
-            .values()
-            .filter(|c| c.stage() == ContainerStage::KeepAlive)
-            .map(|c| c.id())
-            .collect();
-        if idle.is_empty() {
+        let idle = || {
+            self.live()
+                .enumerate()
+                .filter(|(_, c)| c.stage() == ContainerStage::KeepAlive)
+        };
+        let count = idle().count() as u64;
+        let Some((at, victim)) = idle().nth((pick % count.max(1)) as usize) else {
             return; // nothing to crash at this instant
-        }
-        idle.sort();
-        let victim = idle[(pick % idle.len() as u64) as usize];
+        };
         self.tracer
-            .emit(Some(victim.0), None, EventKind::ContainerCrash);
-        self.recycle_container(now, victim, report);
+            .emit(Some(victim.id().0), None, EventKind::ContainerCrash);
+        self.recycle_container(now, at, report);
         self.faults
             .as_mut()
             .expect("fault runtime")
+            .report
             .container_crashes += 1;
     }
 
@@ -1076,20 +1036,18 @@ impl PlatformSim {
         let mut victims = 0u64;
         for &(owner, bytes) in &outcome.lost {
             lost_bytes += bytes;
-            let id = ContainerId(owner);
             let idle = self
-                .containers
-                .get(&id)
-                .is_some_and(|c| c.stage() == ContainerStage::KeepAlive);
-            if idle {
+                .position(ContainerId(owner))
+                .filter(|&at| self.containers[at].container.stage() == ContainerStage::KeepAlive);
+            if let Some(at) = idle {
                 victims += 1;
-                self.recycle_container(now, id, report);
+                self.recycle_container(now, at, report);
             }
         }
-        let fr = self.faults.as_mut().expect("fault runtime");
-        fr.node_loss_events += 1;
-        fr.forced_cold_restarts += victims;
-        fr.lost_remote_bytes += lost_bytes;
+        let f = &mut self.faults.as_mut().expect("fault runtime").report;
+        f.node_loss_events += 1;
+        f.forced_cold_restarts += victims;
+        f.lost_remote_bytes += lost_bytes;
     }
 
     /// The keep-alive timeout currently applicable to `function`; the
@@ -1117,9 +1075,8 @@ impl PlatformSim {
     }
 
     /// One row of the telemetry series catalog (see DESIGN.md
-    /// §telemetry), restricted to the sampler's selected groups. All
-    /// per-container aggregates are order-independent sums, so the
-    /// `HashMap` iteration order cannot leak into the output.
+    /// §telemetry), restricted to the sampler's selected groups. The
+    /// per-container aggregates are sums over `containers` in id order.
     fn telemetry_row(
         &mut self,
         at: SimTime,
@@ -1135,10 +1092,11 @@ impl PlatformSim {
             // Invocations currently blocked on a remote recall: the
             // stall window sits at the head of the exec window, so an
             // in-flight request counts while the sample boundary falls
-            // inside it. An order-independent count over the map.
+            // inside it.
             let stalled_remote = self
-                .in_flight
-                .values()
+                .containers
+                .iter()
+                .filter_map(|s| s.flight.as_ref())
                 .filter(|f| at < f.remote_stall_until)
                 .count();
             row.extend([
@@ -1158,7 +1116,7 @@ impl PlatformSim {
             let page = self.config.page_size;
             let Tally { local, remote, .. } = self.ledger.total();
             let mut ages = [0u64; 4];
-            for c in self.containers.values() {
+            for c in self.live() {
                 let table_ages = c.table().generation_age_histogram::<4>();
                 for (sum, count) in ages.iter_mut().zip(table_ages) {
                     *sum += count;
@@ -1244,11 +1202,8 @@ impl PlatformSim {
             // per-interval delta so the series reads as a rate.
             let stats = self.pool.stats();
             for (name, cumulative) in [
-                (
-                    "registry.requests_completed",
-                    report.requests_completed as f64,
-                ),
-                ("registry.cold_starts", report.cold_starts as f64),
+                ("registry.requests_completed", report.requests.len() as f64),
+                ("registry.cold_starts", report.requests.cold_starts() as f64),
                 ("registry.containers_created", self.next_container as f64),
                 ("registry.pool_bytes_out", stats.bytes_out as f64),
                 ("registry.pool_bytes_in", stats.bytes_in as f64),
@@ -1259,14 +1214,31 @@ impl PlatformSim {
         row
     }
 
+    /// The live containers in id order.
+    fn live(&self) -> impl Iterator<Item = &Container> {
+        self.containers.iter().map(|s| &s.container)
+    }
+
+    /// Where live container `id` sits in `containers`, if it is live.
+    fn position(&self, id: ContainerId) -> Option<usize> {
+        self.containers
+            .binary_search_by_key(&id, |s| s.container.id())
+            .ok()
+    }
+
     /// Appends the node footprint to the memory timelines — O(1), read
     /// off the residency ledger. Runs after every event, so debug builds
-    /// first race the ledger against the reference rescan here.
+    /// first race the ledger against the reference rescan here, and
+    /// check that `containers` is still in strict id order.
     fn record_memory(&mut self, now: SimTime, report: &mut RunReport) {
         debug_assert_eq!(
             self.ledger,
-            ResidencyLedger::rescan(self.specs.len(), self.containers.values()),
+            ResidencyLedger::rescan(self.specs.len(), self.live()),
             "residency ledger diverged from the container rescan"
+        );
+        debug_assert!(
+            self.live().is_sorted_by(|a, b| a.id() < b.id()),
+            "containers out of id order"
         );
         let mut local_pages = self.ledger.total().local;
         if self.config.share_runtime {
@@ -1285,18 +1257,18 @@ impl PlatformSim {
         self.peak_live = self.peak_live.max(self.containers.len() as u64);
     }
 
-    /// The residency choke point: every mutation of live container `id` —
-    /// policy hooks, lifecycle transitions, a request's touches — runs as
-    /// `f` here, on a [`PolicyCtx`] with the policy alongside. The
-    /// container's [`Residency`] is snapshot before and after `f` and the
-    /// difference folds into the node ledger.
+    /// The residency choke point: every mutation of the live container at
+    /// position `at` — policy hooks, lifecycle transitions, a request's
+    /// touches — runs as `f` here, on a [`PolicyCtx`] with the policy
+    /// alongside. The container's [`Residency`] is snapshot before and
+    /// after `f` and the difference folds into the node ledger.
     fn with_container<R>(
         &mut self,
         now: SimTime,
-        id: ContainerId,
+        at: usize,
         f: impl FnOnce(&mut dyn MemoryPolicy, &mut PolicyCtx<'_>) -> R,
     ) -> R {
-        let container = self.containers.get_mut(&id).expect("live container");
+        let container = &mut self.containers[at].container;
         let before = Residency::of(container);
         let mut ctx = PolicyCtx {
             now,
@@ -1319,13 +1291,14 @@ impl PlatformSim {
     fn policy_hook(
         &mut self,
         now: SimTime,
-        id: ContainerId,
+        at: usize,
         hook: impl FnOnce(&mut dyn MemoryPolicy, &mut PolicyCtx<'_>),
     ) {
         let before = self.ledger.total().remote * self.config.page_size;
-        self.with_container(now, id, hook);
+        self.with_container(now, at, hook);
         let after = self.ledger.total().remote * self.config.page_size;
         if let Some(fabric) = &mut self.fabric {
+            let id = self.containers[at].container.id();
             if after > before {
                 fabric.on_offload(now, id.0, after - before, &mut self.pool);
             } else if before > after {
@@ -1348,23 +1321,25 @@ impl PlatformSim {
                 function: function.0,
             },
         );
-        // Route to the most-recently-used idle warm container, if any.
+        // Route to the most-recently-used idle warm container, if any;
+        // `max_by_key` keeps the last maximum, so a tie goes to the
+        // highest id.
         let warm = self
-            .containers
-            .values()
-            .filter(|c| c.function() == function && c.stage() == ContainerStage::KeepAlive)
-            .max_by_key(|c| c.last_used())
-            .map(|c| c.id());
+            .live()
+            .enumerate()
+            .filter(|(_, c)| c.function() == function && c.stage() == ContainerStage::KeepAlive)
+            .max_by_key(|(_, c)| c.last_used())
+            .map(|(at, _)| at);
 
-        if let Some(id) = warm {
-            let idle = self.containers[&id].idle_since(now);
+        if let Some(at) = warm {
+            let idle = self.containers[at].container.idle_since(now);
             self.reuse_intervals
                 .entry(function)
                 .or_default()
                 .insert(idle.as_secs_f64());
-            self.policy_hook(now, id, |p, ctx| p.on_request_start(ctx, Some(idle)));
-            self.with_container(now, id, |_, ctx| ctx.container.begin_execution(now));
-            self.start_execution(now, id, req, now, false, queue);
+            self.policy_hook(now, at, |p, ctx| p.on_request_start(ctx, Some(idle)));
+            self.with_container(now, at, |_, ctx| ctx.container.begin_execution(now));
+            self.start_execution(now, at, req, now, false, queue);
         } else {
             // Cold start.
             let id = ContainerId(self.next_container);
@@ -1383,19 +1358,16 @@ impl PlatformSim {
                 },
             );
             self.ledger.fold(None, Some(Residency::of(&container)));
-            self.containers.insert(id, container);
-            self.in_flight.insert(
-                id,
-                InFlight {
-                    req,
-                    arrived: now,
-                    exec_started: now,
-                    cold: true,
-                    faults: 0,
-                    breakdown: BlameBreakdown::new(),
-                    remote_stall_until: SimTime::ZERO,
-                },
-            );
+            let flight = Some(InFlight {
+                req,
+                arrived: now,
+                exec_started: now,
+                cold: true,
+                faults: 0,
+                breakdown: BlameBreakdown::new(),
+                remote_stall_until: SimTime::ZERO,
+            });
+            self.containers.push(Slot { container, flight });
             let jitter = self.rng.lognormal_jitter(0.03);
             queue.push(now + launch.mul_f64(jitter), Event::RuntimeLoaded(id));
         }
@@ -1408,24 +1380,26 @@ impl PlatformSim {
         queue: &mut EventQueue<Event>,
     ) {
         self.tracer.emit(Some(id.0), None, EventKind::RuntimeLoaded);
-        let init_time = self.with_container(now, id, |_, ctx| {
+        let at = self.position(id).expect("launching container");
+        let init_time = self.with_container(now, at, |_, ctx| {
             ctx.container.finish_launch();
             ctx.container.spec().init_time
         });
-        self.policy_hook(now, id, |p, ctx| p.on_runtime_loaded(ctx));
+        self.policy_hook(now, at, |p, ctx| p.on_runtime_loaded(ctx));
         let jitter = self.rng.lognormal_jitter(0.03);
         queue.push(now + init_time.mul_f64(jitter), Event::InitDone(id));
     }
 
     fn handle_init_done(&mut self, now: SimTime, id: ContainerId, queue: &mut EventQueue<Event>) {
         self.tracer.emit(Some(id.0), None, EventKind::InitDone);
-        self.with_container(now, id, |_, ctx| ctx.container.finish_init());
-        self.policy_hook(now, id, |p, ctx| {
+        let at = self.position(id).expect("initializing container");
+        self.with_container(now, at, |_, ctx| ctx.container.finish_init());
+        self.policy_hook(now, at, |p, ctx| {
             p.on_init_done(ctx);
             p.on_request_start(ctx, None);
         });
-        let flight = *self.in_flight.get(&id).expect("pending request");
-        self.start_execution(now, id, flight.req, flight.arrived, true, queue);
+        let flight = self.containers[at].flight.expect("pending request");
+        self.start_execution(now, at, flight.req, flight.arrived, true, queue);
     }
 
     /// Decides how a recall of `faulted` pages is served. The primary
@@ -1472,11 +1446,11 @@ impl PlatformSim {
             .expect("faulted pages are held by the pool");
         match recall {
             RecallOutcome::Recovered { stall, retries } => {
-                fr.page_in_retries += u64::from(retries);
+                fr.report.page_in_retries += u64::from(retries);
                 (Recall::Primary(stall), SimDuration::ZERO)
             }
             RecallOutcome::GaveUp { wasted, retries } => {
-                fr.page_in_retries += u64::from(retries);
+                fr.report.page_in_retries += u64::from(retries);
                 // The primary path timed out: detour to a surviving
                 // replica, or give the unreachable pages up.
                 let route = if self.fabric.as_ref().is_some_and(|f| f.can_failover(id.0)) {
@@ -1489,17 +1463,18 @@ impl PlatformSim {
         }
     }
 
-    /// Plans the request's page accesses, charges remote faults, and
-    /// schedules its completion.
+    /// Plans the request's page accesses on the container at `at`,
+    /// charges remote faults, and schedules its completion.
     fn start_execution(
         &mut self,
         now: SimTime,
-        id: ContainerId,
+        at: usize,
         req: u32,
         arrived: SimTime,
         cold: bool,
         queue: &mut EventQueue<Event>,
     ) {
+        let id = self.containers[at].container.id();
         self.tracer.emit(
             Some(id.0),
             Some(u64::from(req)),
@@ -1512,7 +1487,7 @@ impl PlatformSim {
         let mut breakdown = BlameBreakdown::new();
         breakdown.charge(BlameComponent::ColdStart, now.saturating_since(arrived));
         let page_size = self.config.page_size;
-        let container = self.containers.get(&id).expect("executing container");
+        let container = &self.containers[at].container;
         let spec = container.spec().clone();
         let exec_pages = mib_to_pages(spec.exec_mib, page_size) as u32;
         self.planner.plan_with_rare_runtime(
@@ -1526,7 +1501,7 @@ impl PlatformSim {
 
         // `with_container` borrows the whole platform; lend it the plan.
         let planner = std::mem::take(&mut self.planner);
-        let outcome = self.with_container(now, id, |_, ctx| {
+        let outcome = self.with_container(now, at, |_, ctx| {
             let c = &mut *ctx.container;
             let (runtime, init) = (c.runtime_range(), c.init_range());
             let outcome = touch_request(c.table_mut(), runtime, init, planner.plan());
@@ -1542,8 +1517,8 @@ impl PlatformSim {
         let stall = if outcome.faulted > 0 {
             // Per-fault CPU handling, throttled by the container's CPU
             // share (cgroup-accounted kernel time).
-            let cpu_micros = (u64::from(outcome.faulted) * self.config.fault_cpu_micros) as f64
-                / spec.cpu_share.max(0.01);
+            let cpu_micros =
+                (u64::from(outcome.faulted) * FAULT_CPU_MICROS) as f64 / spec.cpu_share.max(0.01);
             let cpu = SimDuration::from_micros(cpu_micros as u64);
             let faulted = u64::from(outcome.faulted);
             let bytes = faulted * page_size;
@@ -1577,11 +1552,11 @@ impl PlatformSim {
                     // Abandon the remote pages and rebuild the
                     // container's state via the slow path (relaunch +
                     // reinit) locally.
-                    let fr = self.faults.as_mut().expect("rebuilds need faults");
-                    fr.page_ins_gave_up += 1;
-                    fr.forced_cold_restarts += 1;
+                    let f = &mut self.faults.as_mut().expect("rebuilds need faults").report;
+                    f.page_ins_gave_up += 1;
+                    f.forced_cold_restarts += 1;
                     if !counted {
-                        fr.lost_remote_bytes += bytes;
+                        f.lost_remote_bytes += bytes;
                     }
                     self.pool
                         .discard(faulted, page_size)
@@ -1607,8 +1582,8 @@ impl PlatformSim {
         } else {
             SimDuration::ZERO
         };
-        self.with_container(now, id, |_, ctx| {
-            ctx.container.record_request_penalty(outcome.faulted, stall);
+        self.with_container(now, at, |_, ctx| {
+            ctx.container.record_request_stall(stall);
         });
 
         // Begin-markers for the stall children of the exec span: one
@@ -1628,7 +1603,7 @@ impl PlatformSim {
             }
         }
 
-        let jitter = self.rng.lognormal_jitter(self.config.exec_jitter_sigma);
+        let jitter = self.rng.lognormal_jitter(EXEC_JITTER_SIGMA);
         let service = spec.exec_time.mul_f64(jitter);
         breakdown.charge(BlameComponent::Exec, service);
         let exec_time = service + stall;
@@ -1637,18 +1612,15 @@ impl PlatformSim {
         let remote_wait = breakdown.get(BlameComponent::RecallStall)
             + breakdown.get(BlameComponent::FailoverDetour)
             + breakdown.get(BlameComponent::AbandonedWait);
-        self.in_flight.insert(
-            id,
-            InFlight {
-                req,
-                arrived,
-                exec_started: now,
-                cold,
-                faults: outcome.faulted,
-                breakdown,
-                remote_stall_until: now + remote_wait,
-            },
-        );
+        self.containers[at].flight = Some(InFlight {
+            req,
+            arrived,
+            exec_started: now,
+            cold,
+            faults: outcome.faulted,
+            breakdown,
+            remote_stall_until: now + remote_wait,
+        });
         queue.push(now + exec_time, Event::FinishExec(id));
     }
 
@@ -1659,11 +1631,15 @@ impl PlatformSim {
         queue: &mut EventQueue<Event>,
         report: &mut RunReport,
     ) {
-        let flight = self.in_flight.remove(&id).expect("in-flight request");
+        let at = self.position(id).expect("executing container");
+        let flight = self.containers[at]
+            .flight
+            .take()
+            .expect("in-flight request");
         let busy = now.saturating_since(flight.exec_started);
-        self.with_container(now, id, |_, ctx| ctx.container.finish_execution(now, busy));
-        self.policy_hook(now, id, |p, ctx| p.on_request_end(ctx));
-        let function = self.containers.get(&id).expect("container").function();
+        self.with_container(now, at, |_, ctx| ctx.container.finish_execution(now, busy));
+        self.policy_hook(now, at, |p, ctx| p.on_request_end(ctx));
+        let function = self.containers[at].container.function();
         let latency = now.saturating_since(flight.arrived);
         if self.tracer.is_enabled() {
             self.tracer.emit(
@@ -1693,10 +1669,6 @@ impl PlatformSim {
             cold: flight.cold,
             faults: flight.faults,
         });
-        report.requests_completed += 1;
-        if flight.cold {
-            report.cold_starts += 1;
-        }
         queue.push(now + self.timeout_for(function), Event::RecycleCheck(id));
     }
 
@@ -1707,9 +1679,10 @@ impl PlatformSim {
         queue: &mut EventQueue<Event>,
         report: &mut RunReport,
     ) {
-        let Some(container) = self.containers.get(&id) else {
+        let Some(at) = self.position(id) else {
             return; // already recycled
         };
+        let container = &self.containers[at].container;
         if container.stage() != ContainerStage::KeepAlive {
             return; // busy again; a newer check is scheduled
         }
@@ -1723,12 +1696,15 @@ impl PlatformSim {
             }
             return;
         }
-        self.recycle_container(now, id, report);
+        self.recycle_container(now, at, report);
     }
 
-    fn recycle_container(&mut self, now: SimTime, id: ContainerId, report: &mut RunReport) {
-        self.policy_hook(now, id, |p, ctx| p.on_container_recycled(ctx));
-        let container = self.containers.remove(&id).expect("container to recycle");
+    /// Retires the container at position `at`, with any request it still
+    /// holds; the slots behind it move down by one.
+    fn recycle_container(&mut self, now: SimTime, at: usize, report: &mut RunReport) {
+        self.policy_hook(now, at, |p, ctx| p.on_container_recycled(ctx));
+        let container = self.containers.remove(at).container;
+        let id = container.id();
         self.ledger.fold(Some(Residency::of(&container)), None);
         if let Some(an) = &mut self.anatomy {
             // Fold the table's lifecycle edges and still-resident pages
@@ -1758,7 +1734,6 @@ impl PlatformSim {
             requests_served: container.requests_served(),
             busy_time: container.busy_time(),
         });
-        self.in_flight.remove(&id);
     }
 }
 
@@ -1990,6 +1965,102 @@ mod tests {
         fn on_request_end(&mut self, ctx: &mut PolicyCtx<'_>) {
             ctx.offload_where(|_, m| m.segment() == faasmem_mem::Segment::Init);
         }
+    }
+
+    /// Records every tick visit and every recycle, with the instant and
+    /// the container's id.
+    #[derive(Debug, Default)]
+    struct RecordingPolicy {
+        ticks: std::rc::Rc<std::cell::RefCell<Vec<(SimTime, ContainerId)>>>,
+        recycles: std::rc::Rc<std::cell::RefCell<Vec<(SimTime, ContainerId)>>>,
+    }
+
+    impl MemoryPolicy for RecordingPolicy {
+        fn name(&self) -> &'static str {
+            "Recording"
+        }
+        fn tick_interval(&self) -> Option<SimDuration> {
+            Some(SimDuration::from_secs(1))
+        }
+        fn on_tick(&mut self, ctx: &mut PolicyCtx<'_>) {
+            self.ticks.borrow_mut().push((ctx.now, ctx.container.id()));
+        }
+        fn on_container_recycled(&mut self, ctx: &mut PolicyCtx<'_>) {
+            self.recycles
+                .borrow_mut()
+                .push((ctx.now, ctx.container.id()));
+        }
+    }
+
+    #[test]
+    fn table_walks_in_id_order_and_requests_finish_on_their_containers() {
+        use faasmem_trace::{LayerMask, TraceLayer, Tracer};
+        // Three functions, a 20 s keep-alive. fn#1 goes idle after one
+        // request, so its container (id 1) is recycled while higher ids
+        // live on; fn#0's burst at t=1 scales out while its first
+        // container is still cold; fn#1's late request cold-starts a
+        // container appended behind the survivors.
+        let mut invs = vec![(1, 0), (1, 0), (2, 1), (3, 2), (70, 1)];
+        invs.extend((10..=90).step_by(5).flat_map(|t| [(t, 0), (t, 2)]));
+        invs.sort_unstable();
+        let invs = invs
+            .into_iter()
+            .map(|(s, f)| Invocation {
+                at: SimTime::from_secs(s),
+                function: FunctionId(f),
+            })
+            .collect();
+        let trace = InvocationTrace::from_invocations(invs, SimTime::from_secs(100));
+        let policy = RecordingPolicy::default();
+        let (ticks, recycles) = (policy.ticks.clone(), policy.recycles.clone());
+        let tracer = Tracer::recording(LayerMask::only(TraceLayer::Container));
+        let mut s = PlatformSim::builder()
+            .register_functions(
+                ["json", "float", "image"].map(|n| BenchmarkSpec::by_name(n).unwrap()),
+            )
+            .keep_alive(SimDuration::from_secs(20))
+            .policy(policy)
+            .tracer(tracer.clone())
+            .seed(3)
+            .build();
+        let report = s.run(&trace);
+        assert_eq!(report.requests_completed, trace.len());
+
+        let ticks = ticks.borrow();
+        let recycles = recycles.borrow();
+        for pair in ticks.windows(2) {
+            let ((t0, a), (t1, b)) = (pair[0], pair[1]);
+            assert!(t0 < t1 || a < b, "tick at {t1:?} visited {b} after {a}");
+        }
+        // Some container was recycled while one with a higher id was
+        // ticked both before and after it: a recycle mid-table.
+        let live_across = |t: SimTime, id: ContainerId| {
+            ticks
+                .iter()
+                .any(|&(u, x)| u < t && x > id && ticks.iter().any(|&(v, y)| v > t && y == x))
+        };
+        assert!(
+            recycles.iter().any(|&(t, id)| live_across(t, id)),
+            "{recycles:?}"
+        );
+        assert!(report.cold_starts >= 4, "a cold start followed a recycle");
+
+        // Every request ends on the container it started on.
+        let mut started: HashMap<u64, u64> = HashMap::new();
+        let mut ended = 0;
+        for e in tracer.take_events() {
+            match e.kind {
+                EventKind::ExecStart { .. } => {
+                    started.insert(e.request.unwrap(), e.container.unwrap());
+                }
+                EventKind::ExecEnd { .. } => {
+                    assert_eq!(started.get(&e.request.unwrap()), e.container.as_ref());
+                    ended += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(ended, trace.len());
     }
 
     #[test]
@@ -2490,7 +2561,7 @@ mod tests {
         let mut config = PlatformConfig::default();
         assert!(config.validate().is_ok());
         config.page_size = 0;
-        config.exec_jitter_sigma = f64::NAN;
+        config.fabric.nodes = 0;
         config.pool.link_bytes_per_sec = 0;
         config.faults = Some(FaultConfig {
             slo: Some(SimDuration::ZERO),

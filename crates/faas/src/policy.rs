@@ -129,6 +129,14 @@ impl<'a> PolicyCtx<'a> {
 /// All hooks default to no-ops, so a policy only implements the events it
 /// cares about. One policy instance manages *all* containers on the node;
 /// per-container state should be keyed by [`Container::id`].
+///
+/// The end-to-end benchmark wraps the policy under test in a timing
+/// wrapper (`TimedPolicy` in `crates/bench/src/bin/bench_e2e/probe.rs`)
+/// that forwards exactly the eight methods below, and only a change to
+/// the benchmark itself may edit it. A new method with a default body
+/// would therefore run its default, not the wrapped policy's override,
+/// in every traced benchmark repetition; a new method (such as a
+/// per-container tick-interest query) must account for that.
 pub trait MemoryPolicy {
     /// Short name used in experiment output ("Baseline", "TMO", ...).
     fn name(&self) -> &'static str;

@@ -52,12 +52,15 @@ pub struct RequestRecord {
 /// let mut log = RequestLog::new();
 /// log.push(record);
 /// assert_eq!(log.len(), 1);
+/// assert_eq!(log.cold_starts(), 1);
 /// assert_eq!(log.iter().next(), Some(record));
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct RequestLog {
     bytes: Vec<u8>,
     len: usize,
+    /// Records with `cold` set.
+    cold: usize,
     /// Arrival of the last pushed record: the base of the next delta.
     last_arrived: u64,
 }
@@ -81,11 +84,17 @@ impl RequestLog {
             u128::from(record.faults) << 1 | u128::from(record.cold),
         );
         self.len += 1;
+        self.cold += usize::from(record.cold);
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Number of records of requests that cold-started.
+    pub fn cold_starts(&self) -> usize {
+        self.cold
     }
 
     /// `true` when no request has completed.
@@ -162,13 +171,13 @@ impl ContainerRecord {
 }
 
 /// The full output of one platform run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RunReport {
     /// Policy under test, as reported by [`MemoryPolicy::name`](crate::MemoryPolicy::name).
     pub policy: &'static str,
-    /// Requests completed.
+    /// Requests completed: the length of `requests`, set at run end.
     pub requests_completed: usize,
-    /// Requests that triggered a cold start.
+    /// Requests that triggered a cold start, as `requests` counts them.
     pub cold_starts: usize,
     /// End-to-end latency samples over all requests, in completion order
     /// (filled from [`RunReport::requests`] when the run finishes).
@@ -664,6 +673,8 @@ mod tests {
             }
         }
         assert_eq!(log.len(), records.len());
+        let cold = records.iter().filter(|r| r.cold).count();
+        assert_eq!(log.cold_starts(), cold);
         assert_eq!(log.is_empty(), records.is_empty());
         assert_eq!(log.iter().collect::<Vec<_>>(), records);
         assert_eq!(format!("{log:?}"), format!("{records:?}"));
