@@ -11,7 +11,7 @@ use crate::json::JsonValue;
 use crate::render_table;
 use faasmem_faas::WasteComponent;
 
-/// Where `runall` leaves the anatomy grid's result document.
+/// Where `experiments all` leaves the anatomy grid's result document.
 pub const DEFAULT_RESULTS: &str = "results/disc10_memory_anatomy.json";
 
 /// The names a ranking can key on: every waste component, then `total`.

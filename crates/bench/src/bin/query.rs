@@ -3,12 +3,12 @@
 //! memory-anatomy ledgers of a grid result document.
 //!
 //! ```text
-//! cargo run --release -p faasmem-bench --bin fig12_main_eval -- \
-//!     --quick --trace results/fig12.trace.jsonl
+//! cargo run --release -p faasmem-bench --bin experiments -- \
+//!     fig12_main_eval --quick --out out --trace out/fig12.trace.jsonl
 //! cargo run --release -p faasmem-bench --bin query -- \
-//!     containers results/fig12.trace.jsonl --container 3
+//!     containers out/fig12.trace.jsonl --container 3
 //! cargo run --release -p faasmem-bench --bin query -- \
-//!     spans results/fig12.trace.jsonl --slowest 5 --critical-path
+//!     spans out/fig12.trace.jsonl --slowest 5 --critical-path
 //! cargo run --release -p faasmem-bench --bin query -- \
 //!     mem results/disc10_memory_anatomy.json --component pool_primary --top 5
 //! ```
@@ -23,7 +23,7 @@
 //!   one's critical path.
 //! - `mem` ranks functions by one waste component's byte-seconds, or
 //!   with `--flow` tabulates each cell's page-lifecycle flow. Its file
-//!   defaults to where `runall` leaves the anatomy grid.
+//!   defaults to where `experiments all` leaves the anatomy grid.
 //!
 //! Every output is a pure function of the input file, so serial and
 //! parallel harness runs query identically.

@@ -5,10 +5,10 @@
 //! `faas.invocations_stalled_remote`.
 //!
 //! ```text
-//! cargo run --release -p faasmem-bench --bin fig12_main_eval -- \
-//!     --quick --series results/fig12.series.json
+//! cargo run --release -p faasmem-bench --bin experiments -- \
+//!     fig12_main_eval --quick --out out --series out/fig12.series.json
 //! cargo run --release -p faasmem-bench --bin series_dashboard -- \
-//!     results/fig12.series.json --cell 0 --out results/fig12.dashboard.svg
+//!     out/fig12.series.json --cell 0 --out out/fig12.dashboard.svg
 //! ```
 //!
 //! `--cell` defaults to 0; `--out` defaults to the input path with its

@@ -12,10 +12,11 @@
 //! enters the main JSON so it stays reproducible.
 //!
 //! ```text
-//! cargo run --release -p faasmem-bench --bin fig12_main_eval -- --jobs 8
-//! cargo run --release -p faasmem-bench --bin fig12_main_eval -- --quick
+//! cargo run --release -p faasmem-bench --bin experiments -- fig12_main_eval --jobs 8
+//! cargo run --release -p faasmem-bench --bin experiments -- fig12_main_eval --quick --out out
 //! ```
 
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,6 +69,15 @@ impl BenchCase {
             label: spec.name.to_string(),
             specs: vec![spec],
         }
+    }
+
+    /// A single-function case for the catalog benchmark `name`.
+    ///
+    /// # Panics
+    /// When the catalog has no benchmark of that name.
+    pub fn named(name: &str) -> Self {
+        let spec = BenchmarkSpec::by_name(name);
+        Self::single(spec.unwrap_or_else(|| panic!("no catalog benchmark `{name}`")))
     }
 
     /// A multi-function case.
@@ -167,7 +177,7 @@ impl std::fmt::Debug for PolicySpec {
 
 /// How a [`TraceSpec`] seed combines with the benchmark under test.
 /// The seed-per-benchmark conventions of the original drivers are kept
-/// so the ported binaries reproduce the same traces.
+/// so the ported experiments reproduce the same traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedMix {
     /// Same seed for every benchmark.
@@ -436,7 +446,7 @@ impl ExperimentGrid {
 // Options
 // ---------------------------------------------------------------------
 
-/// Runtime options shared by every harness binary.
+/// Runtime options shared by every experiment.
 #[derive(Debug, Clone)]
 pub struct HarnessOptions {
     /// Worker threads fanning out grid cells.
@@ -478,20 +488,14 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses `--jobs N` / `-j N` / `--jobs=N`, `--quick`,
-    /// `--out DIR` / `--out=DIR`, `--trace PATH` / `--trace=PATH`,
-    /// `--trace-filter LAYERS` / `--trace-filter=LAYERS` (comma list of
-    /// `harness,container,memory,pool`), `--series PATH` /
-    /// `--series=PATH`, `--series-interval SECS`, `--series-select
-    /// GROUPS` (comma list of `faas,mem,pool,registry`) from the
-    /// process arguments. Unknown arguments are ignored so
-    /// binaries can add their own flags.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Testable argument parser behind [`HarnessOptions::from_env`].
-    pub fn parse<I, S>(args: I) -> Self
+    /// Parses `--jobs N` / `-j N`, `--quick`, `--out DIR`, `--trace
+    /// PATH`, `--trace-filter LAYERS` (comma list of
+    /// `harness,container,memory,pool`), `--series PATH`,
+    /// `--series-interval SECS` and `--series-select GROUPS` (comma list
+    /// of `faas,mem,pool,registry`); each long flag also takes
+    /// `--flag=VALUE`. Every argument must be one of these: an unknown
+    /// flag, a missing value or an unparseable one is an error.
+    pub fn parse<I, S>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
@@ -502,54 +506,53 @@ impl HarnessOptions {
             let arg = arg.as_ref();
             if arg == "--quick" {
                 opts.quick = true;
-            } else if arg == "--jobs" || arg == "-j" {
-                if let Some(n) = args.next().and_then(|v| v.as_ref().parse().ok()) {
-                    opts.jobs = n;
+                continue;
+            }
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) if flag.starts_with("--") => (flag, Some(value.to_string())),
+                _ => (arg, None),
+            };
+            let mut value = || {
+                inline
+                    .clone()
+                    .or_else(|| args.next().map(|v| v.as_ref().to_string()))
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag {
+                "--jobs" | "-j" => {
+                    let n = value()?;
+                    opts.jobs = n
+                        .parse()
+                        .map_err(|_| format!("{flag}: not a thread count: {n}"))?;
                 }
-            } else if let Some(n) = arg.strip_prefix("--jobs=") {
-                if let Ok(n) = n.parse() {
-                    opts.jobs = n;
+                "--out" => opts.out_dir = PathBuf::from(value()?),
+                "--trace" => opts.trace = Some(PathBuf::from(value()?)),
+                "--trace-filter" => {
+                    opts.trace_filter =
+                        LayerMask::parse_list(&value()?).map_err(|e| format!("{flag}: {e}"))?;
                 }
-            } else if arg == "--out" {
-                if let Some(dir) = args.next() {
-                    opts.out_dir = PathBuf::from(dir.as_ref());
+                "--series" => opts.series = Some(PathBuf::from(value()?)),
+                "--series-interval" => {
+                    let secs = value()?;
+                    match secs.parse::<f64>() {
+                        Ok(s) if s > 0.0 && s.is_finite() => {
+                            opts.series_interval = SimDuration::from_secs_f64(s);
+                        }
+                        _ => return Err(format!("{flag}: not a positive number: {secs}")),
+                    }
                 }
-            } else if let Some(dir) = arg.strip_prefix("--out=") {
-                opts.out_dir = PathBuf::from(dir);
-            } else if arg == "--trace" {
-                if let Some(path) = args.next() {
-                    opts.trace = Some(PathBuf::from(path.as_ref()));
+                "--series-select" => {
+                    opts.series_select = match SeriesMask::parse_list(&value()?) {
+                        Ok(mask) if mask != SeriesMask::NONE => mask,
+                        Ok(_) => return Err(format!("{flag}: empty group list")),
+                        Err(e) => return Err(format!("{flag}: {e}")),
+                    };
                 }
-            } else if let Some(path) = arg.strip_prefix("--trace=") {
-                opts.trace = Some(PathBuf::from(path));
-            } else if arg == "--trace-filter" {
-                if let Some(list) = args.next() {
-                    Self::apply_trace_filter(&mut opts, list.as_ref());
-                }
-            } else if let Some(list) = arg.strip_prefix("--trace-filter=") {
-                Self::apply_trace_filter(&mut opts, list);
-            } else if arg == "--series" {
-                if let Some(path) = args.next() {
-                    opts.series = Some(PathBuf::from(path.as_ref()));
-                }
-            } else if let Some(path) = arg.strip_prefix("--series=") {
-                opts.series = Some(PathBuf::from(path));
-            } else if arg == "--series-interval" {
-                if let Some(secs) = args.next() {
-                    Self::apply_series_interval(&mut opts, secs.as_ref());
-                }
-            } else if let Some(secs) = arg.strip_prefix("--series-interval=") {
-                Self::apply_series_interval(&mut opts, secs);
-            } else if arg == "--series-select" {
-                if let Some(list) = args.next() {
-                    Self::apply_series_select(&mut opts, list.as_ref());
-                }
-            } else if let Some(list) = arg.strip_prefix("--series-select=") {
-                Self::apply_series_select(&mut opts, list);
+                _ => return Err(format!("unknown argument `{arg}`")),
             }
         }
         opts.jobs = opts.jobs.max(1);
-        opts
+        Ok(opts)
     }
 
     /// The per-cell sampling spec, when `--series` asked for one.
@@ -558,32 +561,6 @@ impl HarnessOptions {
             interval: self.series_interval,
             select: self.series_select,
         })
-    }
-
-    fn apply_trace_filter(opts: &mut HarnessOptions, list: &str) {
-        match LayerMask::parse_list(list) {
-            Ok(mask) => opts.trace_filter = mask,
-            Err(e) => {
-                eprintln!("[harness] ignoring --trace-filter: {e}");
-            }
-        }
-    }
-
-    fn apply_series_interval(opts: &mut HarnessOptions, secs: &str) {
-        match secs.parse::<f64>() {
-            Ok(s) if s > 0.0 && s.is_finite() => {
-                opts.series_interval = SimDuration::from_secs_f64(s);
-            }
-            _ => eprintln!("[harness] ignoring --series-interval: not a positive number: {secs}"),
-        }
-    }
-
-    fn apply_series_select(opts: &mut HarnessOptions, list: &str) {
-        match SeriesMask::parse_list(list) {
-            Ok(mask) if mask != SeriesMask::NONE => opts.series_select = mask,
-            Ok(_) => eprintln!("[harness] ignoring --series-select: empty group list"),
-            Err(e) => eprintln!("[harness] ignoring --series-select: {e}"),
-        }
     }
 }
 
@@ -617,7 +594,7 @@ pub struct CellOutcome {
     pub summary: RunSummary,
     /// FaaSMem mechanism stats, for FaaSMem-family policies.
     pub faasmem: Option<FaasMemStats>,
-    /// The full platform report, for detailed per-binary rendering.
+    /// The full platform report, for detailed per-experiment rendering.
     pub report: RunReport,
     /// The cell's drained event trace, in `(sim_time, seq)` order.
     /// Empty unless the harness ran with `--trace`.
@@ -841,7 +818,7 @@ impl GridRun {
     }
 
     /// Writes the merged series document (compact JSON) to `path`.
-    pub fn write_series(&self, path: &Path, interval: SimDuration) -> std::io::Result<()> {
+    pub fn write_series(&self, path: &Path, interval: SimDuration) -> io::Result<()> {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
@@ -896,7 +873,7 @@ impl GridRun {
 
     /// Writes the JSONL trace to `path` and the Chrome view next to it
     /// (`path` with its extension replaced by `chrome.json`).
-    pub fn write_trace(&self, path: &Path) -> std::io::Result<()> {
+    pub fn write_trace(&self, path: &Path) -> io::Result<()> {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
@@ -909,7 +886,7 @@ impl GridRun {
 
     /// Writes `<name>.json` (deterministic) and `<name>.timing.json`
     /// (wall-clock) under `dir`, returning the main file's path.
-    pub fn write_results(&self, dir: &Path) -> std::io::Result<PathBuf> {
+    pub fn write_results(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let main = dir.join(format!("{}.json", self.name));
         std::fs::write(&main, self.to_json().to_pretty())?;
@@ -1473,8 +1450,8 @@ pub fn validate_grid(grid: &ExperimentGrid) -> Vec<String> {
 }
 
 /// The problem with writing a `--quick` run's output to `out_dir`, if
-/// any. `results/` (relative, as the harness default and `runall` name
-/// it) tracks full-mode output, which a quick run would overwrite.
+/// any. `results/` (relative, as the `--out` default names it) tracks
+/// full-mode output, which a quick run would overwrite.
 pub fn quick_out_problem(quick: bool, out_dir: &Path) -> Option<String> {
     let is_results = out_dir
         .components()
@@ -1489,49 +1466,47 @@ pub fn quick_out_problem(quick: bool, out_dir: &Path) -> Option<String> {
 }
 
 /// Convenience wrapper: validate the grid's configurations, run, export
-/// JSON under `opts.out_dir`, print the timing line. A misconfigured
-/// grid, or a `--quick` run aimed at `results/`, exits with status 2
-/// before any cell runs — a driver with a nonsensical config should
-/// fail loudly, not simulate garbage. IO errors only warn — experiment
-/// output on stdout is more important than the export.
-pub fn run_and_export(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
+/// JSON (and the trace and series, when asked for) under
+/// `opts.out_dir`, print the timing line. A misconfigured grid or
+/// sample spec is an [`io::ErrorKind::InvalidInput`] error before any
+/// cell runs — a driver with a nonsensical config should fail loudly,
+/// not simulate garbage — and a failed export is an error too.
+pub fn run_and_export(grid: &ExperimentGrid, opts: &HarnessOptions) -> io::Result<GridRun> {
     let mut problems = validate_grid(grid);
     if let Some(spec) = opts.sample_spec() {
         problems.extend(spec.validate());
     }
-    problems.extend(quick_out_problem(opts.quick, &opts.out_dir));
     if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("[harness] grid {}: {p}", grid.name);
-        }
-        std::process::exit(2);
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("grid {}: {}", grid.name, problems.join("; ")),
+        ));
     }
     let run = run_grid(grid, opts);
-    match run.write_results(&opts.out_dir) {
-        Ok(path) => eprintln!("[harness] wrote {}", path.display()),
-        Err(e) => eprintln!(
-            "[harness] could not write results under {}: {e}",
-            opts.out_dir.display()
-        ),
-    }
+    let main = run
+        .write_results(&opts.out_dir)
+        .map_err(write_error(&opts.out_dir))?;
+    eprintln!("[harness] wrote {}", main.display());
     if let Some(path) = &opts.trace {
-        match run.write_trace(path) {
-            Ok(()) => eprintln!(
-                "[harness] wrote {} and {}",
-                path.display(),
-                path.with_extension("chrome.json").display()
-            ),
-            Err(e) => eprintln!("[harness] could not write trace {}: {e}", path.display()),
-        }
+        run.write_trace(path).map_err(write_error(path))?;
+        eprintln!(
+            "[harness] wrote {} and {}",
+            path.display(),
+            path.with_extension("chrome.json").display()
+        );
     }
     if let Some(path) = &opts.series {
-        match run.write_series(path, opts.series_interval) {
-            Ok(()) => eprintln!("[harness] wrote {}", path.display()),
-            Err(e) => eprintln!("[harness] could not write series {}: {e}", path.display()),
-        }
+        run.write_series(path, opts.series_interval)
+            .map_err(write_error(path))?;
+        eprintln!("[harness] wrote {}", path.display());
     }
     run.print_timing();
-    run
+    Ok(run)
+}
+
+/// Names the `path` an export could not write in its error.
+fn write_error(path: &Path) -> impl FnOnce(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("write {}: {e}", path.display()))
 }
 
 fn run_cell(

@@ -2,20 +2,22 @@
 
 //! Experiment harness for the FaaSMem reproduction.
 //!
-//! One runnable binary per table/figure of the paper's evaluation (see
-//! `src/bin/`), plus this small shared library: policy construction by
-//! name, standard experiment configurations, and plain-text table
-//! rendering so every binary prints rows directly comparable to the
-//! paper's figures.
+//! One function per table/figure of the paper's evaluation, listed in
+//! the [`experiments`] registry and run by the one `experiments` binary,
+//! plus the shared pieces they are built from: the parallel [`harness`],
+//! policy construction by name, and plain-text table rendering so every
+//! experiment prints rows directly comparable to the paper's figures.
 //!
-//! Run any experiment with, e.g.:
+//! Run one experiment, or all of them into one directory, with:
 //!
 //! ```text
-//! cargo run --release -p faasmem-bench --bin fig12_main_eval
+//! cargo run --release -p faasmem-bench --bin experiments -- fig12_main_eval
+//! cargo run --release -p faasmem-bench --bin experiments -- all --out out
 //! ```
 
 pub mod anatomy;
 pub mod dashboard;
+pub mod experiments;
 pub mod harness;
 pub mod json;
 pub mod svg;

@@ -1,4 +1,4 @@
-//! Minimal, dependency-free SVG charts for the experiment binaries.
+//! Minimal, dependency-free SVG charts for the experiments.
 //!
 //! The paper's artifact renders its results as graphs; this module gives
 //! the reproduction the same capability without pulling a plotting stack:
@@ -266,17 +266,15 @@ pub fn stack_vertical(panels: &[String]) -> String {
     s
 }
 
-/// Writes an SVG string to `dir/filename`, creating `dir` if needed;
-/// best-effort — experiments must not fail because the filesystem is
-/// read-only. The note naming the file goes to stderr, so an
-/// experiment's stdout does not depend on where its charts land.
-pub fn write_chart(dir: &std::path::Path, filename: &str, svg: &str) {
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(filename);
-        if std::fs::write(&path, svg).is_ok() {
-            eprintln!("(chart written to {})", path.display());
-        }
-    }
+/// Writes an SVG string to `dir/filename`, creating `dir` if needed.
+/// The note naming the file goes to stderr, so an experiment's stdout
+/// does not depend on where its charts land.
+pub fn write_chart(dir: &std::path::Path, filename: &str, svg: &str) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(filename);
+    std::fs::write(&path, svg)?;
+    eprintln!("(chart written to {})", path.display());
+    Ok(())
 }
 
 #[cfg(test)]

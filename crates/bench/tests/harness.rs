@@ -3,7 +3,6 @@
 //! `--jobs`), grid edge cases, panic isolation, and option parsing.
 
 use std::path::Path;
-use std::process::Command;
 
 use faasmem_bench::harness::{
     quick_out_problem, run_grid, validate_grid, BenchCase, ConfigCase, ExperimentGrid,
@@ -199,32 +198,6 @@ fn quick_runs_refuse_the_tracked_results_directory() {
     for dir in ["out", "out/results", "results-quick"] {
         assert_eq!(quick_out_problem(true, Path::new(dir)), None, "{dir}");
     }
-
-    // From an empty directory, a quick run that would write `results/`
-    // exits 2 and leaves the directory empty: a harness bin with its
-    // default `--out`, and runall with its default or a named
-    // `results` output directory.
-    let cwd = std::env::temp_dir().join(format!("faasmem-quick-refusal-{}", std::process::id()));
-    std::fs::create_dir_all(&cwd).expect("create scratch directory");
-    let runs: [(&str, &[&str]); 3] = [
-        (env!("CARGO_BIN_EXE_disc07_fault_tolerance"), &["--quick"]),
-        (env!("CARGO_BIN_EXE_runall"), &["--quick"]),
-        (
-            env!("CARGO_BIN_EXE_runall"),
-            &["--jobs", "1", "results", "--quick"],
-        ),
-    ];
-    for (bin, args) in runs {
-        let out = Command::new(bin)
-            .args(args)
-            .current_dir(&cwd)
-            .output()
-            .expect("run binary");
-        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
-        let left: Vec<_> = std::fs::read_dir(&cwd).expect("list").collect();
-        assert!(left.is_empty(), "{bin} {args:?} wrote {left:?}");
-    }
-    std::fs::remove_dir_all(&cwd).expect("remove scratch directory");
 }
 
 #[test]
@@ -634,14 +607,15 @@ fn enabling_series_or_tracing_does_not_change_the_main_document() {
 
 #[test]
 fn options_parser() {
-    let opts = HarnessOptions::parse(["--jobs", "3", "--quick", "--out", "exports"]);
+    let opts = HarnessOptions::parse(["--jobs", "3", "--quick", "--out", "exports"]).unwrap();
     assert_eq!(opts.jobs, 3);
     assert!(opts.quick);
     assert_eq!(opts.out_dir, std::path::PathBuf::from("exports"));
     assert!(opts.trace.is_none());
     assert_eq!(opts.trace_filter, faasmem_trace::LayerMask::ALL);
 
-    let opts = HarnessOptions::parse(["--trace", "t.jsonl", "--trace-filter", "pool,memory"]);
+    let opts =
+        HarnessOptions::parse(["--trace", "t.jsonl", "--trace-filter", "pool,memory"]).unwrap();
     assert_eq!(opts.trace, Some(std::path::PathBuf::from("t.jsonl")));
     assert!(opts.trace_filter.contains(faasmem_trace::TraceLayer::Pool));
     assert!(opts
@@ -651,22 +625,18 @@ fn options_parser() {
         .trace_filter
         .contains(faasmem_trace::TraceLayer::Container));
 
-    let opts = HarnessOptions::parse(["--trace=a/b.jsonl", "--trace-filter=bogus"]);
+    let opts = HarnessOptions::parse(["--trace=a/b.jsonl", "--jobs=5", "--out=x"]).unwrap();
     assert_eq!(opts.trace, Some(std::path::PathBuf::from("a/b.jsonl")));
-    // An unparseable filter is ignored, keeping the default mask.
-    assert_eq!(opts.trace_filter, faasmem_trace::LayerMask::ALL);
-
-    let opts = HarnessOptions::parse(["--jobs=5", "--out=x", "ignored", "--unknown-flag"]);
     assert_eq!(opts.jobs, 5);
     assert_eq!(opts.out_dir, std::path::PathBuf::from("x"));
     assert!(!opts.quick);
 
     // jobs is clamped to at least one worker.
-    let opts = HarnessOptions::parse(["--jobs", "0"]);
+    let opts = HarnessOptions::parse(["--jobs", "0"]).unwrap();
     assert_eq!(opts.jobs, 1);
 
     // Telemetry flags: disabled by default...
-    let opts = HarnessOptions::parse(["--quick"]);
+    let opts = HarnessOptions::parse(["--quick"]).unwrap();
     assert!(opts.series.is_none());
     assert!(opts.sample_spec().is_none());
 
@@ -678,7 +648,8 @@ fn options_parser() {
         "2.5",
         "--series-select",
         "faas,pool",
-    ]);
+    ])
+    .unwrap();
     assert_eq!(
         opts.series,
         Some(std::path::PathBuf::from("out.series.json"))
@@ -690,11 +661,32 @@ fn options_parser() {
     assert!(spec.select.contains(SeriesGroup::Pool));
     assert!(!spec.select.contains(SeriesGroup::Mem));
 
-    let opts = HarnessOptions::parse(["--series=s.json", "--series-select=bogus"]);
+    let opts = HarnessOptions::parse(["--series=s.json"]).unwrap();
     assert_eq!(opts.series, Some(std::path::PathBuf::from("s.json")));
-    // An unparseable selection is ignored, keeping the default mask.
     assert_eq!(
         opts.sample_spec().expect("enabled").select,
         faasmem_telemetry::SeriesMask::ALL
     );
+}
+
+#[test]
+fn options_parser_rejects_what_it_cannot_use() {
+    for args in [
+        &["--trace-filter=bogus"][..],
+        &["--series-select=bogus"],
+        &["--series-select", ""],
+        &["--series-interval", "0"],
+        &["--series-interval=-1"],
+        &["--jobs", "abc"],
+        &["--jobs=4x"],
+        &["-j"],
+        &["--out"],
+        &["--job", "4"],
+        &["--unknown-flag"],
+        &["ignored"],
+        &["--quick=yes"],
+    ] {
+        let err = HarnessOptions::parse(args).expect_err("rejected");
+        assert!(!err.is_empty(), "{args:?}");
+    }
 }

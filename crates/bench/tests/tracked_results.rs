@@ -1,7 +1,7 @@
 //! Schema and invariant checks on the tracked result grids in
 //! `results/`.
 //!
-//! `results/` is exactly the output of one full `runall` (wall-clock
+//! `results/` is exactly the output of one full `experiments all` (wall-clock
 //! `*.timing.*` files aside, which are untracked), and CI re-runs it
 //! from scratch and `diff -r`s the fresh tree against the tracked one,
 //! so every assertion here holds for every fresh run too: the export
@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 
+use faasmem_bench::experiments::{Stdout, EXPERIMENTS};
 use faasmem_bench::json::{self, JsonValue};
 
 /// The raw text of `results/<file>`.
@@ -316,4 +317,40 @@ fn tracked_anatomy_export_conserves_and_shows_the_attribution_shift() {
     let redundancy = |config| component(config, "FaaSMem", "redundancy_amplification");
     assert!(redundancy("ka=10min, mirror2") > 0.0);
     assert_eq!(redundancy("ka=10min, no redundancy"), 0.0);
+}
+
+#[test]
+fn tracked_files_match_the_experiment_registry() {
+    // Every tracked table is a `Table` entry's and every `Table` entry
+    // has one; every grid export is named after an entry. The
+    // wall-clock files are untracked, so a local run may leave them.
+    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
+    let mut txt = Vec::new();
+    let mut json = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}")) {
+        let name = entry
+            .expect("entry")
+            .file_name()
+            .into_string()
+            .expect("utf-8");
+        if name.contains(".timing.") {
+            continue;
+        }
+        if let Some(stem) = name.strip_suffix(".txt") {
+            txt.push(stem.to_string());
+        } else if let Some(stem) = name.strip_suffix(".json") {
+            json.push(stem.to_string());
+        }
+    }
+    let tables = EXPERIMENTS
+        .iter()
+        .filter(|(_, stdout, _)| *stdout == Stdout::Table)
+        .map(|(name, ..)| *name);
+    assert_eq!(sorted(txt.iter().map(String::as_str)), sorted(tables));
+    for stem in &json {
+        assert!(
+            EXPERIMENTS.iter().any(|(name, ..)| name == stem),
+            "results/{stem}.json names no experiment"
+        );
+    }
 }
