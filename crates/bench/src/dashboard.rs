@@ -138,8 +138,8 @@ pub fn parse_series(input: &str) -> Result<SeriesDoc, String> {
 
 /// Renders one cell of the document as a stacked multi-panel SVG: one
 /// panel per series-name prefix group, plus trailing "blame breakdown"
-/// and "memory anatomy" panels collecting the [`BLAME_COLUMNS`] and
-/// [`ANATOMY_COLUMNS`] gauges when any of them are drawable. Returns
+/// and "memory anatomy" panels collecting the `BLAME_COLUMNS` and
+/// `ANATOMY_COLUMNS` gauges when any of them are drawable. Returns
 /// an error when the cell index is out of range or no column has two
 /// finite points to draw.
 pub fn render_dashboard(doc: &SeriesDoc, cell_index: usize) -> Result<String, String> {

@@ -82,7 +82,7 @@ pub struct SemiWarmConfig {
     /// into the reuse CDF as a censored sample, pushing the start timing
     /// out pessimistically.
     pub cold_start_aware: bool,
-    /// Leap-style recall prefetching (related work [46]): when a request
+    /// Leap-style recall prefetching (related work \[46\]): when a request
     /// lands on a semi-warm container, pull the whole drained hot set
     /// back in one batch instead of letting the request demand-fault it
     /// page by page. Trades bandwidth (unneeded pages come back too) for

@@ -1765,6 +1765,13 @@ mod tests {
     }
 
     #[test]
+    fn every_stall_cause_charges_the_blame_component_of_its_name() {
+        for cause in StallCause::ALL {
+            assert_eq!(stall_component(cause).name(), cause.name());
+        }
+    }
+
+    #[test]
     fn single_request_cold_starts_and_recycles() {
         let mut s = sim();
         let report = s.run(&one_function_trace(&[10]));

@@ -1,6 +1,6 @@
 //! Page-lifecycle flow accounting.
 //!
-//! Every page in a container's [`PageTable`](crate::PageTable) moves
+//! Every page in a container's [`PageTable`] moves
 //! through a small residency state machine — local DRAM, the remote
 //! pool, the freed list — and each transition is one of seven named
 //! edges. The table counts every edge exactly once at the mutation

@@ -6,13 +6,13 @@
 //! for two reasons:
 //!
 //! * **Equivalence testing.** The property test below drives a
-//!   [`PageTable`] and a reference table through the same random
-//!   alloc/free/touch/offload/scan/promote interleavings and asserts
-//!   every observable output matches: returned ids (values *and*
-//!   order), promotion counts, per-page metadata, counters, histograms,
-//!   and — for sampled aging — the coin-draw sequence. This is what
-//!   lets the word-wise bitmap path claim byte-identical simulation
-//!   results.
+//!   [`PageTable`](crate::PageTable) and a reference table through the
+//!   same random alloc/free/touch/offload/scan/promote interleavings
+//!   and asserts every observable output matches: returned ids (values
+//!   *and* order), promotion counts, per-page metadata, counters,
+//!   histograms, and — for sampled aging — the coin-draw sequence. This
+//!   is what lets the word-wise bitmap path claim byte-identical
+//!   simulation results.
 //! * **Benchmarking.** `bench_mem` races every bitmap kernel against
 //!   this model in one process and fails when the data-oriented
 //!   layout's speed-up falls below a per-kernel floor.

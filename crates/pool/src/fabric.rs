@@ -1,6 +1,6 @@
 //! Multi-node pool fabric: placement, redundancy, failover and repair.
 //!
-//! The single [`RemotePool`](crate::RemotePool) models the paper's one
+//! The single [`RemotePool`] models the paper's one
 //! logical memory node. Real deployments spread the pool over M nodes,
 //! any of which can die — so a durable pool must decide *where* each
 //! offloaded segment's copies live and *how* recall survives a node
@@ -20,7 +20,7 @@
 //!   fragments land on distinct alive nodes walked cyclically from
 //!   `owner % nodes` (anti-affinity), so plans are seed-stable and
 //!   byte-identical across `--jobs`.
-//! * After a node death the background [`RepairQueue`] re-replicates
+//! * After a node death the background `RepairQueue` re-replicates
 //!   each under-replicated segment at a configurable bandwidth budget
 //!   (repair traffic flows between pool nodes, not over the host link),
 //!   so redundancy recovers instead of decaying.

@@ -53,15 +53,12 @@ impl std::str::FromStr for TraceLayer {
     type Err = String;
 
     fn from_str(s: &str) -> Result<TraceLayer, String> {
-        match s {
-            "harness" => Ok(TraceLayer::Harness),
-            "container" => Ok(TraceLayer::Container),
-            "memory" => Ok(TraceLayer::Memory),
-            "pool" => Ok(TraceLayer::Pool),
-            other => Err(format!(
-                "unknown trace layer '{other}' (expected harness, container, memory or pool)"
-            )),
-        }
+        TraceLayer::ALL
+            .into_iter()
+            .find(|layer| layer.name() == s)
+            .ok_or_else(|| {
+                format!("unknown trace layer '{s}' (expected harness, container, memory or pool)")
+            })
     }
 }
 
@@ -162,14 +159,80 @@ impl StallCause {
     }
 }
 
-/// What happened. Each variant belongs to one [`TraceLayer`] and
-/// carries a small, fully deterministic payload (counts, byte totals,
-/// simulated durations in microseconds — never wall-clock).
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
+/// Declares every event kind once: its doc comment, variant, wire name,
+/// layer and payload fields, each field with its doc comment. From the
+/// one table it generates [`EventKind`], [`EventKind::layer`],
+/// [`EventKind::name`], [`EventKind::push_payload`] (keys are the field
+/// names, in declaration order) and the decoder behind
+/// [`TraceEvent::from_json`], so the writer and the reader cannot
+/// disagree on a name, a layer or a key.
+macro_rules! event_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $name:literal in $layer:ident $({
+            $( $(#[$field_doc:meta])* $field:ident: $ty:ty, )*
+        })?
+    )*) => {
+        /// What happened. Each variant belongs to one [`TraceLayer`] and
+        /// carries a small, fully deterministic payload (counts, byte
+        /// totals, simulated durations in microseconds — never
+        /// wall-clock).
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EventKind {
+            $(
+                $(#[$doc])*
+                $variant $({ $( $(#[$field_doc])* $field: $ty, )* })?,
+            )*
+        }
+
+        impl EventKind {
+            /// The layer this kind belongs to.
+            pub fn layer(&self) -> TraceLayer {
+                match self {
+                    $( EventKind::$variant { .. } => TraceLayer::$layer, )*
+                }
+            }
+
+            /// The stable snake_case kind name used in JSONL and Chrome
+            /// output.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $name, )*
+                }
+            }
+
+            /// Appends the payload fields, in declaration order, to a
+            /// JSON object. Payload keys come after the envelope keys so
+            /// every line shares a stable prefix.
+            pub fn push_payload(&self, doc: &mut JsonValue) {
+                match self {
+                    $( EventKind::$variant $({ $($field),* })? => {
+                        $($( doc.push(stringify!($field), Field::json($field)); )*)?
+                    } )*
+                }
+            }
+
+            /// Builds the kind named `name` from its payload keys.
+            fn decode(name: &str, k: &Keys) -> Result<EventKind, String> {
+                Ok(match name {
+                    $( $name => EventKind::$variant $({
+                        $( $field: Field::decode(k, stringify!($field))?, )*
+                    })?, )*
+                    other => return Err(format!("key \"kind\": unknown kind {other:?}")),
+                })
+            }
+        }
+
+        /// Every kind's wire name, in table order.
+        #[cfg(test)]
+        const KIND_NAMES: &[&str] = &[$($name),*];
+    };
+}
+
+event_kinds! {
     // -- harness ------------------------------------------------------
     /// A grid cell began: the experiment labels and seeds for the run.
-    CellStart {
+    CellStart = "cell_start" in Harness {
         /// Trace label (workload trace name).
         trace: String,
         /// Benchmark label.
@@ -180,42 +243,35 @@ pub enum EventKind {
         policy: String,
         /// Deterministic cell seed.
         seed: u64,
-    },
+    }
     /// A grid cell finished cleanly.
-    CellEnd {
+    CellEnd = "cell_end" in Harness {
         /// Requests completed over the cell.
         requests: u64,
         /// Simulated duration of the run in seconds.
         sim_secs: f64,
-    },
+    }
 
     // -- container lifecycle ------------------------------------------
     /// A request arrived for a function.
-    RequestArrive {
+    RequestArrive = "request_arrive" in Container {
         /// Function index within the registered spec set.
         function: u32,
-    },
+    }
     /// A cold start began: a new container was created.
-    ContainerLaunch {
+    ContainerLaunch = "container_launch" in Container {
         /// Function index the container serves.
         function: u32,
-    },
+    }
     /// The container runtime finished loading.
-    RuntimeLoaded,
+    RuntimeLoaded = "runtime_loaded" in Container
     /// Language/runtime initialization completed.
-    InitDone,
+    InitDone = "init_done" in Container
     /// Request execution began on a container.
-    ExecStart {
+    ExecStart = "exec_start" in Container {
         /// Whether this execution is the container's cold start.
         cold: bool,
-    },
-    /// Request execution finished.
-    ExecEnd {
-        /// End-to-end request latency in simulated microseconds.
-        latency_us: u64,
-        /// Demand page faults taken during this execution.
-        faults: u64,
-    },
+    }
     /// One named stall component charged to the executing request.
     ///
     /// The platform previously folded all stalls invisibly into the
@@ -224,44 +280,51 @@ pub enum EventKind {
     /// the span covers `[t, t + us)` with consecutive `ExecStall`
     /// events of one request laid end to end — the matching
     /// [`EventKind::ExecEnd`] closes the chain.
-    ExecStall {
+    ExecStall = "exec_stall" in Container {
         /// Which blame family the stall belongs to.
         cause: StallCause,
         /// Stalled simulated microseconds.
         us: u64,
-    },
+    }
+    /// Request execution finished.
+    ExecEnd = "exec_end" in Container {
+        /// End-to-end request latency in simulated microseconds.
+        latency_us: u64,
+        /// Demand page faults taken during this execution.
+        faults: u64,
+    }
     /// The container went idle into the keep-alive pool.
-    KeepAliveEnter,
+    KeepAliveEnter = "keep_alive_enter" in Container
     /// The container was recycled (keep-alive expiry or fault policy).
-    ContainerRetire {
+    ContainerRetire = "container_retire" in Container {
         /// Requests the container served over its lifetime.
         requests: u64,
-    },
+    }
     /// The container was killed by an injected crash event.
-    ContainerCrash,
+    ContainerCrash = "container_crash" in Container
     /// A memory-node loss event hit the pool.
-    NodeLoss {
+    NodeLoss = "node_loss" in Container {
         /// Containers forcibly recycled by the loss.
         victims: u64,
         /// Remote bytes lost with the node.
         lost_bytes: u64,
-    },
+    }
 
     // -- memory -------------------------------------------------------
     /// An access-bit scan over a container's pages.
-    AccessScan {
+    AccessScan = "access_scan" in Memory {
         /// Pages resident (local + remote) at scan time.
         live: u64,
         /// Pages observed accessed since the previous scan.
         accessed: u64,
-    },
+    }
     /// A new MGLRU generation was created (promote tip).
-    GenerationCreate {
+    GenerationCreate = "generation_create" in Memory {
         /// The new generation number.
         generation: u64,
-    },
+    }
     /// Generations were aged and idle pages collected (demote).
-    GenerationAge {
+    GenerationAge = "generation_age" in Memory {
         /// Generation threshold used for collection.
         threshold: u64,
         /// Page ids the scan collected as offload candidates: at most
@@ -269,361 +332,191 @@ pub enum EventKind {
         /// DAMON no limit, or one id while the pool refuses offloads),
         /// not every page past the threshold.
         collected: u64,
-    },
+    }
     /// Pages moved local → remote in the page table.
-    MemOffload {
+    MemOffload = "mem_offload" in Memory {
         /// Pages offloaded.
         pages: u64,
-    },
+    }
     /// Pages moved remote → local in the page table.
-    MemPageIn {
+    MemPageIn = "mem_page_in" in Memory {
         /// Pages brought back.
         pages: u64,
         /// `true` for demand faults, `false` for prefetch.
         demand: bool,
-    },
+    }
 
     // -- pool ---------------------------------------------------------
     /// A transfer to the memory pool completed.
-    PoolPageOut {
+    PoolPageOut = "pool_page_out" in Pool {
         /// Bytes moved.
         bytes: u64,
         /// Transfer duration in simulated microseconds.
         stall_us: u64,
         /// Time spent queued behind earlier transfers (saturation).
         queued_us: u64,
-    },
+    }
     /// A transfer back from the memory pool completed.
-    PoolPageIn {
+    PoolPageIn = "pool_page_in" in Pool {
         /// Bytes moved.
         bytes: u64,
         /// Transfer duration in simulated microseconds.
         stall_us: u64,
         /// Time spent queued behind earlier transfers (saturation).
         queued_us: u64,
-    },
+    }
     /// Remote bytes were discarded without transfer (container retire).
-    PoolDiscard {
+    PoolDiscard = "pool_discard" in Pool {
         /// Bytes released.
         bytes: u64,
-    },
+    }
     /// A recall transfer was issued to the pool — the begin marker
     /// paired with the completing [`EventKind::PoolPageIn`] (which was
     /// previously the only, point, event of a recall).
-    RecallBegin {
+    RecallBegin = "recall_begin" in Pool {
         /// Bytes requested back.
         bytes: u64,
-    },
+    }
     /// An offload attempt was refused (suspension or link down).
-    OffloadRefused,
+    OffloadRefused = "offload_refused" in Pool
     /// A resilient recall attempt timed out and scheduled a retry.
-    RecallRetry {
+    RecallRetry = "recall_retry" in Pool {
         /// 1-based attempt number that failed.
         attempt: u64,
         /// Total simulated microseconds wasted so far in this recall.
         waited_us: u64,
-    },
+    }
     /// A resilient recall exhausted its retry budget.
-    RecallGaveUp {
+    RecallGaveUp = "recall_gave_up" in Pool {
         /// Attempts made.
         retries: u64,
         /// Total simulated microseconds wasted before giving up.
         wasted_us: u64,
-    },
+    }
     /// The recall circuit breaker tripped open.
-    BreakerOpen,
+    BreakerOpen = "breaker_open" in Pool
     /// The recall circuit breaker cooled down and closed.
-    BreakerClose,
+    BreakerClose = "breaker_close" in Pool
     /// A degraded-bandwidth window from the fault plan.
-    FaultWindow {
+    FaultWindow = "fault_window" in Pool {
         /// Window start, simulated microseconds.
         start_us: u64,
         /// Window end, simulated microseconds (`u64::MAX` = permanent).
         end_us: u64,
         /// Bandwidth multiplier in effect (0 = outage).
         factor: f64,
-    },
+    }
     /// A resilient recall was abandoned and the container's lost pages
     /// are being rebuilt locally from a cold start (the previously
     /// silent give-up path after [`EventKind::RecallGaveUp`]).
-    RecallAbandoned {
+    RecallAbandoned = "recall_abandoned" in Container {
         /// Remote pages written off.
         pages: u64,
         /// Simulated microseconds wasted on the failed recall.
         wasted_us: u64,
         /// Simulated microseconds the local cold rebuild costs.
         rebuild_us: u64,
-    },
+    }
     /// A recall was served from a surviving replica / fragment set after
     /// the primary pool node failed or the breaker forced a detour.
-    ReplicaRecall {
+    ReplicaRecall = "replica_recall" in Pool {
         /// Pool node the recall was served from.
         node: u64,
         /// Bytes brought home.
         bytes: u64,
         /// Extra reconstruction latency charged (erasure-coded reads).
         reconstruct_us: u64,
-    },
+    }
     /// The repair queue scheduled re-replication of one lost fragment.
-    RepairStart {
+    RepairStart = "repair_start" in Pool {
         /// Target pool node receiving the new copy.
         node: u64,
         /// Bytes to re-replicate.
         bytes: u64,
         /// Repair-queue backlog (bytes) including this item.
         backlog_bytes: u64,
-    },
+    }
     /// A repair item completed and the segment regained a fragment.
-    RepairDone {
+    RepairDone = "repair_done" in Pool {
         /// Pool node that received the new copy.
         node: u64,
         /// Bytes re-replicated.
         bytes: u64,
         /// Time from the node loss to this repair, simulated µs.
         mttr_us: u64,
-    },
+    }
     /// A whole pool node died; its replicas/fragments are gone.
-    PoolNodeDown {
+    PoolNodeDown = "pool_node_down" in Pool {
         /// Id of the dead pool node.
         node: u64,
         /// Segments that dropped below the recovery threshold (lost).
         lost_segments: u64,
         /// Segments that survived above threshold (degraded).
         degraded_segments: u64,
-    },
+    }
 }
 
-impl EventKind {
-    /// The layer this kind belongs to.
-    pub fn layer(&self) -> TraceLayer {
-        use EventKind::*;
-        match self {
-            CellStart { .. } | CellEnd { .. } => TraceLayer::Harness,
-            RequestArrive { .. }
-            | ContainerLaunch { .. }
-            | RuntimeLoaded
-            | InitDone
-            | ExecStart { .. }
-            | ExecStall { .. }
-            | ExecEnd { .. }
-            | KeepAliveEnter
-            | ContainerRetire { .. }
-            | ContainerCrash
-            | NodeLoss { .. }
-            | RecallAbandoned { .. } => TraceLayer::Container,
-            AccessScan { .. }
-            | GenerationCreate { .. }
-            | GenerationAge { .. }
-            | MemOffload { .. }
-            | MemPageIn { .. } => TraceLayer::Memory,
-            PoolPageOut { .. }
-            | PoolPageIn { .. }
-            | PoolDiscard { .. }
-            | RecallBegin { .. }
-            | OffloadRefused
-            | RecallRetry { .. }
-            | RecallGaveUp { .. }
-            | BreakerOpen
-            | BreakerClose
-            | FaultWindow { .. }
-            | ReplicaRecall { .. }
-            | RepairStart { .. }
-            | RepairDone { .. }
-            | PoolNodeDown { .. } => TraceLayer::Pool,
-        }
-    }
+/// How one payload field type is written to and read from JSON.
+trait Field: Sized {
+    /// The field as a JSON value.
+    fn json(&self) -> JsonValue;
+    /// Reads the field at `key`; an error names the key.
+    fn decode(k: &Keys, key: &str) -> Result<Self, String>;
+}
 
-    /// The stable snake_case kind name used in JSONL and Chrome output.
-    pub fn name(&self) -> &'static str {
-        use EventKind::*;
-        match self {
-            CellStart { .. } => "cell_start",
-            CellEnd { .. } => "cell_end",
-            RequestArrive { .. } => "request_arrive",
-            ContainerLaunch { .. } => "container_launch",
-            RuntimeLoaded => "runtime_loaded",
-            InitDone => "init_done",
-            ExecStart { .. } => "exec_start",
-            ExecStall { .. } => "exec_stall",
-            ExecEnd { .. } => "exec_end",
-            KeepAliveEnter => "keep_alive_enter",
-            ContainerRetire { .. } => "container_retire",
-            ContainerCrash => "container_crash",
-            NodeLoss { .. } => "node_loss",
-            AccessScan { .. } => "access_scan",
-            GenerationCreate { .. } => "generation_create",
-            GenerationAge { .. } => "generation_age",
-            MemOffload { .. } => "mem_offload",
-            MemPageIn { .. } => "mem_page_in",
-            PoolPageOut { .. } => "pool_page_out",
-            PoolPageIn { .. } => "pool_page_in",
-            PoolDiscard { .. } => "pool_discard",
-            RecallBegin { .. } => "recall_begin",
-            OffloadRefused => "offload_refused",
-            RecallRetry { .. } => "recall_retry",
-            RecallGaveUp { .. } => "recall_gave_up",
-            BreakerOpen => "breaker_open",
-            BreakerClose => "breaker_close",
-            FaultWindow { .. } => "fault_window",
-            RecallAbandoned { .. } => "recall_abandoned",
-            ReplicaRecall { .. } => "replica_recall",
-            RepairStart { .. } => "repair_start",
-            RepairDone { .. } => "repair_done",
-            PoolNodeDown { .. } => "pool_node_down",
-        }
+impl Field for u64 {
+    fn json(&self) -> JsonValue {
+        JsonValue::Num(*self as f64)
     }
+    fn decode(k: &Keys, key: &str) -> Result<u64, String> {
+        k.u64(key)
+    }
+}
 
-    /// Appends the payload fields, in declaration order, to a JSON
-    /// object. Payload keys come after the envelope keys so every line
-    /// shares a stable prefix.
-    pub fn push_payload(&self, doc: &mut JsonValue) {
-        use EventKind::*;
-        let num = |v: u64| JsonValue::Num(v as f64);
-        match self {
-            CellStart {
-                trace,
-                bench,
-                config,
-                policy,
-                seed,
-            } => {
-                doc.push("trace", JsonValue::Str(trace.clone()));
-                doc.push("bench", JsonValue::Str(bench.clone()));
-                doc.push("config", JsonValue::Str(config.clone()));
-                doc.push("policy", JsonValue::Str(policy.clone()));
-                doc.push("seed", num(*seed));
-            }
-            CellEnd { requests, sim_secs } => {
-                doc.push("requests", num(*requests));
-                doc.push("sim_secs", JsonValue::Num(*sim_secs));
-            }
-            RequestArrive { function } | ContainerLaunch { function } => {
-                doc.push("function", num(u64::from(*function)));
-            }
-            RuntimeLoaded | InitDone | KeepAliveEnter | ContainerCrash | OffloadRefused
-            | BreakerOpen | BreakerClose => {}
-            ExecStart { cold } => {
-                doc.push("cold", JsonValue::Bool(*cold));
-            }
-            ExecStall { cause, us } => {
-                doc.push("cause", JsonValue::Str(cause.name().into()));
-                doc.push("us", num(*us));
-            }
-            ExecEnd { latency_us, faults } => {
-                doc.push("latency_us", num(*latency_us));
-                doc.push("faults", num(*faults));
-            }
-            ContainerRetire { requests } => {
-                doc.push("requests", num(*requests));
-            }
-            NodeLoss {
-                victims,
-                lost_bytes,
-            } => {
-                doc.push("victims", num(*victims));
-                doc.push("lost_bytes", num(*lost_bytes));
-            }
-            AccessScan { live, accessed } => {
-                doc.push("live", num(*live));
-                doc.push("accessed", num(*accessed));
-            }
-            GenerationCreate { generation } => {
-                doc.push("generation", num(*generation));
-            }
-            GenerationAge {
-                threshold,
-                collected,
-            } => {
-                doc.push("threshold", num(*threshold));
-                doc.push("collected", num(*collected));
-            }
-            MemOffload { pages } => {
-                doc.push("pages", num(*pages));
-            }
-            MemPageIn { pages, demand } => {
-                doc.push("pages", num(*pages));
-                doc.push("demand", JsonValue::Bool(*demand));
-            }
-            PoolPageOut {
-                bytes,
-                stall_us,
-                queued_us,
-            }
-            | PoolPageIn {
-                bytes,
-                stall_us,
-                queued_us,
-            } => {
-                doc.push("bytes", num(*bytes));
-                doc.push("stall_us", num(*stall_us));
-                doc.push("queued_us", num(*queued_us));
-            }
-            PoolDiscard { bytes } | RecallBegin { bytes } => {
-                doc.push("bytes", num(*bytes));
-            }
-            RecallRetry { attempt, waited_us } => {
-                doc.push("attempt", num(*attempt));
-                doc.push("waited_us", num(*waited_us));
-            }
-            RecallGaveUp { retries, wasted_us } => {
-                doc.push("retries", num(*retries));
-                doc.push("wasted_us", num(*wasted_us));
-            }
-            FaultWindow {
-                start_us,
-                end_us,
-                factor,
-            } => {
-                doc.push("start_us", num(*start_us));
-                doc.push("end_us", num(*end_us));
-                doc.push("factor", JsonValue::Num(*factor));
-            }
-            RecallAbandoned {
-                pages,
-                wasted_us,
-                rebuild_us,
-            } => {
-                doc.push("pages", num(*pages));
-                doc.push("wasted_us", num(*wasted_us));
-                doc.push("rebuild_us", num(*rebuild_us));
-            }
-            ReplicaRecall {
-                node,
-                bytes,
-                reconstruct_us,
-            } => {
-                doc.push("node", num(*node));
-                doc.push("bytes", num(*bytes));
-                doc.push("reconstruct_us", num(*reconstruct_us));
-            }
-            RepairStart {
-                node,
-                bytes,
-                backlog_bytes,
-            } => {
-                doc.push("node", num(*node));
-                doc.push("bytes", num(*bytes));
-                doc.push("backlog_bytes", num(*backlog_bytes));
-            }
-            RepairDone {
-                node,
-                bytes,
-                mttr_us,
-            } => {
-                doc.push("node", num(*node));
-                doc.push("bytes", num(*bytes));
-                doc.push("mttr_us", num(*mttr_us));
-            }
-            PoolNodeDown {
-                node,
-                lost_segments,
-                degraded_segments,
-            } => {
-                doc.push("node", num(*node));
-                doc.push("lost_segments", num(*lost_segments));
-                doc.push("degraded_segments", num(*degraded_segments));
-            }
-        }
+impl Field for u32 {
+    fn json(&self) -> JsonValue {
+        JsonValue::Num(f64::from(*self))
+    }
+    fn decode(k: &Keys, key: &str) -> Result<u32, String> {
+        k.u32(key)
+    }
+}
+
+impl Field for f64 {
+    fn json(&self) -> JsonValue {
+        JsonValue::Num(*self)
+    }
+    fn decode(k: &Keys, key: &str) -> Result<f64, String> {
+        k.f64(key)
+    }
+}
+
+impl Field for bool {
+    fn json(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+    fn decode(k: &Keys, key: &str) -> Result<bool, String> {
+        k.bool(key)
+    }
+}
+
+impl Field for String {
+    fn json(&self) -> JsonValue {
+        JsonValue::Str(self.clone())
+    }
+    fn decode(k: &Keys, key: &str) -> Result<String, String> {
+        k.str(key).map(str::to_owned)
+    }
+}
+
+impl Field for StallCause {
+    fn json(&self) -> JsonValue {
+        JsonValue::Str(self.name().into())
+    }
+    fn decode(k: &Keys, key: &str) -> Result<StallCause, String> {
+        let name = k.str(key)?;
+        StallCause::from_name(name)
+            .ok_or_else(|| format!("key {key:?}: unknown stall cause {name:?}"))
     }
 }
 
@@ -683,129 +576,8 @@ impl TraceEvent {
     /// or mistyped key, or a `layer` that disagrees with the kind is an
     /// error naming the key.
     pub fn from_json(doc: &JsonValue) -> Result<(Option<u64>, TraceEvent), String> {
-        use EventKind::*;
         let k = Keys(doc);
-        let kind = match k.str("kind")? {
-            "cell_start" => CellStart {
-                trace: k.str("trace")?.into(),
-                bench: k.str("bench")?.into(),
-                config: k.str("config")?.into(),
-                policy: k.str("policy")?.into(),
-                seed: k.u64("seed")?,
-            },
-            "cell_end" => CellEnd {
-                requests: k.u64("requests")?,
-                sim_secs: k.f64("sim_secs")?,
-            },
-            "request_arrive" => RequestArrive {
-                function: k.u32("function")?,
-            },
-            "container_launch" => ContainerLaunch {
-                function: k.u32("function")?,
-            },
-            "runtime_loaded" => RuntimeLoaded,
-            "init_done" => InitDone,
-            "exec_start" => ExecStart {
-                cold: k.bool("cold")?,
-            },
-            "exec_stall" => {
-                let cause = k.str("cause")?;
-                ExecStall {
-                    cause: StallCause::from_name(cause)
-                        .ok_or_else(|| format!("key \"cause\": unknown stall cause {cause:?}"))?,
-                    us: k.u64("us")?,
-                }
-            }
-            "exec_end" => ExecEnd {
-                latency_us: k.u64("latency_us")?,
-                faults: k.u64("faults")?,
-            },
-            "keep_alive_enter" => KeepAliveEnter,
-            "container_retire" => ContainerRetire {
-                requests: k.u64("requests")?,
-            },
-            "container_crash" => ContainerCrash,
-            "node_loss" => NodeLoss {
-                victims: k.u64("victims")?,
-                lost_bytes: k.u64("lost_bytes")?,
-            },
-            "access_scan" => AccessScan {
-                live: k.u64("live")?,
-                accessed: k.u64("accessed")?,
-            },
-            "generation_create" => GenerationCreate {
-                generation: k.u64("generation")?,
-            },
-            "generation_age" => GenerationAge {
-                threshold: k.u64("threshold")?,
-                collected: k.u64("collected")?,
-            },
-            "mem_offload" => MemOffload {
-                pages: k.u64("pages")?,
-            },
-            "mem_page_in" => MemPageIn {
-                pages: k.u64("pages")?,
-                demand: k.bool("demand")?,
-            },
-            "pool_page_out" => PoolPageOut {
-                bytes: k.u64("bytes")?,
-                stall_us: k.u64("stall_us")?,
-                queued_us: k.u64("queued_us")?,
-            },
-            "pool_page_in" => PoolPageIn {
-                bytes: k.u64("bytes")?,
-                stall_us: k.u64("stall_us")?,
-                queued_us: k.u64("queued_us")?,
-            },
-            "pool_discard" => PoolDiscard {
-                bytes: k.u64("bytes")?,
-            },
-            "recall_begin" => RecallBegin {
-                bytes: k.u64("bytes")?,
-            },
-            "offload_refused" => OffloadRefused,
-            "recall_retry" => RecallRetry {
-                attempt: k.u64("attempt")?,
-                waited_us: k.u64("waited_us")?,
-            },
-            "recall_gave_up" => RecallGaveUp {
-                retries: k.u64("retries")?,
-                wasted_us: k.u64("wasted_us")?,
-            },
-            "breaker_open" => BreakerOpen,
-            "breaker_close" => BreakerClose,
-            "fault_window" => FaultWindow {
-                start_us: k.u64("start_us")?,
-                end_us: k.u64("end_us")?,
-                factor: k.f64("factor")?,
-            },
-            "recall_abandoned" => RecallAbandoned {
-                pages: k.u64("pages")?,
-                wasted_us: k.u64("wasted_us")?,
-                rebuild_us: k.u64("rebuild_us")?,
-            },
-            "replica_recall" => ReplicaRecall {
-                node: k.u64("node")?,
-                bytes: k.u64("bytes")?,
-                reconstruct_us: k.u64("reconstruct_us")?,
-            },
-            "repair_start" => RepairStart {
-                node: k.u64("node")?,
-                bytes: k.u64("bytes")?,
-                backlog_bytes: k.u64("backlog_bytes")?,
-            },
-            "repair_done" => RepairDone {
-                node: k.u64("node")?,
-                bytes: k.u64("bytes")?,
-                mttr_us: k.u64("mttr_us")?,
-            },
-            "pool_node_down" => PoolNodeDown {
-                node: k.u64("node")?,
-                lost_segments: k.u64("lost_segments")?,
-                degraded_segments: k.u64("degraded_segments")?,
-            },
-            other => return Err(format!("key \"kind\": unknown kind {other:?}")),
-        };
+        let kind = EventKind::decode(k.str("kind")?, &k)?;
         let layer = k.str("layer")?;
         if layer != kind.layer().name() {
             return Err(format!(
@@ -905,7 +677,10 @@ mod tests {
         for layer in TraceLayer::ALL {
             assert_eq!(layer.name().parse::<TraceLayer>().unwrap(), layer);
         }
-        assert!("disk".parse::<TraceLayer>().is_err());
+        assert_eq!(
+            "disk".parse::<TraceLayer>().unwrap_err(),
+            "unknown trace layer 'disk' (expected harness, container, memory or pool)"
+        );
     }
 
     #[test]
@@ -1074,55 +849,15 @@ mod tests {
         ]
     }
 
-    /// How many variants `EventKind` has.
-    const VARIANTS: usize = 33;
-
-    /// Exhaustive on purpose: a new variant fails to compile here until
-    /// it takes the next ordinal (and `VARIANTS` grows), and then fails
-    /// `every_kind_is_built_once` until [`every_kind`] builds it.
-    fn ordinal(kind: &EventKind) -> usize {
-        use EventKind::*;
-        match kind {
-            CellStart { .. } => 0,
-            CellEnd { .. } => 1,
-            RequestArrive { .. } => 2,
-            ContainerLaunch { .. } => 3,
-            RuntimeLoaded => 4,
-            InitDone => 5,
-            ExecStart { .. } => 6,
-            ExecStall { .. } => 7,
-            ExecEnd { .. } => 8,
-            KeepAliveEnter => 9,
-            ContainerRetire { .. } => 10,
-            ContainerCrash => 11,
-            NodeLoss { .. } => 12,
-            AccessScan { .. } => 13,
-            GenerationCreate { .. } => 14,
-            GenerationAge { .. } => 15,
-            MemOffload { .. } => 16,
-            MemPageIn { .. } => 17,
-            PoolPageOut { .. } => 18,
-            PoolPageIn { .. } => 19,
-            PoolDiscard { .. } => 20,
-            RecallBegin { .. } => 21,
-            OffloadRefused => 22,
-            RecallRetry { .. } => 23,
-            RecallGaveUp { .. } => 24,
-            BreakerOpen => 25,
-            BreakerClose => 26,
-            FaultWindow { .. } => 27,
-            RecallAbandoned { .. } => 28,
-            ReplicaRecall { .. } => 29,
-            RepairStart { .. } => 30,
-            RepairDone { .. } => 31,
-            PoolNodeDown { .. } => 32,
-        }
-    }
-
+    /// A new table entry fails here until [`every_kind`] builds it, in
+    /// table order.
     #[test]
     fn every_kind_is_built_once() {
-        let ordinals: Vec<usize> = every_kind(1, 1.0, true, "s").iter().map(ordinal).collect();
-        assert_eq!(ordinals, (0..VARIANTS).collect::<Vec<_>>());
+        let names: Vec<&str> = every_kind(1, 1.0, true, "s")
+            .iter()
+            .map(EventKind::name)
+            .collect();
+        assert_eq!(names, KIND_NAMES);
     }
 
     #[test]
@@ -1140,6 +875,65 @@ mod tests {
             let line = event.jsonl_line(Some(1));
             assert!(line.contains(&format!("\"kind\":\"{}\"", kind.name())));
             assert!(line.contains(&format!("\"layer\":\"{}\"", kind.layer().name())));
+        }
+    }
+
+    /// One exact JSONL line per kind, in [`every_kind`] order, for
+    /// `every_kind(12, 2.5, true, "s")` stamped at `t = 1000012`,
+    /// `seq = 3` in cell 1 of container 4, request 5. The round trip
+    /// cannot see a key or kind renamed on both sides at once; these
+    /// bytes can.
+    const PINNED: &[&str] = &[
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"harness","kind":"cell_start","ctr":4,"req":5,"trace":"s","bench":"s/b","config":"","policy":"p","seed":12}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"harness","kind":"cell_end","ctr":4,"req":5,"requests":12,"sim_secs":2.5}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"request_arrive","ctr":4,"req":5,"function":12}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"container_launch","ctr":4,"req":5,"function":12}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"runtime_loaded","ctr":4,"req":5}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"init_done","ctr":4,"req":5}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"exec_start","ctr":4,"req":5,"cold":true}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"exec_stall","ctr":4,"req":5,"cause":"failover_detour","us":12}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"exec_end","ctr":4,"req":5,"latency_us":12,"faults":6}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"keep_alive_enter","ctr":4,"req":5}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"container_retire","ctr":4,"req":5,"requests":12}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"container_crash","ctr":4,"req":5}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"node_loss","ctr":4,"req":5,"victims":12,"lost_bytes":6}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"memory","kind":"access_scan","ctr":4,"req":5,"live":12,"accessed":6}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"memory","kind":"generation_create","ctr":4,"req":5,"generation":12}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"memory","kind":"generation_age","ctr":4,"req":5,"threshold":12,"collected":6}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"memory","kind":"mem_offload","ctr":4,"req":5,"pages":12}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"memory","kind":"mem_page_in","ctr":4,"req":5,"pages":12,"demand":true}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"pool_page_out","ctr":4,"req":5,"bytes":12,"stall_us":6,"queued_us":4}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"pool_page_in","ctr":4,"req":5,"bytes":12,"stall_us":6,"queued_us":4}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"pool_discard","ctr":4,"req":5,"bytes":12}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"recall_begin","ctr":4,"req":5,"bytes":12}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"offload_refused","ctr":4,"req":5}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"recall_retry","ctr":4,"req":5,"attempt":12,"waited_us":6}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"recall_gave_up","ctr":4,"req":5,"retries":12,"wasted_us":6}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"breaker_open","ctr":4,"req":5}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"breaker_close","ctr":4,"req":5}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"fault_window","ctr":4,"req":5,"start_us":12,"end_us":6,"factor":2.5}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"container","kind":"recall_abandoned","ctr":4,"req":5,"pages":12,"wasted_us":6,"rebuild_us":4}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"replica_recall","ctr":4,"req":5,"node":12,"bytes":6,"reconstruct_us":4}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"repair_start","ctr":4,"req":5,"node":12,"bytes":6,"backlog_bytes":4}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"repair_done","ctr":4,"req":5,"node":12,"bytes":6,"mttr_us":4}"#,
+        r#"{"cell":1,"t":1000012,"seq":3,"layer":"pool","kind":"pool_node_down","ctr":4,"req":5,"node":12,"lost_segments":6,"degraded_segments":4}"#,
+    ];
+
+    #[test]
+    fn every_kind_writes_its_pinned_line_and_decodes_it_back() {
+        let kinds = every_kind(12, 2.5, true, "s");
+        assert_eq!(kinds.len(), PINNED.len());
+        for (kind, &pinned) in kinds.into_iter().zip(PINNED) {
+            let event = TraceEvent {
+                time: SimTime::from_micros(1_000_012),
+                seq: 3,
+                container: Some(4),
+                request: Some(5),
+                kind,
+            };
+            assert_eq!(event.jsonl_line(Some(1)), pinned);
+            let doc = json::parse(pinned).unwrap();
+            assert_eq!(TraceEvent::from_json(&doc), Ok((Some(1), event)));
         }
     }
 
@@ -1196,6 +990,7 @@ mod tests {
             ("{\"t\":0,\"seq\":0,\"layer\":\"pool\",\"kind\":\"breaker_open\",\"ctr\":\"3\"}", "\"ctr\""),
             ("{\"t\":0,\"seq\":0,\"layer\":\"container\",\"kind\":\"exec_end\",\"faults\":0}", "\"latency_us\""),
             ("{\"t\":0,\"seq\":0,\"layer\":\"container\",\"kind\":\"exec_start\",\"cold\":1}", "\"cold\""),
+            ("{\"t\":0,\"seq\":0,\"layer\":\"container\",\"kind\":\"exec_stall\",\"cause\":\"nap\",\"us\":1}", "key \"cause\": unknown stall cause \"nap\""),
             ("{\"t\":0,\"seq\":0,\"layer\":\"container\",\"kind\":\"request_arrive\",\"function\":4294967296}", "\"function\""),
         ];
         for (line, key) in cases {

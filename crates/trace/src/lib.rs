@@ -25,7 +25,10 @@
 //! Chrome trace-event / Perfetto via [`chrome::chrome_trace`]. The
 //! JSONL schema has one reader, [`read_jsonl`], which decodes every
 //! line with [`TraceEvent::from_json`] (the exact inverse of the
-//! writer) and groups the typed events by cell. Two folds consume
+//! writer) and groups the typed events by cell. Writer and decoder
+//! are generated from one `event_kinds!` table in the [`event`]
+//! module, so a new kind is one table entry plus its value in the
+//! tests' `every_kind` and its pinned JSONL line. Two folds consume
 //! them: [`TraceSummary::from_cells`] rebuilds per-container
 //! timelines, [`SpanForest::from_cells`] per-invocation span trees.
 //! The [`json`] module is the workspace's one JSON writer/parser
