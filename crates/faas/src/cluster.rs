@@ -163,6 +163,30 @@ impl ClusterSim {
         &self.spec
     }
 
+    /// Node `node`'s function `f`: its arrivals, in firing order.
+    fn function_trace(&self, node: u32, f: u32) -> InvocationTrace {
+        let spec = &self.spec;
+        let stream =
+            spec.seed ^ (u64::from(node) << 32) ^ u64::from(f).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        TraceSynthesizer::new(stream)
+            .load_class(spec.load)
+            .bursty(spec.bursty)
+            .duration(spec.duration)
+            .synthesize_for(FunctionId(f))
+    }
+
+    /// Node `node`'s invocation trace: its functions' runs concatenated
+    /// in function order, so same-instant arrivals come out by function
+    /// (what a fold of [`InvocationTrace::merge`]s in function order
+    /// gives, without copying the growing trace once per function).
+    fn node_trace(&self, node: u32) -> InvocationTrace {
+        let mut invocations = Vec::new();
+        for f in 0..self.spec.functions_per_node {
+            invocations.extend(self.function_trace(node, f).iter());
+        }
+        InvocationTrace::from_function_runs(invocations, self.spec.duration)
+    }
+
     /// Builds and runs node `node` from scratch. Deterministic in
     /// `(cluster seed, node)` alone, which is what makes the parallel
     /// schedule irrelevant to the output.
@@ -170,23 +194,14 @@ impl ClusterSim {
         let spec = &self.spec;
         let catalog = BenchmarkSpec::catalog();
         let mut builder = PlatformSim::builder();
-        let mut trace = InvocationTrace::empty(spec.duration);
         for f in 0..spec.functions_per_node {
             let bench = catalog[((u64::from(node) * u64::from(spec.functions_per_node)
                 + u64::from(f))
                 % catalog.len() as u64) as usize]
                 .clone();
             builder = builder.register_function(bench);
-            let stream = spec.seed
-                ^ (u64::from(node) << 32)
-                ^ u64::from(f).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let t = TraceSynthesizer::new(stream)
-                .load_class(spec.load)
-                .bursty(spec.bursty)
-                .duration(spec.duration)
-                .synthesize_for(FunctionId(f));
-            trace = trace.merge(&t);
         }
+        let trace = self.node_trace(node);
         let mut sim = builder
             .policy((self.policy_factory)(node))
             .seed(
@@ -278,6 +293,30 @@ mod tests {
             },
             |_| Box::new(OffloadInitPolicy),
         )
+    }
+
+    #[test]
+    fn node_trace_matches_the_fold_of_merges() {
+        // The retired fold puts lower functions first on equal `at`, as
+        // the `(at, function)` order does: the traces agree exactly.
+        let cluster = ClusterSim::new(
+            ClusterSpec {
+                nodes: 3,
+                functions_per_node: 6,
+                seed: 7,
+                duration: SimTime::from_mins(20),
+                load: LoadClass::High,
+                bursty: true,
+            },
+            |_| Box::new(NullPolicy),
+        );
+        for node in 0..3 {
+            let fold = (0..6).fold(
+                InvocationTrace::empty(SimTime::from_mins(20)),
+                |trace, f| trace.merge(&cluster.function_trace(node, f)),
+            );
+            assert_eq!(cluster.node_trace(node), fold, "node {node}");
+        }
     }
 
     #[test]

@@ -517,22 +517,42 @@ mod tests {
         reference::assert_exact_size(&synth.bursty(true).synthesize_for(FunctionId(1)));
     }
 
+    /// Races `synthesize_cluster` against the retired per-function traces
+    /// concatenated and stable-sorted: same invocations in the same
+    /// order, same classes, exact size.
+    fn check_cluster(seed: u64, functions: u32, minutes: u64) {
+        let synth = TraceSynthesizer::new(seed).duration(SimTime::from_mins(minutes));
+        let (trace, classes) = synth.synthesize_cluster(functions);
+        let (expected, expected_classes) = reference::synthesize_cluster(&synth, functions);
+        assert_eq!(trace, expected);
+        assert_eq!(classes, expected_classes);
+        reference::assert_exact_size(&trace);
+    }
+
     proptest::proptest! {
-        // The one-buffer cluster synthesis against the retired
-        // per-function traces concatenated and stable-sorted: same
-        // invocations in the same order, same classes, exact size.
         #[test]
         fn prop_cluster_matches_reference(
             seed in 0u64..u64::MAX,
             functions in 0u32..40,
             minutes in 1u64..20,
         ) {
-            let synth = TraceSynthesizer::new(seed).duration(SimTime::from_mins(minutes));
-            let (trace, classes) = synth.synthesize_cluster(functions);
-            let (expected, expected_classes) = reference::synthesize_cluster(&synth, functions);
-            proptest::prop_assert_eq!(&trace, &expected);
-            proptest::prop_assert_eq!(classes, expected_classes);
-            reference::assert_exact_size(&trace);
+            check_cluster(seed, functions, minutes);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// The long run of the oracle above, run explicitly by CI
+        /// (`cargo test -p faasmem-workload --release --lib -- --ignored`).
+        #[test]
+        #[ignore = "long oracle run; exercised explicitly by the CI test job"]
+        fn trace_assembly_oracle_extended_cluster(
+            seed in 0u64..u64::MAX,
+            functions in 0u32..80,
+            minutes in 1u64..40,
+        ) {
+            check_cluster(seed, functions, minutes);
         }
     }
 

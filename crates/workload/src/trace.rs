@@ -65,14 +65,48 @@ impl InvocationTrace {
         InvocationTrace::from_sorted(invocations, duration)
     }
 
-    /// Builds a trace, sorting invocations by `(at, function)` in place:
-    /// no scratch buffer, unlike [`from_invocations`]' stable sort. On
-    /// per-function runs concatenated in function order the two orders
-    /// agree, since two invocations equal in `(at, function)` are equal.
+    /// Builds a trace ordered by `(at, function)`: same-instant arrivals
+    /// come out in function order. Invocations equal in `(at, function)`
+    /// are equal values, so the result does not depend on the input
+    /// order. On per-function runs, each in firing order and concatenated
+    /// in function order, it is exactly what [`from_invocations`]' stable
+    /// sort gives, and what a fold of [`merge`]s in function order gives.
+    ///
+    /// The order is built in place, in linear time on trace-shaped input:
+    /// a counting pass over time buckets of packed
+    /// `at << function bits | function` keys, then a sort of each short
+    /// bucket. It needs no buffer beyond one `u32` count per bucket: no
+    /// key array and no second invocation buffer (DESIGN § Data layout:
+    /// traces). Keys whose within-bucket residue is wider than 32 bits
+    /// (a long horizon with wide function ids), or more than `u32::MAX`
+    /// invocations, fall back to an in-place comparison sort.
+    /// Growth slack in `invocations` is released.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any invocation fires after `duration`.
     ///
     /// [`from_invocations`]: InvocationTrace::from_invocations
-    pub(crate) fn from_function_runs(mut invocations: Vec<Invocation>, duration: SimTime) -> Self {
-        invocations.sort_unstable_by_key(|inv| (inv.at, inv.function));
+    /// [`merge`]: InvocationTrace::merge
+    pub fn from_function_runs(mut invocations: Vec<Invocation>, duration: SimTime) -> Self {
+        let (mut latest, mut top) = (SimTime::ZERO, 0);
+        for inv in &invocations {
+            latest = latest.max(inv.at);
+            top = top.max(inv.function.0);
+        }
+        assert!(
+            latest <= duration,
+            "invocation at {latest} beyond horizon {duration}"
+        );
+        let function_bits = bit_width(u64::from(top));
+        let key_bits = bit_width(duration.as_micros()) + function_bits;
+        let buckets = (invocations.len().next_power_of_two() / 4).max(1);
+        let residue_bits = key_bits.saturating_sub(buckets.trailing_zeros());
+        if residue_bits <= u32::BITS && invocations.len() <= u32::MAX as usize {
+            sort_in_buckets(&mut invocations, function_bits, residue_bits, buckets);
+        } else {
+            invocations.sort_unstable_by_key(|inv| (inv.at, inv.function));
+        }
         InvocationTrace::from_sorted(invocations, duration)
     }
 
@@ -202,6 +236,72 @@ impl InvocationTrace {
     }
 }
 
+/// Bits needed to write `x`: 0 for 0.
+fn bit_width(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
+}
+
+/// Sorts `invocations` by `(at, function)` in place, through the packed
+/// keys `at << function_bits | function`, which order exactly as the
+/// pairs do. A key's top bits, `key >> residue_bits`, pick one of
+/// `buckets` buckets (every key is below `buckets << residue_bits`); its
+/// low `residue_bits` bits, at most 32, are its residue within the
+/// bucket.
+///
+/// No buffer is needed beyond one `u32` count per bucket. Each
+/// invocation's key is first packed into its own `at` field, which
+/// frees every `function` field. The keys are counted into buckets, and
+/// each key's residue is written into the `function` field of the next
+/// free slot of its bucket, so the slots fill bucket by bucket. A bucket
+/// holds only keys below the next bucket's, so ordering each bucket by
+/// residue orders the whole; a bucket's index and a slot's residue then
+/// decode back into the invocation. A bucket holds a few keys on
+/// trace-shaped input, which `sort_unstable` orders by insertion; a
+/// dense burst costs it `k log k`, not `k²`.
+fn sort_in_buckets(
+    invocations: &mut [Invocation],
+    function_bits: u32,
+    residue_bits: u32,
+    buckets: usize,
+) {
+    for inv in invocations.iter_mut() {
+        let key = (inv.at.as_micros() << function_bits) | u64::from(inv.function.0);
+        inv.at = SimTime::from_micros(key);
+    }
+    let bucket = |key: u64| (key >> residue_bits) as usize;
+    // Bucket counts, then each bucket's first slot, then (after the
+    // scatter) one past its last.
+    let mut ends = vec![0u32; buckets];
+    for inv in invocations.iter() {
+        ends[bucket(inv.at.as_micros())] += 1;
+    }
+    let mut start = 0;
+    for end in &mut ends {
+        (*end, start) = (start, start + *end);
+    }
+    let residue_mask = (1u64 << residue_bits) - 1;
+    for i in 0..invocations.len() {
+        let key = invocations[i].at.as_micros();
+        let slot = &mut ends[bucket(key)];
+        invocations[*slot as usize].function = FunctionId((key & residue_mask) as u32);
+        *slot += 1;
+    }
+    let function_mask = (1u64 << function_bits) - 1;
+    let mut start = 0;
+    for (b, &end) in ends.iter().enumerate() {
+        let run = &mut invocations[start..end as usize];
+        run.sort_unstable_by_key(|inv| inv.function);
+        for inv in run {
+            let key = ((b as u64) << residue_bits) | u64::from(inv.function.0);
+            *inv = Invocation {
+                at: SimTime::from_micros(key >> function_bits),
+                function: FunctionId((key & function_mask) as u32),
+            };
+        }
+        start = end as usize;
+    }
+}
+
 /// Summary statistics of a trace (Fig 16's x-axes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
@@ -302,36 +402,186 @@ mod tests {
         reference::assert_exact_size(&InvocationTrace::empty(SimTime::from_secs(10)));
     }
 
+    /// Races `merge` against the retired clone-append-stable-sort.
+    fn check_merge(a: &[(u64, u32)], b: &[(u64, u32)]) {
+        let (a, b) = (scripted(a), scripted(b));
+        let merged = a.merge(&b);
+        assert_eq!(merged, reference::merge(&a, &b));
+        reference::assert_exact_size(&merged);
+        reference::assert_exact_size(&a);
+    }
+
+    /// Races `from_function_runs` against the retired
+    /// concatenate-and-stable-sort on `runs`, which must be in function
+    /// order, each in firing order.
+    fn check_function_runs(runs: &[Vec<Invocation>], horizon: SimTime) {
+        let built = InvocationTrace::from_function_runs(runs.concat(), horizon);
+        assert_eq!(built, reference::concatenate(runs, horizon));
+        reference::assert_exact_size(&built);
+    }
+
+    /// `u64::MAX` cut to its low `bits` bits: the largest value `bits`
+    /// bits write.
+    fn all_ones(bits: u32) -> u64 {
+        u64::MAX.checked_shr(u64::BITS - bits).unwrap_or(0)
+    }
+
+    /// One `from_function_runs` case: a horizon of exactly `horizon_bits`
+    /// bits; four function ids of at most `id_bits` bits, the widest
+    /// `id_bits` wide; and `(instant, function)` draws over eight
+    /// instants (0, the horizon and six drawn ones), so arrivals collide
+    /// within and across functions and crowd single buckets.
+    type RunsCase = (u32, u32, Vec<u64>, Vec<(usize, usize)>);
+
+    fn runs_case(max_len: usize) -> impl proptest::strategy::Strategy<Value = RunsCase> {
+        (
+            0u32..65,
+            0u32..33,
+            proptest::collection::vec(0u64..u64::MAX, 6..7),
+            proptest::collection::vec((0usize..8, 0usize..4), 0..max_len),
+        )
+    }
+
+    fn check_runs_case((horizon_bits, id_bits, drawn, ops): RunsCase) {
+        let horizon = all_ones(horizon_bits);
+        let top = all_ones(id_bits) as u32;
+        let ids = [0, top / 3, top / 2, top];
+        let mut instants = vec![0, horizon];
+        instants.extend(drawn.iter().map(|&x| x % horizon.saturating_add(1)));
+        let mut runs = vec![Vec::new(); ids.len()];
+        for &(instant, f) in &ops {
+            runs[f].push(Invocation {
+                at: SimTime::from_micros(instants[instant]),
+                function: FunctionId(ids[f]),
+            });
+        }
+        for run in &mut runs {
+            run.sort_by_key(|i| i.at);
+        }
+        check_function_runs(&runs, SimTime::from_micros(horizon));
+    }
+
     proptest::proptest! {
         // The linear merge against the retired clone-append-stable-sort,
         // on traces with same-instant arrivals within and across
-        // functions, empty traces and arrivals on the horizon.
+        // functions, empty traces, arrivals on the horizon, and a long
+        // side whose runs outlast the other side's.
         #[test]
-        fn prop_merge_matches_reference(a in script(24), b in script(24)) {
-            let (a, b) = (scripted(&a), scripted(&b));
-            let merged = a.merge(&b);
-            proptest::prop_assert_eq!(&merged, &reference::merge(&a, &b));
-            reference::assert_exact_size(&merged);
-            reference::assert_exact_size(&a);
+        fn prop_merge_matches_reference(a in script(24), b in script(24), long in script(160)) {
+            check_merge(&a, &b);
+            check_merge(&long, &b);
+            check_merge(&b, &long);
         }
 
-        // The in-place `(at, function)` sort against the retired
+        // The in-place bucket pass against the retired
         // concatenate-and-stable-sort, on per-function runs in function
-        // order with the same kinds of collisions.
+        // order: horizons of 0 to 64 bits and function ids of 0 to 32
+        // bits (so the key is 0 to 96 bits wide, and its residue both
+        // fits 32 bits and falls back), and crowded instants.
         #[test]
-        fn prop_function_runs_match_reference(ops in script(40)) {
-            let mut runs = vec![Vec::new(); 3];
-            for &(at, f) in &ops {
-                runs[f as usize].push(inv(at, f));
-            }
-            for run in &mut runs {
-                run.sort_by_key(|i| i.at);
-            }
-            let horizon = SimTime::from_secs(HORIZON_SECS);
-            let built = InvocationTrace::from_function_runs(runs.concat(), horizon);
-            proptest::prop_assert_eq!(&built, &reference::concatenate(&runs, horizon));
-            reference::assert_exact_size(&built);
+        fn prop_function_runs_match_reference(case in runs_case(200)) {
+            check_runs_case(case);
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// The long runs of the two oracles above, run explicitly by CI
+        /// (`cargo test -p faasmem-workload --release --lib -- --ignored`).
+        #[test]
+        #[ignore = "long oracle run; exercised explicitly by the CI test job"]
+        fn trace_assembly_oracle_extended_merge(a in script(60), b in script(60), long in script(400)) {
+            check_merge(&a, &b);
+            check_merge(&long, &b);
+            check_merge(&b, &long);
+        }
+
+        #[test]
+        #[ignore = "long oracle run; exercised explicitly by the CI test job"]
+        fn trace_assembly_oracle_extended_function_runs(case in runs_case(600)) {
+            check_runs_case(case);
+        }
+    }
+
+    /// One function `f`'s run at the given microsecond instants.
+    fn run_at(f: u32, micros: &[u64]) -> Vec<Invocation> {
+        micros
+            .iter()
+            .map(|&at| Invocation {
+                at: SimTime::from_micros(at),
+                function: FunctionId(f),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn function_runs_of_zero_and_one_invocation() {
+        check_function_runs(&[], SimTime::from_secs(1));
+        check_function_runs(&[run_at(7, &[3])], SimTime::from_micros(3));
+        check_function_runs(&[run_at(u32::MAX, &[0])], SimTime::ZERO);
+    }
+
+    #[test]
+    fn function_runs_crowding_one_instant_on_the_horizon() {
+        // 64 functions firing together on the horizon, after one early
+        // arrival each: one bucket holds 64 keys in function order.
+        let horizon = SimTime::from_secs(60);
+        let runs: Vec<_> = (0..64)
+            .map(|f| run_at(f * 1000, &[u64::from(f), horizon.as_micros()]))
+            .collect();
+        check_function_runs(&runs, horizon);
+        let built = InvocationTrace::from_function_runs(runs.concat(), horizon);
+        let last: Vec<u32> = built.iter().skip(64).map(|i| i.function.0).collect();
+        assert_eq!(last, (0..64).map(|f| f * 1000).collect::<Vec<_>>());
+    }
+
+    /// Functions 0, 1, 2^31 and `u32::MAX`, each firing at `instants`.
+    fn widest_ids_at(instants: &[u64]) -> Vec<Vec<Invocation>> {
+        [0, 1, 1 << 31, u32::MAX]
+            .iter()
+            .map(|&f| run_at(f, instants))
+            .collect()
+    }
+
+    #[test]
+    fn function_runs_with_a_32_bit_residue_pack() {
+        // 256 invocations make 64 buckets (6 bits); a 6-bit horizon and
+        // 32-bit function ids make a 38-bit key, so the residue is
+        // exactly 32 bits.
+        let instants: Vec<u64> = (0..64).collect();
+        check_function_runs(&widest_ids_at(&instants), SimTime::from_micros(63));
+    }
+
+    #[test]
+    fn function_runs_with_a_33_bit_residue_fall_back_to_the_comparison_sort() {
+        // The same 256 invocations over a 7-bit horizon: their 33-bit
+        // residues would not fit a `function` field, and a packed pass
+        // would drop the low bit of every odd instant.
+        let instants: Vec<u64> = (0..64).map(|i| 2 * i + 1).collect();
+        check_function_runs(&widest_ids_at(&instants), SimTime::from_micros(127));
+    }
+
+    #[test]
+    fn function_runs_at_64_and_65_key_bits_fall_back_to_the_comparison_sort() {
+        // A 32-bit horizon and 32-bit function ids fill a 64-bit key,
+        // and a 33-bit horizon overflows it.
+        for horizon_bits in [32, 33] {
+            let horizon = all_ones(horizon_bits);
+            let late = 1 << (horizon_bits - 1);
+            let runs = [
+                run_at(0, &[late, horizon]),
+                run_at(5, &[1, late - 1, late]),
+                run_at(u32::MAX, &[0, late, horizon]),
+            ];
+            check_function_runs(&runs, SimTime::from_micros(horizon));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond horizon")]
+    fn function_runs_past_horizon_panic() {
+        let _ = InvocationTrace::from_function_runs(run_at(0, &[11]), SimTime::from_micros(10));
     }
 
     #[test]
