@@ -1,9 +1,14 @@
 //! Invocation traces: the "when" of the workload.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
+use std::iter::FusedIterator;
 
 use faasmem_metrics::Cdf;
 use faasmem_sim::SimTime;
+
+use crate::azure::{Arrivals, Generator};
 
 /// Identifies a registered function within a platform run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -26,9 +31,16 @@ pub struct Invocation {
 
 /// A time-sorted sequence of invocations over a fixed horizon.
 ///
-/// A trace is built once and read for a whole run, so every constructor
-/// leaves exactly `len` invocations of capacity, with no growth slack
-/// (DESIGN § Data layout: traces).
+/// A trace is a horizon plus an ordered list of sources, each yielding
+/// its arrivals in firing order: either one function's arrival
+/// generator, replayed on every pass, or a held `Vec` of invocations
+/// (explicit traces, file imports). [`iter`] merges the sources on
+/// `(at, source index)`, so a synthesized trace costs memory per
+/// function, not per invocation, at any horizon. Every buffer a trace
+/// holds is at exactly its length (DESIGN § Data layout: traces).
+///
+/// Equality and `Debug` read the content: a synthesized trace equals
+/// the same invocations held explicitly.
 ///
 /// # Examples
 ///
@@ -46,10 +58,21 @@ pub struct Invocation {
 /// assert_eq!(trace.len(), 2);
 /// assert!(trace.iter().next().unwrap().at == SimTime::from_secs(1)); // sorted
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// [`iter`]: InvocationTrace::iter
+#[derive(Clone)]
 pub struct InvocationTrace {
-    invocations: Vec<Invocation>,
+    sources: Vec<Source>,
     duration: SimTime,
+}
+
+/// Where a run of a trace's arrivals comes from.
+#[derive(Debug, Clone)]
+enum Source {
+    /// One function's arrival process, replayed up to the horizon.
+    Generated(Generator),
+    /// Invocations in firing order, at exactly their length.
+    Held(Vec<Invocation>),
 }
 
 impl InvocationTrace {
@@ -65,51 +88,6 @@ impl InvocationTrace {
         InvocationTrace::from_sorted(invocations, duration)
     }
 
-    /// Builds a trace ordered by `(at, function)`: same-instant arrivals
-    /// come out in function order. Invocations equal in `(at, function)`
-    /// are equal values, so the result does not depend on the input
-    /// order. On per-function runs, each in firing order and concatenated
-    /// in function order, it is exactly what [`from_invocations`]' stable
-    /// sort gives, and what a fold of [`merge`]s in function order gives.
-    ///
-    /// The order is built in place, in linear time on trace-shaped input:
-    /// a counting pass over time buckets of packed
-    /// `at << function bits | function` keys, then a sort of each short
-    /// bucket. It needs no buffer beyond one `u32` count per bucket: no
-    /// key array and no second invocation buffer (DESIGN § Data layout:
-    /// traces). Keys whose within-bucket residue is wider than 32 bits
-    /// (a long horizon with wide function ids), or more than `u32::MAX`
-    /// invocations, fall back to an in-place comparison sort.
-    /// Growth slack in `invocations` is released.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any invocation fires after `duration`.
-    ///
-    /// [`from_invocations`]: InvocationTrace::from_invocations
-    /// [`merge`]: InvocationTrace::merge
-    pub fn from_function_runs(mut invocations: Vec<Invocation>, duration: SimTime) -> Self {
-        let (mut latest, mut top) = (SimTime::ZERO, 0);
-        for inv in &invocations {
-            latest = latest.max(inv.at);
-            top = top.max(inv.function.0);
-        }
-        assert!(
-            latest <= duration,
-            "invocation at {latest} beyond horizon {duration}"
-        );
-        let function_bits = bit_width(u64::from(top));
-        let key_bits = bit_width(duration.as_micros()) + function_bits;
-        let buckets = (invocations.len().next_power_of_two() / 4).max(1);
-        let residue_bits = key_bits.saturating_sub(buckets.trailing_zeros());
-        if residue_bits <= u32::BITS && invocations.len() <= u32::MAX as usize {
-            sort_in_buckets(&mut invocations, function_bits, residue_bits, buckets);
-        } else {
-            invocations.sort_unstable_by_key(|inv| (inv.at, inv.function));
-        }
-        InvocationTrace::from_sorted(invocations, duration)
-    }
-
     /// Wraps invocations already in firing order, releasing growth slack.
     ///
     /// # Panics
@@ -120,36 +98,58 @@ impl InvocationTrace {
             invocations.is_sorted_by_key(|inv| inv.at),
             "invocations must be in firing order"
         );
-        if let Some(last) = invocations.last() {
-            assert!(
-                last.at <= duration,
-                "invocation at {} beyond horizon {duration}",
-                last.at
-            );
-        }
+        let Some(last) = invocations.last() else {
+            return InvocationTrace::empty(duration);
+        };
+        assert!(
+            last.at <= duration,
+            "invocation at {} beyond horizon {duration}",
+            last.at
+        );
         invocations.shrink_to_fit();
         InvocationTrace {
-            invocations,
+            sources: vec![Source::Held(invocations)],
             duration,
         }
+    }
+
+    /// A trace replaying `generators` up to `duration`. Same-instant
+    /// arrivals of different generators come out in list order.
+    pub(crate) fn generated(
+        generators: impl ExactSizeIterator<Item = Generator>,
+        duration: SimTime,
+    ) -> Self {
+        let mut sources = Vec::with_capacity(generators.len());
+        sources.extend(generators.map(Source::Generated));
+        InvocationTrace { sources, duration }
     }
 
     /// An empty trace with the given horizon.
     pub fn empty(duration: SimTime) -> Self {
         InvocationTrace {
-            invocations: Vec::new(),
+            sources: Vec::new(),
             duration,
         }
     }
 
-    /// Number of invocations.
+    /// Number of invocations. Generated sources are not held, so this
+    /// is one pass over the trace's arrivals.
     pub fn len(&self) -> usize {
-        self.invocations.len()
+        self.sources
+            .iter()
+            .map(|source| match source {
+                Source::Generated(g) => g.arrivals(self.duration).count(),
+                Source::Held(run) => run.len(),
+            })
+            .sum()
     }
 
     /// `true` when the trace has no invocations.
     pub fn is_empty(&self) -> bool {
-        self.invocations.is_empty()
+        self.sources.iter().all(|source| match source {
+            Source::Generated(g) => g.arrivals(self.duration).next().is_none(),
+            Source::Held(run) => run.is_empty(),
+        })
     }
 
     /// The trace horizon (simulation end time).
@@ -157,76 +157,105 @@ impl InvocationTrace {
         self.duration
     }
 
-    /// Iterates over invocations in firing order.
-    pub fn iter(&self) -> impl Iterator<Item = &Invocation> + '_ {
-        self.invocations.iter()
+    /// Iterates over invocations in firing order; on equal `at`, the
+    /// earlier source's come first. Allocates here, once, for the
+    /// merge's cursors, and never per arrival.
+    pub fn iter(&self) -> Iter<'_> {
+        let mut cursors = Vec::with_capacity(self.sources.len());
+        let mut heads = BinaryHeap::with_capacity(self.sources.len());
+        for (source, index) in self.sources.iter().zip(0u32..) {
+            let mut cursor = match source {
+                Source::Generated(g) => Cursor::Generated(g.arrivals(self.duration)),
+                Source::Held(run) => Cursor::Held(run.iter()),
+            };
+            if let Some(inv) = cursor.next() {
+                heads.push(Reverse(Head::new(inv, index)));
+            }
+            cursors.push(cursor);
+        }
+        Iter { cursors, heads }
     }
 
     /// Invocations of one function, in firing order.
     pub fn for_function(&self, function: FunctionId) -> Vec<Invocation> {
-        self.invocations
-            .iter()
-            .filter(|i| i.function == function)
-            .copied()
-            .collect()
+        self.iter().filter(|i| i.function == function).collect()
     }
 
     /// The distinct functions appearing in the trace, ascending.
     pub fn functions(&self) -> Vec<FunctionId> {
-        let mut ids: Vec<FunctionId> = self.invocations.iter().map(|i| i.function).collect();
+        let mut ids: Vec<FunctionId> = self.iter().map(|i| i.function).collect();
         ids.sort_unstable();
         ids.dedup();
         ids
     }
 
-    /// Heap bytes the trace holds: exactly `len` invocations, since
-    /// every constructor releases growth slack.
+    /// Heap bytes the trace holds: its source list plus its held
+    /// invocations. A generated source holds no invocations, so a
+    /// synthesized trace's bytes do not grow with its horizon.
     pub fn allocated_bytes(&self) -> usize {
-        self.invocations.capacity() * std::mem::size_of::<Invocation>()
+        self.bytes(Vec::capacity, self.sources.capacity())
     }
 
-    /// Merges two traces over the same horizon in one linear pass into an
-    /// exactly sized buffer. The merge is stable: on equal `at`, `self`'s
-    /// invocations come first, each side in its own order.
+    /// What [`allocated_bytes`] reads when every buffer the trace holds
+    /// is at exactly its length.
+    ///
+    /// [`allocated_bytes`]: InvocationTrace::allocated_bytes
+    #[cfg(test)]
+    pub(crate) fn exact_bytes(&self) -> usize {
+        self.bytes(Vec::len, self.sources.len())
+    }
+
+    /// The source list's `slots` plus `held(run)` invocations per held
+    /// run, in bytes.
+    fn bytes(&self, held: fn(&Vec<Invocation>) -> usize, slots: usize) -> usize {
+        let invocations: usize = self
+            .sources
+            .iter()
+            .map(|source| match source {
+                Source::Generated(_) => 0,
+                Source::Held(run) => held(run),
+            })
+            .sum();
+        slots * std::mem::size_of::<Source>() + invocations * std::mem::size_of::<Invocation>()
+    }
+
+    /// Merges two traces over the same horizon by appending `other`'s
+    /// sources after `self`'s. The merge is stable: on equal `at`,
+    /// `self`'s invocations come first, each side in its own order.
+    /// Generators are copied and held runs cloned, so merging
+    /// synthesized traces copies no arrivals.
     ///
     /// # Panics
     ///
     /// Panics if the horizons differ.
     pub fn merge(&self, other: &InvocationTrace) -> InvocationTrace {
         assert_eq!(self.duration, other.duration, "traces must share a horizon");
-        let (a, b) = (&self.invocations, &other.invocations);
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if b[j].at < a[i].at {
-                merged.push(b[j]);
-                j += 1;
-            } else {
-                merged.push(a[i]);
-                i += 1;
-            }
-        }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
+        let mut sources = Vec::with_capacity(self.sources.len() + other.sources.len());
+        sources.extend(self.sources.iter().cloned());
+        sources.extend(other.sources.iter().cloned());
         InvocationTrace {
-            invocations: merged,
+            sources,
             duration: self.duration,
         }
     }
 
     /// Statistics over the trace: request rate and inter-arrival spread.
     pub fn stats(&self) -> TraceStats {
-        let intervals: Vec<f64> = self
-            .invocations
-            .windows(2)
-            .map(|w| w[1].at.saturating_since(w[0].at).as_secs_f64())
-            .collect();
+        let mut invocations = 0;
+        let mut previous = None;
+        let mut intervals = Vec::new();
+        for inv in self.iter() {
+            invocations += 1;
+            if let Some(previous) = previous.replace(inv.at) {
+                intervals.push(inv.at.saturating_since(previous).as_secs_f64());
+            }
+        }
         let interval_cdf = Cdf::from_samples(intervals);
         let minutes = self.duration.as_secs_f64() / 60.0;
         TraceStats {
-            invocations: self.invocations.len(),
+            invocations,
             req_per_min: if minutes > 0.0 {
-                self.invocations.len() as f64 / minutes
+                invocations as f64 / minutes
             } else {
                 0.0
             },
@@ -236,71 +265,94 @@ impl InvocationTrace {
     }
 }
 
-/// Bits needed to write `x`: 0 for 0.
-fn bit_width(x: u64) -> u32 {
-    u64::BITS - x.leading_zeros()
+impl PartialEq for InvocationTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.duration == other.duration && self.iter().eq(other.iter())
+    }
 }
 
-/// Sorts `invocations` by `(at, function)` in place, through the packed
-/// keys `at << function_bits | function`, which order exactly as the
-/// pairs do. A key's top bits, `key >> residue_bits`, pick one of
-/// `buckets` buckets (every key is below `buckets << residue_bits`); its
-/// low `residue_bits` bits, at most 32, are its residue within the
-/// bucket.
-///
-/// No buffer is needed beyond one `u32` count per bucket. Each
-/// invocation's key is first packed into its own `at` field, which
-/// frees every `function` field. The keys are counted into buckets, and
-/// each key's residue is written into the `function` field of the next
-/// free slot of its bucket, so the slots fill bucket by bucket. A bucket
-/// holds only keys below the next bucket's, so ordering each bucket by
-/// residue orders the whole; a bucket's index and a slot's residue then
-/// decode back into the invocation. A bucket holds a few keys on
-/// trace-shaped input, which `sort_unstable` orders by insertion; a
-/// dense burst costs it `k log k`, not `k²`.
-fn sort_in_buckets(
-    invocations: &mut [Invocation],
-    function_bits: u32,
-    residue_bits: u32,
-    buckets: usize,
-) {
-    for inv in invocations.iter_mut() {
-        let key = (inv.at.as_micros() << function_bits) | u64::from(inv.function.0);
-        inv.at = SimTime::from_micros(key);
-    }
-    let bucket = |key: u64| (key >> residue_bits) as usize;
-    // Bucket counts, then each bucket's first slot, then (after the
-    // scatter) one past its last.
-    let mut ends = vec![0u32; buckets];
-    for inv in invocations.iter() {
-        ends[bucket(inv.at.as_micros())] += 1;
-    }
-    let mut start = 0;
-    for end in &mut ends {
-        (*end, start) = (start, start + *end);
-    }
-    let residue_mask = (1u64 << residue_bits) - 1;
-    for i in 0..invocations.len() {
-        let key = invocations[i].at.as_micros();
-        let slot = &mut ends[bucket(key)];
-        invocations[*slot as usize].function = FunctionId((key & residue_mask) as u32);
-        *slot += 1;
-    }
-    let function_mask = (1u64 << function_bits) - 1;
-    let mut start = 0;
-    for (b, &end) in ends.iter().enumerate() {
-        let run = &mut invocations[start..end as usize];
-        run.sort_unstable_by_key(|inv| inv.function);
-        for inv in run {
-            let key = ((b as u64) << residue_bits) | u64::from(inv.function.0);
-            *inv = Invocation {
-                at: SimTime::from_micros(key >> function_bits),
-                function: FunctionId((key & function_mask) as u32),
-            };
+impl Eq for InvocationTrace {}
+
+impl fmt::Debug for InvocationTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Content<'a>(&'a InvocationTrace);
+        impl fmt::Debug for Content<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.iter()).finish()
+            }
         }
-        start = end as usize;
+        f.debug_struct("InvocationTrace")
+            .field("invocations", &Content(self))
+            .field("duration", &self.duration)
+            .finish()
     }
 }
+
+/// A source's next arrival, ordered by `(at, source index)`; the
+/// function never decides, since source indices are distinct.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Head {
+    at: SimTime,
+    source: u32,
+    function: FunctionId,
+}
+
+impl Head {
+    fn new(inv: Invocation, source: u32) -> Self {
+        Head {
+            at: inv.at,
+            source,
+            function: inv.function,
+        }
+    }
+}
+
+/// One source's read position.
+#[derive(Debug, Clone)]
+enum Cursor<'a> {
+    Generated(Arrivals),
+    Held(std::slice::Iter<'a, Invocation>),
+}
+
+impl Iterator for Cursor<'_> {
+    type Item = Invocation;
+
+    fn next(&mut self) -> Option<Invocation> {
+        match self {
+            Cursor::Generated(arrivals) => arrivals.next(),
+            Cursor::Held(run) => run.next().copied(),
+        }
+    }
+}
+
+/// The invocations of an [`InvocationTrace`] in firing order: a k-way
+/// merge over a min-heap of each source's next arrival.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    cursors: Vec<Cursor<'a>>,
+    heads: BinaryHeap<Reverse<Head>>,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = Invocation;
+
+    fn next(&mut self) -> Option<Invocation> {
+        let mut top = self.heads.peek_mut()?;
+        let Reverse(head) = *top;
+        match self.cursors[head.source as usize].next() {
+            Some(inv) => *top = Reverse(Head::new(inv, head.source)),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        Some(Invocation {
+            at: head.at,
+            function: head.function,
+        })
+    }
+}
+
+impl FusedIterator for Iter<'_> {}
 
 /// Summary statistics of a trace (Fig 16's x-axes).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -318,8 +370,11 @@ pub struct TraceStats {
 
 #[cfg(test)]
 mod tests {
+    use faasmem_sim::SimDuration;
+
     use super::*;
     use crate::reference;
+    use crate::{ArrivalModel, LoadClass, TraceSynthesizer};
 
     fn inv(secs: u64, f: u32) -> Invocation {
         Invocation {
@@ -400,6 +455,45 @@ mod tests {
         reference::assert_exact_size(&built);
         reference::assert_exact_size(&built.merge(&built));
         reference::assert_exact_size(&InvocationTrace::empty(SimTime::from_secs(10)));
+        let synth = TraceSynthesizer::new(4).duration(SimTime::from_secs(10));
+        let lazy = synth.synthesize_for(FunctionId(2));
+        reference::assert_exact_size(&lazy);
+        reference::assert_exact_size(&lazy.merge(&built));
+        reference::assert_exact_size(&synth.synthesize_cluster(9).0);
+    }
+
+    #[test]
+    fn held_invocations_cost_16_bytes_each() {
+        let synth = TraceSynthesizer::new(6).duration(SimTime::from_mins(30));
+        let held = reference::materialise(&synth.synthesize_cluster(12).0);
+        assert!(held.len() > 100);
+        assert_eq!(
+            held.allocated_bytes(),
+            std::mem::size_of::<Source>() + 16 * held.len()
+        );
+        reference::assert_exact_size(&held);
+        assert_eq!(InvocationTrace::empty(SimTime::ZERO).allocated_bytes(), 0);
+    }
+
+    #[test]
+    fn lazy_traces_equal_their_held_twins() {
+        let synth = TraceSynthesizer::new(31).duration(SimTime::from_mins(20));
+        let (lazy, _) = synth.synthesize_cluster(16);
+        let held = reference::materialise(&lazy);
+        assert_eq!(lazy, held);
+        assert_eq!(held, lazy);
+        assert_eq!(format!("{lazy:?}"), format!("{held:?}"));
+        assert_eq!(lazy.len(), held.len());
+        assert_eq!(lazy.stats(), held.stats());
+        assert_eq!(lazy.functions(), held.functions());
+        // Content, horizon included, decides equality.
+        let longer = synth.clone().duration(SimTime::from_mins(21));
+        assert_ne!(lazy, longer.synthesize_cluster(16).0);
+        assert_ne!(lazy, lazy.merge(&lazy));
+        assert_eq!(
+            InvocationTrace::empty(SimTime::from_mins(20)),
+            synth.synthesize_cluster(0).0
+        );
     }
 
     /// Races `merge` against the retired clone-append-stable-sort.
@@ -411,13 +505,19 @@ mod tests {
         reference::assert_exact_size(&a);
     }
 
-    /// Races `from_function_runs` against the retired
-    /// concatenate-and-stable-sort on `runs`, which must be in function
-    /// order, each in firing order.
-    fn check_function_runs(runs: &[Vec<Invocation>], horizon: SimTime) {
-        let built = InvocationTrace::from_function_runs(runs.concat(), horizon);
+    /// Races a fold of merges over `runs`, which must be in function
+    /// order, each in firing order, against the retired
+    /// concatenate-and-stable-sort: the merge's `(at, source index)`
+    /// order must be the old `(at, function)` order.
+    fn check_function_runs(runs: &[Vec<Invocation>], horizon: SimTime) -> InvocationTrace {
+        let built = runs
+            .iter()
+            .fold(InvocationTrace::empty(horizon), |trace, run| {
+                trace.merge(&InvocationTrace::from_invocations(run.clone(), horizon))
+            });
         assert_eq!(built, reference::concatenate(runs, horizon));
         reference::assert_exact_size(&built);
+        built
     }
 
     /// `u64::MAX` cut to its low `bits` bits: the largest value `bits`
@@ -426,11 +526,11 @@ mod tests {
         u64::MAX.checked_shr(u64::BITS - bits).unwrap_or(0)
     }
 
-    /// One `from_function_runs` case: a horizon of exactly `horizon_bits`
-    /// bits; four function ids of at most `id_bits` bits, the widest
-    /// `id_bits` wide; and `(instant, function)` draws over eight
-    /// instants (0, the horizon and six drawn ones), so arrivals collide
-    /// within and across functions and crowd single buckets.
+    /// One function-runs case: a horizon of exactly `horizon_bits` bits;
+    /// four function ids of at most `id_bits` bits, the widest `id_bits`
+    /// wide; and `(instant, function)` draws over eight instants (0, the
+    /// horizon and six drawn ones), so arrivals collide within and
+    /// across functions.
     type RunsCase = (u32, u32, Vec<u64>, Vec<(usize, usize)>);
 
     fn runs_case(max_len: usize) -> impl proptest::strategy::Strategy<Value = RunsCase> {
@@ -461,11 +561,89 @@ mod tests {
         check_function_runs(&runs, SimTime::from_micros(horizon));
     }
 
+    /// One step of a mixed fold: `(2 × kind + side, seed, function,
+    /// script)`; side 0 merges the new trace on the right, 1 on the left.
+    type FoldStep = (u8, u64, u32, Vec<(u64, u32)>);
+
+    fn fold_steps(
+        steps: usize,
+        script_len: usize,
+    ) -> impl proptest::strategy::Strategy<Value = Vec<FoldStep>> {
+        proptest::collection::vec(
+            (0u8..10, 0u64..u64::MAX, 0u32..4, script(script_len)),
+            0..steps,
+        )
+    }
+
+    /// Folds `steps` into one trace with `merge`, on generated and held
+    /// traces alike (the rack's fold of synthesized functions, and
+    /// traces read from files), and races it against the same fold of
+    /// held traces through the retired generation loop and merge. Kinds:
+    /// 0, a Poisson function dense enough to fire several times a
+    /// second; 1, a scripted held trace; 2, a small synthesized cluster;
+    /// 3, a function drawn by load class; 4, a synthesized function
+    /// beside its own held twin, so generated and held arrivals tie.
+    /// The new trace goes on the left or the right; the fold is also
+    /// merged with itself, so every arrival ties with its copy.
+    fn check_mixed_fold(steps: &[FoldStep]) {
+        let horizon = SimTime::from_secs(HORIZON_SECS);
+        let mut lazy = InvocationTrace::empty(horizon);
+        let mut held = InvocationTrace::empty(horizon);
+        for (step, seed, function, ops) in steps {
+            let synth = TraceSynthesizer::new(*seed).duration(horizon);
+            let function = FunctionId(*function);
+            let (new, twin) = match step / 2 {
+                0 => {
+                    let synth = synth.arrival_model(ArrivalModel::Poisson {
+                        mean_gap: SimDuration::from_millis(400),
+                    });
+                    let twin = reference::synthesize_for(&synth, function);
+                    (synth.synthesize_for(function), twin)
+                }
+                1 => (scripted(ops), scripted(ops)),
+                2 => {
+                    let twin = reference::synthesize_cluster(&synth, function.0 + 1).0;
+                    (synth.synthesize_cluster(function.0 + 1).0, twin)
+                }
+                3 => {
+                    let synth = synth.load_class(LoadClass::High).bursty(seed % 2 == 0);
+                    let twin = reference::synthesize_for(&synth, function);
+                    (synth.synthesize_for(function), twin)
+                }
+                _ => {
+                    let synth = synth.arrival_model(ArrivalModel::Bursty {
+                        idle_gap: SimDuration::from_secs(2),
+                        burst_gap: SimDuration::from_millis(100),
+                        idle_period: SimDuration::from_secs(3),
+                        burst_period: SimDuration::from_secs(1),
+                    });
+                    let twin = reference::synthesize_for(&synth, function);
+                    (
+                        synth.synthesize_for(function).merge(&twin),
+                        reference::merge(&twin, &twin),
+                    )
+                }
+            };
+            (lazy, held) = if step % 2 == 1 {
+                (new.merge(&lazy), reference::merge(&twin, &held))
+            } else {
+                (lazy.merge(&new), reference::merge(&held, &twin))
+            };
+        }
+        let doubled = lazy.merge(&lazy);
+        assert_eq!(lazy, held);
+        assert_eq!(doubled, reference::merge(&held, &held));
+        assert_eq!(lazy.len(), held.len());
+        reference::assert_exact_size(&lazy);
+        reference::assert_exact_size(&doubled);
+        reference::assert_exact_size(&reference::materialise(&doubled));
+    }
+
     proptest::proptest! {
-        // The linear merge against the retired clone-append-stable-sort,
-        // on traces with same-instant arrivals within and across
-        // functions, empty traces, arrivals on the horizon, and a long
-        // side whose runs outlast the other side's.
+        // The merge against the retired clone-append-stable-sort, on
+        // traces with same-instant arrivals within and across functions,
+        // empty traces, arrivals on the horizon, and a long side whose
+        // runs outlast the other side's.
         #[test]
         fn prop_merge_matches_reference(a in script(24), b in script(24), long in script(160)) {
             check_merge(&a, &b);
@@ -473,21 +651,26 @@ mod tests {
             check_merge(&b, &long);
         }
 
-        // The in-place bucket pass against the retired
-        // concatenate-and-stable-sort, on per-function runs in function
-        // order: horizons of 0 to 64 bits and function ids of 0 to 32
-        // bits (so the key is 0 to 96 bits wide, and its residue both
-        // fits 32 bits and falls back), and crowded instants.
+        // Merged per-function runs against the retired
+        // concatenate-and-stable-sort: horizons of 0 to 64 bits, function
+        // ids of 0 to 32 bits, and crowded instants.
         #[test]
         fn prop_function_runs_match_reference(case in runs_case(200)) {
             check_runs_case(case);
+        }
+
+        // Mixed folds of generated and held traces against the same fold
+        // of held traces through the retired generation loop and merge.
+        #[test]
+        fn prop_mixed_folds_match_reference(steps in fold_steps(8, 12)) {
+            check_mixed_fold(&steps);
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
 
-        /// The long runs of the two oracles above, run explicitly by CI
+        /// The long runs of the oracles above, run explicitly by CI
         /// (`cargo test -p faasmem-workload --release --lib -- --ignored`).
         #[test]
         #[ignore = "long oracle run; exercised explicitly by the CI test job"]
@@ -501,6 +684,12 @@ mod tests {
         #[ignore = "long oracle run; exercised explicitly by the CI test job"]
         fn trace_assembly_oracle_extended_function_runs(case in runs_case(600)) {
             check_runs_case(case);
+        }
+
+        #[test]
+        #[ignore = "long oracle run; exercised explicitly by the CI test job"]
+        fn trace_assembly_oracle_extended_mixed_folds(steps in fold_steps(16, 40)) {
+            check_mixed_fold(&steps);
         }
     }
 
@@ -520,68 +709,26 @@ mod tests {
         check_function_runs(&[], SimTime::from_secs(1));
         check_function_runs(&[run_at(7, &[3])], SimTime::from_micros(3));
         check_function_runs(&[run_at(u32::MAX, &[0])], SimTime::ZERO);
+        check_function_runs(&[vec![], run_at(1, &[2]), vec![]], SimTime::from_micros(2));
     }
 
     #[test]
     fn function_runs_crowding_one_instant_on_the_horizon() {
         // 64 functions firing together on the horizon, after one early
-        // arrival each: one bucket holds 64 keys in function order.
+        // arrival each: the last 64 arrivals come out in function order.
         let horizon = SimTime::from_secs(60);
         let runs: Vec<_> = (0..64)
             .map(|f| run_at(f * 1000, &[u64::from(f), horizon.as_micros()]))
             .collect();
-        check_function_runs(&runs, horizon);
-        let built = InvocationTrace::from_function_runs(runs.concat(), horizon);
+        let built = check_function_runs(&runs, horizon);
         let last: Vec<u32> = built.iter().skip(64).map(|i| i.function.0).collect();
         assert_eq!(last, (0..64).map(|f| f * 1000).collect::<Vec<_>>());
-    }
-
-    /// Functions 0, 1, 2^31 and `u32::MAX`, each firing at `instants`.
-    fn widest_ids_at(instants: &[u64]) -> Vec<Vec<Invocation>> {
-        [0, 1, 1 << 31, u32::MAX]
-            .iter()
-            .map(|&f| run_at(f, instants))
-            .collect()
-    }
-
-    #[test]
-    fn function_runs_with_a_32_bit_residue_pack() {
-        // 256 invocations make 64 buckets (6 bits); a 6-bit horizon and
-        // 32-bit function ids make a 38-bit key, so the residue is
-        // exactly 32 bits.
-        let instants: Vec<u64> = (0..64).collect();
-        check_function_runs(&widest_ids_at(&instants), SimTime::from_micros(63));
-    }
-
-    #[test]
-    fn function_runs_with_a_33_bit_residue_fall_back_to_the_comparison_sort() {
-        // The same 256 invocations over a 7-bit horizon: their 33-bit
-        // residues would not fit a `function` field, and a packed pass
-        // would drop the low bit of every odd instant.
-        let instants: Vec<u64> = (0..64).map(|i| 2 * i + 1).collect();
-        check_function_runs(&widest_ids_at(&instants), SimTime::from_micros(127));
-    }
-
-    #[test]
-    fn function_runs_at_64_and_65_key_bits_fall_back_to_the_comparison_sort() {
-        // A 32-bit horizon and 32-bit function ids fill a 64-bit key,
-        // and a 33-bit horizon overflows it.
-        for horizon_bits in [32, 33] {
-            let horizon = all_ones(horizon_bits);
-            let late = 1 << (horizon_bits - 1);
-            let runs = [
-                run_at(0, &[late, horizon]),
-                run_at(5, &[1, late - 1, late]),
-                run_at(u32::MAX, &[0, late, horizon]),
-            ];
-            check_function_runs(&runs, SimTime::from_micros(horizon));
-        }
     }
 
     #[test]
     #[should_panic(expected = "beyond horizon")]
     fn function_runs_past_horizon_panic() {
-        let _ = InvocationTrace::from_function_runs(run_at(0, &[11]), SimTime::from_micros(10));
+        check_function_runs(&[run_at(0, &[11])], SimTime::from_micros(10));
     }
 
     #[test]

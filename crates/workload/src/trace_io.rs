@@ -188,6 +188,19 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_synthesized_cluster_trace() {
+        // Written from the generators' merge, read back as one held run.
+        let (trace, _) = TraceSynthesizer::new(4)
+            .duration(SimTime::from_mins(30))
+            .synthesize_cluster(40);
+        let text = to_string(&trace);
+        let back = from_str(&text).expect("roundtrip");
+        assert!(back.len() > 40);
+        assert_eq!(trace, back);
+        assert_eq!(to_string(&back), text);
+    }
+
+    #[test]
     fn empty_trace_roundtrips() {
         let trace = InvocationTrace::empty(SimTime::from_secs(5));
         let back = from_str(&to_string(&trace)).unwrap();

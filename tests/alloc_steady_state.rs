@@ -39,6 +39,10 @@
 //! prefetch brought back, allocate nothing either once their scratch
 //! buffers and per-container state have grown on the first ticks.
 //!
+//! Streaming a synthesized cluster trace allocates only when its
+//! iterator is made (the merge's cursors and heap): each arrival the
+//! generators draw after that allocates nothing.
+//!
 //! One `#[test]` drives every scenario — the counter is process-global,
 //! so concurrent test threads would attribute each other's allocations.
 
@@ -53,7 +57,7 @@ use faasmem_mem::{mib_to_pages, PageId, Segment, PAGE_SIZE_4K};
 use faasmem_metrics::Cdf;
 use faasmem_pool::{BandwidthGovernor, PoolConfig, RemotePool};
 use faasmem_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use faasmem_workload::{AccessPlanner, BenchmarkSpec};
+use faasmem_workload::{AccessPlanner, BenchmarkSpec, TraceSynthesizer};
 
 struct CountingAlloc;
 
@@ -516,5 +520,23 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
     assert_eq!(
         allocs, 0,
         "a steady-state DAMON tick must not allocate (got {allocs} allocations)"
+    );
+    // -- Streaming a synthesized 424-function cluster trace ----------
+    let (trace, _) = TraceSynthesizer::new(2021)
+        .duration(SimTime::from_mins(60))
+        .synthesize_cluster(424);
+    let (allocs, mut arrivals) = allocations_during(|| trace.iter());
+    assert_eq!(
+        allocs, 2,
+        "making the iterator allocates its cursors and heap"
+    );
+    let (allocs, streamed) = allocations_during(|| arrivals.by_ref().count());
+    assert!(
+        streamed > 10_000,
+        "an Azure-shaped hour ({streamed} arrivals)"
+    );
+    assert_eq!(
+        allocs, 0,
+        "streaming a synthesized trace must not allocate per arrival (got {allocs} allocations)"
     );
 }
