@@ -11,8 +11,16 @@
 use std::collections::HashMap;
 
 use faasmem_faas::{ContainerId, MemoryPolicy, PolicyCtx};
-use faasmem_mem::{PageId, RegionConfig, RegionMonitor};
+use faasmem_mem::{PageId, RegionMonitor};
 use faasmem_sim::{SimDuration, SimRng};
+
+/// Aging-scan / aggregation period.
+const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(5);
+
+/// Windows a page (or region) must stay untouched before it is declared
+/// cold: 4 scans × 5 s = 20 s of idleness. Aggressive, like
+/// DAMON_RECLAIM's defaults relative to serverless idle gaps.
+const IDLE_THRESHOLD: u8 = 4;
 
 /// How the policy estimates page hotness.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,56 +33,14 @@ pub enum DamonMode {
     PebsSampling(f64),
     /// DAMON's real design: adaptive regions, one sampled page standing
     /// in for each region, random split + similarity merge.
-    RegionMonitor(RegionConfig),
-}
-
-/// Configuration of the DAMON-like policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DamonConfig {
-    /// Aging-scan / aggregation period.
-    pub sample_period: SimDuration,
-    /// Windows a page (or region) must stay untouched before it is
-    /// declared cold.
-    pub idle_threshold: u8,
-    /// Hotness-estimation mode.
-    pub mode: DamonMode,
-}
-
-impl Default for DamonConfig {
-    fn default() -> Self {
-        DamonConfig {
-            sample_period: SimDuration::from_secs(5),
-            // 4 scans × 5 s = 20 s of idleness ⇒ cold. Aggressive, like
-            // DAMON_RECLAIM's defaults relative to serverless idle gaps.
-            idle_threshold: 4,
-            mode: DamonMode::ExactScan,
-        }
-    }
-}
-
-impl DamonConfig {
-    /// Convenience: PEBS-sampling mode with the given probability.
-    pub fn with_pebs(sample_prob: f64) -> Self {
-        DamonConfig {
-            mode: DamonMode::PebsSampling(sample_prob),
-            ..Self::default()
-        }
-    }
-
-    /// Convenience: full region-monitoring mode with default regions.
-    pub fn with_regions() -> Self {
-        DamonConfig {
-            mode: DamonMode::RegionMonitor(RegionConfig::default()),
-            ..Self::default()
-        }
-    }
+    RegionMonitor,
 }
 
 /// The DAMON-like policy: stage-agnostic sampling + immediate cold-page
 /// offload. See the [module docs](self).
 #[derive(Debug)]
 pub struct DamonPolicy {
-    config: DamonConfig,
+    mode: DamonMode,
     rng: SimRng,
     monitors: HashMap<ContainerId, RegionMonitor>,
     /// Reused cold-page buffer; keeps the per-tick scan allocation-free.
@@ -82,25 +48,21 @@ pub struct DamonPolicy {
 }
 
 impl Default for DamonPolicy {
+    /// Exact Access-bit scans.
     fn default() -> Self {
-        Self::new(DamonConfig::default())
+        Self::new(DamonMode::ExactScan)
     }
 }
 
 impl DamonPolicy {
     /// Creates the policy.
-    pub fn new(config: DamonConfig) -> Self {
+    pub fn new(mode: DamonMode) -> Self {
         DamonPolicy {
-            config,
+            mode,
             rng: SimRng::seed_from(0xDA30),
             monitors: HashMap::new(),
             scratch: Vec::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DamonConfig {
-        &self.config
     }
 }
 
@@ -110,13 +72,13 @@ impl MemoryPolicy for DamonPolicy {
     }
 
     fn tick_interval(&self) -> Option<SimDuration> {
-        Some(self.config.sample_period)
+        Some(SAMPLE_PERIOD)
     }
 
     fn on_tick(&mut self, ctx: &mut PolicyCtx<'_>) {
         // Sampling is container-stage agnostic: it runs during execution
         // and keep-alive alike — the design flaw the paper calls out.
-        match self.config.mode {
+        match self.mode {
             DamonMode::ExactScan => {
                 // A refused offload moves nothing, so collect one id:
                 // aging still runs, and the one id still reaches
@@ -127,7 +89,7 @@ impl MemoryPolicy for DamonPolicy {
                     usize::MAX
                 };
                 ctx.container.table_mut().age_and_collect_idle_into(
-                    self.config.idle_threshold,
+                    IDLE_THRESHOLD,
                     limit,
                     &mut self.scratch,
                 )
@@ -135,22 +97,19 @@ impl MemoryPolicy for DamonPolicy {
             DamonMode::PebsSampling(p) => {
                 let rng = &mut self.rng;
                 ctx.container.table_mut().age_and_collect_idle_sampled_into(
-                    self.config.idle_threshold,
+                    IDLE_THRESHOLD,
                     p,
                     || rng.next_f64(),
                     &mut self.scratch,
                 )
             }
-            DamonMode::RegionMonitor(region_config) => {
-                let monitor = self
-                    .monitors
-                    .entry(ctx.container.id())
-                    .or_insert_with(|| RegionMonitor::new(region_config));
+            DamonMode::RegionMonitor => {
+                let monitor = self.monitors.entry(ctx.container.id()).or_default();
                 let rng = &mut self.rng;
                 monitor.aggregate(ctx.container.table_mut(), || rng.next_f64());
                 monitor.cold_pages_into(
                     ctx.container.table(),
-                    u32::from(self.config.idle_threshold),
+                    u32::from(IDLE_THRESHOLD),
                     &mut self.scratch,
                 )
             }
@@ -266,7 +225,7 @@ mod tests {
         pool.set_offloads_suspended(true);
         let mut governor = BandwidthGovernor::new(1 << 40, SimDuration::from_secs(1));
         let mut damon = DamonPolicy::default();
-        let threshold = damon.config().idle_threshold;
+        let threshold = IDLE_THRESHOLD;
         let mut refusals = 0;
         for tick in 1..=u64::from(threshold) + 1 {
             // What an unbounded scan would age and collect.
@@ -297,10 +256,10 @@ mod tests {
 
     #[test]
     fn default_config_sane() {
-        let c = DamonConfig::default();
-        assert_eq!(c.sample_period, SimDuration::from_secs(5));
-        assert_eq!(c.idle_threshold, 4);
-        assert_eq!(c.mode, DamonMode::ExactScan);
+        let damon = DamonPolicy::default();
+        assert_eq!(damon.tick_interval(), Some(SimDuration::from_secs(5)));
+        assert_eq!(IDLE_THRESHOLD, 4);
+        assert_eq!(damon.mode, DamonMode::ExactScan);
     }
 
     #[test]
@@ -308,7 +267,7 @@ mod tests {
         // The faithful DAMON: regions + sampling. It must still offload
         // substantially and still hurt warm latency on sparse traffic.
         let times: Vec<u64> = (0..20).map(|i| 10 + i * 60).collect();
-        let report = run_policy(DamonPolicy::new(DamonConfig::with_regions()), &times);
+        let report = run_policy(DamonPolicy::new(DamonMode::RegionMonitor), &times);
         let offloaded_mib = report.pool_stats.bytes_out as f64 / (1024.0 * 1024.0);
         assert!(
             offloaded_mib > 200.0,
@@ -329,7 +288,7 @@ mod tests {
         // but a low-rate sampler misses accesses and evicts it anyway.
         let times: Vec<u64> = (0..20).map(|i| 10 + i * 5).collect();
         let exact = run_policy(DamonPolicy::default(), &times);
-        let sampled = run_policy(DamonPolicy::new(DamonConfig::with_pebs(0.02)), &times);
+        let sampled = run_policy(DamonPolicy::new(DamonMode::PebsSampling(0.02)), &times);
         let faults = |r: &RunReport| -> u64 {
             r.requests
                 .iter()

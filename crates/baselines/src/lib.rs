@@ -23,7 +23,7 @@
 pub mod damon;
 pub mod tmo;
 
-pub use damon::{DamonConfig, DamonMode, DamonPolicy};
+pub use damon::{DamonMode, DamonPolicy};
 pub use faasmem_faas::NullPolicy as NoOffloadPolicy;
 pub use tmo::{TmoConfig, TmoPolicy};
 

@@ -14,7 +14,7 @@ use crate::harness::{
     self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceSpec,
 };
 use crate::{fmt_mib, fmt_secs};
-use faasmem_core::{FaasMemConfigBuilder, FaasMemPolicy};
+use faasmem_core::FaasMemConfig;
 use faasmem_faas::PlatformConfig;
 use faasmem_workload::LoadClass;
 
@@ -39,15 +39,17 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
             },
         ))
         .policies(window_policies().into_iter().map(|(label, fixed)| {
-            PolicySpec::faasmem(label, move || {
-                let mut cfg = FaasMemConfigBuilder::new();
-                if let Some(w) = fixed {
-                    // A huge stability requirement disables the gradient;
-                    // only the cap closes the window, i.e. fixed size w.
-                    cfg = cfg.window_stable_rounds(u32::MAX).window_cap(w);
-                }
-                FaasMemPolicy::builder().config(cfg.build()).build()
-            })
+            let config = match fixed {
+                // A huge stability requirement disables the gradient;
+                // only the cap closes the window, i.e. fixed size w.
+                Some(w) => FaasMemConfig {
+                    window_stable_rounds: u32::MAX,
+                    window_cap: w,
+                    ..Default::default()
+                },
+                None => FaasMemConfig::default(),
+            };
+            PolicySpec::faasmem(label, config)
         }));
     let run = harness::run_and_export(&grid, opts)?;
 

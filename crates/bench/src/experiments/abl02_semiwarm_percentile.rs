@@ -13,7 +13,7 @@ use crate::harness::{
     self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceSpec,
 };
 use crate::{fmt_mib, fmt_secs};
-use faasmem_core::{FaasMemConfigBuilder, FaasMemPolicy, SemiWarmConfig};
+use faasmem_core::{FaasMemConfig, SemiWarmConfig};
 use faasmem_faas::PlatformConfig;
 use faasmem_workload::LoadClass;
 
@@ -35,15 +35,16 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
             },
         ))
         .policies(PERCENTILES.map(|p| {
-            PolicySpec::faasmem(&label(p), move || {
-                let cfg = FaasMemConfigBuilder::new()
-                    .semiwarm(SemiWarmConfig {
+            PolicySpec::faasmem(
+                &label(p),
+                FaasMemConfig {
+                    semiwarm: SemiWarmConfig {
                         start_percentile: p,
                         ..Default::default()
-                    })
-                    .build();
-                FaasMemPolicy::builder().config(cfg).build()
-            })
+                    },
+                    ..Default::default()
+                },
+            )
         }));
     let run = harness::run_and_export(&grid, opts)?;
 

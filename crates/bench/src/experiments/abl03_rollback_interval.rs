@@ -13,7 +13,7 @@ use crate::harness::{
     self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceSpec,
 };
 use crate::{fmt_mib, fmt_secs};
-use faasmem_core::{FaasMemConfigBuilder, FaasMemPolicy};
+use faasmem_core::FaasMemConfig;
 use faasmem_faas::PlatformConfig;
 use faasmem_sim::SimDuration;
 use faasmem_workload::LoadClass;
@@ -36,12 +36,13 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
             },
         ))
         .policies(INTERVALS_SECS.map(|t| {
-            PolicySpec::faasmem(&label(t), move || {
-                let cfg = FaasMemConfigBuilder::new()
-                    .rollback_min_interval(SimDuration::from_secs(t))
-                    .build();
-                FaasMemPolicy::builder().config(cfg).build()
-            })
+            PolicySpec::faasmem(
+                &label(t),
+                FaasMemConfig {
+                    rollback_min_interval: SimDuration::from_secs(t),
+                    ..Default::default()
+                },
+            )
         }));
     let run = harness::run_and_export(&grid, opts)?;
 

@@ -13,7 +13,7 @@ use crate::harness::{
     self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceSpec,
 };
 use crate::{fmt_mib, fmt_secs};
-use faasmem_core::{FaasMemConfigBuilder, FaasMemPolicy, OffloadRate, SemiWarmConfig};
+use faasmem_core::{FaasMemConfig, OffloadRate, SemiWarmConfig};
 use faasmem_faas::PlatformConfig;
 use faasmem_workload::{BenchmarkSpec, LoadClass};
 
@@ -44,15 +44,16 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
             },
         ))
         .policies(rates().into_iter().map(|(name, rate)| {
-            PolicySpec::faasmem(name, move || {
-                let cfg = FaasMemConfigBuilder::new()
-                    .semiwarm(SemiWarmConfig {
+            PolicySpec::faasmem(
+                name,
+                FaasMemConfig {
+                    semiwarm: SemiWarmConfig {
                         rate,
                         ..Default::default()
-                    })
-                    .build();
-                FaasMemPolicy::builder().config(cfg).build()
-            })
+                    },
+                    ..Default::default()
+                },
+            )
         }));
     let run = harness::run_and_export(&grid, opts)?;
 

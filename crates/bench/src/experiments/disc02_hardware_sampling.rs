@@ -15,7 +15,7 @@ use std::io::{self, Write};
 use super::write_table;
 use crate::fmt_secs;
 use crate::harness::HarnessOptions;
-use faasmem_baselines::{DamonConfig, DamonPolicy};
+use faasmem_baselines::{DamonMode, DamonPolicy};
 use faasmem_faas::PlatformSim;
 use faasmem_sim::SimTime;
 use faasmem_workload::{BenchmarkSpec, FunctionId, Invocation, InvocationTrace};
@@ -33,14 +33,14 @@ pub(super) fn run(_opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()>
     let trace = InvocationTrace::from_invocations(invs, SimTime::from_mins(40));
 
     let mut rows = Vec::new();
-    for (label, config) in [
-        ("exact access-bit scan", DamonConfig::default()),
-        ("region monitor (real DAMON)", DamonConfig::with_regions()),
-        ("PEBS p=0.50", DamonConfig::with_pebs(0.5)),
-        ("PEBS p=0.10", DamonConfig::with_pebs(0.1)),
-        ("PEBS p=0.02", DamonConfig::with_pebs(0.02)),
+    for (label, mode) in [
+        ("exact access-bit scan", DamonMode::ExactScan),
+        ("region monitor (real DAMON)", DamonMode::RegionMonitor),
+        ("PEBS p=0.50", DamonMode::PebsSampling(0.5)),
+        ("PEBS p=0.10", DamonMode::PebsSampling(0.1)),
+        ("PEBS p=0.02", DamonMode::PebsSampling(0.02)),
     ] {
-        let policy = DamonPolicy::new(config);
+        let policy = DamonPolicy::new(mode);
         let mut sim = PlatformSim::builder()
             .register_function(spec.clone())
             .policy(policy)

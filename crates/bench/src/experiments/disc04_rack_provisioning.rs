@@ -57,7 +57,7 @@ pub(super) fn run(_opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()>
             .synthesize_for(FunctionId(0));
         let report = PlatformSim::builder()
             .register_function(spec)
-            .policy(FaasMemPolicy::builder().build())
+            .policy(FaasMemPolicy::new())
             .build()
             .run(&trace);
         // Scale the measured per-container behaviour to a 5000-container

@@ -10,7 +10,7 @@ use std::io::{self, Write};
 use super::write_table;
 use crate::harness::{self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, TraceSpec};
 use crate::{fmt_mib, fmt_secs, PolicyKind};
-use faasmem_faas::{AdaptiveKeepAlive, PlatformConfig};
+use faasmem_faas::PlatformConfig;
 use faasmem_workload::LoadClass;
 
 pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
@@ -26,7 +26,7 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
             ConfigCase::new(
                 "adaptive",
                 PlatformConfig {
-                    adaptive_keep_alive: Some(AdaptiveKeepAlive::default()),
+                    adaptive_keep_alive: true,
                     ..base
                 },
             ),

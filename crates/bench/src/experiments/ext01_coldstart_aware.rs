@@ -22,7 +22,7 @@ use crate::harness::{
     self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceSpec,
 };
 use crate::{fmt_mib, fmt_secs};
-use faasmem_core::{FaasMemConfigBuilder, FaasMemPolicy};
+use faasmem_core::{FaasMemConfig, SemiWarmConfig};
 use faasmem_faas::PlatformConfig;
 use faasmem_sim::SimTime;
 use faasmem_workload::{FunctionId, Invocation, InvocationTrace, LoadClass};
@@ -65,11 +65,16 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
             },
         ))
         .policies(VARIANTS.map(|(label, aware)| {
-            PolicySpec::faasmem(label, move || {
-                FaasMemPolicy::builder()
-                    .config(FaasMemConfigBuilder::new().cold_start_aware(aware).build())
-                    .build()
-            })
+            PolicySpec::faasmem(
+                label,
+                FaasMemConfig {
+                    semiwarm: SemiWarmConfig {
+                        cold_start_aware: aware,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                },
+            )
         }));
     let run = harness::run_and_export(&grid, opts)?;
 

@@ -18,7 +18,7 @@ use crate::harness::{
     self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceSpec,
 };
 use crate::{fmt_mib, fmt_secs};
-use faasmem_core::{FaasMemConfigBuilder, FaasMemPolicy};
+use faasmem_core::{FaasMemConfig, SemiWarmConfig};
 use faasmem_faas::PlatformConfig;
 use faasmem_metrics::Cdf;
 use faasmem_sim::SimTime;
@@ -53,15 +53,16 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
             },
         ))
         .policies(VARIANTS.map(|(label, prefetch)| {
-            PolicySpec::faasmem(label, move || {
-                FaasMemPolicy::builder()
-                    .config(
-                        FaasMemConfigBuilder::new()
-                            .recall_prefetch(prefetch)
-                            .build(),
-                    )
-                    .build()
-            })
+            PolicySpec::faasmem(
+                label,
+                FaasMemConfig {
+                    semiwarm: SemiWarmConfig {
+                        recall_prefetch: prefetch,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                },
+            )
         }));
     let run = harness::run_and_export(&grid, opts)?;
 

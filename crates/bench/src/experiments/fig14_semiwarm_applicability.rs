@@ -36,7 +36,7 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
         exec_time: faasmem_sim::SimDuration::from_secs(1),
         ..BenchmarkSpec::by_name("json").expect("catalog")
     };
-    let policy = FaasMemPolicy::builder().build();
+    let policy = FaasMemPolicy::new();
     let stats = policy.stats();
     let mut builder = PlatformSim::builder();
     for _ in 0..FUNCTIONS {

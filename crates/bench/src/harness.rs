@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use faasmem_core::{FaasMemPolicy, FaasMemStats, StatsHandle};
+use faasmem_core::{FaasMemConfig, FaasMemPolicy, FaasMemStats, StatsHandle};
 use faasmem_faas::{MemoryPolicy, PlatformConfig, PlatformSim, RunReport, RunSummary};
 use faasmem_metrics::agg;
 use faasmem_sim::{SimDuration, SimTime};
@@ -146,13 +146,20 @@ impl PolicySpec {
         }
     }
 
-    /// A custom FaaSMem variant; the stats handle is wired automatically.
-    pub fn faasmem<F>(label: &str, build: F) -> Self
-    where
-        F: Fn() -> FaasMemPolicy + Send + Sync + 'static,
-    {
+    /// A FaaSMem variant running `config`; the stats handle is wired
+    /// automatically.
+    ///
+    /// # Panics
+    ///
+    /// Panics, listing every problem, if `config` fails
+    /// [`FaasMemConfig::validate`]: a bad variant stops the grid where
+    /// it is declared, before any cell runs.
+    pub fn faasmem(label: &str, config: FaasMemConfig) -> Self {
+        if let Err(problems) = config.validate() {
+            panic!("FaaSMem variant `{label}`: {}", problems.join("; "));
+        }
         Self::custom(label, move || {
-            let policy = build();
+            let policy = FaasMemPolicy::with_config(config.clone()).expect("validated above");
             let stats = policy.stats();
             (Box::new(policy), Some(stats))
         })
@@ -1562,10 +1569,12 @@ fn run_cell(
             },
         );
         let summary = report.summarize();
+        // One pass over a generated trace: `stats` counts the arrivals.
+        let trace_stats = trace.stats();
         CellOutcome {
-            trace_len: trace.len(),
+            trace_len: trace_stats.invocations,
             trace_skipped_rows: cell.trace.skipped_rows,
-            trace_stats: trace.stats(),
+            trace_stats,
             summary,
             // Snapshot: the Rc-based handle must not cross threads, the
             // cloned stats may.

@@ -23,7 +23,7 @@ pub mod json;
 pub mod svg;
 
 use faasmem_baselines::{DamonPolicy, NoOffloadPolicy, TmoPolicy};
-use faasmem_core::{FaasMemPolicy, StatsHandle};
+use faasmem_core::{FaasMemConfig, FaasMemPolicy, StatsHandle};
 use faasmem_faas::MemoryPolicy;
 
 /// The systems compared throughout the evaluation.
@@ -63,15 +63,21 @@ impl PolicyKind {
     /// A fresh policy of this kind, with FaaSMem's mechanism stats
     /// handle for the FaaSMem variants (`None` for the baselines).
     pub fn build(self) -> (Box<dyn MemoryPolicy>, Option<StatsHandle>) {
-        let faasmem = match self {
+        let config = match self {
             PolicyKind::Baseline => return (Box::new(NoOffloadPolicy), None),
             PolicyKind::Tmo => return (Box::new(TmoPolicy::default()), None),
             PolicyKind::Damon => return (Box::new(DamonPolicy::default()), None),
-            PolicyKind::FaasMem => FaasMemPolicy::builder(),
-            PolicyKind::FaasMemNoPucket => FaasMemPolicy::builder().without_pucket(),
-            PolicyKind::FaasMemNoSemiWarm => FaasMemPolicy::builder().without_semiwarm(),
-        }
-        .build();
+            PolicyKind::FaasMem => FaasMemConfig::default(),
+            PolicyKind::FaasMemNoPucket => FaasMemConfig {
+                enable_pucket: false,
+                ..Default::default()
+            },
+            PolicyKind::FaasMemNoSemiWarm => FaasMemConfig {
+                enable_semiwarm: false,
+                ..Default::default()
+            },
+        };
+        let faasmem = FaasMemPolicy::with_config(config).expect("ablation configs are valid");
         let stats = faasmem.stats();
         (Box::new(faasmem), Some(stats))
     }

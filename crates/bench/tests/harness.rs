@@ -9,7 +9,7 @@ use faasmem_bench::harness::{
     HarnessOptions, PolicySpec, SeedMix, TraceSpec, DEFAULT_CONFIG,
 };
 use faasmem_bench::{json, PolicyKind};
-use faasmem_core::FaasMemPolicy;
+use faasmem_core::FaasMemConfig;
 use faasmem_faas::{FaultConfig, PlatformConfig};
 use faasmem_sim::{FaultSpec, SimDuration, SimTime};
 use faasmem_workload::{
@@ -139,7 +139,7 @@ fn panicking_cell_is_captured_while_others_complete() {
         .policies([
             PolicySpec::Kind(PolicyKind::Baseline),
             PolicySpec::custom("exploding", || panic!("boom in policy factory")),
-            PolicySpec::faasmem("faasmem-ok", || FaasMemPolicy::builder().build()),
+            PolicySpec::faasmem("faasmem-ok", FaasMemConfig::default()),
         ]);
     let run = run_grid(&grid, &quick_opts(2));
     assert_eq!(run.cells.len(), 3);

@@ -67,12 +67,6 @@ pub struct SemiWarmConfig {
     /// 99th percentile to protect the 95th-percentile latency (§6.1,
     /// §8.3.2).
     pub start_percentile: f64,
-    /// Minimum reuse-interval samples before the CDF is trusted; below
-    /// this, `default_start` applies.
-    pub min_samples: usize,
-    /// Semi-warm start timing used while the function's history is too
-    /// thin to profile.
-    pub default_start: SimDuration,
     /// Gradual offload rate.
     pub rate: OffloadRate,
     /// §8.3.2 extension: under bursty load, cold-start congestion makes
@@ -94,8 +88,6 @@ impl Default for SemiWarmConfig {
     fn default() -> Self {
         SemiWarmConfig {
             start_percentile: 0.99,
-            min_samples: 5,
-            default_start: SimDuration::from_secs(240),
             rate: OffloadRate::Auto {
                 large_threshold_mib: 256,
                 percent_per_sec: 0.01,
@@ -118,8 +110,6 @@ pub struct FaasMemConfig {
     /// Enables the semi-warm period. Disabled in the "w/o Semi-warm"
     /// ablation.
     pub enable_semiwarm: bool,
-    /// Maintenance tick period (drives semi-warm gradual offloading).
-    pub tick: SimDuration,
     /// Consecutive below-`WINDOW_EPSILON` requests required to close the
     /// window.
     pub window_stable_rounds: u32,
@@ -135,10 +125,9 @@ pub struct FaasMemConfig {
 impl FaasMemConfig {
     /// Checks the configuration without panicking, returning one
     /// human-readable message per problem (empty `Err` never occurs;
-    /// `Ok(())` means valid). The builder's `build` enforces the same
-    /// core invariants via assertions; drivers call this first so a bad
-    /// grid fails at startup with messages instead of a backtrace
-    /// mid-run.
+    /// `Ok(())` means valid).
+    /// [`FaasMemPolicy::with_config`](crate::FaasMemPolicy::with_config)
+    /// runs it and builds nothing from a configuration it rejects.
     ///
     /// # Errors
     ///
@@ -150,9 +139,6 @@ impl FaasMemConfig {
                 "faasmem config: start percentile {} out of (0, 1]",
                 self.semiwarm.start_percentile
             ));
-        }
-        if self.tick.is_zero() {
-            problems.push("faasmem config: tick must be positive".into());
         }
         if self.window_cap < 1 {
             problems.push("faasmem config: window cap must be at least 1".into());
@@ -192,104 +178,11 @@ impl Default for FaasMemConfig {
         FaasMemConfig {
             enable_pucket: true,
             enable_semiwarm: true,
-            tick: SimDuration::from_secs(1),
             window_stable_rounds: 2,
             window_cap: 20,
             rollback_min_interval: SimDuration::from_secs(10),
             semiwarm: SemiWarmConfig::default(),
         }
-    }
-}
-
-/// Builder for [`FaasMemConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct FaasMemConfigBuilder {
-    config: FaasMemConfig,
-}
-
-impl FaasMemConfigBuilder {
-    /// Starts from the defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts from an existing configuration, so further setters compose.
-    pub fn from_config(config: FaasMemConfig) -> Self {
-        FaasMemConfigBuilder { config }
-    }
-
-    /// Toggles Pucket segregation (ablation switch).
-    pub fn enable_pucket(mut self, on: bool) -> Self {
-        self.config.enable_pucket = on;
-        self
-    }
-
-    /// Toggles the semi-warm period (ablation switch).
-    pub fn enable_semiwarm(mut self, on: bool) -> Self {
-        self.config.enable_semiwarm = on;
-        self
-    }
-
-    /// Sets the maintenance tick period.
-    pub fn tick(mut self, tick: SimDuration) -> Self {
-        self.config.tick = tick;
-        self
-    }
-
-    /// Sets the request-window hard cap.
-    pub fn window_cap(mut self, cap: u32) -> Self {
-        self.config.window_cap = cap;
-        self
-    }
-
-    /// Sets the consecutive below-epsilon rounds needed to close the
-    /// window. Combine a huge value with `window_cap(w)` to force a
-    /// fixed window of exactly `w` (ablation experiments).
-    pub fn window_stable_rounds(mut self, rounds: u32) -> Self {
-        self.config.window_stable_rounds = rounds;
-        self
-    }
-
-    /// Sets the minimum rollback interval `t`.
-    pub fn rollback_min_interval(mut self, t: SimDuration) -> Self {
-        self.config.rollback_min_interval = t;
-        self
-    }
-
-    /// Sets the semi-warm configuration.
-    pub fn semiwarm(mut self, semiwarm: SemiWarmConfig) -> Self {
-        self.config.semiwarm = semiwarm;
-        self
-    }
-
-    /// Enables the §8.3.2 cold-start-aware semi-warm timing extension.
-    pub fn cold_start_aware(mut self, on: bool) -> Self {
-        self.config.semiwarm.cold_start_aware = on;
-        self
-    }
-
-    /// Enables Leap-style batch prefetching of the drained hot set when a
-    /// request interrupts a semi-warm container.
-    pub fn recall_prefetch(mut self, on: bool) -> Self {
-        self.config.semiwarm.recall_prefetch = on;
-        self
-    }
-
-    /// Finishes the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range values (percentile outside `(0, 1]`,
-    /// non-positive tick, zero window cap).
-    pub fn build(self) -> FaasMemConfig {
-        let c = &self.config;
-        assert!(
-            c.semiwarm.start_percentile > 0.0 && c.semiwarm.start_percentile <= 1.0,
-            "start percentile out of range"
-        );
-        assert!(!c.tick.is_zero(), "tick must be positive");
-        assert!(c.window_cap >= 1, "window cap must be at least 1");
-        self.config
     }
 }
 
@@ -342,29 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_roundtrip() {
-        let c = FaasMemConfigBuilder::new()
-            .enable_pucket(false)
-            .enable_semiwarm(false)
-            .tick(SimDuration::from_secs(2))
-            .window_cap(5)
-            .rollback_min_interval(SimDuration::from_secs(30))
-            .semiwarm(SemiWarmConfig {
-                start_percentile: 0.95,
-                ..SemiWarmConfig::default()
-            })
-            .build();
-        assert!(!c.enable_pucket && !c.enable_semiwarm);
-        assert_eq!(c.tick, SimDuration::from_secs(2));
-        assert_eq!(c.window_cap, 5);
-        assert_eq!(c.semiwarm.start_percentile, 0.95);
-    }
-
-    #[test]
     fn validate_accepts_defaults_and_flags_nonsense() {
         assert!(FaasMemConfig::default().validate().is_ok());
         let bad = FaasMemConfig {
-            tick: SimDuration::ZERO,
             window_cap: 0,
             window_stable_rounds: 0,
             semiwarm: SemiWarmConfig {
@@ -379,24 +252,30 @@ mod tests {
             ..FaasMemConfig::default()
         };
         let problems = bad.validate().unwrap_err();
-        assert_eq!(problems.len(), 6, "{problems:?}");
+        assert_eq!(problems.len(), 5, "{problems:?}");
         assert!(problems.iter().all(|p| p.starts_with("faasmem config:")));
     }
 
     #[test]
-    #[should_panic(expected = "percentile out of range")]
+    #[should_panic(expected = "start percentile 1.5 out of (0, 1]")]
     fn bad_percentile_panics() {
-        let _ = FaasMemConfigBuilder::new()
-            .semiwarm(SemiWarmConfig {
+        let config = FaasMemConfig {
+            semiwarm: SemiWarmConfig {
                 start_percentile: 1.5,
                 ..SemiWarmConfig::default()
-            })
-            .build();
+            },
+            ..FaasMemConfig::default()
+        };
+        let _ = crate::FaasMemPolicy::with_config(config).expect("invalid config");
     }
 
     #[test]
-    #[should_panic(expected = "window cap")]
+    #[should_panic(expected = "window cap must be at least 1")]
     fn zero_window_cap_panics() {
-        let _ = FaasMemConfigBuilder::new().window_cap(0).build();
+        let config = FaasMemConfig {
+            window_cap: 0,
+            ..FaasMemConfig::default()
+        };
+        let _ = crate::FaasMemPolicy::with_config(config).expect("invalid config");
     }
 }

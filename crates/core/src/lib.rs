@@ -29,13 +29,15 @@
 //!
 //! [`FaasMemPolicy`] composes all of the above into a
 //! [`MemoryPolicy`](faasmem_faas::MemoryPolicy) for the platform in
-//! `faasmem-faas`. Every component can be disabled independently for the
-//! paper's ablation study (Fig 13).
+//! `faasmem-faas`. [`FaasMemConfig`] holds what the evaluation varies:
+//! the ablation switches (Fig 13), the request window, the rollback
+//! interval `t`, and the semi-warm percentile, rate and extensions.
+//! [`FaasMemPolicy::with_config`] validates it.
 //!
 //! # Examples
 //!
 //! ```
-//! use faasmem_core::FaasMemPolicy;
+//! use faasmem_core::{FaasMemConfig, FaasMemPolicy};
 //! use faasmem_faas::PlatformSim;
 //! use faasmem_workload::{BenchmarkSpec, FunctionId, LoadClass, TraceSynthesizer};
 //! use faasmem_sim::SimTime;
@@ -46,10 +48,18 @@
 //!     .synthesize_for(FunctionId(0));
 //! let mut sim = PlatformSim::builder()
 //!     .register_function(BenchmarkSpec::by_name("json").unwrap())
-//!     .policy(FaasMemPolicy::builder().build())
+//!     .policy(FaasMemPolicy::new())
 //!     .build();
 //! let report = sim.run(&trace);
 //! assert!(report.pool_stats.bytes_out > 0); // cold pages were offloaded
+//!
+//! // An ablation variant: the paper's parameters, Pucket disabled.
+//! let no_pucket = FaasMemPolicy::with_config(FaasMemConfig {
+//!     enable_pucket: false,
+//!     ..Default::default()
+//! })
+//! .expect("a valid config");
+//! assert_eq!(no_pucket.config().window_cap, 20);
 //! ```
 
 pub mod config;
@@ -60,7 +70,7 @@ pub mod semiwarm;
 pub mod stats;
 pub mod window;
 
-pub use config::{FaasMemConfig, FaasMemConfigBuilder, OffloadRate, SemiWarmConfig};
+pub use config::{FaasMemConfig, OffloadRate, SemiWarmConfig};
 pub use policy::FaasMemPolicy;
 pub use pucket::{PromoteSummary, PucketKind, Puckets};
 pub use rollback::{RollbackCycle, RollbackPhase};

@@ -7,12 +7,15 @@ use faasmem_faas::{ContainerId, ContainerStage, MemoryPolicy, PolicyCtx};
 use faasmem_mem::PageId;
 use faasmem_sim::SimDuration;
 
-use crate::config::{FaasMemConfig, FaasMemConfigBuilder, COLD_START_CENSOR_CAP, WINDOW_EPSILON};
+use crate::config::{FaasMemConfig, COLD_START_CENSOR_CAP, WINDOW_EPSILON};
 use crate::pucket::{PucketKind, Puckets};
 use crate::rollback::{RollbackAction, RollbackCycle};
 use crate::semiwarm::{SemiWarm, SemiWarmActivity};
 use crate::stats::{new_stats_handle, SemiWarmRecord, StatsHandle};
 use crate::window::WindowTracker;
+
+/// Maintenance tick period: the semi-warm drain's pacing step.
+const TICK: SimDuration = SimDuration::from_secs(1);
 
 /// Per-container policy state.
 #[derive(Debug)]
@@ -41,7 +44,8 @@ impl CState {
 /// The FaaSMem memory policy: Pucket segregation, reactive + window-based
 /// cold-page offloading, periodic rollback, and the semi-warm period.
 ///
-/// Build with [`FaasMemPolicy::builder`]; pass the result to
+/// Build with [`FaasMemPolicy::new`] or [`FaasMemPolicy::with_config`];
+/// pass the result to
 /// [`PlatformSim::builder().policy(...)`](faasmem_faas::PlatformBuilder::policy).
 /// Keep a clone of [`FaasMemPolicy::stats`] to read mechanism-level
 /// measurements after the run.
@@ -59,36 +63,25 @@ pub struct FaasMemPolicy {
     scratch_ids: Vec<PageId>,
 }
 
-/// Builder for [`FaasMemPolicy`].
-#[derive(Debug, Default)]
-pub struct FaasMemPolicyBuilder {
-    config: FaasMemConfigBuilder,
-}
-
-impl FaasMemPolicyBuilder {
-    /// Applies a pre-built configuration.
-    pub fn config(mut self, config: FaasMemConfig) -> Self {
-        self.config = FaasMemConfigBuilder::default();
-        // Rebuild from the given config so later setters still compose.
-        self.config = FaasMemConfigBuilder::from_config(config);
-        self
+impl FaasMemPolicy {
+    /// A policy running `config`.
+    ///
+    /// # Errors
+    ///
+    /// `Err` carries every problem [`FaasMemConfig::validate`] finds.
+    pub fn with_config(config: FaasMemConfig) -> Result<Self, Vec<String>> {
+        config.validate()?;
+        Ok(Self::from_valid(config))
     }
 
-    /// Ablation switch: disable Pucket segregation ("w/o Pucket").
-    pub fn without_pucket(mut self) -> Self {
-        self.config = std::mem::take(&mut self.config).enable_pucket(false);
-        self
+    /// A policy with all defaults (the paper's parameters). They pass
+    /// [`FaasMemConfig::validate`] (a unit test holds that), so `new`
+    /// skips the check and its `Result`.
+    pub fn new() -> Self {
+        Self::from_valid(FaasMemConfig::default())
     }
 
-    /// Ablation switch: disable the semi-warm period ("w/o Semi-warm").
-    pub fn without_semiwarm(mut self) -> Self {
-        self.config = std::mem::take(&mut self.config).enable_semiwarm(false);
-        self
-    }
-
-    /// Finishes the policy.
-    pub fn build(self) -> FaasMemPolicy {
-        let config = self.config.build();
+    fn from_valid(config: FaasMemConfig) -> Self {
         FaasMemPolicy {
             semiwarm: SemiWarm::new(config.semiwarm.clone()),
             config,
@@ -97,18 +90,6 @@ impl FaasMemPolicyBuilder {
             stats: new_stats_handle(),
             scratch_ids: Vec::new(),
         }
-    }
-}
-
-impl FaasMemPolicy {
-    /// Starts building a policy with default (paper) parameters.
-    pub fn builder() -> FaasMemPolicyBuilder {
-        FaasMemPolicyBuilder::default()
-    }
-
-    /// A policy with all defaults.
-    pub fn new() -> Self {
-        Self::builder().build()
     }
 
     /// A clone of the shared stats handle; read it after the run.
@@ -161,7 +142,7 @@ impl MemoryPolicy for FaasMemPolicy {
     }
 
     fn tick_interval(&self) -> Option<SimDuration> {
-        self.config.enable_semiwarm.then_some(self.config.tick)
+        self.config.enable_semiwarm.then_some(TICK)
     }
 
     fn on_runtime_loaded(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -319,7 +300,7 @@ impl MemoryPolicy for FaasMemPolicy {
         let budget = self.semiwarm.pages_this_tick(
             resident,
             page_size,
-            self.config.tick,
+            TICK,
             throttle,
             &mut state.activity.carry,
         );
@@ -377,6 +358,7 @@ impl MemoryPolicy for FaasMemPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{OffloadRate, SemiWarmConfig};
     use faasmem_faas::{FunctionId, PlatformSim};
     use faasmem_sim::SimTime;
     use faasmem_workload::{BenchmarkSpec, Invocation, InvocationTrace};
@@ -393,7 +375,7 @@ mod tests {
     }
 
     fn run(spec_name: &str, times: &[u64]) -> (faasmem_faas::RunReport, StatsHandle) {
-        let policy = FaasMemPolicy::builder().build();
+        let policy = FaasMemPolicy::new();
         let stats = policy.stats();
         let mut sim = PlatformSim::builder()
             .register_function(BenchmarkSpec::by_name(spec_name).unwrap())
@@ -401,6 +383,60 @@ mod tests {
             .seed(5)
             .build();
         (sim.run(&trace(times)), stats)
+    }
+
+    #[test]
+    fn with_config_reports_every_validate_problem() {
+        let default = FaasMemPolicy::with_config(FaasMemConfig::default()).unwrap();
+        assert_eq!(default.config(), FaasMemPolicy::new().config());
+        // One problem each. The last two passed the deleted builder's
+        // asserts: zero stable rounds, and a NaN drain rate.
+        let one_each = [
+            FaasMemConfig {
+                window_cap: 0,
+                ..Default::default()
+            },
+            FaasMemConfig {
+                semiwarm: SemiWarmConfig {
+                    start_percentile: 1.5,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            FaasMemConfig {
+                window_stable_rounds: 0,
+                ..Default::default()
+            },
+            FaasMemConfig {
+                semiwarm: SemiWarmConfig {
+                    rate: OffloadRate::PercentPerSec(f64::NAN),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        ];
+        for config in one_each {
+            let problems = config.validate().unwrap_err();
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert_eq!(FaasMemPolicy::with_config(config).unwrap_err(), problems);
+        }
+        let all = FaasMemConfig {
+            window_cap: 0,
+            window_stable_rounds: 0,
+            semiwarm: SemiWarmConfig {
+                start_percentile: 1.5,
+                rate: OffloadRate::Auto {
+                    large_threshold_mib: 256,
+                    percent_per_sec: f64::NAN,
+                    mib_per_sec: -1.0,
+                },
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let problems = all.validate().unwrap_err();
+        assert_eq!(problems.len(), 5, "{problems:?}");
+        assert_eq!(FaasMemPolicy::with_config(all).unwrap_err(), problems);
     }
 
     #[test]
@@ -468,8 +504,8 @@ mod tests {
     #[test]
     fn semiwarm_drains_idle_container() {
         // One request, then a long idle: the default semi-warm start is
-        // 60 s, so by 300 s the container should be substantially
-        // drained.
+        // 240 s (`DEFAULT_START`), so by 500 s the container should be
+        // substantially drained.
         let (report, stats) = run("bert", &[10]);
         assert!(stats.borrow().semi_warm_bytes > 0, "semi-warm must offload");
         let late_local = report.local_mem.value_at(SimTime::from_secs(500)).unwrap();
@@ -498,8 +534,8 @@ mod tests {
 
     #[test]
     fn ablation_without_pucket_keeps_memory_until_semiwarm() {
-        let run_with = |builder: FaasMemPolicyBuilder| {
-            let policy = builder.build();
+        let run_with = |config: FaasMemConfig| {
+            let policy = FaasMemPolicy::with_config(config).unwrap();
             let mut sim = PlatformSim::builder()
                 .register_function(BenchmarkSpec::by_name("json").unwrap())
                 .policy(policy)
@@ -508,9 +544,12 @@ mod tests {
             let t = trace(&[10, 30]);
             sim.run(&t)
         };
-        let with_pucket = run_with(FaasMemPolicy::builder());
-        let without = run_with(FaasMemPolicy::builder().without_pucket());
-        // Early local memory (before semi-warm kicks in at 60 s idle):
+        let with_pucket = run_with(FaasMemConfig::default());
+        let without = run_with(FaasMemConfig {
+            enable_pucket: false,
+            ..Default::default()
+        });
+        // Early local memory (before semi-warm kicks in at 240 s idle):
         // pucket variant must already be lower.
         let at = SimTime::from_secs(45);
         let a = with_pucket.local_mem.value_at(at).unwrap();
@@ -520,7 +559,11 @@ mod tests {
 
     #[test]
     fn ablation_without_semiwarm_never_drains_idle() {
-        let policy = FaasMemPolicy::builder().without_semiwarm().build();
+        let policy = FaasMemPolicy::with_config(FaasMemConfig {
+            enable_semiwarm: false,
+            ..Default::default()
+        })
+        .unwrap();
         let stats = policy.stats();
         let mut sim = PlatformSim::builder()
             .register_function(BenchmarkSpec::by_name("bert").unwrap())
@@ -540,14 +583,18 @@ mod tests {
     #[test]
     fn names_reflect_ablation() {
         assert_eq!(FaasMemPolicy::new().name(), "FaaSMem");
-        assert_eq!(
-            FaasMemPolicy::builder().without_pucket().build().name(),
-            "FaaSMem w/o Pucket"
-        );
-        assert_eq!(
-            FaasMemPolicy::builder().without_semiwarm().build().name(),
-            "FaaSMem w/o Semi-warm"
-        );
+        let name = |enable_pucket, enable_semiwarm| {
+            FaasMemPolicy::with_config(FaasMemConfig {
+                enable_pucket,
+                enable_semiwarm,
+                ..Default::default()
+            })
+            .unwrap()
+            .name()
+        };
+        assert_eq!(name(false, true), "FaaSMem w/o Pucket");
+        assert_eq!(name(true, false), "FaaSMem w/o Semi-warm");
+        assert_eq!(name(false, false), "FaaSMem w/o Pucket+Semi-warm");
     }
 
     #[test]
@@ -566,13 +613,9 @@ mod tests {
         // in between (cluster gaps beyond keep-alive but below the
         // censor cap).
         let build = |aware: bool| {
-            let policy = FaasMemPolicy::builder()
-                .config(
-                    crate::FaasMemConfigBuilder::new()
-                        .cold_start_aware(aware)
-                        .build(),
-                )
-                .build();
+            let mut config = FaasMemConfig::default();
+            config.semiwarm.cold_start_aware = aware;
+            let policy = FaasMemPolicy::with_config(config).unwrap();
             let stats = policy.stats();
             let mut sim = PlatformSim::builder()
                 .register_function(BenchmarkSpec::by_name("json").unwrap())
@@ -607,13 +650,9 @@ mod tests {
         // second request: without prefetch it demand-faults the hot set;
         // with prefetch the batch restores it first.
         let run_with = |prefetch: bool| {
-            let policy = FaasMemPolicy::builder()
-                .config(
-                    crate::FaasMemConfigBuilder::new()
-                        .recall_prefetch(prefetch)
-                        .build(),
-                )
-                .build();
+            let mut config = FaasMemConfig::default();
+            config.semiwarm.recall_prefetch = prefetch;
+            let policy = FaasMemPolicy::with_config(config).unwrap();
             let mut sim = PlatformSim::builder()
                 .register_function(BenchmarkSpec::by_name("bert").unwrap())
                 .policy(policy)
@@ -648,7 +687,7 @@ mod tests {
         // a fast vs a nearly saturated link.
         use faasmem_pool::PoolConfig;
         let run_with_pool = |pool: PoolConfig| {
-            let policy = FaasMemPolicy::builder().build();
+            let policy = FaasMemPolicy::new();
             let stats = policy.stats();
             let config = faasmem_faas::PlatformConfig {
                 pool,

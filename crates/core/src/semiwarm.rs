@@ -16,6 +16,14 @@ use faasmem_sim::{SimDuration, SimTime};
 
 use crate::config::SemiWarmConfig;
 
+/// Reuse-interval samples (observed plus censored) a function needs
+/// before its CDF sets the start timing.
+const MIN_SAMPLES: usize = 5;
+
+/// Semi-warm start timing while a function's history is too thin to
+/// profile.
+const DEFAULT_START: SimDuration = SimDuration::from_secs(240);
+
 /// Per-function semi-warm timing, read in place from the platform's
 /// [reuse intervals](faasmem_faas::PolicyCtx::reuse_intervals) and the
 /// policy's own censored cold-start gaps, plus the gradual-offload rate
@@ -67,17 +75,18 @@ impl SemiWarm {
     /// The semi-warm start timing for `function`, given its observed
     /// reuse intervals `reuse` in seconds: the configured percentile of
     /// those intervals together with the censored gaps, once there are
-    /// enough samples, else the configured default.
+    /// at least 5 samples (`MIN_SAMPLES`), else 240 s
+    /// (`DEFAULT_START`).
     pub fn start_timing(&self, reuse: Option<&Cdf>, function: FunctionId) -> SimDuration {
         let empty = Cdf::default();
         let reuse = reuse.unwrap_or(&empty);
         let censored = self.censored.get(&function).unwrap_or(&empty);
-        if reuse.len() + censored.len() < self.config.min_samples {
-            return self.config.default_start;
+        if reuse.len() + censored.len() < MIN_SAMPLES {
+            return DEFAULT_START;
         }
         reuse
             .union_quantile(censored, self.config.start_percentile)
-            .map_or(self.config.default_start, SimDuration::from_secs_f64)
+            .map_or(DEFAULT_START, SimDuration::from_secs_f64)
     }
 
     /// How many whole pages to offload in one maintenance tick for a
@@ -157,29 +166,15 @@ mod tests {
     fn default_timing_until_enough_samples() {
         let sw = SemiWarm::new(config());
         let f = FunctionId(1);
-        assert_eq!(sw.start_timing(None, f), config().default_start);
+        assert_eq!(sw.start_timing(None, f), DEFAULT_START);
         assert_eq!(
             sw.start_timing(Some(&reuse(5.0, 4)), f),
-            config().default_start,
-            "4 < min_samples"
+            DEFAULT_START,
+            "4 < MIN_SAMPLES"
         );
         assert_eq!(
             sw.start_timing(Some(&reuse(5.0, 5)), f),
             SimDuration::from_secs(5)
-        );
-    }
-
-    #[test]
-    fn no_history_with_zero_min_samples_uses_default() {
-        let sw = SemiWarm::new(SemiWarmConfig {
-            min_samples: 0,
-            ..config()
-        });
-        let f = FunctionId(0);
-        assert_eq!(sw.start_timing(None, f), config().default_start);
-        assert_eq!(
-            sw.start_timing(Some(&Cdf::default()), f),
-            config().default_start
         );
     }
 
@@ -216,10 +211,10 @@ mod tests {
     fn censored_gaps_join_the_reuse_intervals() {
         let mut sw = SemiWarm::new(config());
         let f = FunctionId(0);
-        // Four reuses plus one censored gap reach min_samples together,
+        // Four reuses plus one censored gap reach MIN_SAMPLES together,
         // and the censored gap is the union's 99th percentile.
         sw.record_censored(f, SimDuration::from_secs(300));
-        assert_eq!(sw.start_timing(None, f), config().default_start);
+        assert_eq!(sw.start_timing(None, f), DEFAULT_START);
         assert_eq!(
             sw.start_timing(Some(&reuse(3.0, 4)), f),
             SimDuration::from_secs(300)

@@ -11,7 +11,28 @@
 use faasmem_metrics::Cdf;
 use faasmem_sim::SimDuration;
 
-/// Configuration of the histogram-driven keep-alive.
+/// Percentile of the idle-gap distribution to cover.
+const PERCENTILE: f64 = 0.99;
+
+/// Multiplicative safety margin on the percentile.
+const MARGIN: f64 = 1.25;
+
+/// Lower clamp: never recycle faster than this.
+const MIN_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// Upper clamp: never keep longer than this.
+const MAX_TIMEOUT: SimDuration = SimDuration::from_mins(10);
+
+/// Samples required before trusting the histogram.
+const MIN_SAMPLES: usize = 8;
+
+/// Timeout applied while the history is too thin.
+const DEFAULT_TIMEOUT: SimDuration = SimDuration::from_mins(10);
+
+/// The histogram-driven keep-alive, switched on by
+/// [`PlatformConfig::adaptive_keep_alive`](crate::PlatformConfig::adaptive_keep_alive):
+/// the 99th percentile of a function's idle gaps, padded by 25% and
+/// clamped to [30 s, 10 min]. Until 8 gaps are known it keeps 10 min.
 ///
 /// # Examples
 ///
@@ -20,55 +41,28 @@ use faasmem_sim::SimDuration;
 /// use faasmem_metrics::Cdf;
 /// use faasmem_sim::SimDuration;
 ///
-/// let ka = AdaptiveKeepAlive::default();
 /// // No history yet: the conservative default applies.
-/// assert_eq!(ka.timeout_from_samples(None), ka.default);
+/// assert_eq!(AdaptiveKeepAlive::timeout_from_samples(None), SimDuration::from_mins(10));
 /// // A function always reused within ~30 s gets a tight timeout.
 /// let gaps: Cdf = (0..50).map(|i| f64::from(20 + i % 10)).collect();
-/// let t = ka.timeout_from_samples(Some(&gaps));
+/// let t = AdaptiveKeepAlive::timeout_from_samples(Some(&gaps));
 /// assert!(t < SimDuration::from_mins(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveKeepAlive {
-    /// Percentile of the idle-gap distribution to cover.
-    pub percentile: f64,
-    /// Multiplicative safety margin on the percentile.
-    pub margin: f64,
-    /// Lower clamp (never recycle faster than this).
-    pub min: SimDuration,
-    /// Upper clamp (never keep longer than this).
-    pub max: SimDuration,
-    /// Samples required before trusting the histogram.
-    pub min_samples: usize,
-    /// Timeout applied while the history is too thin.
-    pub default: SimDuration,
-}
-
-impl Default for AdaptiveKeepAlive {
-    fn default() -> Self {
-        AdaptiveKeepAlive {
-            percentile: 0.99,
-            margin: 1.25,
-            min: SimDuration::from_secs(30),
-            max: SimDuration::from_mins(10),
-            min_samples: 8,
-            default: SimDuration::from_mins(10),
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdaptiveKeepAlive;
 
 impl AdaptiveKeepAlive {
     /// Computes the timeout from a function's observed idle-before-reuse
     /// gaps, in seconds (`None`: no warm start yet).
-    pub fn timeout_from_samples(&self, gaps: Option<&Cdf>) -> SimDuration {
-        let Some(gaps) = gaps.filter(|g| g.len() >= self.min_samples) else {
-            return self.default;
+    pub fn timeout_from_samples(gaps: Option<&Cdf>) -> SimDuration {
+        let Some(gaps) = gaps.filter(|g| g.len() >= MIN_SAMPLES) else {
+            return DEFAULT_TIMEOUT;
         };
         let q = gaps
-            .quantile(self.percentile)
-            .unwrap_or(self.default.as_secs_f64());
-        let padded = SimDuration::from_secs_f64(q * self.margin);
-        padded.max(self.min).min(self.max)
+            .quantile(PERCENTILE)
+            .unwrap_or(DEFAULT_TIMEOUT.as_secs_f64());
+        let padded = SimDuration::from_secs_f64(q * MARGIN);
+        padded.max(MIN_TIMEOUT).min(MAX_TIMEOUT)
     }
 }
 
@@ -81,44 +75,41 @@ mod tests {
         Cdf::from_samples(vec![secs; n])
     }
 
+    fn timeout(gaps: Option<&Cdf>) -> SimDuration {
+        AdaptiveKeepAlive::timeout_from_samples(gaps)
+    }
+
     #[test]
     fn thin_history_uses_default() {
-        let ka = AdaptiveKeepAlive::default();
-        assert_eq!(ka.timeout_from_samples(None), ka.default);
-        assert_eq!(ka.timeout_from_samples(Some(&gaps(1.0, 7))), ka.default);
-        assert_ne!(ka.timeout_from_samples(Some(&gaps(1.0, 8))), ka.default);
+        assert_eq!(timeout(None), DEFAULT_TIMEOUT);
+        assert_eq!(timeout(Some(&gaps(1.0, 7))), DEFAULT_TIMEOUT);
+        assert_ne!(timeout(Some(&gaps(1.0, 8))), DEFAULT_TIMEOUT);
     }
 
     #[test]
     fn fast_reuse_shrinks_timeout() {
-        let ka = AdaptiveKeepAlive::default();
-        let t = ka.timeout_from_samples(Some(&gaps(5.0, 100)));
+        let t = timeout(Some(&gaps(5.0, 100)));
         // 5 s × 1.25 margin = 6.25 s, clamped up to the 30 s floor.
         assert_eq!(t, SimDuration::from_secs(30));
     }
 
     #[test]
     fn heavy_tail_respects_upper_clamp() {
-        let ka = AdaptiveKeepAlive::default();
         assert_eq!(
-            ka.timeout_from_samples(Some(&gaps(3_600.0, 100))),
+            timeout(Some(&gaps(3_600.0, 100))),
             SimDuration::from_mins(10)
         );
     }
 
     #[test]
     fn percentile_and_margin_apply() {
-        let ka = AdaptiveKeepAlive {
-            percentile: 0.5,
-            margin: 2.0,
-            min: SimDuration::ZERO,
-            max: SimDuration::from_mins(60),
-            min_samples: 1,
-            default: SimDuration::from_mins(10),
-        };
-        assert_eq!(
-            ka.timeout_from_samples(Some(&gaps(100.0, 9))),
-            SimDuration::from_secs(200)
-        );
+        // 99 gaps of 100 s and one of 200 s: the 99th percentile is
+        // 100 s (the median would be too), padded by 1.25.
+        let mut g = gaps(100.0, 99);
+        g.insert(200.0);
+        assert_eq!(timeout(Some(&g)), SimDuration::from_secs(125));
+        // Two long gaps push the 99th percentile to 200 s: 250 s.
+        g.insert(200.0);
+        assert_eq!(timeout(Some(&g)), SimDuration::from_secs(250));
     }
 }

@@ -4,8 +4,8 @@ use std::collections::HashMap;
 
 use faasmem_mem::{mib_to_pages, FlowMatrix};
 use faasmem_metrics::{
-    BlameAccumulator, BlameBreakdown, BlameComponent, Cdf, SloTracker, WasteAccumulator,
-    WasteComponent, WasteLedger,
+    slo, BlameAccumulator, BlameBreakdown, BlameComponent, Cdf, WasteAccumulator, WasteComponent,
+    WasteLedger,
 };
 use faasmem_pool::{
     BandwidthGovernor, CircuitBreaker, FabricConfig, PoolConfig, PoolFabric, RecallOutcome,
@@ -18,6 +18,7 @@ use faasmem_trace::{EventKind, StallCause, Tracer};
 use faasmem_workload::{AccessPlanner, BenchmarkSpec, FunctionId, InvocationTrace};
 
 use crate::container::{touch_request, Container, ContainerId, ContainerStage};
+use crate::keepalive::AdaptiveKeepAlive;
 use crate::policy::{MemoryPolicy, NullPolicy, PolicyCtx};
 use crate::report::{
     ContainerRecord, DurabilityReport, FaultReport, FunctionWaste, MemoryAnatomyReport,
@@ -51,10 +52,11 @@ pub struct PlatformConfig {
     /// function's runtime once instead of per container. Orthogonal to —
     /// and combinable with — FaaSMem's offloading.
     pub share_runtime: bool,
-    /// Optional hybrid-histogram keep-alive (paper §10's related work):
-    /// when set, each function's timeout adapts to its observed
-    /// idle-before-reuse distribution instead of the fixed `keep_alive`.
-    pub adaptive_keep_alive: Option<crate::keepalive::AdaptiveKeepAlive>,
+    /// Hybrid-histogram keep-alive (paper §10's related work): when on,
+    /// each function's timeout adapts to its observed idle-before-reuse
+    /// distribution ([`AdaptiveKeepAlive`]) instead of the fixed
+    /// `keep_alive`.
+    pub adaptive_keep_alive: bool,
     /// RNG seed for all platform randomness.
     pub seed: u64,
     /// Seeded fault injection and the degradation policy reacting to it.
@@ -122,26 +124,6 @@ impl PlatformConfig {
         if self.page_size == 0 {
             problems.push("platform config: page size must be positive".into());
         }
-        if let Some(ka) = &self.adaptive_keep_alive {
-            if !(ka.percentile > 0.0 && ka.percentile <= 1.0) {
-                problems.push(format!(
-                    "platform config: adaptive keep-alive percentile {} out of (0, 1]",
-                    ka.percentile
-                ));
-            }
-            if !(ka.margin.is_finite() && ka.margin >= 0.0) {
-                problems.push(format!(
-                    "platform config: adaptive keep-alive margin {} must be finite and non-negative",
-                    ka.margin
-                ));
-            }
-            if ka.min > ka.max {
-                problems.push(format!(
-                    "platform config: adaptive keep-alive min {} exceeds max {}",
-                    ka.min, ka.max
-                ));
-            }
-        }
         problems.extend(self.pool.validate());
         problems.extend(self.fabric.validate());
         if let Some(fc) = &self.faults {
@@ -174,7 +156,7 @@ impl Default for PlatformConfig {
             pool: PoolConfig::default(),
             fabric: FabricConfig::default(),
             share_runtime: false,
-            adaptive_keep_alive: None,
+            adaptive_keep_alive: false,
             seed: 0xFAA5,
             faults: None,
             blame: false,
@@ -253,10 +235,10 @@ impl PlatformBuilder {
         self
     }
 
-    /// Installs a hybrid-histogram keep-alive policy (see
+    /// Enables the hybrid-histogram keep-alive (see
     /// [`PlatformConfig::adaptive_keep_alive`]).
-    pub fn adaptive_keep_alive(mut self, policy: crate::keepalive::AdaptiveKeepAlive) -> Self {
-        self.config.adaptive_keep_alive = Some(policy);
+    pub fn adaptive_keep_alive(mut self, on: bool) -> Self {
+        self.config.adaptive_keep_alive = on;
         self
     }
 
@@ -389,7 +371,6 @@ struct FaultRuntime {
     plan: FaultPlan,
     policy: RemoteFaultPolicy,
     breaker: CircuitBreaker,
-    slo: Option<SloTracker>,
     /// The fault accounting under construction: handlers bump its counters,
     /// `finish` fills in the fields derived at run end.
     report: FaultReport,
@@ -696,7 +677,6 @@ impl PlatformSim {
                 plan,
                 policy: fc.policy,
                 breaker: CircuitBreaker::from_policy(&fc.policy),
-                slo: fc.slo.map(SloTracker::new),
                 report: FaultReport::default(),
                 breaker_open_prev: false,
             });
@@ -816,13 +796,19 @@ impl PlatformSim {
             } else {
                 1.0 - downtime.as_secs_f64() / finished.as_secs_f64()
             };
+            // The SLO counts come from the request log; only a latency
+            // strictly above the objective violates it.
+            let objective = self.config.faults.as_ref().and_then(|fc| fc.slo);
+            let (slo_total, slo_violations) = objective.map_or((0, 0), |objective| {
+                slo::slo_counts(report.requests.iter().map(|r| r.latency), objective)
+            });
             report.faults = Some(FaultReport {
                 link_availability: availability,
                 link_downtime: downtime,
                 offloads_refused: self.pool.offloads_refused(),
                 breaker_opens: fr.breaker.opens(),
-                slo_total: fr.slo.map_or(0, |s| s.total()),
-                slo_violations: fr.slo.map_or(0, |s| s.violations()),
+                slo_total,
+                slo_violations,
                 ..fr.report
             });
         }
@@ -1053,9 +1039,10 @@ impl PlatformSim {
     /// The keep-alive timeout currently applicable to `function`; the
     /// adaptive policy learns from the run's observed reuse intervals.
     fn timeout_for(&self, function: FunctionId) -> SimDuration {
-        match self.config.adaptive_keep_alive {
-            Some(policy) => policy.timeout_from_samples(self.reuse_intervals.get(&function)),
-            None => self.config.keep_alive,
+        if self.config.adaptive_keep_alive {
+            AdaptiveKeepAlive::timeout_from_samples(self.reuse_intervals.get(&function))
+        } else {
+            self.config.keep_alive
         }
     }
 
@@ -1653,9 +1640,6 @@ impl PlatformSim {
             self.tracer
                 .emit(Some(id.0), None, EventKind::KeepAliveEnter);
         }
-        if let Some(slo) = self.faults.as_mut().and_then(|fr| fr.slo.as_mut()) {
-            slo.observe(latency);
-        }
         if let Some(acc) = &mut self.blame {
             // Conservation is structural: the breakdown holds the exact
             // addends (cold-start, pure exec, stalls) this latency is
@@ -2114,7 +2098,40 @@ mod tests {
         assert_eq!(f.link_downtime, SimDuration::ZERO);
         assert_eq!(f.forced_cold_restarts, 0);
         assert_eq!(f.page_ins_gave_up, 0);
-        assert!(f.slo_total >= 1, "SLO tracker observed the request");
+        assert!(f.slo_total >= 1, "SLO counts observed the request");
+    }
+
+    #[test]
+    fn slo_counts_only_latencies_strictly_above_the_objective() {
+        let trace = one_function_trace(&[10, 20, 700]);
+        let run = |slo| {
+            let mut s = PlatformSim::builder()
+                .register_function(spec())
+                .seed(5)
+                .faults(FaultConfig {
+                    slo,
+                    ..FaultConfig::default()
+                })
+                .build();
+            let r = s.run(&trace);
+            let latencies: Vec<SimDuration> = r.requests.iter().map(|q| q.latency).collect();
+            (r.faults.expect("fault accounting present"), latencies)
+        };
+        let (f, latencies) = run(None);
+        assert_eq!((f.slo_total, f.slo_violations), (0, 0), "no objective");
+        assert_eq!(f.slo_violation_ratio(), 0.0);
+        assert_eq!(latencies.len(), 3);
+        for &threshold in &latencies {
+            let above = latencies.iter().filter(|&&l| l > threshold).count() as u64;
+            let (f, _) = run(Some(threshold));
+            assert_eq!((f.slo_total, f.slo_violations), (3, above), "{threshold}");
+            assert_eq!(f.slo_violation_ratio(), above as f64 / 3.0);
+        }
+        // A latency equal to the objective meets it; 1 µs less misses.
+        let max = *latencies.iter().max().unwrap();
+        assert_eq!(run(Some(max)).0.slo_violations, 0);
+        let below = SimDuration::from_micros(max.as_micros() - 1);
+        assert!(run(Some(below)).0.slo_violations >= 1);
     }
 
     #[test]
@@ -2578,68 +2595,6 @@ mod tests {
         assert!(problems.len() >= 4, "{problems:?}");
         assert!(problems.iter().any(|p| p.contains("page size")));
         assert!(problems.iter().any(|p| p.contains("SLO")));
-    }
-
-    #[test]
-    fn validate_checks_adaptive_keep_alive() {
-        use crate::keepalive::AdaptiveKeepAlive;
-        let with = |ka: AdaptiveKeepAlive| PlatformConfig {
-            adaptive_keep_alive: Some(ka),
-            ..PlatformConfig::default()
-        };
-        let ka = AdaptiveKeepAlive::default();
-        assert!(PlatformConfig::default().validate().is_ok());
-        assert!(with(ka).validate().is_ok());
-        let bad = [
-            (
-                AdaptiveKeepAlive {
-                    percentile: 0.0,
-                    ..ka
-                },
-                "percentile 0 ",
-            ),
-            (
-                AdaptiveKeepAlive {
-                    percentile: 1.5,
-                    ..ka
-                },
-                "percentile 1.5",
-            ),
-            (
-                AdaptiveKeepAlive {
-                    percentile: f64::NAN,
-                    ..ka
-                },
-                "percentile NaN",
-            ),
-            (AdaptiveKeepAlive { margin: -1.0, ..ka }, "margin -1"),
-            (
-                AdaptiveKeepAlive {
-                    margin: f64::NAN,
-                    ..ka
-                },
-                "margin NaN",
-            ),
-            (
-                AdaptiveKeepAlive {
-                    margin: f64::INFINITY,
-                    ..ka
-                },
-                "margin inf",
-            ),
-            (
-                AdaptiveKeepAlive {
-                    min: SimDuration::from_mins(11),
-                    ..ka
-                },
-                "min 660.000s exceeds max 600.000s",
-            ),
-        ];
-        for (ka, expected) in bad {
-            let problems = with(ka).validate().expect_err(expected);
-            assert_eq!(problems.len(), 1, "{problems:?}");
-            assert!(problems[0].contains(expected), "{problems:?}");
-        }
     }
 
     #[test]

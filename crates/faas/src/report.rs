@@ -5,8 +5,8 @@ use std::fmt;
 
 use faasmem_mem::FlowMatrix;
 use faasmem_metrics::{
-    varint, BlameReport, Cdf, DurabilityTracker, LatencyRecorder, LatencySummary, MetricsRegistry,
-    TimeSeries, WasteLedger, WasteReport,
+    slo, varint, BlameReport, Cdf, DurabilityTracker, LatencyRecorder, LatencySummary,
+    MetricsRegistry, TimeSeries, WasteLedger, WasteReport,
 };
 use faasmem_pool::PoolStats;
 use faasmem_sim::{SimDuration, SimTime};
@@ -450,11 +450,7 @@ pub struct FaultReport {
 impl FaultReport {
     /// Fraction of SLO-measured requests that violated the objective.
     pub fn slo_violation_ratio(&self) -> f64 {
-        if self.slo_total == 0 {
-            0.0
-        } else {
-            self.slo_violations as f64 / self.slo_total as f64
-        }
+        slo::violation_ratio(self.slo_violations, self.slo_total)
     }
 }
 

@@ -65,7 +65,7 @@ fn faasmem_sim() -> faasmem_faas::PlatformBuilder {
     PlatformSim::builder()
         .register_function(BenchmarkSpec::by_name("json").unwrap())
         .register_function(BenchmarkSpec::by_name("web").unwrap())
-        .policy(FaasMemPolicy::builder().build())
+        .policy(FaasMemPolicy::new())
         .seed(7)
 }
 

@@ -46,7 +46,7 @@ pub mod table;
 pub use flow::{FlowMatrix, FlowRow, PageFlows, FLOW_STATES};
 pub use page::{PageId, PageMeta, PageRange, PageState, Segment};
 pub use reference::ReferencePageTable;
-pub use regions::{Region, RegionConfig, RegionMonitor};
+pub use regions::{Region, RegionMonitor};
 pub use stats::MemStats;
 pub use table::{Generation, PageTable, PromoteSummary, TouchOutcome};
 

@@ -37,48 +37,35 @@ impl Region {
     }
 }
 
-/// Configuration of the region monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegionConfig {
-    /// Minimum number of regions to maintain.
-    pub min_regions: u32,
-    /// Maximum number of regions (caps monitoring overhead).
-    pub max_regions: u32,
-    /// Samples taken per region per aggregation window.
-    pub samples_per_region: u32,
-    /// Merge adjacent regions whose access counts differ by at most this.
-    pub merge_threshold: u32,
-}
+/// Minimum number of regions to maintain.
+const MIN_REGIONS: u32 = 10;
 
-impl Default for RegionConfig {
-    fn default() -> Self {
-        RegionConfig {
-            min_regions: 10,
-            max_regions: 100,
-            samples_per_region: 3,
-            merge_threshold: 1,
-        }
-    }
-}
+/// Maximum number of regions (caps monitoring overhead).
+const MAX_REGIONS: u32 = 100;
+
+/// Samples taken per region per aggregation window.
+const SAMPLES_PER_REGION: u32 = 3;
+
+/// Merge adjacent regions whose access counts differ by at most this.
+const MERGE_THRESHOLD: u32 = 1;
 
 /// DAMON-style adaptive region monitoring over one page table.
 ///
 /// # Examples
 ///
 /// ```
-/// use faasmem_mem::{PageTable, RegionMonitor, RegionConfig, Segment, PAGE_SIZE_4K};
+/// use faasmem_mem::{PageTable, RegionMonitor, Segment, PAGE_SIZE_4K};
 ///
 /// let mut table = PageTable::new(PAGE_SIZE_4K);
 /// let range = table.alloc(Segment::Init, 1000);
-/// let mut monitor = RegionMonitor::new(RegionConfig::default());
+/// let mut monitor = RegionMonitor::new();
 /// table.touch_range(range.take(100)); // hot head
 /// let mut draw = 0u64;
 /// monitor.aggregate(&mut table, || { draw += 7; (draw % 97) as f64 / 97.0 });
 /// assert!(monitor.regions().len() >= 10);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RegionMonitor {
-    config: RegionConfig,
     regions: Vec<Region>,
     monitored_pages: u32,
 }
@@ -86,14 +73,8 @@ pub struct RegionMonitor {
 impl RegionMonitor {
     /// Creates a monitor; regions are initialised lazily from the table
     /// on the first aggregation.
-    pub fn new(config: RegionConfig) -> Self {
-        assert!(config.min_regions >= 1, "need at least one region");
-        assert!(config.max_regions >= config.min_regions, "max < min");
-        RegionMonitor {
-            config,
-            regions: Vec::new(),
-            monitored_pages: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current regions.
@@ -104,7 +85,7 @@ impl RegionMonitor {
     fn init_regions(&mut self, total_pages: u32) {
         self.monitored_pages = total_pages;
         self.regions.clear();
-        let n = self.config.min_regions.min(total_pages.max(1));
+        let n = MIN_REGIONS.min(total_pages.max(1));
         let base = total_pages / n;
         let mut start = 0;
         for i in 0..n {
@@ -136,10 +117,10 @@ impl RegionMonitor {
         if self.regions.is_empty() || self.monitored_pages != total_pages {
             self.init_regions(total_pages);
         }
-        // Sample: for each region, probe `samples_per_region` pages.
+        // Sample: for each region, probe `SAMPLES_PER_REGION` pages.
         for region in &mut self.regions {
             let mut hits = 0;
-            for _ in 0..self.config.samples_per_region {
+            for _ in 0..SAMPLES_PER_REGION {
                 let offset = (coin() * f64::from(region.len)) as u32;
                 let id = PageId(region.start + offset.min(region.len - 1));
                 let meta = table.meta(id);
@@ -164,7 +145,7 @@ impl RegionMonitor {
     /// region budget — DAMON's mechanism for discovering sub-region
     /// behaviour differences in the next window.
     fn split<F: FnMut() -> f64>(&mut self, coin: &mut F) {
-        if self.regions.len() * 2 > self.config.max_regions as usize {
+        if self.regions.len() * 2 > MAX_REGIONS as usize {
             return;
         }
         let mut out = Vec::with_capacity(self.regions.len() * 2);
@@ -190,18 +171,15 @@ impl RegionMonitor {
     }
 
     /// Merges adjacent regions with similar access estimates, keeping at
-    /// least `min_regions`.
+    /// least `MIN_REGIONS`.
     fn merge(&mut self) {
-        let mut budget = self
-            .regions
-            .len()
-            .saturating_sub(self.config.min_regions as usize);
+        let mut budget = self.regions.len().saturating_sub(MIN_REGIONS as usize);
         let mut merged: Vec<Region> = Vec::with_capacity(self.regions.len());
         for r in self.regions.iter().copied() {
             let mergeable = budget > 0
                 && merged.last().is_some_and(|prev| {
                     prev.end() == r.start
-                        && prev.nr_accesses.abs_diff(r.nr_accesses) <= self.config.merge_threshold
+                        && prev.nr_accesses.abs_diff(r.nr_accesses) <= MERGE_THRESHOLD
                 });
             if mergeable {
                 let prev = merged.last_mut().expect("checked non-empty");
@@ -264,7 +242,7 @@ mod tests {
     #[test]
     fn regions_cover_table_exactly() {
         let mut t = table_with(1000);
-        let mut m = RegionMonitor::new(RegionConfig::default());
+        let mut m = RegionMonitor::new();
         let mut coin = coin_stream();
         m.aggregate(&mut t, &mut coin);
         for _ in 0..10 {
@@ -283,7 +261,7 @@ mod tests {
     #[test]
     fn hot_head_is_distinguished_from_cold_tail() {
         let mut t = table_with(1000);
-        let mut m = RegionMonitor::new(RegionConfig::default());
+        let mut m = RegionMonitor::new();
         let mut coin = coin_stream();
         let hot = crate::PageRange::new(PageId(0), 200);
         for _ in 0..8 {
@@ -310,7 +288,7 @@ mod tests {
     #[test]
     fn cold_pages_come_from_aged_regions_only() {
         let mut t = table_with(400);
-        let mut m = RegionMonitor::new(RegionConfig::default());
+        let mut m = RegionMonitor::new();
         let mut coin = coin_stream();
         let hot = crate::PageRange::new(PageId(0), 100);
         for _ in 0..6 {
@@ -328,7 +306,7 @@ mod tests {
     #[test]
     fn empty_table_is_a_noop() {
         let mut t = PageTable::new(PAGE_SIZE_4K);
-        let mut m = RegionMonitor::new(RegionConfig::default());
+        let mut m = RegionMonitor::new();
         m.aggregate(&mut t, coin_stream());
         assert!(m.regions().is_empty());
         assert!(m.cold_pages(&t, 0).is_empty());
@@ -337,7 +315,7 @@ mod tests {
     #[test]
     fn growing_table_reinitialises() {
         let mut t = table_with(100);
-        let mut m = RegionMonitor::new(RegionConfig::default());
+        let mut m = RegionMonitor::new();
         let mut coin = coin_stream();
         m.aggregate(&mut t, &mut coin);
         t.alloc(Segment::Execution, 100);
@@ -346,21 +324,11 @@ mod tests {
         assert_eq!(covered, 200);
     }
 
-    #[test]
-    #[should_panic(expected = "max < min")]
-    fn bad_config_panics() {
-        let _ = RegionMonitor::new(RegionConfig {
-            min_regions: 10,
-            max_regions: 5,
-            ..RegionConfig::default()
-        });
-    }
-
     proptest::proptest! {
         #[test]
         fn prop_regions_always_tile(pages in 1u32..5000, rounds in 1usize..8, seed in 0u64..500) {
             let mut t = table_with(pages);
-            let mut m = RegionMonitor::new(RegionConfig::default());
+            let mut m = RegionMonitor::new();
             let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
             let mut coin = move || {
                 x ^= x << 13;

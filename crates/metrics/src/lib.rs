@@ -13,6 +13,7 @@
 //! * [`TimeSeries`] — a step function of a value over simulated time with
 //!   time-weighted averaging, used for memory-usage timelines and stored
 //!   as a delta-varint byte log ([`varint`]).
+//! * [`slo`] — latency-objective violation counts.
 //!
 //! # Examples
 //!
@@ -47,7 +48,6 @@ pub use cdf::{nearest_rank, Cdf};
 pub use durability::DurabilityTracker;
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use registry::MetricsRegistry;
-pub use slo::SloTracker;
 pub use timeseries::TimeSeries;
 pub use waste::{
     byte_us_to_byte_secs, WasteAccumulator, WasteComponent, WasteLedger, WasteReport, WasteSide,

@@ -2,76 +2,45 @@
 //!
 //! Fault-injection experiments ask a question the paper's healthy-pool
 //! evaluation never had to: *how many requests blew their latency
-//! objective while the pool misbehaved?* [`SloTracker`] answers it with
-//! a single threshold and two counters, cheap enough to update on every
-//! completed request.
+//! objective while the pool misbehaved?* [`slo_counts`] answers it from
+//! the finished requests' latencies; only a latency strictly above the
+//! objective violates it.
 
 use faasmem_sim::SimDuration;
 
-/// Counts requests whose end-to-end latency exceeded a fixed objective.
+/// `(total, violations)` of `latencies` against `objective`: every
+/// latency counts towards the total, and those strictly above the
+/// objective count as violations.
 ///
 /// # Examples
 ///
 /// ```
-/// use faasmem_metrics::SloTracker;
+/// use faasmem_metrics::slo::{slo_counts, violation_ratio};
 /// use faasmem_sim::SimDuration;
 ///
-/// let mut slo = SloTracker::new(SimDuration::from_secs(1));
-/// slo.observe(SimDuration::from_millis(250));
-/// slo.observe(SimDuration::from_secs(3));
-/// assert_eq!(slo.total(), 2);
-/// assert_eq!(slo.violations(), 1);
-/// assert_eq!(slo.violation_ratio(), 0.5);
+/// let latencies = [SimDuration::from_millis(250), SimDuration::from_secs(3)];
+/// let (total, violations) = slo_counts(latencies, SimDuration::from_secs(1));
+/// assert_eq!((total, violations), (2, 1));
+/// assert_eq!(violation_ratio(violations, total), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SloTracker {
-    threshold: SimDuration,
-    total: u64,
-    violations: u64,
+pub fn slo_counts(
+    latencies: impl IntoIterator<Item = SimDuration>,
+    objective: SimDuration,
+) -> (u64, u64) {
+    latencies
+        .into_iter()
+        .fold((0, 0), |(total, violations), latency| {
+            (total + 1, violations + u64::from(latency > objective))
+        })
 }
 
-impl SloTracker {
-    /// A tracker with the given latency objective. Latencies strictly
-    /// above the threshold count as violations.
-    pub fn new(threshold: SimDuration) -> Self {
-        SloTracker {
-            threshold,
-            total: 0,
-            violations: 0,
-        }
-    }
-
-    /// The configured latency objective.
-    pub fn threshold(&self) -> SimDuration {
-        self.threshold
-    }
-
-    /// Records one completed request's end-to-end latency.
-    pub fn observe(&mut self, latency: SimDuration) {
-        self.total += 1;
-        if latency > self.threshold {
-            self.violations += 1;
-        }
-    }
-
-    /// Requests observed so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Requests that exceeded the objective.
-    pub fn violations(&self) -> u64 {
-        self.violations
-    }
-
-    /// Fraction of observed requests that violated the objective; zero
-    /// when nothing has been observed.
-    pub fn violation_ratio(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.total as f64
-        }
+/// Fraction of `total` requests that violated the objective; zero when
+/// nothing was measured.
+pub fn violation_ratio(violations: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        violations as f64 / total as f64
     }
 }
 
@@ -81,27 +50,24 @@ mod tests {
 
     #[test]
     fn empty_tracker_reports_zero() {
-        let slo = SloTracker::new(SimDuration::from_secs(1));
-        assert_eq!(slo.total(), 0);
-        assert_eq!(slo.violations(), 0);
-        assert_eq!(slo.violation_ratio(), 0.0);
+        let (total, violations) = slo_counts([], SimDuration::from_secs(1));
+        assert_eq!((total, violations), (0, 0));
+        assert_eq!(violation_ratio(violations, total), 0.0);
     }
 
     #[test]
     fn threshold_is_exclusive() {
-        let mut slo = SloTracker::new(SimDuration::from_millis(100));
-        slo.observe(SimDuration::from_millis(100)); // exactly at: OK
-        slo.observe(SimDuration::from_micros(100_001)); // just over
-        assert_eq!(slo.violations(), 1);
-        assert_eq!(slo.total(), 2);
+        let latencies = [
+            SimDuration::from_millis(100),     // exactly at: OK
+            SimDuration::from_micros(100_001), // just over
+        ];
+        assert_eq!(slo_counts(latencies, SimDuration::from_millis(100)), (2, 1));
     }
 
     #[test]
     fn ratio_tracks_counts() {
-        let mut slo = SloTracker::new(SimDuration::from_millis(10));
-        for ms in [1u64, 5, 20, 30] {
-            slo.observe(SimDuration::from_millis(ms));
-        }
-        assert_eq!(slo.violation_ratio(), 0.5);
+        let latencies = [1u64, 5, 20, 30].map(SimDuration::from_millis);
+        let (total, violations) = slo_counts(latencies, SimDuration::from_millis(10));
+        assert_eq!(violation_ratio(violations, total), 0.5);
     }
 }

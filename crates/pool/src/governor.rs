@@ -9,12 +9,17 @@
 
 use faasmem_sim::{SimDuration, SimTime};
 
+/// Fraction of capacity at which throttling begins.
+const SOFT_FRACTION: f64 = 0.8;
+
+/// Throttle factor at (and beyond) full capacity.
+const MIN_FACTOR: f64 = 0.05;
+
 /// Uniformly throttles per-container offload rates as aggregate remote
 /// bandwidth approaches the link limit.
 ///
 /// Usage is estimated over a sliding window; the throttle factor is 1.0
-/// below `soft_fraction` of capacity and decays linearly to `min_factor`
-/// at full capacity.
+/// below 80% of capacity and decays linearly to 0.05 at full capacity.
 ///
 /// # Examples
 ///
@@ -30,8 +35,6 @@ use faasmem_sim::{SimDuration, SimTime};
 pub struct BandwidthGovernor {
     capacity_bytes_per_sec: u64,
     window: SimDuration,
-    soft_fraction: f64,
-    min_factor: f64,
     /// (time, bytes) records inside the sliding window, oldest first.
     records: std::collections::VecDeque<(SimTime, u64)>,
     window_bytes: u64,
@@ -39,8 +42,7 @@ pub struct BandwidthGovernor {
 
 impl BandwidthGovernor {
     /// Creates a governor for a link of the given capacity with a sliding
-    /// estimation `window`. Uses the default soft threshold (80% of
-    /// capacity) and minimum factor (0.05).
+    /// estimation `window`.
     ///
     /// # Panics
     ///
@@ -51,25 +53,9 @@ impl BandwidthGovernor {
         BandwidthGovernor {
             capacity_bytes_per_sec,
             window,
-            soft_fraction: 0.8,
-            min_factor: 0.05,
             records: std::collections::VecDeque::new(),
             window_bytes: 0,
         }
-    }
-
-    /// Overrides the soft threshold (fraction of capacity at which
-    /// throttling begins) and the floor factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < soft_fraction <= 1` and `0 < min_factor <= 1`.
-    pub fn with_thresholds(mut self, soft_fraction: f64, min_factor: f64) -> Self {
-        assert!(soft_fraction > 0.0 && soft_fraction <= 1.0);
-        assert!(min_factor > 0.0 && min_factor <= 1.0);
-        self.soft_fraction = soft_fraction;
-        self.min_factor = min_factor;
-        self
     }
 
     fn evict(&mut self, now: SimTime) {
@@ -104,15 +90,15 @@ impl BandwidthGovernor {
     pub fn throttle_factor(&mut self, now: SimTime) -> f64 {
         let usage = self.current_usage(now);
         let capacity = self.capacity_bytes_per_sec as f64;
-        let soft = self.soft_fraction * capacity;
+        let soft = SOFT_FRACTION * capacity;
         if usage <= soft {
             return 1.0;
         }
         if usage >= capacity {
-            return self.min_factor;
+            return MIN_FACTOR;
         }
         let frac = (usage - soft) / (capacity - soft);
-        (1.0 - frac * (1.0 - self.min_factor)).max(self.min_factor)
+        (1.0 - frac * (1.0 - MIN_FACTOR)).max(MIN_FACTOR)
     }
 }
 
@@ -161,17 +147,6 @@ mod tests {
         assert_eq!(g.throttle_factor(SimTime::from_secs(1)), 0.05);
         // Three seconds later the window is clean again.
         assert_eq!(g.throttle_factor(SimTime::from_secs(4)), 1.0);
-    }
-
-    #[test]
-    fn custom_thresholds_respected() {
-        let mut g =
-            BandwidthGovernor::new(1_000_000, SimDuration::from_secs(1)).with_thresholds(0.5, 0.2);
-        g.record(SimTime::from_secs(1), 600_000);
-        let f = g.throttle_factor(SimTime::from_secs(1));
-        assert!(f < 1.0);
-        g.record(SimTime::from_secs(1), 1_000_000);
-        assert_eq!(g.throttle_factor(SimTime::from_secs(1)), 0.2);
     }
 
     #[test]

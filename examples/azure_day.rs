@@ -9,7 +9,7 @@
 //! ```
 
 use faasmem::core::FaasMemPolicy;
-use faasmem::faas::{AdaptiveKeepAlive, NodeProfile, RackPlan, RackReport};
+use faasmem::faas::{NodeProfile, RackPlan, RackReport};
 use faasmem::prelude::*;
 
 fn main() {
@@ -32,11 +32,11 @@ fn main() {
     // Map every function onto the micro-benchmark catalog round-robin,
     // with the three applications sprinkled in.
     let catalog = BenchmarkSpec::catalog();
-    let policy = FaasMemPolicy::builder().build();
+    let policy = FaasMemPolicy::new();
     let stats = policy.stats();
     let mut builder = PlatformSim::builder()
         .share_runtime(true)
-        .adaptive_keep_alive(AdaptiveKeepAlive::default())
+        .adaptive_keep_alive(true)
         .seed(1);
     for f in 0..FUNCTIONS {
         builder = builder.register_function(catalog[f as usize % catalog.len()].clone());

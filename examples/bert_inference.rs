@@ -33,7 +33,7 @@ fn main() {
         .synthesize_for(FunctionId(0));
     println!("bursty bert trace: {} invocations / hour\n", trace.len());
 
-    let faasmem_policy = FaasMemPolicy::builder().build();
+    let faasmem_policy = FaasMemPolicy::new();
     let stats = faasmem_policy.stats();
     let reports = vec![
         run_with(NoOffloadPolicy, &trace),

@@ -29,7 +29,7 @@ fn main() {
             .bursty(true)
             .duration(SimTime::from_mins(60))
             .synthesize_for(FunctionId(0));
-        let policy = FaasMemPolicy::builder().build();
+        let policy = FaasMemPolicy::new();
         let mut sim = PlatformSim::builder()
             .register_function(spec.clone())
             .policy(policy)

@@ -38,7 +38,7 @@ fn main() {
     }
     println!("node total: {} invocations\n", merged.len());
 
-    let policy = FaasMemPolicy::builder().build();
+    let policy = FaasMemPolicy::new();
     let mut sim = PlatformSim::builder()
         .register_functions(specs.iter().cloned())
         .policy(policy)

@@ -29,7 +29,7 @@ fn main() {
 
     let mut faasmem = PlatformSim::builder()
         .register_function(spec)
-        .policy(FaasMemPolicy::builder().build())
+        .policy(FaasMemPolicy::new())
         .seed(1)
         .build();
     let mut faasmem_report = faasmem.run(&trace);

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    is reproducible on any machine holding the same trace file.
     let mut sim = PlatformSim::builder()
         .register_function(BenchmarkSpec::by_name("chameleon").unwrap())
-        .policy(FaasMemPolicy::builder().build())
+        .policy(FaasMemPolicy::new())
         .seed(42)
         .build();
     let mut report = sim.run(&restored);

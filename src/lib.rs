@@ -38,7 +38,7 @@
 //!     .synthesize_for(FunctionId(0));
 //! let mut sim = PlatformSim::builder()
 //!     .register_function(spec)
-//!     .policy(FaasMemPolicy::builder().build())
+//!     .policy(FaasMemPolicy::new())
 //!     .build();
 //! let report = sim.run(&trace);
 //! assert!(report.requests_completed > 0);

@@ -51,7 +51,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use faasmem_baselines::{DamonPolicy, TmoConfig, TmoPolicy};
-use faasmem_core::{FaasMemPolicy, PucketKind, Puckets};
+use faasmem_core::{FaasMemPolicy, PucketKind, Puckets, SemiWarm};
 use faasmem_faas::{touch_request, Container, ContainerId, FunctionId, MemoryPolicy, PolicyCtx};
 use faasmem_mem::{mib_to_pages, PageId, Segment, PAGE_SIZE_4K};
 use faasmem_metrics::Cdf;
@@ -468,8 +468,9 @@ fn event_hot_path_allocates_nothing_at_steady_state() {
     // eight 30 s reuse gaps, so the semi-warm start timing is 30 s.
     let mut policy = FaasMemPolicy::new();
     let mut node = keep_alive_node("bert");
-    let min_samples = policy.config().semiwarm.min_samples;
-    assert!(node.reuse[&FunctionId(0)].len() >= min_samples);
+    let timing = SemiWarm::new(policy.config().semiwarm.clone())
+        .start_timing(node.reuse.get(&FunctionId(0)), FunctionId(0));
+    assert_eq!(timing, SimDuration::from_secs(30));
     node.container.finish_launch();
     node.hook(SimTime::ZERO, |ctx| policy.on_runtime_loaded(ctx));
     node.container.finish_init();

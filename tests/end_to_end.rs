@@ -19,7 +19,7 @@ fn run_policy_on(spec: &BenchmarkSpec, trace: &InvocationTrace, policy_name: &st
         "Baseline" => builder.policy(NoOffloadPolicy).build(),
         "TMO" => builder.policy(TmoPolicy::default()).build(),
         "DAMON" => builder.policy(DamonPolicy::default()).build(),
-        "FaaSMem" => builder.policy(FaasMemPolicy::builder().build()).build(),
+        "FaaSMem" => builder.policy(FaasMemPolicy::new()).build(),
         other => panic!("unknown policy {other}"),
     };
     sim.run(trace)
@@ -161,7 +161,7 @@ fn multi_function_node_isolates_state() {
     }
     let mut sim = PlatformSim::builder()
         .register_functions(specs)
-        .policy(FaasMemPolicy::builder().build())
+        .policy(FaasMemPolicy::new())
         .seed(8)
         .build();
     let report = sim.run(&merged);

@@ -1,9 +1,8 @@
 //! Integration tests for the beyond-the-paper features: §9/§10 discussion
 //! points and the §8.3.2 future-work extension.
 
-use faasmem::baselines::{DamonConfig, DamonPolicy};
-use faasmem::core::FaasMemConfigBuilder;
-use faasmem::faas::{AdaptiveKeepAlive, NodeProfile, RackPlan, RackReport};
+use faasmem::baselines::{DamonMode, DamonPolicy};
+use faasmem::faas::{NodeProfile, RackPlan, RackReport};
 use faasmem::prelude::*;
 use faasmem::workload::{trace_io, Invocation};
 
@@ -23,13 +22,12 @@ fn adaptive_keepalive_recycles_fast_reuse_functions_early() {
     // Requests 15 s apart: the histogram learns a tight reuse bound.
     let trace = steady_trace(60, 15);
     let run = |adaptive: bool| {
-        let mut builder = PlatformSim::builder()
+        let mut sim = PlatformSim::builder()
             .register_function(spec.clone())
-            .seed(9);
-        if adaptive {
-            builder = builder.adaptive_keep_alive(AdaptiveKeepAlive::default());
-        }
-        let mut sim = builder.policy(NoOffloadPolicy).build();
+            .seed(9)
+            .adaptive_keep_alive(adaptive)
+            .policy(NoOffloadPolicy)
+            .build();
         sim.run(&trace)
     };
     let fixed = run(false);
@@ -117,7 +115,7 @@ fn region_damon_runs_end_to_end() {
     let trace = steady_trace(20, 45);
     let mut sim = PlatformSim::builder()
         .register_function(spec)
-        .policy(DamonPolicy::new(DamonConfig::with_regions()))
+        .policy(DamonPolicy::new(DamonMode::RegionMonitor))
         .seed(5)
         .build();
     let report = sim.run(&trace);
@@ -143,9 +141,9 @@ fn cold_start_aware_semiwarm_reduces_drain_on_cluster_patterns() {
     }
     let trace = InvocationTrace::from_invocations(invs, SimTime::from_secs(4_000));
     let run = |aware: bool| {
-        let policy = FaasMemPolicy::builder()
-            .config(FaasMemConfigBuilder::new().cold_start_aware(aware).build())
-            .build();
+        let mut config = FaasMemConfig::default();
+        config.semiwarm.cold_start_aware = aware;
+        let policy = FaasMemPolicy::with_config(config).unwrap();
         let stats = policy.stats();
         let mut sim = PlatformSim::builder()
             .register_function(spec.clone())

@@ -101,16 +101,16 @@ fn ablation_components_both_contribute() {
     let spec = BenchmarkSpec::by_name("bert").unwrap();
     let trace = high_load_trace(4);
     let full = run(&spec, &trace, FaasMemPolicy::new());
-    let no_pucket = run(
-        &spec,
-        &trace,
-        FaasMemPolicy::builder().without_pucket().build(),
-    );
-    let no_semiwarm = run(
-        &spec,
-        &trace,
-        FaasMemPolicy::builder().without_semiwarm().build(),
-    );
+    let variant = |enable_pucket, enable_semiwarm| {
+        let config = FaasMemConfig {
+            enable_pucket,
+            enable_semiwarm,
+            ..Default::default()
+        };
+        FaasMemPolicy::with_config(config).unwrap()
+    };
+    let no_pucket = run(&spec, &trace, variant(false, true));
+    let no_semiwarm = run(&spec, &trace, variant(true, false));
     let base = run(&spec, &trace, NoOffloadPolicy);
     assert!(full.avg_local_mib() < no_pucket.avg_local_mib());
     assert!(full.avg_local_mib() < no_semiwarm.avg_local_mib());

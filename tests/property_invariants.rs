@@ -147,7 +147,11 @@ proptest! {
             t += g;
         }
         let trace = InvocationTrace::from_invocations(invs, SimTime::from_secs(t + 1_000));
-        let policy = FaasMemPolicy::builder().without_semiwarm().build();
+        let policy = FaasMemPolicy::with_config(FaasMemConfig {
+            enable_semiwarm: false,
+            ..Default::default()
+        })
+        .unwrap();
         let report = run_boxed(spec, Box::new(policy), &trace, seed);
         for r in report.requests.iter().filter(|r| !r.cold) {
             prop_assert!(

@@ -1,7 +1,6 @@
 //! Robustness: the headline claims must hold across seeds, loads and
 //! platform configurations — not just at the defaults the figures use.
 
-use faasmem::faas::AdaptiveKeepAlive;
 use faasmem::prelude::*;
 
 fn run<P: MemoryPolicy + 'static>(
@@ -94,7 +93,7 @@ fn adaptive_keepalive_never_leaks_containers() {
             .synthesize_for(FunctionId(0));
         let mut sim = PlatformSim::builder()
             .register_function(spec.clone())
-            .adaptive_keep_alive(AdaptiveKeepAlive::default())
+            .adaptive_keep_alive(true)
             .policy(FaasMemPolicy::new())
             .seed(seed)
             .build();
