@@ -14,46 +14,58 @@ use std::io::{self, Write};
 
 use super::write_table;
 use crate::fmt_secs;
-use crate::harness::HarnessOptions;
-use faasmem_baselines::{DamonMode, DamonPolicy};
-use faasmem_faas::PlatformSim;
-use faasmem_sim::SimTime;
-use faasmem_workload::{BenchmarkSpec, FunctionId, Invocation, InvocationTrace};
+use crate::harness::{
+    self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceKind, TraceSpec,
+};
+use faasmem_baselines::DamonMode;
+use faasmem_faas::PlatformConfig;
+use faasmem_sim::{SimDuration, SimTime};
 
-pub(super) fn run(_opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
-    let spec = BenchmarkSpec::by_name("bert").expect("catalog");
+const TRACE: &str = "every 10 s";
+const MODES: [(&str, DamonMode); 5] = [
+    ("exact access-bit scan", DamonMode::ExactScan),
+    ("region monitor (real DAMON)", DamonMode::RegionMonitor),
+    ("PEBS p=0.50", DamonMode::PebsSampling(0.5)),
+    ("PEBS p=0.10", DamonMode::PebsSampling(0.1)),
+    ("PEBS p=0.02", DamonMode::PebsSampling(0.02)),
+];
+
+pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
     // Requests every 10 s: frequent enough that an exact scanner keeps
     // the hot set resident.
-    let invs: Vec<Invocation> = (0..120)
-        .map(|i| Invocation {
-            at: SimTime::from_secs(10 + i * 10),
-            function: FunctionId(0),
-        })
-        .collect();
-    let trace = InvocationTrace::from_invocations(invs, SimTime::from_mins(40));
+    let every_10s = TraceKind::Periodic {
+        start: SimTime::from_secs(10),
+        bursts: 120,
+        per_burst: 1,
+        spacing: SimDuration::ZERO,
+        period: SimDuration::from_secs(10),
+    };
+    let grid = ExperimentGrid::new("disc02_hardware_sampling")
+        .trace(TraceSpec::new(TRACE, every_10s).duration(SimTime::from_mins(40)))
+        .bench(BenchCase::named("bert"))
+        .config(ConfigCase::new(
+            "s77",
+            PlatformConfig {
+                seed: 77,
+                ..PlatformConfig::default()
+            },
+        ))
+        .policies(MODES.map(|(label, mode)| PolicySpec::Damon {
+            label: label.to_string(),
+            mode,
+        }));
+    let run = harness::run_grid(&grid, opts);
 
     let mut rows = Vec::new();
-    for (label, mode) in [
-        ("exact access-bit scan", DamonMode::ExactScan),
-        ("region monitor (real DAMON)", DamonMode::RegionMonitor),
-        ("PEBS p=0.50", DamonMode::PebsSampling(0.5)),
-        ("PEBS p=0.10", DamonMode::PebsSampling(0.1)),
-        ("PEBS p=0.02", DamonMode::PebsSampling(0.02)),
-    ] {
-        let policy = DamonPolicy::new(mode);
-        let mut sim = PlatformSim::builder()
-            .register_function(spec.clone())
-            .policy(policy)
-            .seed(77)
-            .build();
-        let mut report = sim.run(&trace);
-        let warm: Vec<_> = report.requests.iter().filter(|r| !r.cold).collect();
+    for (label, _) in MODES {
+        let outcome = run.outcome(TRACE, "bert", "s77", label);
+        let warm: Vec<_> = outcome.report.requests.iter().filter(|r| !r.cold).collect();
         let faults_per_req = warm.iter().map(|r| r.faults as f64).sum::<f64>() / warm.len() as f64;
         rows.push(vec![
             label.to_string(),
             format!("{faults_per_req:.0}"),
-            fmt_secs(report.p95_latency().as_secs_f64()),
-            format!("{:.0} MiB", report.avg_local_mib()),
+            fmt_secs(outcome.summary.latency.p95.as_secs_f64()),
+            format!("{:.0} MiB", outcome.summary.avg_local_mib),
         ]);
     }
     write_table(

@@ -11,64 +11,58 @@ use std::io::{self, Write};
 
 use super::write_table;
 use crate::fmt_mib;
-use crate::harness::HarnessOptions;
-use faasmem_baselines::NoOffloadPolicy;
-use faasmem_core::FaasMemPolicy;
-use faasmem_faas::PlatformSim;
-use faasmem_sim::SimTime;
-use faasmem_workload::{BenchmarkSpec, FunctionId, LoadClass, TraceSynthesizer};
+use crate::harness::{self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, TraceSpec};
+use crate::PolicyKind;
+use faasmem_faas::PlatformConfig;
+use faasmem_workload::LoadClass;
 
-pub(super) fn run(_opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
+const TRACE: &str = "bursty high";
+const PRIVATE: &str = "private runtimes";
+const SHARED: &str = "shared runtime";
+
+pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
     // Micro-benchmarks profit most from sharing: their runtime dominates.
-    let spec = BenchmarkSpec::by_name("pyaes").expect("catalog");
-    let trace = TraceSynthesizer::new(903)
-        .load_class(LoadClass::High)
-        .bursty(true)
-        .duration(SimTime::from_mins(60))
-        .synthesize_for(FunctionId(0));
+    let grid = ExperimentGrid::new("disc03_memory_sharing")
+        .trace(TraceSpec::synth(TRACE, 903, LoadClass::High).bursty(true))
+        .bench(BenchCase::named("pyaes"))
+        .configs(
+            [(PRIVATE, false), (SHARED, true)].map(|(label, share_runtime)| {
+                ConfigCase::new(
+                    label,
+                    PlatformConfig {
+                        share_runtime,
+                        seed: 12,
+                        ..PlatformConfig::default()
+                    },
+                )
+            }),
+        )
+        .policy_kinds([PolicyKind::Baseline, PolicyKind::FaasMem]);
+    let run = harness::run_grid(&grid, opts);
+    let outcome =
+        |policy: PolicyKind, config: &str| run.outcome(TRACE, "pyaes", config, policy.name());
+    let base = outcome(PolicyKind::Baseline, PRIVATE);
     writeln!(
         out,
         "pyaes, bursty high-load, {} invocations\n",
-        trace.len()
+        base.trace_len
     )?;
 
-    let run = |faasmem: bool, share: bool| {
-        let builder = PlatformSim::builder()
-            .register_function(spec.clone())
-            .share_runtime(share)
-            .seed(12);
-        let mut sim = if faasmem {
-            builder.policy(FaasMemPolicy::new()).build()
-        } else {
-            builder.policy(NoOffloadPolicy).build()
-        };
-        sim.run(&trace)
-    };
-
-    let mut base = run(false, false);
-    let base_mem = base.avg_local_mib();
+    let base_mem = base.summary.avg_local_mib;
     let mut rows = Vec::new();
-    for (label, faasmem, share) in [
-        ("Baseline", false, false),
-        ("Runtime sharing only", false, true),
-        ("FaaSMem only", true, false),
-        ("FaaSMem + sharing", true, true),
+    for (label, policy, config) in [
+        ("Baseline", PolicyKind::Baseline, PRIVATE),
+        ("Runtime sharing only", PolicyKind::Baseline, SHARED),
+        ("FaaSMem only", PolicyKind::FaasMem, PRIVATE),
+        ("FaaSMem + sharing", PolicyKind::FaasMem, SHARED),
     ] {
-        // The baseline row reads the run above rather than a second
-        // simulation.
-        let mut fresh;
-        let report = if (faasmem, share) == (false, false) {
-            &mut base
-        } else {
-            fresh = run(faasmem, share);
-            &mut fresh
-        };
-        let mem = report.avg_local_mib();
+        let s = &outcome(policy, config).summary;
+        let mem = s.avg_local_mib;
         rows.push(vec![
             label.to_string(),
             fmt_mib(mem),
             format!("{:+.1}%", (mem - base_mem) / base_mem * 100.0),
-            format!("{:.0}ms", report.p95_latency().as_millis_f64()),
+            format!("{:.0}ms", s.latency.p95.as_millis_f64()),
         ]);
     }
     write_table(

@@ -13,13 +13,21 @@
 use std::io::{self, Write};
 
 use super::write_table;
-use crate::harness::HarnessOptions;
-use faasmem_core::FaasMemPolicy;
-use faasmem_faas::{NodeProfile, PlatformSim, RackPlan, RackReport};
-use faasmem_sim::SimTime;
-use faasmem_workload::{BenchmarkSpec, FunctionId, LoadClass, TraceSynthesizer};
+use crate::harness::{self, BenchCase, ExperimentGrid, HarnessOptions, TraceSpec, DEFAULT_CONFIG};
+use crate::PolicyKind;
+use faasmem_faas::{NodeProfile, RackPlan, RackReport};
+use faasmem_workload::LoadClass;
 
-pub(super) fn run(_opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
+const APPS: [&str; 3] = ["bert", "graph", "web"];
+
+pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
+    // Measured profiles: one per application, from a bursty hour.
+    let grid = ExperimentGrid::new("disc04_rack_provisioning")
+        .trace(TraceSpec::synth("bursty high", 940, LoadClass::High).bursty(true))
+        .benches(APPS.map(BenchCase::named))
+        .policy_kinds([PolicyKind::FaasMem]);
+    let run = harness::run_grid(&grid, opts);
+
     let mut rows = Vec::new();
 
     let analyze = |label: &str, node: NodeProfile, rows: &mut Vec<Vec<String>>| {
@@ -47,22 +55,18 @@ pub(super) fn run(_opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()>
         &mut rows,
     );
 
-    // Measured profiles: one per application, from a bursty hour.
-    for app in ["bert", "graph", "web"] {
-        let spec = BenchmarkSpec::by_name(app).expect("catalog");
-        let trace = TraceSynthesizer::new(940)
-            .load_class(LoadClass::High)
-            .bursty(true)
-            .duration(SimTime::from_mins(60))
-            .synthesize_for(FunctionId(0));
-        let report = PlatformSim::builder()
-            .register_function(spec)
-            .policy(FaasMemPolicy::new())
-            .build()
-            .run(&trace);
+    for app in APPS {
+        let report = &run
+            .outcome(
+                "bursty high",
+                app,
+                DEFAULT_CONFIG,
+                PolicyKind::FaasMem.name(),
+            )
+            .report;
         // Scale the measured per-container behaviour to a 5000-container
         // production node.
-        let node = NodeProfile::from_report(&report, 384.0, 5_000.0);
+        let node = NodeProfile::from_report(report, 384.0, 5_000.0);
         let node = NodeProfile {
             containers: 5_000.0,
             local_dram_gib: 384.0,

@@ -19,30 +19,24 @@ use std::io::{self, Write};
 
 use super::write_table;
 use crate::harness::{
-    self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceSpec,
+    self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceKind, TraceSpec,
 };
 use crate::{fmt_mib, fmt_secs};
 use faasmem_core::{FaasMemConfig, SemiWarmConfig};
 use faasmem_faas::PlatformConfig;
-use faasmem_sim::SimTime;
-use faasmem_workload::{FunctionId, Invocation, InvocationTrace, LoadClass};
+use faasmem_sim::{SimDuration, SimTime};
+use faasmem_workload::LoadClass;
 
-/// Clustered arrivals: bursts of `cluster_size` requests 5 s apart, with
-/// `gap_secs` of silence between bursts. When the gap exceeds the
-/// keep-alive, every burst begins with cold starts — the §8.3.2 hazard.
-fn clustered_trace(clusters: u64, cluster_size: u64, gap_secs: u64) -> InvocationTrace {
-    let mut invs = Vec::new();
-    for c in 0..clusters {
-        for i in 0..cluster_size {
-            invs.push(Invocation {
-                at: SimTime::from_secs(10 + c * gap_secs + i * 5),
-                function: FunctionId(0),
-            });
-        }
-    }
-    let horizon = SimTime::from_secs(10 + clusters * gap_secs + 1_000);
-    InvocationTrace::from_invocations(invs, horizon)
-}
+/// Clustered arrivals: 6 bursts of 8 requests 5 s apart, one burst every
+/// 11 minutes. The silence exceeds the keep-alive, so every burst begins
+/// with cold starts — the §8.3.2 hazard.
+const CLUSTERED: TraceKind = TraceKind::Periodic {
+    start: SimTime::from_secs(10),
+    bursts: 6,
+    per_burst: 8,
+    spacing: SimDuration::from_secs(5),
+    period: SimDuration::from_secs(660),
+};
 
 const CASES: [&str; 2] = ["steady (common)", "clustered bursts, 11-minute silences"];
 const VARIANTS: [(&str, bool); 2] = [
@@ -54,7 +48,7 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
     let grid = ExperimentGrid::new("ext01_coldstart_aware")
         .traces([
             TraceSpec::synth(CASES[0], 904, LoadClass::High),
-            TraceSpec::explicit(CASES[1], clustered_trace(6, 8, 660)),
+            TraceSpec::new(CASES[1], CLUSTERED).duration(SimTime::from_secs(4_970)),
         ])
         .bench(BenchCase::named("bert"))
         .config(ConfigCase::new(

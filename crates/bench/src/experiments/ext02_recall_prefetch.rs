@@ -15,14 +15,13 @@ use std::io::{self, Write};
 
 use super::write_table;
 use crate::harness::{
-    self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceSpec,
+    self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, PolicySpec, TraceKind, TraceSpec,
 };
 use crate::{fmt_mib, fmt_secs};
 use faasmem_core::{FaasMemConfig, SemiWarmConfig};
 use faasmem_faas::PlatformConfig;
 use faasmem_metrics::Cdf;
-use faasmem_sim::SimTime;
-use faasmem_workload::{FunctionId, Invocation, InvocationTrace};
+use faasmem_sim::{SimDuration, SimTime};
 
 const VARIANTS: [(&str, bool); 2] = [
     ("demand faults (paper)", false),
@@ -33,16 +32,16 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
     // Requests every ~7 minutes: past the semi-warm start (240 s
     // default / learned p99), inside the 10-minute keep-alive — every
     // warm request is a semi-warm hit.
-    let invs: Vec<Invocation> = (0..12)
-        .map(|i| Invocation {
-            at: SimTime::from_secs(10 + i * 420),
-            function: FunctionId(0),
-        })
-        .collect();
-    let trace = InvocationTrace::from_invocations(invs, SimTime::from_secs(7_000));
+    let gaps = TraceKind::Periodic {
+        start: SimTime::from_secs(10),
+        bursts: 12,
+        per_burst: 1,
+        spacing: SimDuration::ZERO,
+        period: SimDuration::from_secs(420),
+    };
 
     let grid = ExperimentGrid::new("ext02_recall_prefetch")
-        .trace(TraceSpec::explicit("7-minute gaps", trace))
+        .trace(TraceSpec::new("7-minute gaps", gaps).duration(SimTime::from_secs(7_000)))
         .benches(["bert", "web"].map(BenchCase::named))
         .config(ConfigCase::new(
             "16k-s8",

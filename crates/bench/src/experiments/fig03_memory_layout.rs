@@ -10,34 +10,42 @@
 
 use std::io::{self, Write};
 
-use crate::harness::HarnessOptions;
-use crate::render_table;
-use faasmem_baselines::NoOffloadPolicy;
-use faasmem_faas::PlatformSim;
+use crate::harness::{
+    self, BenchCase, ConfigCase, ExperimentGrid, HarnessOptions, TraceKind, TraceSpec,
+};
+use crate::{render_table, PolicyKind};
+use faasmem_faas::PlatformConfig;
 use faasmem_sim::{SimDuration, SimTime};
-use faasmem_workload::{BenchmarkSpec, FunctionId, Invocation, InvocationTrace};
+use faasmem_workload::BenchmarkSpec;
 
-pub(super) fn run(_opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
+const TRACE: &str = "two requests";
+
+pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
     let spec = BenchmarkSpec::by_name("graph").expect("catalog");
     // Two requests with a keep-alive stretch between them (Fig 3's
     // Launch | Init | Req1 | Keep-alive | Req2 | Keep-alive shape).
-    let invs = vec![
-        Invocation {
-            at: SimTime::from_secs(1),
-            function: FunctionId(0),
-        },
-        Invocation {
-            at: SimTime::from_secs(120),
-            function: FunctionId(0),
-        },
-    ];
-    let trace = InvocationTrace::from_invocations(invs, SimTime::from_mins(15));
-    let mut sim = PlatformSim::builder()
-        .register_function(spec.clone())
-        .policy(NoOffloadPolicy)
-        .seed(3)
-        .build();
-    let report = sim.run(&trace);
+    let two_requests = TraceKind::Periodic {
+        start: SimTime::from_secs(1),
+        bursts: 2,
+        per_burst: 1,
+        spacing: SimDuration::ZERO,
+        period: SimDuration::from_secs(119),
+    };
+    let grid = ExperimentGrid::new("fig03_memory_layout")
+        .trace(TraceSpec::new(TRACE, two_requests).duration(SimTime::from_mins(15)))
+        .bench(BenchCase::single(spec.clone()))
+        .config(ConfigCase::new(
+            "s3",
+            PlatformConfig {
+                seed: 3,
+                ..PlatformConfig::default()
+            },
+        ))
+        .policy_kinds([PolicyKind::Baseline]);
+    let run = harness::run_grid(&grid, opts);
+    let report = &run
+        .outcome(TRACE, spec.name, "s3", PolicyKind::Baseline.name())
+        .report;
 
     // Dense sampling around the interesting moments.
     writeln!(out, "container memory over the lifecycle (MiB):\n")?;

@@ -8,27 +8,28 @@
 use std::io::{self, Write};
 
 use super::write_table;
-use crate::harness::HarnessOptions;
-use faasmem_baselines::NoOffloadPolicy;
-use faasmem_faas::PlatformSim;
+use crate::harness::{self, BenchCase, ExperimentGrid, HarnessOptions, TraceSpec, DEFAULT_CONFIG};
+use crate::PolicyKind;
 use faasmem_sim::SimTime;
-use faasmem_workload::{BenchmarkSpec, RuntimeSpec, TraceSynthesizer};
+use faasmem_workload::{BenchmarkSpec, RuntimeSpec};
 
-pub(super) fn run(_opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
+pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
     const FUNCTIONS: u32 = 424;
-    let horizon = SimTime::from_mins(240);
-    let (trace, _) = TraceSynthesizer::new(5)
-        .duration(horizon)
-        .synthesize_cluster(FUNCTIONS);
-
     let spec = BenchmarkSpec::hello_world(&RuntimeSpec::openwhisk_python());
-    let mut builder = PlatformSim::builder();
-    for _ in 0..FUNCTIONS {
-        builder = builder.register_function(spec.clone());
-    }
-    let mut sim = builder.policy(NoOffloadPolicy).build();
-    let report = sim.run(&trace);
-    let cdf = report.requests_per_container_cdf();
+    let grid = ExperimentGrid::new("fig05_requests_per_container")
+        .trace(TraceSpec::cluster("azure", 5, FUNCTIONS).duration(SimTime::from_mins(240)))
+        .bench(BenchCase::cluster("hello", vec![spec; FUNCTIONS as usize]))
+        .policy_kinds([PolicyKind::Baseline]);
+    let run = harness::run_grid(&grid, opts);
+    let cdf = run
+        .outcome(
+            "azure",
+            "hello",
+            DEFAULT_CONFIG,
+            PolicyKind::Baseline.name(),
+        )
+        .report
+        .requests_per_container_cdf();
 
     let mut rows = Vec::new();
     for k in [1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0] {

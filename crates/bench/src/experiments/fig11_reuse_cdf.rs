@@ -9,24 +9,30 @@
 
 use std::io::{self, Write};
 
-use crate::harness::HarnessOptions;
-use faasmem_core::{FaasMemPolicy, SemiWarm, SemiWarmConfig};
-use faasmem_faas::PlatformSim;
+use crate::harness::{self, BenchCase, ExperimentGrid, HarnessOptions, TraceSpec, DEFAULT_CONFIG};
+use crate::PolicyKind;
+use faasmem_core::{SemiWarm, SemiWarmConfig};
 use faasmem_sim::SimTime;
-use faasmem_workload::{BenchmarkSpec, FunctionId, LoadClass, TraceSynthesizer};
+use faasmem_workload::{FunctionId, LoadClass};
 
-pub(super) fn run(_opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
-    let spec = BenchmarkSpec::by_name("web").expect("catalog");
-    let trace = TraceSynthesizer::new(911)
-        .load_class(LoadClass::High)
-        .bursty(true)
-        .duration(SimTime::from_mins(120))
-        .synthesize_for(FunctionId(0));
-    let report = PlatformSim::builder()
-        .register_function(spec)
-        .policy(FaasMemPolicy::new())
-        .build()
-        .run(&trace);
+pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
+    let grid = ExperimentGrid::new("fig11_reuse_cdf")
+        .trace(
+            TraceSpec::synth("bursty high", 911, LoadClass::High)
+                .bursty(true)
+                .duration(SimTime::from_mins(120)),
+        )
+        .bench(BenchCase::named("web"))
+        .policy_kinds([PolicyKind::FaasMem]);
+    let run = harness::run_grid(&grid, opts);
+    let report = &run
+        .outcome(
+            "bursty high",
+            "web",
+            DEFAULT_CONFIG,
+            PolicyKind::FaasMem.name(),
+        )
+        .report;
     let cdf = report
         .reuse_intervals
         .get(&FunctionId(0))

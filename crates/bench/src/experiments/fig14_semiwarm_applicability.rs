@@ -12,18 +12,20 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 
 use super::write_table;
-use crate::harness::HarnessOptions;
-use crate::svg;
-use faasmem_core::FaasMemPolicy;
-use faasmem_faas::{FunctionId, PlatformSim};
+use crate::harness::{self, BenchCase, ExperimentGrid, HarnessOptions, TraceSpec, DEFAULT_CONFIG};
+use crate::{svg, PolicyKind};
+use faasmem_faas::FunctionId;
 use faasmem_metrics::Cdf;
-use faasmem_sim::SimTime;
+use faasmem_sim::{SimDuration, SimTime};
 use faasmem_workload::{BenchmarkSpec, LoadClass, TraceSynthesizer};
 
 pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> {
     const FUNCTIONS: u32 = 424;
+    const SEED: u64 = 14;
     let horizon = SimTime::from_mins(240);
-    let (trace, classes) = TraceSynthesizer::new(14)
+    // The cell's trace draws its arrivals during the run; the same seed
+    // re-derives each function's load class without drawing any.
+    let (_, classes) = TraceSynthesizer::new(SEED)
         .duration(horizon)
         .synthesize_cluster(FUNCTIONS);
     let class_of: HashMap<FunctionId, LoadClass> = classes.into_iter().collect();
@@ -33,23 +35,30 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
     // is set to the Azure average (~1 s) so that bursts actually overlap
     // and strand scale-out containers, as in the real trace.
     let spec = BenchmarkSpec {
-        exec_time: faasmem_sim::SimDuration::from_secs(1),
+        exec_time: SimDuration::from_secs(1),
         ..BenchmarkSpec::by_name("json").expect("catalog")
     };
-    let policy = FaasMemPolicy::new();
-    let stats = policy.stats();
-    let mut builder = PlatformSim::builder();
-    for _ in 0..FUNCTIONS {
-        builder = builder.register_function(spec.clone());
-    }
-    let mut sim = builder.policy(policy).build();
-    let report = sim.run(&trace);
+    let grid = ExperimentGrid::new("fig14_semiwarm_applicability")
+        .trace(TraceSpec::cluster("azure", SEED, FUNCTIONS).duration(horizon))
+        .bench(BenchCase::cluster(
+            "json-1s",
+            vec![spec; FUNCTIONS as usize],
+        ))
+        .policy_kinds([PolicyKind::FaasMem]);
+    let run = harness::run_grid(&grid, opts);
+    let outcome = run.outcome(
+        "azure",
+        "json-1s",
+        DEFAULT_CONFIG,
+        PolicyKind::FaasMem.name(),
+    );
+    let stats = outcome.faasmem.as_ref().expect("FaaSMem exposes stats");
     writeln!(
         out,
         "run: {} invocations, {} containers, {} semi-warm records\n",
-        report.requests_completed,
-        report.containers.len(),
-        stats.borrow().semi_warm_records.len()
+        outcome.report.requests_completed,
+        outcome.report.containers.len(),
+        stats.semi_warm_records.len()
     )?;
 
     let all_classes: [(&str, Option<LoadClass>); 4] = [
@@ -61,7 +70,6 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
     let mut share_rows = Vec::new();
     let mut life_rows = Vec::new();
     for (label, class) in all_classes {
-        let stats = stats.borrow();
         let records: Vec<_> = stats
             .semi_warm_records
             .iter()
@@ -99,13 +107,12 @@ pub(super) fn run(opts: &HarnessOptions, out: &mut dyn Write) -> io::Result<()> 
     write_table(out, &["load class", "median", "P90"], &life_rows)?;
     // SVG: semi-warm-share CDFs per load class (the paper's left panel).
     let mut chart_series: Vec<(&str, Vec<(f64, f64)>)> = Vec::new();
-    let stats_ref = stats.borrow();
     for (label, class) in [
         ("high", Some(LoadClass::High)),
         ("middle", Some(LoadClass::Middle)),
         ("low", Some(LoadClass::Low)),
     ] {
-        let samples: Vec<f64> = stats_ref
+        let samples: Vec<f64> = stats
             .semi_warm_records
             .iter()
             .filter(|r| class.is_none_or(|c| class_of.get(&r.function) == Some(&c)))

@@ -20,17 +20,17 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
+use faasmem_baselines::{DamonMode, DamonPolicy, NoOffloadPolicy, TmoPolicy};
 use faasmem_core::{FaasMemConfig, FaasMemPolicy, FaasMemStats, StatsHandle};
 use faasmem_faas::{MemoryPolicy, PlatformConfig, PlatformSim, RunReport, RunSummary};
 use faasmem_metrics::agg;
 use faasmem_sim::{SimDuration, SimTime};
-use faasmem_telemetry::{rss, SampleSpec, Sampler, SeriesMask, TimeSeries};
+use faasmem_telemetry::{SampleSpec, Sampler, SeriesMask, TimeSeries};
 use faasmem_trace::{chrome_trace, ChromeGroup, EventKind, LayerMask, TraceEvent, Tracer};
 use faasmem_workload::{
-    ArrivalModel, BenchmarkSpec, FunctionId, InvocationTrace, LoadClass, TraceStats,
+    ArrivalModel, BenchmarkSpec, FunctionId, Invocation, InvocationTrace, LoadClass, TraceStats,
     TraceSynthesizer,
 };
 
@@ -113,72 +113,78 @@ impl ConfigCase {
     }
 }
 
-/// Builds a fresh policy instance for one cell. Returns the boxed policy
-/// plus FaaSMem's mechanism-stats handle when the policy publishes one.
-/// Runs on a worker thread, so the factory must be `Send + Sync`; the
-/// policy it builds stays on that thread.
-pub type PolicyFactory =
-    Arc<dyn Fn() -> (Box<dyn MemoryPolicy>, Option<StatsHandle>) + Send + Sync>;
-
-/// The policy axis.
-#[derive(Clone)]
+/// The policy axis: plain data, built into a fresh policy on the cell's
+/// worker thread by [`PolicySpec::build`].
+#[derive(Debug, Clone)]
 pub enum PolicySpec {
     /// One of the standard systems.
     Kind(PolicyKind),
-    /// A custom-built policy (ablation configs, extensions).
-    Custom {
+    /// A FaaSMem variant (ablation configs, extensions).
+    FaasMem {
         /// Column label, unique within the grid.
         label: String,
-        /// Per-cell policy constructor.
-        make: PolicyFactory,
+        /// The variant's configuration, checked by [`validate_grid`].
+        config: FaasMemConfig,
+    },
+    /// DAMON with a chosen page-hotness estimator (§9's sampling sweep).
+    Damon {
+        /// Column label, unique within the grid.
+        label: String,
+        /// How the policy estimates page hotness.
+        mode: DamonMode,
     },
 }
 
 impl PolicySpec {
-    /// A custom policy from a constructor closure.
-    pub fn custom<F>(label: &str, make: F) -> Self
-    where
-        F: Fn() -> (Box<dyn MemoryPolicy>, Option<StatsHandle>) + Send + Sync + 'static,
-    {
-        PolicySpec::Custom {
-            label: label.to_string(),
-            make: Arc::new(make),
-        }
-    }
-
-    /// A FaaSMem variant running `config`; the stats handle is wired
-    /// automatically.
-    ///
-    /// # Panics
-    ///
-    /// Panics, listing every problem, if `config` fails
-    /// [`FaasMemConfig::validate`]: a bad variant stops the grid where
-    /// it is declared, before any cell runs.
+    /// A FaaSMem variant running `config`.
     pub fn faasmem(label: &str, config: FaasMemConfig) -> Self {
-        if let Err(problems) = config.validate() {
-            panic!("FaaSMem variant `{label}`: {}", problems.join("; "));
+        PolicySpec::FaasMem {
+            label: label.to_string(),
+            config,
         }
-        Self::custom(label, move || {
-            let policy = FaasMemPolicy::with_config(config.clone()).expect("validated above");
-            let stats = policy.stats();
-            (Box::new(policy), Some(stats))
-        })
     }
 
     /// The column label.
     pub fn label(&self) -> &str {
         match self {
             PolicySpec::Kind(kind) => kind.name(),
-            PolicySpec::Custom { label, .. } => label,
+            PolicySpec::FaasMem { label, .. } | PolicySpec::Damon { label, .. } => label,
         }
     }
-}
 
-impl std::fmt::Debug for PolicySpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicySpec")
-            .field("label", &self.label())
-            .finish()
+    /// A fresh policy, plus FaaSMem's mechanism-stats handle for the
+    /// FaaSMem family (`None` for the baselines).
+    ///
+    /// # Panics
+    ///
+    /// Panics, listing every problem, if a FaaSMem config fails
+    /// [`FaasMemConfig::validate`].
+    pub fn build(&self) -> (Box<dyn MemoryPolicy>, Option<StatsHandle>) {
+        let config = match self {
+            PolicySpec::Kind(PolicyKind::Baseline) => return (Box::new(NoOffloadPolicy), None),
+            PolicySpec::Kind(PolicyKind::Tmo) => return (Box::new(TmoPolicy::default()), None),
+            PolicySpec::Kind(PolicyKind::Damon) => return (Box::new(DamonPolicy::default()), None),
+            PolicySpec::Damon { mode, .. } => return (Box::new(DamonPolicy::new(*mode)), None),
+            PolicySpec::Kind(PolicyKind::FaasMem) => FaasMemConfig::default(),
+            PolicySpec::Kind(PolicyKind::FaasMemNoPucket) => FaasMemConfig {
+                enable_pucket: false,
+                ..Default::default()
+            },
+            PolicySpec::Kind(PolicyKind::FaasMemNoSemiWarm) => FaasMemConfig {
+                enable_semiwarm: false,
+                ..Default::default()
+            },
+            PolicySpec::FaasMem { config, .. } => config.clone(),
+        };
+        let policy = FaasMemPolicy::with_config(config).unwrap_or_else(|problems| {
+            panic!(
+                "FaaSMem variant `{}`: {}",
+                self.label(),
+                problems.join("; ")
+            )
+        });
+        let stats = policy.stats();
+        (Box::new(policy), Some(stats))
     }
 }
 
@@ -212,8 +218,22 @@ pub enum TraceKind {
         /// Number of functions; must match the bench case's spec count.
         functions: u32,
     },
-    /// A pre-built trace used verbatim (hand-crafted arrival patterns).
-    Explicit(InvocationTrace),
+    /// A fixed arrival pattern for [`FunctionId`]`(0)`: `bursts` bursts
+    /// of `per_burst` requests, request `i` of burst `b` arriving at
+    /// `start + b·period + i·spacing`. Seedless, and `--quick` runs it
+    /// whole.
+    Periodic {
+        /// First arrival.
+        start: SimTime,
+        /// Number of bursts.
+        bursts: u64,
+        /// Requests per burst.
+        per_burst: u64,
+        /// Gap between requests within a burst.
+        spacing: SimDuration,
+        /// Gap between burst starts.
+        period: SimDuration,
+    },
 }
 
 /// The trace axis: a labeled, seeded trace recipe.
@@ -221,67 +241,47 @@ pub enum TraceKind {
 pub struct TraceSpec {
     /// Row label, unique within the grid.
     pub label: String,
-    /// Synthesizer seed (ignored for explicit traces).
+    /// Synthesizer seed (ignored for periodic traces).
     pub seed: u64,
     /// Per-benchmark seed derivation.
     pub seed_mix: SeedMix,
-    /// Trace horizon (ignored for explicit traces).
+    /// Trace horizon; `--quick` caps synthesized traces at
+    /// [`QUICK_DURATION`].
     pub duration: SimTime,
     /// The recipe.
     pub kind: TraceKind,
-    /// Rows a lenient importer skipped while producing this trace
-    /// (non-zero only for [`TraceSpec::explicit_lossy`] traces).
-    pub skipped_rows: u64,
 }
 
 impl TraceSpec {
-    /// A synthesized single-function trace; one hour, steady, not bursty.
-    pub fn synth(label: &str, seed: u64, load: LoadClass) -> Self {
-        TraceSpec {
-            label: label.to_string(),
-            seed,
-            seed_mix: SeedMix::Fixed,
-            duration: SimTime::from_mins(60),
-            kind: TraceKind::Synth {
-                load,
-                bursty: false,
-                arrival: None,
-            },
-            skipped_rows: 0,
-        }
-    }
-
-    /// A synthesized cluster trace over `functions` functions.
-    pub fn cluster(label: &str, seed: u64, functions: u32) -> Self {
-        TraceSpec {
-            label: label.to_string(),
-            seed,
-            seed_mix: SeedMix::Fixed,
-            duration: SimTime::from_mins(60),
-            kind: TraceKind::Cluster { functions },
-            skipped_rows: 0,
-        }
-    }
-
-    /// A pre-built trace used verbatim.
-    pub fn explicit(label: &str, trace: InvocationTrace) -> Self {
+    /// A trace from `kind`: seed 0, no per-benchmark mixing, one hour.
+    pub fn new(label: &str, kind: TraceKind) -> Self {
         TraceSpec {
             label: label.to_string(),
             seed: 0,
             seed_mix: SeedMix::Fixed,
-            duration: SimTime::ZERO,
-            kind: TraceKind::Explicit(trace),
-            skipped_rows: 0,
+            duration: SimTime::from_mins(60),
+            kind,
         }
     }
 
-    /// A leniently-imported trace (see [`faasmem_workload::trace_io::from_str_lossy`]):
-    /// used verbatim, with the importer's skip count carried into the
-    /// run summary and the exported JSON.
-    pub fn explicit_lossy(label: &str, lossy: faasmem_workload::LossyTrace) -> Self {
+    /// A synthesized single-function trace; one hour, steady, not bursty.
+    pub fn synth(label: &str, seed: u64, load: LoadClass) -> Self {
+        let kind = TraceKind::Synth {
+            load,
+            bursty: false,
+            arrival: None,
+        };
         TraceSpec {
-            skipped_rows: lossy.skipped_lines,
-            ..TraceSpec::explicit(label, lossy.trace)
+            seed,
+            ..TraceSpec::new(label, kind)
+        }
+    }
+
+    /// A synthesized one-hour cluster trace over `functions` functions.
+    pub fn cluster(label: &str, seed: u64, functions: u32) -> Self {
+        TraceSpec {
+            seed,
+            ..TraceSpec::new(label, TraceKind::Cluster { functions })
         }
     }
 
@@ -354,7 +354,23 @@ impl TraceSpec {
                     .synthesize_cluster(*functions);
                 trace
             }
-            TraceKind::Explicit(trace) => trace.clone(),
+            TraceKind::Periodic {
+                start,
+                bursts,
+                per_burst,
+                spacing,
+                period,
+            } => {
+                let arrivals = (0..*bursts)
+                    .flat_map(|b| {
+                        (0..*per_burst).map(move |i| Invocation {
+                            at: *start + *period * b + *spacing * i,
+                            function: FunctionId(0),
+                        })
+                    })
+                    .collect();
+                InvocationTrace::from_invocations(arrivals, self.duration)
+            }
         }
     }
 }
@@ -593,8 +609,6 @@ pub struct CellLabels {
 pub struct CellOutcome {
     /// Invocations in the cell's trace.
     pub trace_len: usize,
-    /// Rows a lenient importer skipped while producing the cell's trace.
-    pub trace_skipped_rows: u64,
     /// Arrival statistics of the cell's trace.
     pub trace_stats: TraceStats,
     /// The flat metric digest (serialized to JSON).
@@ -626,11 +640,6 @@ pub struct CellResult {
     pub outcome: Result<CellOutcome, String>,
     /// Wall-clock seconds this cell took on its worker.
     pub wall_secs: f64,
-    /// Process peak RSS in KiB observed right after the cell finished
-    /// (`None` off Linux). The kernel value is a process-wide
-    /// high-water mark, so this reads as "peak so far", not a
-    /// per-cell footprint.
-    pub peak_rss_kb: Option<u64>,
 }
 
 /// A completed grid run: all cells in deterministic grid order.
@@ -742,10 +751,6 @@ impl GridRun {
                 JsonValue::Num(events_total as f64 / self.wall_total_secs),
             );
         }
-        match self.cells.iter().filter_map(|c| c.peak_rss_kb).max() {
-            Some(peak) => doc.push("peak_rss_kb", JsonValue::Num(peak as f64)),
-            None => doc.push("peak_rss_kb", JsonValue::Null),
-        };
         let cells: Vec<JsonValue> = self
             .cells
             .iter()
@@ -753,12 +758,6 @@ impl GridRun {
                 let mut cell = JsonValue::obj();
                 push_labels(&mut cell, &c.labels);
                 cell.push("wall_secs", JsonValue::Num(c.wall_secs));
-                // Process-wide high-water mark at cell completion;
-                // explicit null where the platform can't report it.
-                match c.peak_rss_kb {
-                    Some(kb) => cell.push("peak_rss_kb", JsonValue::Num(kb as f64)),
-                    None => cell.push("peak_rss_kb", JsonValue::Null),
-                };
                 // Per-cell event throughput (null for panicked cells:
                 // their counts died with the worker).
                 match c.outcome.as_ref().ok() {
@@ -932,18 +931,6 @@ impl GridRun {
                 self.failures()
             );
         }
-        let skipped: u64 = self
-            .cells
-            .iter()
-            .filter_map(|c| c.outcome.as_ref().ok())
-            .map(|o| o.trace_skipped_rows)
-            .sum();
-        if skipped > 0 {
-            eprintln!(
-                "[harness] grid {}: {skipped} malformed trace row(s) were skipped during import",
-                self.name
-            );
-        }
     }
 }
 
@@ -972,12 +959,6 @@ fn cell_json(cell: &CellResult) -> JsonValue {
                 "trace_invocations",
                 JsonValue::Num(outcome.trace_len as f64),
             );
-            if outcome.trace_skipped_rows > 0 {
-                doc.push(
-                    "trace_skipped_rows",
-                    JsonValue::Num(outcome.trace_skipped_rows as f64),
-                );
-            }
             doc.push("metrics", summary_json(&outcome.summary));
             // Per-function waste ledgers ride next to the metrics block;
             // absent unless the anatomy layer ran and charged something,
@@ -1414,7 +1395,6 @@ pub fn run_grid(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
                             fault_seed: cell.config.config.faults.as_ref().map(|f| f.spec.seed),
                             outcome,
                             wall_secs: cell_started.elapsed().as_secs_f64(),
-                            peak_rss_kb: rss::peak_rss_kb(),
                         },
                     ));
                 }
@@ -1440,16 +1420,25 @@ pub fn run_grid(grid: &ExperimentGrid, opts: &HarnessOptions) -> GridRun {
     }
 }
 
-/// Validates every platform configuration the grid declares, returning
-/// one descriptive message per problem (empty when the grid is sound).
-/// An empty `configs` axis means the default configuration, which is
-/// always valid.
+/// Validates every platform configuration and FaaSMem variant the grid
+/// declares, returning one descriptive message per problem (empty when
+/// the grid is sound). An empty `configs` axis means the default
+/// configuration, which is always valid.
 pub fn validate_grid(grid: &ExperimentGrid) -> Vec<String> {
     let mut problems = Vec::new();
     for case in &grid.configs {
         if let Err(errors) = case.config.validate() {
             for e in errors {
                 problems.push(format!("config `{}`: {e}", case.label));
+            }
+        }
+    }
+    for policy in &grid.policies {
+        if let PolicySpec::FaasMem { label, config } = policy {
+            if let Err(errors) = config.validate() {
+                for e in errors {
+                    problems.push(format!("policy `{label}`: {e}"));
+                }
             }
         }
     }
@@ -1548,16 +1537,14 @@ fn run_cell(
                 seed: cell.trace.seed_for(cell.bench),
             },
         );
-        let builder = PlatformSim::builder()
+        let (policy, stats) = cell.policy.build();
+        let mut sim = PlatformSim::builder()
             .register_functions(cell.bench.specs.iter().cloned())
             .config(cell.config.config.clone())
             .tracer(tracer.clone())
-            .sampler(sampler.clone());
-        let (policy, stats) = match cell.policy {
-            PolicySpec::Kind(kind) => kind.build(),
-            PolicySpec::Custom { make, .. } => make(),
-        };
-        let mut sim = builder.policy(policy).build();
+            .sampler(sampler.clone())
+            .policy(policy)
+            .build();
         let mut report = sim.run(&trace);
         tracer.set_now(report.finished_at);
         tracer.emit(
@@ -1573,7 +1560,6 @@ fn run_cell(
         let trace_stats = trace.stats();
         CellOutcome {
             trace_len: trace_stats.invocations,
-            trace_skipped_rows: cell.trace.skipped_rows,
             trace_stats,
             summary,
             // Snapshot: the Rc-based handle must not cross threads, the

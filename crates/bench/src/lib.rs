@@ -5,7 +5,7 @@
 //! One function per table/figure of the paper's evaluation, listed in
 //! the [`experiments`] registry and run by the one `experiments` binary,
 //! plus the shared pieces they are built from: the parallel [`harness`],
-//! policy construction by name, and plain-text table rendering so every
+//! the compared systems by name, and plain-text table rendering so every
 //! experiment prints rows directly comparable to the paper's figures.
 //!
 //! Run one experiment, or all of them into one directory, with:
@@ -21,10 +21,6 @@ pub mod experiments;
 pub mod harness;
 pub mod json;
 pub mod svg;
-
-use faasmem_baselines::{DamonPolicy, NoOffloadPolicy, TmoPolicy};
-use faasmem_core::{FaasMemConfig, FaasMemPolicy, StatsHandle};
-use faasmem_faas::MemoryPolicy;
 
 /// The systems compared throughout the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,28 +54,6 @@ impl PolicyKind {
             PolicyKind::FaasMemNoPucket => "FaaSMem w/o Pucket",
             PolicyKind::FaasMemNoSemiWarm => "FaaSMem w/o Semi-warm",
         }
-    }
-
-    /// A fresh policy of this kind, with FaaSMem's mechanism stats
-    /// handle for the FaaSMem variants (`None` for the baselines).
-    pub fn build(self) -> (Box<dyn MemoryPolicy>, Option<StatsHandle>) {
-        let config = match self {
-            PolicyKind::Baseline => return (Box::new(NoOffloadPolicy), None),
-            PolicyKind::Tmo => return (Box::new(TmoPolicy::default()), None),
-            PolicyKind::Damon => return (Box::new(DamonPolicy::default()), None),
-            PolicyKind::FaasMem => FaasMemConfig::default(),
-            PolicyKind::FaasMemNoPucket => FaasMemConfig {
-                enable_pucket: false,
-                ..Default::default()
-            },
-            PolicyKind::FaasMemNoSemiWarm => FaasMemConfig {
-                enable_semiwarm: false,
-                ..Default::default()
-            },
-        };
-        let faasmem = FaasMemPolicy::with_config(config).expect("ablation configs are valid");
-        let stats = faasmem.stats();
-        (Box::new(faasmem), Some(stats))
     }
 }
 
@@ -155,6 +129,7 @@ pub fn fmt_mib(mib: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::PolicySpec;
     use faasmem_faas::PlatformSim;
     use faasmem_sim::SimTime;
     use faasmem_workload::{BenchmarkSpec, FunctionId, Invocation, InvocationTrace};
@@ -185,7 +160,7 @@ mod tests {
             PolicyKind::FaasMemNoPucket,
             PolicyKind::FaasMemNoSemiWarm,
         ] {
-            let (policy, stats) = kind.build();
+            let (policy, stats) = PolicySpec::Kind(kind).build();
             let mut sim = PlatformSim::builder()
                 .register_function(BenchmarkSpec::by_name("json").unwrap())
                 .policy(policy)

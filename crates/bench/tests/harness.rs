@@ -6,15 +6,13 @@ use std::path::Path;
 
 use faasmem_bench::harness::{
     quick_out_problem, run_grid, validate_grid, BenchCase, ConfigCase, ExperimentGrid,
-    HarnessOptions, PolicySpec, SeedMix, TraceSpec, DEFAULT_CONFIG,
+    HarnessOptions, PolicySpec, SeedMix, TraceKind, TraceSpec, DEFAULT_CONFIG,
 };
 use faasmem_bench::{json, PolicyKind};
 use faasmem_core::FaasMemConfig;
 use faasmem_faas::{FaultConfig, PlatformConfig};
 use faasmem_sim::{FaultSpec, SimDuration, SimTime};
-use faasmem_workload::{
-    trace_io, BenchmarkSpec, FunctionId, Invocation, InvocationTrace, LoadClass,
-};
+use faasmem_workload::{BenchmarkSpec, LoadClass};
 
 fn quick_opts(jobs: usize) -> HarnessOptions {
     HarnessOptions {
@@ -97,15 +95,15 @@ fn empty_grid_runs_and_exports() {
 
 #[test]
 fn single_cell_grid() {
-    let trace = InvocationTrace::from_invocations(
-        vec![Invocation {
-            at: SimTime::from_secs(5),
-            function: FunctionId(0),
-        }],
-        SimTime::from_secs(60),
-    );
+    let one_shot = TraceKind::Periodic {
+        start: SimTime::from_secs(5),
+        bursts: 1,
+        per_burst: 1,
+        spacing: SimDuration::ZERO,
+        period: SimDuration::ZERO,
+    };
     let grid = ExperimentGrid::new("single")
-        .trace(TraceSpec::explicit("one-shot", trace))
+        .trace(TraceSpec::new("one-shot", one_shot).duration(SimTime::from_secs(60)))
         .bench(BenchCase::single(
             BenchmarkSpec::by_name("json").expect("catalog"),
         ))
@@ -129,50 +127,64 @@ fn single_cell_grid() {
     );
 }
 
+/// Bench cases for a 2-function cluster trace: `pair` registers both
+/// functions, `json` only the first, so every cell on `json` panics when
+/// function 1 first arrives.
+fn pair_and_single() -> [BenchCase; 2] {
+    let json = BenchmarkSpec::by_name("json").expect("catalog");
+    let web = BenchmarkSpec::by_name("web").expect("catalog");
+    [
+        BenchCase::cluster("pair", vec![json.clone(), web]),
+        BenchCase::single(json),
+    ]
+}
+
 #[test]
 fn panicking_cell_is_captured_while_others_complete() {
     let grid = ExperimentGrid::new("panics")
-        .trace(TraceSpec::synth("high", 77, LoadClass::High))
-        .bench(BenchCase::single(
-            BenchmarkSpec::by_name("json").expect("catalog"),
-        ))
+        .trace(TraceSpec::cluster("two-fn", 78, 2))
+        .benches(pair_and_single())
         .policies([
             PolicySpec::Kind(PolicyKind::Baseline),
-            PolicySpec::custom("exploding", || panic!("boom in policy factory")),
             PolicySpec::faasmem("faasmem-ok", FaasMemConfig::default()),
         ]);
     let run = run_grid(&grid, &quick_opts(2));
-    assert_eq!(run.cells.len(), 3);
-    assert_eq!(run.failures(), 1);
+    assert_eq!(run.cells.len(), 4);
+    assert_eq!(run.failures(), 2);
 
-    let failed = run.cell("high", "json", DEFAULT_CONFIG, "exploding");
+    let failed = run.cell("two-fn", "json", DEFAULT_CONFIG, "faasmem-ok");
     let msg = failed
         .outcome
         .as_ref()
         .expect_err("cell must have panicked");
     assert!(
-        msg.contains("boom in policy factory"),
+        msg.contains("trace invokes unregistered"),
         "panic message lost: {msg}"
     );
     // The report carries enough context to replay the cell stand-alone.
     assert!(
-        msg.contains("cell[trace=high, bench=json, config=default, policy=exploding]"),
+        msg.contains("cell[trace=two-fn, bench=json, config=default, policy=faasmem-ok]"),
         "panic message lacks cell coordinates: {msg}"
     );
     assert!(
-        msg.contains("seed=77") && msg.contains("fault_seed=none"),
+        msg.contains("seed=78") && msg.contains("fault_seed=none"),
         "panic message lacks seeds: {msg}"
     );
 
     // Neighbours on the same workers still ran to completion.
     assert!(
-        run.outcome("high", "json", DEFAULT_CONFIG, PolicyKind::Baseline.name())
-            .summary
-            .requests_completed
+        run.outcome(
+            "two-fn",
+            "pair",
+            DEFAULT_CONFIG,
+            PolicyKind::Baseline.name()
+        )
+        .summary
+        .requests_completed
             > 0
     );
     assert!(run
-        .outcome("high", "json", DEFAULT_CONFIG, "faasmem-ok")
+        .outcome("two-fn", "pair", DEFAULT_CONFIG, "faasmem-ok")
         .faasmem
         .is_some());
 
@@ -186,7 +198,7 @@ fn panicking_cell_is_captured_while_others_complete() {
         .iter()
         .filter_map(|c| c.get("status").and_then(|s| s.as_str()))
         .collect();
-    assert_eq!(statuses, ["ok", "panicked", "ok"]);
+    assert_eq!(statuses, ["ok", "ok", "panicked", "panicked"]);
 }
 
 #[test]
@@ -277,15 +289,14 @@ fn panicking_chaos_cell_records_its_fault_seed() {
         }),
         ..PlatformConfig::default()
     };
+    let [pair, json] = pair_and_single();
     let grid = ExperimentGrid::new("chaos_panics")
-        .trace(TraceSpec::synth("high", 78, LoadClass::High))
-        .bench(BenchCase::single(
-            BenchmarkSpec::by_name("json").expect("catalog"),
-        ))
+        .trace(TraceSpec::cluster("two-fn", 78, 2))
+        .benches([json, pair])
         .config(ConfigCase::new("chaos", chaos))
-        .policy(PolicySpec::custom("exploding", || panic!("kaboom")));
+        .policy_kinds([PolicyKind::Baseline]);
     let run = run_grid(&grid, &quick_opts(1));
-    let failed = run.cell("high", "json", "chaos", "exploding");
+    let failed = run.cell("two-fn", "json", "chaos", "Baseline");
     let msg = failed
         .outcome
         .as_ref()
@@ -297,37 +308,19 @@ fn panicking_chaos_cell_records_its_fault_seed() {
 
     // Both seeds land in the exported document for the failed cell.
     let doc = run.to_json();
-    let cell = &doc.get("cells").and_then(|v| v.as_arr()).expect("cells")[0];
-    assert_eq!(cell.get("seed").and_then(|v| v.as_num()), Some(78.0));
+    let cells = doc.get("cells").and_then(|v| v.as_arr()).expect("cells");
     assert_eq!(
-        cell.get("fault_seed").and_then(|v| v.as_num()),
+        cells[0].get("status").and_then(|v| v.as_str()),
+        Some("panicked")
+    );
+    assert_eq!(cells[0].get("seed").and_then(|v| v.as_num()), Some(78.0));
+    assert_eq!(
+        cells[0].get("fault_seed").and_then(|v| v.as_num()),
         Some(0xBAD5EEDu64 as f64)
     );
-}
-
-#[test]
-fn lossy_trace_skip_count_reaches_the_export() {
-    let text = "# faasmem-trace v1 horizon_micros=60000000\n\
-                5000000,0\njunk-row\n9000000,0\n";
-    let lossy = trace_io::from_str_lossy(text).expect("header parses");
-    assert_eq!(lossy.skipped_lines, 1);
-    let grid = ExperimentGrid::new("lossy_import")
-        .trace(TraceSpec::explicit_lossy("salvaged", lossy))
-        .bench(BenchCase::single(
-            BenchmarkSpec::by_name("json").expect("catalog"),
-        ))
-        .policy_kinds([PolicyKind::Baseline]);
-    let run = run_grid(&grid, &quick_opts(1));
-    let outcome = run.outcome("salvaged", "json", DEFAULT_CONFIG, "Baseline");
-    assert_eq!(outcome.trace_len, 2);
-    assert_eq!(outcome.trace_skipped_rows, 1);
-
-    let doc = run.to_json();
-    let cell = &doc.get("cells").and_then(|v| v.as_arr()).expect("cells")[0];
-    assert_eq!(
-        cell.get("trace_skipped_rows").and_then(|v| v.as_num()),
-        Some(1.0)
-    );
+    // The chaos cell beside it, whose bench registers both functions,
+    // still ran to completion.
+    assert_eq!(cells[1].get("status").and_then(|v| v.as_str()), Some("ok"));
 }
 
 #[test]
@@ -541,6 +534,25 @@ fn validate_grid_flags_broken_configs() {
     assert_eq!(problems.len(), 1, "{problems:?}");
     assert!(problems[0].contains("config `nonsense`"), "{problems:?}");
     assert!(problems[0].contains("page size"), "{problems:?}");
+
+    // A FaaSMem variant is data too: a bad one is named before any cell
+    // runs, and one built anyway panics with the same problem.
+    let bad_variant = PolicySpec::faasmem(
+        "no-window",
+        FaasMemConfig {
+            window_stable_rounds: 0,
+            ..FaasMemConfig::default()
+        },
+    );
+    let problems = validate_grid(&ExperimentGrid::new("broken").policy(bad_variant.clone()));
+    assert_eq!(problems.len(), 1, "{problems:?}");
+    assert!(problems[0].contains("policy `no-window`"), "{problems:?}");
+    assert!(problems[0].contains("stable rounds"), "{problems:?}");
+    let built = std::panic::catch_unwind(|| bad_variant.build());
+    let payload = built.err().expect("a bad variant does not build");
+    let msg = payload.downcast_ref::<String>().expect("formatted message");
+    assert!(msg.contains("FaaSMem variant `no-window`"), "{msg}");
+    assert!(msg.contains("stable rounds"), "{msg}");
 }
 
 #[test]

@@ -589,27 +589,19 @@ impl PlatformSim {
         report
     }
 
-    /// Validates the trace against the registered functions and captures
-    /// what seeding and the event loop need.
+    /// Captures what seeding and the event loop need. The trace's
+    /// function ids are checked as each first cold-starts, so a lazy
+    /// trace is never drawn an extra time.
     ///
     /// # Panics
     ///
-    /// Panics if the simulator already ran, or if the trace invokes an
-    /// unregistered function.
+    /// Panics if the simulator already ran.
     fn prepare<'a>(&mut self, trace: &'a InvocationTrace) -> RunSetup<'a> {
         assert!(
             !self.ran,
             "PlatformSim::run consumes the simulator; build a fresh one"
         );
         self.ran = true;
-
-        for inv in trace.iter() {
-            assert!(
-                (inv.function.0 as usize) < self.specs.len(),
-                "trace invokes unregistered {}",
-                inv.function
-            );
-        }
         RunSetup {
             trace,
             tick: self.policy.tick_interval(),
@@ -1331,7 +1323,10 @@ impl PlatformSim {
             // Cold start.
             let id = ContainerId(self.next_container);
             self.next_container += 1;
-            let spec = self.specs[function.0 as usize].clone();
+            let spec = match self.specs.get(function.0 as usize) {
+                Some(spec) => spec.clone(),
+                None => panic!("trace invokes unregistered {function}"),
+            };
             let launch = spec.launch_time;
             let mut container = Container::new(id, function, spec, self.config.page_size, now);
             container
